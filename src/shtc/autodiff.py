@@ -3,15 +3,24 @@
 Only the operations the training objective needs. Each ``Var`` records its
 parents and a closure that scatters the output gradient back to them; calling
 ``backward()`` on a scalar walks the tape once in reverse topological order.
-Subgradient conventions: 0 at the soft-threshold kink and at |x| = 0, and the
-floor side of ``maximum_floor`` gets no gradient.
+
+Two fused nodes cover the hot parts of the objective with one tape node and a
+hand-written backward each, and run the codec's own forward math:
+
+* ``rate_bits`` sums ``entropy.bin_bits`` (-log2 of the Gaussian bin mass);
+  the floor side of the probability clamp gets no gradient.
+* ``unfold`` runs ``refinement.unfold_code`` (the unfolded-ISTA layers);
+  the gradient is 0 inside each soft-threshold dead zone, for the
+  pre-activation and the threshold alike.
+
+``vabs`` has subgradient 0 at |x| = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import entropy, refinement
 from .quantizer import round_half_away
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -180,13 +189,6 @@ def vexp(a) -> Var:
     return out
 
 
-def vlog(a) -> Var:
-    a = as_var(a)
-    out = Var(np.log(a.data), (a,))
-    out.bwd = lambda g: _acc(a, g / a.data)
-    return out
-
-
 def vabs(a) -> Var:
     a = as_var(a)
     out = Var(np.abs(a.data), (a,))
@@ -194,48 +196,79 @@ def vabs(a) -> Var:
     return out
 
 
-def softplus(a) -> Var:
-    a = as_var(a)
-    val = np.log1p(np.exp(-np.abs(a.data))) + np.maximum(a.data, 0.0)
-    out = Var(val, (a,))
-    out.bwd = lambda g: _acc(a, g / (1.0 + np.exp(-a.data)))
-    return out
+def rate_bits(x: Var, mu: Var, sigma: Var, steps: Var) -> Var:
+    """Estimated bits of ``x``: the sum of ``entropy.bin_bits``, as one node.
 
-
-def maximum_floor(a, floor: float) -> Var:
-    """max(a, floor) against a constant; the clamped side gets zero gradient."""
-    a = as_var(a)
-    out = Var(np.maximum(a.data, floor), (a,))
-    out.bwd = lambda g: _acc(a, g * (a.data > floor))
-    return out
-
-
-def soft_threshold(x, tau) -> Var:
-    """sign(x) * max(|x| - tau, 0); zero subgradient inside the dead zone."""
-    x, tau = as_var(x), as_var(tau)
-    mag = np.abs(x.data) - tau.data
-    active = mag > 0
-    out = Var(np.sign(x.data) * np.maximum(mag, 0.0), (x, tau))
+    The bin mass p is floored at ``entropy._PROB_FLOOR``; an element on the
+    floor side gets no gradient. Elsewhere d(-log2 p) = -dp / (p ln 2), with
+    dp from the Gaussian pdf at both bin edges.
+    """
+    bits, p, z_lo, z_hi = entropy.bin_bits(x.data, mu.data, sigma.data, steps.data)
+    out = Var(bits.sum(), (x, mu, sigma, steps))
 
     def bwd(g):
-        _acc(x, g * active)
-        _acc(tau, -g * np.sign(x.data) * active)
+        pdf_lo = np.exp(-0.5 * z_lo * z_lo) * _INV_SQRT_2PI
+        pdf_hi = np.exp(-0.5 * z_hi * z_hi) * _INV_SQRT_2PI
+        floor = entropy._PROB_FLOOR
+        # d bits / d p over sigma: each bin edge is (x - mu +- step/2) / sigma
+        gp = (p > floor) * (-g / (np.maximum(p, floor) * _LN2)) / sigma.data
+        dx = gp * (pdf_hi - pdf_lo)
+        _acc(x, dx)
+        _acc(mu, -dx)
+        _acc(sigma, -gp * (z_hi * pdf_hi - z_lo * pdf_lo))
+        _acc(steps, 0.5 * gp * (pdf_hi + pdf_lo))
 
     out.bwd = bwd
     return out
 
 
-def normal_cdf(z) -> Var:
-    z = as_var(z)
-    out = Var(ndtr(z.data), (z,))
-    out.bwd = lambda g: _acc(z, g * np.exp(-0.5 * z.data * z.data) * _INV_SQRT_2PI)
-    return out
+def unfold(y: Var, measure: Var, dictionary: Var, step_raw: Var, thresh_raw: Var) -> Var:
+    """Unfolded-ISTA synthesis D beta of (N, n_meas) measurements ``y``, as
+    one node over ``refinement.unfold_code``.
 
+    The backward walks the recorded layers in reverse. Subgradient: zero
+    inside each soft-threshold dead zone (|pre| <= tau), for the
+    pre-activation and the threshold alike.
+    """
+    model = refinement.RefinementModel(
+        measure=measure.data, dictionary=dictionary.data,
+        step_raw=step_raw.data, thresh_raw=thresh_raw.data,
+    )
+    layers: list = []
+    beta = refinement.unfold_code(y.data, model, record=layers)
+    out = Var(beta @ model.dictionary.T, (y, measure, dictionary, step_raw, thresh_raw))
 
-def log2(a) -> Var:
-    a = as_var(a)
-    out = Var(np.log2(a.data), (a,))
-    out.bwd = lambda g: _acc(a, g / (a.data * _LN2))
+    def bwd(g):
+        a, d = model.measure, model.dictionary
+        gmat = a @ d
+        etas = model.steps()
+        taus = model.thresholds()
+        d_g = np.zeros_like(gmat)
+        d_y = np.zeros_like(y.data)
+        d_step = np.zeros_like(step_raw.data)
+        d_thresh = np.zeros_like(thresh_raw.data)
+        d_dict = g.T @ beta
+        g_beta = g @ d
+        for k in range(len(layers) - 1, -1, -1):
+            # pre = beta_k - eta_k * (resid @ G),  resid = beta_k @ G.T - y
+            beta_k, resid, pre = layers[k]
+            g_pre = g_beta * (np.abs(pre) - taus[k] > 0)
+            d_thresh[k] = -(g_pre * np.sign(pre)).sum(axis=0) / (1.0 + np.exp(-thresh_raw.data[k]))
+            r_g = resid.T @ g_pre
+            d_step[k] = -(r_g * gmat).sum(axis=0) * etas[k]
+            d_g -= r_g * etas[k]
+            g_resid = -(g_pre * etas[k]) @ gmat.T
+            d_y -= g_resid
+            if k > 0:  # layer 0 starts from a constant zero code
+                d_g += g_resid.T @ beta_k
+                g_beta = g_pre + g_resid @ gmat
+        _acc(y, d_y)
+        _acc(measure, d_g @ d.T)
+        _acc(dictionary, d_dict + a.T @ d_g)
+        _acc(step_raw, d_step)
+        _acc(thresh_raw, d_thresh)
+
+    out.bwd = bwd
     return out
 
 

@@ -190,11 +190,12 @@ def cmd_fit(args) -> int:
     counts = bitstream.write(bundle, None, bundle_path)
     log_path = _out_path(args, "train_log.csv")
     with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("iter,loss,bits_base,bits_refine,l1_total,l1_residual\n")
+        fh.write("iter,loss,bits_base,bits_refine,l1_total,l1_residual,grad_norm,lr\n")
         for row in log:
             fh.write(
                 f"{row['iter']},{row['loss']:.10g},{row['bits_base']:.10g},"
-                f"{row['bits_refine']:.10g},{row['l1_total']:.10g},{row['l1_residual']:.10g}\n"
+                f"{row['bits_refine']:.10g},{row['l1_total']:.10g},{row['l1_residual']:.10g},"
+                f"{row['grad_norm']:.10g},{row['lr']:.10g}\n"
             )
     print(json.dumps({"bundle": bundle_path, "train_log": log_path, **counts}))
     return 0

@@ -53,16 +53,27 @@ class GaussianEntropyModel:
         return self.mu.shape[0]
 
 
+def bin_bits(x: np.ndarray, mu, sigma, steps):
+    """Per-element -log2 of the Gaussian mass of the width-``steps`` bin
+    centred on each ``x``, the mass floored at ``_PROB_FLOOR``.
+
+    Also returns what a gradient needs: the unfloored mass and the bin's
+    standardized lower and upper edges. Shared by :func:`rate_bits` and the
+    trainer's fused rate node, so both price a latent identically.
+    """
+    half = 0.5 * steps
+    z_hi = (x - mu + half) / sigma
+    z_lo = (x - mu - half) / sigma
+    p = ndtr(z_hi) - ndtr(z_lo)
+    return -np.log2(np.maximum(p, _PROB_FLOOR)), p, z_lo, z_hi
+
+
 def rate_bits(x_hat: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> float:
     """Estimated bits to code ``x_hat``: -sum log2 of the Gaussian bin mass."""
     x = np.asarray(x_hat, dtype=np.float64)
     if x.shape[-1] != model.n or sched.n != model.n:
         raise DimMismatch("model/schedule/vector channel counts disagree")
-    half = 0.5 * sched.steps
-    hi = ndtr((x - model.mu + half) / model.sigma)
-    lo = ndtr((x - model.mu - half) / model.sigma)
-    p = np.maximum(hi - lo, _PROB_FLOOR)
-    return float(-np.sum(np.log2(p)))
+    return float(np.sum(bin_bits(x, model.mu, model.sigma, sched.steps)[0]))
 
 
 class RangeEncoder:

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import AllZero, BadSize, InsufficientData, NotSymmetric
 
 MAX_EIG_SIZE = 512
-_JACOBI_SWEEPS = 50
 
 
 def covariance(x: np.ndarray) -> np.ndarray:
@@ -25,12 +24,12 @@ def covariance(x: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via ``np.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as the corresponding columns. The sign
-    of each column is fixed so its largest-magnitude entry is positive,
-    making the output deterministic across runs.
+    of each column is fixed so the first occurrence of its largest-magnitude
+    entry is positive, making the output deterministic across runs.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -42,51 +41,13 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if float(np.abs(s - s.T).max(initial=0.0)) > 1e-9 * scale:
         raise NotSymmetric("input is not symmetric within 1e-9")
 
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    tol = 1e-12 * max(1.0, norm)
-    for _ in range(_JACOBI_SWEEPS):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    sign = 1.0 if theta >= 0 else -1.0
-                    t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-
-    evals = np.diag(a).copy()
+    evals, v = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
     v = v[:, order]
-    # Deterministic sign: first occurrence of the largest |entry| made positive.
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
+    if n:
+        pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+        v = np.where(pivot < 0, -v, v)
     return evals, v
 
 

@@ -154,14 +154,29 @@ def unfold_synthesize(y: np.ndarray, model: RefinementModel) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape[-1] != model.n_meas:
         raise DimMismatch(f"expected last dim {model.n_meas}, got {y.shape[-1]}")
+    return unfold_code(y, model) @ model.dictionary.T
+
+
+def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = None) -> np.ndarray:
+    """The unfolded layers without checks; returns the final code beta.
+
+    If ``record`` is a list, each layer appends its input beta, its
+    measurement residual and its pre-activation (the soft threshold's
+    argument), which is what a hand-written backward pass needs. The
+    trainer's fused unfold node runs this same loop, so training and
+    decoding share one forward definition.
+    """
     g = model.measure @ model.dictionary
     etas = model.steps()
     taus = model.thresholds()
     beta = np.zeros(y.shape[:-1] + (model.n_atoms,))
     for k in range(model.n_layers):
-        grad = (beta @ g.T - y) @ g
-        beta = soft_threshold(beta - etas[k] * grad, taus[k])
-    return beta @ model.dictionary.T
+        resid = beta @ g.T - y
+        pre = beta - etas[k] * (resid @ g)
+        if record is not None:
+            record.append((beta, resid, pre))
+        beta = soft_threshold(pre, taus[k])
+    return beta
 
 
 def param_count(model: RefinementModel) -> int:

@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import base_layer
+from . import base_layer, refinement
 from .autodiff import Var
 from .codec import CodecBundle, StreamConfig, StreamModel, finalize_bundle, fit_bundle
 from .entropy import GaussianEntropyModel
 from .errors import ConfigError, Diverged, InsufficientData
 from .quantizer import channel_schedule
 from .refinement import RefinementModel
-
-_PROB_FLOOR = 2.0**-40
 
 
 @dataclass
@@ -83,13 +81,6 @@ def make_params(bundle: CodecBundle) -> dict[str, Var]:
     return params
 
 
-def _rate_bits_var(x: Var, mu: Var, sigma: Var, steps: Var) -> Var:
-    half = steps * 0.5
-    centered = x - mu
-    p = ad.normal_cdf((centered + half) / sigma) - ad.normal_cdf((centered - half) / sigma)
-    return ad.log2(ad.maximum_floor(p, _PROB_FLOOR)).sum() * -1.0
-
-
 def _schedule_var(params: dict, key: str, n: int) -> Var:
     idx = Var(np.arange(n, dtype=np.float64))
     return ad.vexp(params[f"{key}.log_qs"] + params[f"{key}.alpha"] * idx)
@@ -107,18 +98,6 @@ def _latent_paths(x: Var, steps: Var, mode: str, rng: np.random.Generator) -> tu
     if mode == "ste":
         return noisy, ad.ste_quantize(x, steps)
     return noisy, x
-
-
-def _unfold_var(y_hat: Var, a: Var, d: Var, step_raw: Var, thresh_raw: Var, n_layers: int) -> Var:
-    g = a @ d
-    gt = g.T
-    beta = Var(np.zeros(y_hat.shape[:-1] + (d.shape[1],)))
-    for k in range(n_layers):
-        eta = ad.vexp(ad.take_rows(step_raw, np.array([k])))
-        tau = ad.softplus(ad.take_rows(thresh_raw, np.array([k])))
-        pre = beta - eta * ((beta @ gt - y_hat) @ g)
-        beta = ad.soft_threshold(pre, tau)
-    return beta @ d.T
 
 
 def loss(
@@ -157,7 +136,7 @@ def loss(
         steps_b = _schedule_var(params, f"{p}.base", cfg.rank)
         sigma_b = ad.vexp(params[f"{p}.base.log_sigma"])
         theta_rate, theta_hat = _latent_paths(theta, steps_b, config.quant_mode, rng)
-        bb = _rate_bits_var(theta_rate, params[f"{p}.base.mu"], sigma_b, steps_b)
+        bb = ad.rate_bits(theta_rate, params[f"{p}.base.mu"], sigma_b, steps_b)
         bits_base = bb if bits_base is None else bits_base + bb
 
         f_base = theta_hat @ v_m.T + mean
@@ -170,11 +149,11 @@ def loss(
             steps_r = _schedule_var(params, f"{p}.ref", cfg.n_meas)
             sigma_r = ad.vexp(params[f"{p}.ref.log_sigma"])
             y_rate, y_hat = _latent_paths(y, steps_r, config.quant_mode, rng)
-            br = _rate_bits_var(y_rate, params[f"{p}.ref.mu"], sigma_r, steps_r)
+            br = ad.rate_bits(y_rate, params[f"{p}.ref.mu"], sigma_r, steps_r)
             bits_refine = br if bits_refine is None else bits_refine + br
-            r_hat = _unfold_var(
+            r_hat = ad.unfold(
                 y_hat, a, params[f"{p}.ref.dict"],
-                params[f"{p}.ref.step_raw"], params[f"{p}.ref.thresh_raw"], cfg.n_layers,
+                params[f"{p}.ref.step_raw"], params[f"{p}.ref.thresh_raw"],
             )
             f_hat = f_base + r_hat
             ra = ad.vabs(r - r_hat).sum()
@@ -309,8 +288,6 @@ def _recalibrate_entropy(bundle: CodecBundle, x: np.ndarray) -> CodecBundle:
     describe the latents it actually sees, so a final descriptive refit
     strictly helps matched-model coding.
     """
-    from . import refinement as refinement_mod
-
     for sm in bundle.streams:
         cfg = sm.config
         xs = x[:, cfg.col_start : cfg.col_end]
@@ -320,7 +297,7 @@ def _recalibrate_entropy(bundle: CodecBundle, x: np.ndarray) -> CodecBundle:
         )
         if sm.refine is not None:
             f_trunc = base_layer.synthesize_base(theta, sm.klt)
-            y = refinement_mod.analyze_refine(xs - f_trunc, sm.refine)
+            y = refinement.analyze_refine(xs - f_trunc, sm.refine)
             sm.refine_entropy = GaussianEntropyModel(
                 mu=y.mean(axis=0), sigma=np.maximum(y.std(axis=0), 1e-9)
             )
@@ -372,11 +349,13 @@ def train(
         if not np.isfinite(loss_var.data):
             raise Diverged(f"non-finite loss at iteration {it}: {comps}")
         grads = backward(loss_var, params)
-        clip_gradients(grads, config.grad_clip)
+        grad_norm = clip_gradients(grads, config.grad_clip)
         lr = config.lr * config.lr_decay ** (it / max(config.iters - 1, 1))
         adam_step(params, grads, state, lr)
         if (it + 1) % config.log_every == 0 or it == 0:
             comps["iter"] = it + 1
+            comps["grad_norm"] = float(grad_norm)
+            comps["lr"] = lr
             log.append(comps)
         if (
             config.joint

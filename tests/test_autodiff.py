@@ -1,10 +1,13 @@
-"""Gradient checks for the reverse-mode tape."""
+"""Gradient checks for the reverse-mode tape and its fused nodes."""
 
 import numpy as np
 import pytest
 
 from shtc import autodiff as ad
+from shtc import entropy, refinement
 from shtc.autodiff import Var
+from shtc.entropy import GaussianEntropyModel
+from shtc.quantizer import channel_schedule
 
 
 def finite_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -66,49 +69,107 @@ class TestBasicOps:
         check(lambda v: (Var(x) * v).sum(), np.array([1.0, 2.0, 3.0]))
         check(lambda v: (Var(x) + v).sum(), np.array([1.0, 2.0, 3.0]))
 
-    def test_exp_log(self):
+    def test_exp(self):
         check(lambda v: ad.vexp(v).sum(), np.array([0.1, -0.5]))
-        check(lambda v: ad.vlog(v).sum(), np.array([0.7, 2.5]))
-
-    def test_softplus(self):
-        check(lambda v: ad.softplus(v).sum(), np.array([-20.0, -0.5, 0.0, 0.5, 20.0]))
 
     def test_abs_away_from_zero(self):
         check(lambda v: ad.vabs(v).sum(), np.array([-1.5, 2.0, 0.25]))
 
-    def test_normal_cdf(self):
-        check(lambda v: ad.normal_cdf(v).sum(), np.array([-1.2, 0.0, 0.8]))
 
-    def test_log2(self):
-        check(lambda v: ad.log2(v).sum(), np.array([0.3, 5.0]))
+def check_every_input(node, inputs, weight=None, rtol=1e-6, atol=1e-9):
+    """Gradient of sum(weight * node(*inputs)) to each input vs central differences."""
+    inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
+    for i in range(len(inputs)):
 
-    def test_maximum_floor(self):
-        check(lambda v: ad.maximum_floor(v, 1.0).sum(), np.array([0.2, 3.0]))
-        v = Var(np.array([0.2, 3.0]), requires_grad=True)
-        ad.maximum_floor(v, 1.0).sum().backward()
-        assert np.allclose(v.grad, [0.0, 1.0])
+        def build(v, i=i):
+            args = [v if j == i else Var(a) for j, a in enumerate(inputs)]
+            out = node(*args)
+            return (out * Var(weight)).sum() if weight is not None else out
+
+        check(build, inputs[i].copy(), rtol=rtol, atol=atol)
 
 
-class TestSoftThreshold:
-    def test_gradient_both_args(self):
-        x0 = np.array([1.5, -2.0, 0.1, 0.9])
-        tau0 = np.array([0.5, 0.5, 0.5, 0.5])
-        check(lambda v: ad.soft_threshold(v, Var(tau0)).sum(), x0)
+def leaves(*arrays):
+    return [Var(np.asarray(a, dtype=np.float64).copy(), requires_grad=True) for a in arrays]
 
-        def value(t):
-            return float(ad.soft_threshold(Var(x0), Var(t)).sum().data)
 
-        t = Var(tau0.copy(), requires_grad=True)
-        ad.soft_threshold(Var(x0), t).sum().backward()
-        fd = finite_diff(value, tau0.copy())
-        assert np.allclose(t.grad, fd, rtol=1e-6, atol=1e-9)
+class TestRateNode:
+    """``ad.rate_bits``: entropy.bin_bits summed, as one node."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.sched = channel_schedule(0.4, 0.2, 3)
+        self.model = GaussianEntropyModel(mu=np.array([0.1, -0.3, 0.0]), sigma=np.array([0.8, 1.5, 0.6]))
+        self.x = rng.normal(0.0, 1.0, (5, 3))
+
+    def inputs(self):
+        return [self.x, self.model.mu, self.model.sigma, self.sched.steps]
+
+    def test_forward_equals_entropy_rate_bits(self):
+        node = ad.rate_bits(*[Var(a) for a in self.inputs()])
+        assert float(node.data) == entropy.rate_bits(self.x, self.model, self.sched)
+
+    def test_gradient_every_input(self):
+        check_every_input(ad.rate_bits, self.inputs(), rtol=1e-6, atol=1e-8)
+
+    def test_floor_side_gets_no_gradient(self):
+        # the second row sits 8 sigma out: its bin mass is under the floor,
+        # while the pdf at the bin edges is not yet zero
+        self.x[1] = self.model.mu + 8.0 * self.model.sigma
+        _, p, _, _ = entropy.bin_bits(self.x, self.model.mu, self.model.sigma, self.sched.steps)
+        assert np.all(p[1] < entropy._PROB_FLOOR) and np.all(p[1] > 0.0)
+        x, mu, sigma, steps = leaves(*self.inputs())
+        ad.rate_bits(x, mu, sigma, steps).backward()
+        assert np.all(x.grad[1] == 0.0)
+        assert np.all(x.grad[[0, 2, 3, 4]] != 0.0)
+        # mu, sigma and steps see only the live rows
+        kept = leaves(*self.inputs()[1:])
+        ad.rate_bits(Var(np.delete(self.x, 1, axis=0)), *kept).backward()
+        for full, live in zip((mu, sigma, steps), kept):
+            assert np.allclose(full.grad, live.grad, rtol=1e-12, atol=0.0)
+
+
+class TestUnfoldNode:
+    """``ad.unfold``: refinement.unfold_code then D beta, as one node."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.model = refinement.init_refinement(5, 3, 5, 3, rng, step_init=0.6, thresh_init=0.1)
+        self.model.step_raw += 0.1 * rng.normal(size=self.model.step_raw.shape)
+        self.model.thresh_raw += 0.1 * rng.normal(size=self.model.thresh_raw.shape)
+        self.y = rng.normal(0.0, 1.0, (4, 3))
+        self.weight = rng.normal(0.0, 1.0, (4, 5))
+
+    def inputs(self):
+        m = self.model
+        return [self.y, m.measure, m.dictionary, m.step_raw, m.thresh_raw]
+
+    def test_forward_equals_unfold_synthesize(self):
+        node = ad.unfold(*[Var(a) for a in self.inputs()])
+        assert np.array_equal(node.data, refinement.unfold_synthesize(self.y, self.model))
+
+    def test_gradient_every_input(self):
+        # differences are only valid away from the soft-threshold kinks; the
+        # draw has live and dead-zone entries in every layer
+        layers = []
+        refinement.unfold_code(self.y, self.model, record=layers)
+        taus = self.model.thresholds()
+        for k, (_, _, pre) in enumerate(layers):
+            live = np.abs(pre) > taus[k]
+            assert live.any() and not live.all()
+            assert np.abs(np.abs(pre) - taus[k]).min() > 1e-3
+        check_every_input(ad.unfold, self.inputs(), weight=self.weight)
 
     def test_dead_zone_zero_gradient(self):
-        x = Var(np.array([0.1]), requires_grad=True)
-        tau = Var(np.array([0.5]), requires_grad=True)
-        ad.soft_threshold(x, tau).sum().backward()
-        assert x.grad is None or np.allclose(x.grad, 0.0)
-        assert tau.grad is None or np.allclose(tau.grad, 0.0)
+        # one layer whose every pre-activation sits inside the dead zone
+        self.model.step_raw = self.model.step_raw[:1]
+        self.model.thresh_raw = np.full_like(self.model.thresh_raw[:1], 50.0)
+        vars_ = leaves(*self.inputs())
+        out = ad.unfold(*vars_)
+        assert np.all(out.data == 0.0)
+        (out * Var(self.weight)).sum().backward()
+        for v in vars_:
+            assert np.all(v.grad == 0.0)
 
 
 class TestSte:

@@ -1,4 +1,4 @@
-"""Tests for the dense kernels: covariance, Jacobi eigensolver, reports."""
+"""Tests for the dense kernels: covariance, symmetric eigensolver, reports."""
 
 import numpy as np
 import pytest

@@ -195,7 +195,7 @@ class TestSparsityPriorPaysOff:
         same parameter budget and optimizer budget."""
         import shtc.autodiff as ad
         from shtc.autodiff import Var
-        from shtc.trainer import AdamState, _unfold_var, adam_step, clip_gradients
+        from shtc.trainer import AdamState, adam_step, clip_gradients
 
         dim, n_meas, k, n_rows, iters = 50, 15, 5, 20000, 1500
         rng = np.random.default_rng(0)
@@ -228,7 +228,7 @@ class TestSparsityPriorPaysOff:
         }
         unfold_params = train(
             unfold_params,
-            lambda batch, p: _unfold_var(batch @ p["A"].T, p["A"], p["D"], p["a"], p["b"], 6),
+            lambda batch, p: ad.unfold(batch @ p["A"].T, p["A"], p["D"], p["a"], p["b"]),
             seed=2,
         )
         model = refinement.RefinementModel(

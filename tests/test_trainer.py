@@ -78,37 +78,47 @@ class TestLoss:
 
 
 def _kink_margins(x, bundle, params, tc, rng_seed):
-    """Smallest distance to any nondifferentiable point in the forward pass."""
+    """Smallest distance to any nondifferentiable point in the forward pass.
+
+    Spies on the shared forward helpers the fused tape nodes run: every
+    soft-threshold layer of ``refinement.unfold_code``, every bin mass of
+    ``entropy.bin_bits`` against the probability floor, and every ``ad.vabs``.
+    """
     import shtc.autodiff as ad
+    from shtc import entropy, refinement
 
     margins = [np.inf]
-    orig_soft = ad.soft_threshold
+    orig_unfold = refinement.unfold_code
+    orig_bits = entropy.bin_bits
     orig_abs = ad.vabs
-    orig_floor = ad.maximum_floor
 
-    def soft_spy(z, tau):
-        margins.append(np.abs(np.abs(z.data) - tau.data).min())
-        return orig_soft(z, tau)
+    def unfold_spy(y, model, record=None):
+        layers = [] if record is None else record
+        beta = orig_unfold(y, model, record=layers)
+        taus = model.thresholds()
+        for k, (_, _, pre) in enumerate(layers):
+            margins.append(np.abs(np.abs(pre) - taus[k]).min())
+        return beta
+
+    def bits_spy(*args):
+        out = orig_bits(*args)
+        margins.append(np.abs(out[1] - entropy._PROB_FLOOR).min())
+        return out
 
     def abs_spy(a):
         margins.append(np.abs(a.data).min())
         return orig_abs(a)
 
-    def floor_spy(a, floor):
-        margins.append(np.abs(a.data - floor).min())
-        return orig_floor(a, floor)
-
-    ad.soft_threshold = soft_spy
+    refinement.unfold_code = unfold_spy
+    entropy.bin_bits = bits_spy
     ad.vabs = abs_spy
-    ad.maximum_floor = floor_spy
-    # trainer module captured the originals at import time only for names
-    # accessed via the ad module, which these are
+    # the trainer and the fused nodes look these up through their modules
     try:
         trainer.loss(x, bundle, params, tc, np.random.default_rng(rng_seed))
     finally:
-        ad.soft_threshold = orig_soft
+        refinement.unfold_code = orig_unfold
+        entropy.bin_bits = orig_bits
         ad.vabs = orig_abs
-        ad.maximum_floor = orig_floor
     return min(margins)
 
 
@@ -226,8 +236,12 @@ class TestTrain:
         configs = codec.default_configs(8, transform="shtc-full", rank=3, n_meas=3, n_layers=2)
         _, log = trainer.train(x, configs, TrainConfig(lam=0.01, iters=25, batch=16, seed=1, log_every=10))
         assert [row["iter"] for row in log] == [1, 10, 20]
-        for key in ("loss", "bits_base", "bits_refine", "l1_total", "l1_residual"):
+        for key in ("loss", "bits_base", "bits_refine", "l1_total", "l1_residual", "grad_norm", "lr"):
             assert key in log[0]
+        assert all(row["grad_norm"] > 0.0 for row in log)
+        # lr decays exponentially from lr at iteration 1 to lr * lr_decay at the last
+        assert log[0]["lr"] == pytest.approx(0.01)
+        assert log[0]["lr"] > log[1]["lr"] > log[2]["lr"] > 0.01 * 0.05
 
     def test_joint_mode_runs_and_helps_distortion(self):
         x = toy_table(10, n=128)
