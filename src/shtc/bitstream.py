@@ -18,14 +18,14 @@ import zlib
 import numpy as np
 
 from .base_layer import KltModel
-from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS
+from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis
 from .entropy import GaussianEntropyModel
 from .errors import BadMagic, ChecksumError, DecodeError, VersionUnsupported
 from .quantizer import channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 1
+VERSION = 2
 
 _DIMS_FMT = "<8sBBHHHHHHHI"
 
@@ -188,8 +188,6 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
         if cfg.stores_basis:
             basis = take((dim, dim))
         else:
-            from .codec import _fixed_basis
-
             basis = _fixed_basis(cfg.transform, dim)
         klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
         qs, alpha = take(2)

@@ -10,7 +10,7 @@ float32, so encoder- and decoder-side reconstructions are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -318,7 +318,3 @@ def stream_param_floats(sm: StreamModel) -> int:
         n += refinement.param_count(sm.refine)
         n += 2 + sm.refine_entropy.mu.size + sm.refine_entropy.sigma.size
     return n
-
-
-def clone_with(sm: StreamModel, **kw) -> StreamModel:
-    return replace(sm, **kw)

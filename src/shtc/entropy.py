@@ -1,35 +1,37 @@
-"""Gaussian conditional rate model and a bit-exact range coder.
+"""Gaussian conditional rate model and an interleaved rANS coder.
 
 The rate estimate integrates a per-channel Gaussian over each quantization
 bin. The coder consumes the same Gaussian bin probabilities, quantized to
 16-bit frequencies (every interval >= 1), so measured payloads track the
-estimate closely. Symbols outside a +/-4096 alphabet escape to a raw
-4-byte bypass path.
+estimate closely. Symbols outside a +/-4096 alphabet are coded as an escape
+entry and sent raw as 4-byte values after the coded words.
+
+The coder runs many rANS lanes side by side (Duda, arXiv:1311.2540; Giesen,
+arXiv:1402.3392): symbol k goes to lane ``k % lanes`` at step
+``k // lanes``, and every numpy step advances all lanes at once. Lane states
+live in ``[2^31, 2^63)`` and renormalize by whole 32-bit words, so a lane
+moves at most one word per step. Byte layout: ``docs/format.md``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DecodeError, DimMismatch
+from .errors import DecodeError, DimMismatch, Overflow
 from .quantizer import QuantSchedule
 
-try:
-    from numba import njit
+_HAVE_NUMBA = False  # read by the benchmark's environment record; no numba path exists
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but the
-    _HAVE_NUMBA = False  # pure-Python coder below is a complete fallback
-
-_MASK = (1 << 64) - 1
-_TOP = 1 << 56
-_BOT = 1 << 24
 _FREQ_BITS = 16
 _TOTAL = 1 << _FREQ_BITS
+_WORD_BITS = 32
+_STATE_BITS = 31
+_STATE_LOW = 1 << _STATE_BITS  # lane states stay in [_STATE_LOW, _STATE_LOW << _WORD_BITS)
+_LANE_ROWS = 4096  # rows per lane block; part of the format
+_ESCAPE_BIAS = 1 << 31
 _ALPHABET_BOUND = 4096
 _SUPPORT_Z = 8.0
 _PROB_FLOOR = 2.0**-40
@@ -76,251 +78,81 @@ def rate_bits(x_hat: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedu
     return float(np.sum(bin_bits(x, model.mu, model.sigma, sched.steps)[0]))
 
 
-class RangeEncoder:
-    """Carry-less byte-wise range coder over 64-bit registers."""
+@dataclass
+class FreqTables:
+    """Every channel's 16-bit frequency table, concatenated.
 
-    def __init__(self):
-        self.low = 0
-        self.rng = _MASK
-        self.out = bytearray()
-
-    def _shift(self):
-        self.out.append((self.low >> 56) & 0xFF)
-        self.low = (self.low << 8) & _MASK
-        self.rng = self.rng << 8
-
-    def _normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.rng)) < _TOP:
-                pass
-            elif self.rng < _BOT:
-                # Underflow: give up the part of the interval above the next
-                # _BOT-aligned boundary so the top byte becomes definite.
-                self.rng = (-self.low) & (_BOT - 1)
-            else:
-                return
-            self._shift()
-
-    def encode(self, cum: int, freq: int):
-        r = self.rng >> _FREQ_BITS
-        self.low = (self.low + r * cum) & _MASK
-        self.rng = r * freq
-        self._normalize()
-
-    def encode_byte(self, b: int):
-        r = self.rng >> 8
-        self.low = (self.low + r * b) & _MASK
-        self.rng = r
-        self._normalize()
-
-    def finish(self) -> bytes:
-        for _ in range(8):
-            self.out.append((self.low >> 56) & 0xFF)
-            self.low = (self.low << 8) & _MASK
-        return bytes(self.out)
-
-
-class RangeDecoder:
-    """Mirror of :class:`RangeEncoder`; consumes exactly the emitted bytes."""
-
-    def __init__(self, data: bytes):
-        if len(data) < 8:
-            raise DecodeError("entropy payload shorter than coder state")
-        self.data = data
-        self.low = 0
-        self.rng = _MASK
-        self.code = int.from_bytes(data[:8], "big")
-        self.pos = 8
-
-    def _read(self) -> int:
-        if self.pos >= len(self.data):
-            raise DecodeError("entropy payload truncated")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def _normalize(self):
-        while True:
-            if (self.low ^ (self.low + self.rng)) < _TOP:
-                pass
-            elif self.rng < _BOT:
-                self.rng = (-self.low) & (_BOT - 1)
-            else:
-                return
-            self.code = ((self.code << 8) | self._read()) & _MASK
-            self.low = (self.low << 8) & _MASK
-            self.rng = self.rng << 8
-
-    def decode_value(self) -> int:
-        r = self.rng >> _FREQ_BITS
-        v = ((self.code - self.low) & _MASK) // r
-        return min(int(v), _TOTAL - 1)
-
-    def consume(self, cum: int, freq: int):
-        r = self.rng >> _FREQ_BITS
-        self.low = (self.low + r * cum) & _MASK
-        self.rng = r * freq
-        self._normalize()
-
-    def decode_byte(self) -> int:
-        r = self.rng >> 8
-        b = min(int(((self.code - self.low) & _MASK) // r), 255)
-        self.low = (self.low + r * b) & _MASK
-        self.rng = r
-        self._normalize()
-        return b
-
-
-def _channel_table(mu: float, sigma: float, step: float):
-    """16-bit frequency table over the plausible symbol range plus escape.
-
-    Returns (lo, freqs, cums, escape_index); the table is a pure function of
-    the (serialized) model parameters, so encoder and decoder rebuild it
-    identically.
+    Channel j owns the entries ``start[j] .. start[j] + size[j]``: symbols
+    ``lo[j] .. lo[j] + size[j] - 1``, then its escape entry. ``key`` is the
+    running total of all frequencies before an entry; each channel sums to
+    exactly 2^16, so ``key = (channel << 16) + cum`` and one sorted search
+    over ``key`` maps a channel's slot to its entry.
     """
-    lo = int(np.floor((mu - _SUPPORT_Z * sigma) / step))
-    hi = int(np.ceil((mu + _SUPPORT_Z * sigma) / step))
-    lo = min(lo, -1)  # the zero bin stays in-table even under model mismatch
-    hi = max(hi, 1)
-    lo = min(max(lo, -_ALPHABET_BOUND), _ALPHABET_BOUND)
-    hi = min(max(hi, lo), _ALPHABET_BOUND)
-    s = np.arange(lo, hi + 1, dtype=np.float64)
-    upper = ndtr((s * step + 0.5 * step - mu) / sigma)
-    lower = ndtr((s * step - 0.5 * step - mu) / sigma)
-    p = np.maximum(upper - lower, 0.0)
-    n_entries = len(s) + 1
-    budget = _TOTAL - n_entries
-    freqs = np.floor(p * budget).astype(np.int64) + 1
-    esc = int(np.floor(max(0.0, 1.0 - p.sum()) * budget)) + 1
-    deficit = _TOTAL - int(freqs.sum()) - esc
-    freqs[int(np.argmax(p))] += deficit
-    freq_list = freqs.tolist() + [esc]
-    cums = [0] * (len(freq_list))
-    acc = 0
-    for i, f in enumerate(freq_list):
-        cums[i] = acc
-        acc += f
-    return lo, freq_list, cums, len(s)
+
+    lo: np.ndarray
+    size: np.ndarray
+    start: np.ndarray
+    freq: np.ndarray
+    cum: np.ndarray
+    key: np.ndarray
 
 
-def build_tables(model: GaussianEntropyModel, sched: QuantSchedule):
+def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTables:
+    """Frequency tables over each channel's plausible symbol range plus escape.
+
+    A pure function of the (serialized) model parameters, so encoder and
+    decoder rebuild them identically.
+    """
     if sched.n != model.n:
         raise DimMismatch("model/schedule channel counts disagree")
-    return [
-        _channel_table(float(model.mu[j]), float(model.sigma[j]), float(sched.steps[j]))
-        for j in range(model.n)
-    ]
+    mu, sigma = model.mu, model.sigma
+    step = np.asarray(sched.steps, dtype=np.float64)
+    lo = np.floor((mu - _SUPPORT_Z * sigma) / step)
+    hi = np.ceil((mu + _SUPPORT_Z * sigma) / step)
+    # the zero bin stays in-table even under model mismatch
+    lo = np.clip(np.minimum(lo, -1), -_ALPHABET_BOUND, _ALPHABET_BOUND).astype(np.int64)
+    hi = np.minimum(np.maximum(np.maximum(hi, 1), lo), _ALPHABET_BOUND).astype(np.int64)
+    size = hi - lo + 1
+    start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
+    first = start - np.arange(model.n)  # offset of each channel's first symbol
+    chan = np.repeat(np.arange(model.n), size)
+    s = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float64)
+    m_c, sig_c, step_c = mu[chan], sigma[chan], step[chan]
+    m = chan.size
+    cdf = ndtr(np.concatenate((
+        (s * step_c + 0.5 * step_c - m_c) / sig_c,
+        (s * step_c - 0.5 * step_c - m_c) / sig_c,
+    )))
+    p = np.maximum(cdf[:m] - cdf[m:], 0.0)
+    budget = _TOTAL - (size + 1)
+    freqs = np.floor(p * budget[chan]).astype(np.int64) + 1
+    esc = np.floor(np.maximum(0.0, 1.0 - np.add.reduceat(p, first)) * budget).astype(np.int64) + 1
+    deficit = _TOTAL - np.add.reduceat(freqs, first) - esc
+    # the deficit goes to the first most probable symbol of each channel
+    peak = np.maximum.reduceat(p, first)
+    freqs[np.minimum.reduceat(np.where(p == peak[chan], np.arange(m), m), first)] += deficit
+    freq = np.empty(m + model.n, dtype=np.int64)
+    freq[np.arange(m) + chan] = freqs
+    freq[start + size] = esc
+    key = np.cumsum(freq) - freq
+    entry_chan = np.repeat(np.arange(model.n), size + 1)
+    return FreqTables(
+        lo=lo,
+        size=size,
+        start=start,
+        freq=freq.astype(np.uint64),
+        cum=(key - (entry_chan << _FREQ_BITS)).astype(np.uint64),
+        key=key.astype(np.uint64),
+    )
 
 
-def _py_encode_core(cl, fl, escapes) -> bytes:
-    low = 0
-    rng = _MASK
-    out = bytearray()
-    append = out.append
-    esc_i = 0
-    next_esc = escapes[0][0] if escapes else -1
-    for k, (c, f) in enumerate(zip(cl, fl)):
-        r = rng >> _FREQ_BITS
-        low = (low + r * c) & _MASK
-        rng = r * f
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            append((low >> 56) & 0xFF)
-            low = (low << 8) & _MASK
-            rng = rng << 8
-        if k == next_esc:
-            u = (escapes[esc_i][1] + (1 << 31)) & 0xFFFFFFFF
-            for shift in (24, 16, 8, 0):
-                r = rng >> 8
-                low = (low + r * ((u >> shift) & 0xFF)) & _MASK
-                rng = r
-                while True:
-                    if (low ^ (low + rng)) < _TOP:
-                        pass
-                    elif rng < _BOT:
-                        rng = (-low) & (_BOT - 1)
-                    else:
-                        break
-                    append((low >> 56) & 0xFF)
-                    low = (low << 8) & _MASK
-                    rng = rng << 8
-            esc_i += 1
-            next_esc = escapes[esc_i][0] if esc_i < len(escapes) else -1
-    for _ in range(8):
-        append((low >> 56) & 0xFF)
-        low = (low << 8) & _MASK
-    return bytes(out)
+def lane_count(rows: int, channels: int) -> int:
+    """Interleaved lanes of a ``rows`` x ``channels`` latent: one per channel
+    for each whole block of ``_LANE_ROWS`` rows (at least one block)."""
+    return channels * max(1, rows // _LANE_ROWS)
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_encode_core(cum, freq, esc_ks, esc_us):  # pragma: no cover - jit
-        n = cum.shape[0]
-        cap = 8 * n + 48 * esc_ks.shape[0] + 16
-        out = np.empty(cap, np.uint8)
-        pos = 0
-        low = np.uint64(0)
-        rng = np.uint64(0xFFFFFFFFFFFFFFFF)
-        top = np.uint64(1) << np.uint64(56)
-        bot = np.uint64(1) << np.uint64(24)
-        one = np.uint64(1)
-        n_esc = esc_ks.shape[0]
-        e_i = 0
-        next_e = esc_ks[0] if n_esc > 0 else np.int64(-1)
-        for k in range(n):
-            r = rng >> np.uint64(16)
-            low = low + r * np.uint64(cum[k])
-            rng = r * np.uint64(freq[k])
-            while True:
-                if (low ^ (low + rng)) < top:
-                    pass
-                elif rng < bot:
-                    rng = (np.uint64(0) - low) & (bot - one)
-                else:
-                    break
-                out[pos] = np.uint8(low >> np.uint64(56))
-                pos += 1
-                low = low << np.uint64(8)
-                rng = rng << np.uint64(8)
-            if k == next_e:
-                u = np.uint64(esc_us[e_i])
-                for shift in (24, 16, 8, 0):
-                    b = (u >> np.uint64(shift)) & np.uint64(0xFF)
-                    r = rng >> np.uint64(8)
-                    low = low + r * b
-                    rng = r
-                    while True:
-                        if (low ^ (low + rng)) < top:
-                            pass
-                        elif rng < bot:
-                            rng = (np.uint64(0) - low) & (bot - one)
-                        else:
-                            break
-                        out[pos] = np.uint8(low >> np.uint64(56))
-                        pos += 1
-                        low = low << np.uint64(8)
-                        rng = rng << np.uint64(8)
-                e_i += 1
-                next_e = esc_ks[e_i] if e_i < n_esc else np.int64(-1)
-        for _ in range(8):
-            out[pos] = np.uint8(low >> np.uint64(56))
-            pos += 1
-            low = low << np.uint64(8)
-        return out[:pos]
-
-
-def encode_symbols(
-    symbols: np.ndarray,
-    model: GaussianEntropyModel,
-    sched: QuantSchedule,
-    use_numba: bool = True,
-) -> bytes:
+def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> bytes:
     """Entropy-code integer symbols (shape (..., channels)), row-major."""
     sym = np.asarray(symbols, dtype=np.int64)
     if sym.size == 0:
@@ -330,39 +162,50 @@ def encode_symbols(
     except ValueError as exc:
         raise DimMismatch(f"symbols not divisible into {model.n} channels") from exc
     tables = build_tables(model, sched)
-    n = model.n
-    # Per-channel table lookups vectorized up front; the sequential coder
-    # loop then touches plain int lists only.
-    cum_sel = np.empty(sym.shape, dtype=np.int64)
-    freq_sel = np.empty(sym.shape, dtype=np.int64)
-    escapes: list[tuple[int, int]] = []
-    for j in range(n):
-        lo, freqs, cums, esc = tables[j]
-        freq_arr = np.asarray(freqs, dtype=np.int64)
-        cum_arr = np.asarray(cums, dtype=np.int64)
-        idx = sym[:, j] - lo
-        bad = (idx < 0) | (idx >= esc)
-        if bad.any():
-            for row in np.nonzero(bad)[0]:
-                escapes.append((int(row) * n + j, int(sym[row, j])))
-        idx = np.where(bad, esc, idx)
-        cum_sel[:, j] = cum_arr[idx]
-        freq_sel[:, j] = freq_arr[idx]
-    escapes.sort()
-    if _HAVE_NUMBA and use_numba:
-        esc_ks = np.array([k for k, _ in escapes], dtype=np.int64)
-        esc_us = np.array(
-            [(s + (1 << 31)) & 0xFFFFFFFF for _, s in escapes], dtype=np.uint64
-        )
-        out = _nb_encode_core(cum_sel.ravel(), freq_sel.ravel(), esc_ks, esc_us)
-        return bytes(out)
-    return _py_encode_core(cum_sel.ravel().tolist(), freq_sel.ravel().tolist(), escapes)
+    idx = sym - tables.lo
+    escaped = (idx < 0) | (idx >= tables.size)
+    raw = sym[escaped]
+    if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
+        raise Overflow("escaped symbol exceeds 32-bit signed range")
+    entry = (np.where(escaped, tables.size, idx) + tables.start).ravel()
+    lanes = lane_count(sym.shape[0], model.n)
+    steps = -(-entry.size // lanes)
+    # a partial last step is padded with freq 2^16, cum 0: an identity on the state
+    pad = steps * lanes - entry.size
+    freq = np.concatenate((tables.freq[entry], np.full(pad, _TOTAL, np.uint64))).reshape(steps, lanes)
+    cum = np.concatenate((tables.cum[entry], np.zeros(pad, np.uint64))).reshape(steps, lanes)
+    # a state at or above this emits its low word before coding the symbol
+    limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
+    gap = _TOTAL - freq
+    words = np.empty((steps, lanes), dtype=np.uint32)
+    emitted = np.empty((steps, lanes), dtype=bool)
+    x = np.full(lanes, _STATE_LOW, dtype=np.uint64)
+    q = np.empty(lanes, dtype=np.uint64)
+    for t in range(steps - 1, -1, -1):
+        out = np.greater_equal(x, limit[t], out=emitted[t])
+        words[t] = x  # the low word
+        x >>= out * np.uint64(_WORD_BITS)
+        # x = (x // f) * 2^16 + x % f + c, computed as x + (x // f) * (2^16 - f) + c
+        np.floor_divide(x, freq[t], out=q)
+        q *= gap[t]
+        x += q
+        x += cum[t]
+    return (
+        x.astype("<u8").tobytes()
+        + words[emitted].astype("<u4").tobytes()
+        + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
+    )
 
 
 def decode_symbols(
     data: bytes, count: int, model: GaussianEntropyModel, sched: QuantSchedule
 ) -> np.ndarray:
-    """Inverse of :func:`encode_symbols`; ``count`` is the total symbol count."""
+    """Inverse of :func:`encode_symbols`; ``count`` is the total symbol count.
+
+    The payload is checked against ``count`` before anything of that size is
+    allocated: it must hold every lane's state, so a payload of B bytes
+    decodes to fewer than 1024 * B symbols.
+    """
     n = model.n
     if count % n != 0:
         raise DecodeError(f"symbol count {count} not a multiple of {n} channels")
@@ -371,21 +214,50 @@ def decode_symbols(
         if data:
             raise DecodeError("nonempty payload for zero symbols")
         return np.zeros((0, n), dtype=np.int64)
+    lanes = lane_count(rows, n)
+    head = 8 * lanes
+    if len(data) < head or (len(data) - head) % 4:
+        raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
+    x = np.frombuffer(data, dtype="<u8", count=lanes).astype(np.uint64)
+    if np.any((x < _STATE_LOW) | (x >= _STATE_LOW << _WORD_BITS)):
+        raise DecodeError("lane state out of range")
+    area = np.frombuffer(data, dtype="<u4", offset=head).astype(np.uint64)
     tables = build_tables(model, sched)
-    dec = RangeDecoder(data)
-    out = np.empty(count, dtype=np.int64)
-    for k in range(count):
-        lo, freqs, cums, esc = tables[k % n]
-        v = dec.decode_value()
-        idx = bisect_right(cums, v) - 1
-        dec.consume(cums[idx], freqs[idx])
-        if idx == esc:
-            u = 0
-            for _ in range(4):
-                u = (u << 8) | dec.decode_byte()
-            out[k] = u - (1 << 31)
-        else:
-            out[k] = lo + idx
-    if dec.pos != len(data):
+    steps = -(-count // lanes)
+    chan_key = (np.arange(lanes, dtype=np.uint64) % n) << _FREQ_BITS
+    key = tables.key[1:]  # key[0] = 0 <= every slot: the search yields the entry itself
+    # numpy scalars: a Python int operand costs a conversion on every step
+    mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
+    freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
+    entries = []
+    pos = 0
+    for t in range(steps):
+        xs = x[: min(lanes, count - t * lanes)]
+        slot = xs & mask
+        e = np.searchsorted(key, chan_key[: xs.size] | slot, side="right")
+        entries.append(e)
+        xs >>= freq_bits
+        xs *= tables.freq[e]
+        xs += slot
+        xs -= tables.cum[e]
+        need = xs < low
+        k = int(np.count_nonzero(need))
+        if k:
+            if pos + k > area.size:
+                raise DecodeError("entropy payload truncated")
+            np.place(xs, need, (xs[need] << word_bits) | area[pos : pos + k])
+            pos += k
+    if np.any(x != _STATE_LOW):
+        raise DecodeError("lane does not end at its initial state")
+    idx = np.concatenate(entries).reshape(rows, n) - tables.start
+    escaped = idx == tables.size
+    n_esc = int(np.count_nonzero(escaped))
+    if pos + n_esc != area.size:
         raise DecodeError("payload length does not match decoded symbols")
-    return out.reshape(rows, n)
+    out = idx + tables.lo
+    raw = area[pos:].astype(np.int64) - _ESCAPE_BIAS
+    chan = np.nonzero(escaped)[1]
+    if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
+        raise DecodeError("escaped symbol lies inside its table")
+    out[escaped] = raw
+    return out

@@ -5,6 +5,7 @@ runtime; everything else is fast. Criteria reference the default lambda
 grid {0.002, 0.004, 0.008, 0.015}.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestCriterion7ParameterAccounting:
         count = refinement.param_count(sm.refine)
         assert count == 15 * 50 + 50 * 50 + 2 * 6 * 50 == 3850
         assert count < 10000
-        base_only = codec.clone_with(sm, refine=None, refine_sched=None, refine_entropy=None)
+        base_only = dataclasses.replace(sm, refine=None, refine_sched=None, refine_entropy=None)
         refine_bytes = (
             len(bitstream._model_content(sm))
             - len(bitstream._model_content(base_only))

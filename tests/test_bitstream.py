@@ -1,5 +1,9 @@
 """Container format tests: round trips, golden sizes, corruption handling."""
 
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -96,14 +100,14 @@ class TestCorruption:
             bitstream.deserialize(b"XXXX" + data[4:])
 
     def test_version_bump_rejected(self):
-        import struct
-        import zlib
-
+        # v1 files carry range-coded payloads; this reader decodes rANS lanes (v2)
         data, _ = bitstream.serialize(minimal_bundle())
-        head = struct.pack("<4sHHI", b"SHTC", 2, 1, 0)
-        patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
-        with pytest.raises(VersionUnsupported):
-            bitstream.deserialize(patched)
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (2,)
+        for version in (1, 3):
+            head = struct.pack("<4sHHI", b"SHTC", version, 1, 0)
+            patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
+            with pytest.raises(VersionUnsupported):
+                bitstream.deserialize(patched)
 
     def test_truncated_rejected(self):
         data, _ = bitstream.serialize(minimal_bundle())
@@ -158,12 +162,10 @@ class TestParamAccounting:
         from shtc.refinement import param_count
 
         dims = bitstream._dims_content(sm)
-        import struct
-
         declared = struct.unpack(bitstream._DIMS_FMT, dims)[-1]
         assert declared == param_count(sm.refine)
         # serialized refinement floats == param_count (4 bytes each)
-        base_only = codec.clone_with(sm, refine=None, refine_sched=None, refine_entropy=None)
+        base_only = dataclasses.replace(sm, refine=None, refine_sched=None, refine_entropy=None)
         refine_bytes = (
             len(bitstream._model_content(sm))
             - len(bitstream._model_content(base_only))

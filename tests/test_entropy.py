@@ -1,6 +1,7 @@
-"""Entropy model and range coder tests."""
+"""Entropy model and interleaved rANS coder tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,44 @@ class TestRateBits:
             entropy.rate_bits(np.zeros((3, 2)), make_model(3), quantizer.channel_schedule(1, 0, 3))
 
 
+def channel_table_reference(mu, sigma, step):
+    """One channel's (lo, freqs with the escape last), built symbol by symbol."""
+    lo = min(max(min(math.floor((mu - 8.0 * sigma) / step), -1), -4096), 4096)
+    hi = min(max(max(math.ceil((mu + 8.0 * sigma) / step), 1), lo), 4096)
+    p = []
+    for s in range(lo, hi + 1):
+        upper = normal_cdf_oracle((s * step + 0.5 * step - mu) / sigma)
+        lower = normal_cdf_oracle((s * step - 0.5 * step - mu) / sigma)
+        p.append(max(upper - lower, 0.0))
+    budget = 65536 - (len(p) + 1)
+    freqs = [math.floor(q * budget) + 1 for q in p]
+    esc = math.floor(max(0.0, 1.0 - math.fsum(p)) * budget) + 1
+    freqs[p.index(max(p))] += 65536 - sum(freqs) - esc
+    return lo, freqs + [esc]
+
+
+class TestTables:
+    def test_matches_per_channel_reference(self):
+        # erf and ndtr may differ in the last ulp, which can move one floor
+        # by 1: allow at most 1 count per entry and the same support
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            model = entropy.GaussianEntropyModel(
+                mu=rng.normal(size=n) * 3, sigma=np.exp(rng.normal(size=n) * 1.5)
+            )
+            sched = quantizer.channel_schedule(float(rng.uniform(0.05, 2.0)), 0.1, n)
+            tables = entropy.build_tables(model, sched)
+            for j in range(n):
+                lo, freqs = channel_table_reference(model.mu[j], model.sigma[j], sched.steps[j])
+                a, b = tables.start[j], tables.start[j] + tables.size[j] + 1
+                ours = tables.freq[a:b].astype(np.int64)
+                assert tables.lo[j] == lo and ours.size == len(freqs)
+                assert ours.sum() == 65536 and ours.min() >= 1
+                assert np.abs(ours - freqs).max() <= 1
+                assert np.array_equal(tables.cum[a:b], np.cumsum(ours) - ours)
+
+
 class TestRoundTrip:
     def test_empty(self):
         model = make_model(2)
@@ -107,19 +146,43 @@ class TestRoundTrip:
         blob = entropy.encode_symbols(sym, model, sched)
         assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 5000))
-    def test_jit_and_python_coders_byte_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 4))
-        model = entropy.GaussianEntropyModel(
-            mu=rng.normal(size=n), sigma=np.exp(rng.normal(size=n))
+    def test_golden_bytes(self):
+        # 2 lane states (u64), no renormalized words, one escape (5000 + 2^31)
+        model = entropy.GaussianEntropyModel(mu=np.array([0.0, 0.5]), sigma=np.array([1.0, 2.0]))
+        sched = quantizer.channel_schedule(0.5, 0.0, 2)
+        sym = np.array([[0, 1], [-2, 5000], [3, -1]], dtype=np.int64)
+        blob = entropy.encode_symbols(sym, model, sched)
+        assert blob.hex() == "f06f45683f0100004486988ec925390088130080"
+        assert np.array_equal(entropy.decode_symbols(blob, 6, model, sched), sym)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(7)
+        model = entropy.GaussianEntropyModel(mu=rng.normal(size=3), sigma=np.exp(rng.normal(size=3)))
+        sched = quantizer.channel_schedule(0.5, 0.0, 3)
+        sym = rng.integers(-30000, 30000, size=(5000, 3))
+        assert entropy.encode_symbols(sym, model, sched) == entropy.encode_symbols(
+            sym.copy(), model, sched
         )
+
+    @pytest.mark.parametrize(
+        "rows, blocks", [(4095, 1), (4096, 1), (8191, 1), (8192, 2), (8193, 2), (12289, 3)]
+    )
+    def test_lane_rule_edges(self, rows, blocks):
+        n = 3
+        lanes = entropy.lane_count(rows, n)
+        assert lanes == n * blocks
+        rng = np.random.default_rng(rows)
+        model = make_model(n, sigma=1.5)
         sched = quantizer.channel_schedule(0.5, 0.0, n)
-        sym = rng.integers(-30000, 30000, size=(int(rng.integers(1, 30)), n))
-        fast = entropy.encode_symbols(sym, model, sched, use_numba=True)
-        slow = entropy.encode_symbols(sym, model, sched, use_numba=False)
-        assert fast == slow
+        sym = quantizer.quantize(rng.normal(0.0, 1.5, size=(rows, n)), sched)
+        flat = sym.reshape(-1)
+        # escapes on the first and last lane of a step, and on the last symbol;
+        # at 8193 and 12289 rows that symbol is in a partial last step
+        for k in (0, lanes - 1, lanes, 2 * lanes - 1, flat.size - 1):
+            flat[k] = 100_000 + k
+        blob = entropy.encode_symbols(sym, model, sched)
+        assert len(blob) >= 8 * lanes + 4 * 5
+        assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
 
     def test_corrupt_byte_detected_or_wrong(self):
         # decoder never reads past the payload; a truncated stream errors
@@ -130,6 +193,80 @@ class TestRoundTrip:
         blob = entropy.encode_symbols(sym, model, sched)
         with pytest.raises(DecodeError):
             entropy.decode_symbols(blob[: len(blob) // 2], sym.size, model, sched)
+
+
+class TestHostilePayload:
+    @staticmethod
+    def coded(rows=300, n=3, seed=12):
+        rng = np.random.default_rng(seed)
+        model = make_model(n, sigma=1.0)
+        sched = quantizer.channel_schedule(0.5, 0.0, n)
+        sym = quantizer.quantize(rng.normal(size=(rows, n)), sched)
+        sym[3, 1] = 77_777  # one escape
+        return entropy.encode_symbols(sym, model, sched), sym, model, sched
+
+    def test_forged_count_rejected_before_allocation(self):
+        blob, sym, model, sched = self.coded()
+        forged = (2**32 - 1) // 3 * 3
+        start = time.perf_counter()
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(blob, forged, model, sched)
+        assert time.perf_counter() - start < 1.0
+
+    def test_words_not_whole_rejected(self):
+        blob, sym, model, sched = self.coded()
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(blob + b"\x00", sym.size, model, sched)
+
+    def test_extra_word_rejected(self):
+        blob, sym, model, sched = self.coded()
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(blob + b"\x00" * 4, sym.size, model, sched)
+
+    def test_state_below_range_rejected(self):
+        # a lane state c < L (the cum of symbol 0) plus the word 2^31 would
+        # decode symbol 0 and end at L: only the state range check refuses it
+        model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
+        tables = entropy.build_tables(model, sched)
+        cum = int(tables.cum[tables.start[0] - tables.lo[0]])
+        forged = np.array([cum], dtype="<u8").tobytes() + np.array([2**31], dtype="<u4").tobytes()
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(forged, 1, model, sched)
+
+    def test_lane_not_ending_at_initial_state_rejected(self):
+        # raising a one-symbol state by 2^16 keeps its slot: the symbol and the
+        # word count are unchanged, and the lane ends above L
+        model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
+        blob = entropy.encode_symbols(np.zeros((1, 1), dtype=np.int64), model, sched)
+        assert len(blob) == 8
+        forged = (np.frombuffer(blob, dtype="<u8") + np.uint64(2**16)).astype("<u8").tobytes()
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(forged, 1, model, sched)
+
+    def test_escape_inside_table_rejected(self):
+        blob, sym, model, sched = self.coded()
+        forged = blob[:-4] + np.array([2**31], dtype="<u4").tobytes()  # symbol 0
+        with pytest.raises(DecodeError):
+            entropy.decode_symbols(forged, sym.size, model, sched)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cut=st.integers(0, 4000),
+        flips=st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 255)), max_size=4),
+        count=st.one_of(st.just(None), st.integers(0, 2**32 - 1), st.integers(0, 4000)),
+    )
+    def test_fuzz_only_decode_errors(self, cut, flips, count):
+        blob, sym, model, sched = self.coded()
+        data = bytearray(blob[: len(blob) - cut % (len(blob) + 1)])
+        for pos, mask in flips:
+            if data:
+                data[pos % len(data)] ^= mask
+        count = sym.size if count is None else count
+        try:
+            out = entropy.decode_symbols(bytes(data), count, model, sched)
+        except DecodeError:
+            return
+        assert out.shape == (count // 3, 3)
 
 
 class TestCoderEfficiency:
