@@ -68,12 +68,6 @@ class Var:
         out.bwd = lambda g, a=self: _acc(a, np.broadcast_to(g, a.data.shape))
         return out
 
-    def mean(self) -> "Var":
-        scale = 1.0 / self.data.size
-        out = Var(self.data.mean(), (self,))
-        out.bwd = lambda g, a=self, s=scale: _acc(a, np.broadcast_to(g * s, a.data.shape))
-        return out
-
     def __add__(self, other):
         return add(self, other)
 
@@ -91,9 +85,6 @@ class Var:
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -156,18 +147,6 @@ def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     out = Var(a.data * b.data, (a, b))
     out.bwd = lambda g: (_acc(a, g * b.data), _acc(b, g * a.data))
-    return out
-
-
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    out = Var(a.data / b.data, (a, b))
-
-    def bwd(g):
-        _acc(a, g / b.data)
-        _acc(b, -g * a.data / (b.data * b.data))
-
-    out.bwd = bwd
     return out
 
 

@@ -84,10 +84,6 @@ def synth_source(spec: SyntheticSpec) -> np.ndarray:
     return x
 
 
-def standard_source(seed: int = 0) -> np.ndarray:
-    return synth_source(SyntheticSpec(seed=seed))
-
-
 @dataclass
 class RdPoint:
     lam: float

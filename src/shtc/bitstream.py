@@ -21,7 +21,7 @@ from .base_layer import KltModel
 from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis
 from .entropy import GaussianEntropyModel
 from .errors import BadMagic, ChecksumError, DecodeError, VersionUnsupported
-from .quantizer import channel_schedule
+from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
@@ -141,6 +141,8 @@ class _Reader:
 
 def _f32_reader(content: bytes):
     arr = np.frombuffer(content, dtype="<f4").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise DecodeError("model block holds a non-finite float")
     pos = [0]
 
     def take(shape) -> np.ndarray:
@@ -152,6 +154,17 @@ def _f32_reader(content: bytes):
         return chunk.copy()
 
     return take, lambda: pos[0] == arr.size
+
+
+def _latent_model(take, n: int) -> tuple[QuantSchedule, GaussianEntropyModel]:
+    """One latent's step schedule and entropy model; every step and sigma must be positive."""
+    (qs, alpha), mu, sigma = take(2), take(n), take(n)
+    if not (qs > 0 and np.all(sigma > 0)):
+        raise DecodeError("model block holds a step or an entropy sigma that is not positive")
+    sched = channel_schedule(float(qs), float(alpha), n)
+    if not np.all(np.isfinite(sched.steps) & (sched.steps > 0)):
+        raise DecodeError("channel step schedule leaves the float range")
+    return sched, GaussianEntropyModel(mu=mu, sigma=sigma)
 
 
 def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
@@ -190,25 +203,13 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
         else:
             basis = _fixed_basis(cfg.transform, dim)
         klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
-        qs, alpha = take(2)
-        sm = StreamModel(
-            config=cfg,
-            klt=klt,
-            base_sched=channel_schedule(float(qs), float(alpha), rank),
-            base_entropy=GaussianEntropyModel(mu=take(rank), sigma=take(rank)),
-        )
+        sm = StreamModel(cfg, klt, *_latent_model(take, rank))
         if has_ref:
-            sm.refine = RefinementModel(
-                measure=take((n_meas, dim)),
-                dictionary=take((dim, n_atoms)),
-                step_raw=take((n_layers, n_atoms)),
-                thresh_raw=take((n_layers, n_atoms)),
-            )
+            shapes = ((n_meas, dim), (dim, n_atoms), (n_layers, n_atoms), (n_layers, n_atoms))
+            sm.refine = RefinementModel(*(take(shape) for shape in shapes))
             if param_count(sm.refine) != ref_floats:
                 raise DecodeError("declared refinement parameter count mismatch")
-            qs, alpha = take(2)
-            sm.refine_sched = channel_schedule(float(qs), float(alpha), n_meas)
-            sm.refine_entropy = GaussianEntropyModel(mu=take(n_meas), sigma=take(n_meas))
+            sm.refine_sched, sm.refine_entropy = _latent_model(take, n_meas)
         if not exhausted():
             raise DecodeError("model block has trailing floats")
         streams.append(sm)

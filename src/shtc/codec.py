@@ -56,7 +56,8 @@ class StreamConfig:
 
     @property
     def has_refinement(self) -> bool:
-        return self.transform == "shtc-full"
+        # at full rank the truncation residual is zero: nothing to refine
+        return self.transform == "shtc-full" and self.rank < self.dim
 
     @property
     def stores_basis(self) -> bool:
@@ -298,14 +299,6 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
     for cs, ce, rec in columns:
         out[:, cs:ce] = rec
     return out
-
-
-def payload_rates(bundle: CodecBundle, payloads: list[StreamPayload]) -> dict:
-    """Byte accounting of the coded latents (no container overhead)."""
-    per_stream = {}
-    for sm, payload in zip(bundle.streams, payloads):
-        per_stream[sm.config.name] = sum(len(b) for _, b in payload.latents)
-    return {"per_stream": per_stream, "total": sum(per_stream.values())}
 
 
 def stream_param_floats(sm: StreamModel) -> int:

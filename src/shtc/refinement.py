@@ -5,6 +5,11 @@ The unfolded decoder keeps ISTA's structure but learns a separate step size
 and threshold per channel per layer (stored in raw form: step = exp(a),
 threshold = softplus(b), which keeps both in range without projections).
 ``ista_solve`` is the plain fixed-parameter solver kept as an oracle.
+
+``unfold_code`` runs all layers on one block of ``_BLOCK_ROWS`` rows at a time,
+in buffers reused across blocks, so a block stays in cache. Layer 0 starts
+from beta = 0 (one matmul), and the soft threshold is computed as
+``pre - clip(pre, -tau, tau)``: ``soft_threshold``'s values in fewer passes.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadThreshold, DimMismatch, StepTooLarge
+
+_BLOCK_ROWS = 1024
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -162,21 +169,45 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
 
     If ``record`` is a list, each layer appends its input beta, its
     measurement residual and its pre-activation (the soft threshold's
-    argument), which is what a hand-written backward pass needs. The
-    trainer's fused unfold node runs this same loop, so training and
-    decoding share one forward definition.
+    argument) over all rows, which is what a hand-written backward pass
+    needs. The trainer's fused unfold node runs this same loop, so training
+    and decoding share one forward definition.
     """
     g = model.measure @ model.dictionary
-    etas = model.steps()
-    taus = model.thresholds()
-    beta = np.zeros(y.shape[:-1] + (model.n_atoms,))
-    for k in range(model.n_layers):
-        resid = beta @ g.T - y
-        pre = beta - etas[k] * (resid @ g)
-        if record is not None:
-            record.append((beta, resid, pre))
-        beta = soft_threshold(pre, taus[k])
-    return beta
+    etas, taus = model.steps(), model.thresholds()
+    n_layers, n_atoms = model.n_layers, model.n_atoms
+    y2 = y.reshape(-1, model.n_meas)
+    n = y2.shape[0]
+    out = np.empty((n, n_atoms))
+    if record is not None:
+        # layer 0 reads beta = 0 and resid = -y; the loop fills the rest
+        shape = (n, n_atoms)
+        layers = [(np.zeros(shape), -y2, np.empty(shape))]
+        layers += [(np.empty(shape), np.empty_like(y2), np.empty(shape)) for _ in range(1, n_layers)]
+        record += layers
+    rows = min(n, _BLOCK_ROWS)
+    resid_buf, pre_buf, clip_buf = (np.empty((rows, cols)) for cols in (model.n_meas, n_atoms, n_atoms))
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        yb, clip = y2[s:e], clip_buf[: e - s]
+        for k in range(n_layers):
+            if record is None:
+                beta, resid, pre = out[s:e], resid_buf[: e - s], pre_buf[: e - s]
+            else:
+                beta, resid, pre = (a[s:e] for a in layers[k])
+            if k == 0:  # beta = 0: pre = -eta * (-y @ G) = eta * (y @ G)
+                np.matmul(yb, g, out=pre)
+                pre *= etas[0]
+            else:
+                np.matmul(beta, g.T, out=resid)
+                resid -= yb
+                np.matmul(resid, g, out=pre)
+                pre *= etas[k]
+                np.subtract(beta, pre, out=pre)
+            nxt = out if record is None or k + 1 == n_layers else layers[k + 1][0]
+            np.minimum(np.maximum(pre, -taus[k], out=clip), taus[k], out=clip)
+            np.subtract(pre, clip, out=nxt[s:e])
+    return out.reshape(y.shape[:-1] + (n_atoms,))
 
 
 def param_count(model: RefinementModel) -> int:

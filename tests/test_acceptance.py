@@ -195,6 +195,7 @@ def rd_sweeps():
 
 
 class TestCriterion5RdOrdering:
+    @pytest.mark.slow
     def test_hierarchy_orders_strictly(self, rd_sweeps):
         results, elapsed = rd_sweeps
         lines = []
@@ -209,6 +210,7 @@ class TestCriterion5RdOrdering:
 
 
 class TestCriterion6NoTruncationAblation:
+    @pytest.mark.slow
     def test_all_coefficients_do_not_beat_full(self, rd_sweeps):
         results, _ = rd_sweeps
         lines = []

@@ -120,6 +120,82 @@ class TestCorruption:
             bitstream.deserialize(data + b"\x00")
 
 
+def model_floats(sm):
+    """Offset and length of each named section of a stream's model block, in
+    floats (the order of ``docs/format.md``)."""
+    d, rank, n_meas, atoms, layers = (
+        sm.config.dim, sm.config.rank, sm.config.n_meas, sm.config.atoms, sm.config.n_layers
+    )
+    sizes = [("mean", d), ("evals", d), ("basis", d * d), ("base.q_s", 1), ("base.alpha", 1),
+             ("base.mu", rank), ("base.sigma", rank), ("measure", n_meas * d), ("dictionary", d * atoms),
+             ("step_raw", layers * atoms), ("thresh_raw", layers * atoms), ("refine.q_s", 1),
+             ("refine.alpha", 1), ("refine.mu", n_meas), ("refine.sigma", n_meas)]
+    offsets, at = {}, 0
+    for name, n in sizes:
+        offsets[name] = (at, n)
+        at += n
+    return offsets
+
+
+def forge_model_float(data: bytes, index: int, value: float) -> bytes:
+    """Overwrite float ``index`` of the first stream's model block and reseal
+    the block's CRC, so only the model checks can reject the file."""
+    (dims_len,) = struct.unpack_from("<I", data, 16)
+    at = 16 + 4 + dims_len + 4
+    (length,) = struct.unpack_from("<I", data, at)
+    content = bytearray(data[at + 4 : at + 4 + length])
+    struct.pack_into("<f", content, 4 * index, value)
+    return data[: at + 4] + bytes(content) + struct.pack("<I", zlib.crc32(content)) + data[at + 8 + length :]
+
+
+class TestHostileModelBlock:
+    """Every float of the model block is checked before a model is built:
+    a forged value ends as ``DecodeError``, never as another exception."""
+
+    def setup_method(self):
+        self.bundle, x = fitted_bundle(9)
+        payloads, _ = codec.encode_table(self.bundle, x)
+        self.data, _ = bitstream.serialize(self.bundle, payloads)
+        self.offsets = model_floats(self.bundle.streams[0])
+
+    def decode(self, data):
+        codec.decode_table(*bitstream.deserialize(data))
+
+    @pytest.mark.parametrize("section", ["base.sigma", "refine.sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_sigma(self, section, value):
+        at, n = self.offsets[section]
+        for index in (at, at + n - 1):
+            with pytest.raises(DecodeError):
+                self.decode(forge_model_float(self.data, index, value))
+
+    @pytest.mark.parametrize("section", ["base.q_s", "refine.q_s"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -0.5])
+    def test_bad_step(self, section, value):
+        with pytest.raises(DecodeError):
+            self.decode(forge_model_float(self.data, self.offsets[section][0], value))
+
+    @pytest.mark.parametrize("section", ["mean", "basis", "measure", "dictionary", "step_raw", "base.mu"])
+    def test_nan_anywhere(self, section):
+        with pytest.raises(DecodeError):
+            self.decode(forge_model_float(self.data, self.offsets[section][0], np.nan))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1e4, -1e4])
+    def test_step_schedule_leaving_float_range(self, alpha):
+        with pytest.raises(DecodeError, match="float range"):
+            self.decode(forge_model_float(self.data, self.offsets["refine.alpha"][0], alpha))
+
+    def test_offsets_cover_the_block(self):
+        # the forged offsets above hit the floats they name
+        sm = self.bundle.streams[0]
+        at, n = self.offsets["refine.sigma"]
+        assert (at + n) * 4 == len(bitstream._model_content(sm))
+        b2, _ = bitstream.deserialize(forge_model_float(self.data, at, 0.125))
+        assert b2.streams[0].refine_entropy.sigma[0] == 0.125
+        assert np.array_equal(b2.streams[0].refine_entropy.sigma[1:], sm.refine_entropy.sigma[1:])
+
+
 class TestMdlReport:
     def test_split_accounts_for_file(self, tmp_path):
         bundle, x = fitted_bundle(5)

@@ -108,6 +108,20 @@ class TestFitEncodeDecodeEval:
         code = cli.main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 3
 
+    def test_hostile_model_block_is_data_error(self, tmp_path, capsys):
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle, forge_model_float, model_floats
+
+        bundle, x = fitted_bundle(2)
+        data, _ = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])
+        path = tmp_path / "nan_sigma.shtc"
+        path.write_bytes(forge_model_float(data, model_floats(bundle.streams[0])["base.sigma"][0], np.nan))
+        code = cli.main(["decode", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "decoded.csv").exists()
+
     def test_deterministic_fit_encode(self, tmp_path, capsys, table_csv, fit_config):
         table_path, _ = table_csv
         blobs = []

@@ -1,9 +1,11 @@
 """Codec pipeline tests: stream configs, encode/decode determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from shtc import codec
+from shtc import bitstream, codec
 from shtc.codec import StreamConfig, default_configs
 from shtc.errors import ConfigError, DimMismatch
 
@@ -51,6 +53,21 @@ class TestEncodeDecode:
         payloads, recon = codec.encode_table(bundle, x)
         decoded = codec.decode_table(bundle, payloads)
         assert np.array_equal(decoded, recon)
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    def test_file_round_trip_across_unfold_blocks(self, rows):
+        # the unfolded decoder runs in blocks of 1024 rows; every row count
+        # decodes from file to the encoder's reconstruction bit for bit
+        configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
+        bundle = codec.finalize_bundle(codec.fit_bundle(source(3), configs, np.random.default_rng(3)))
+        x = source(4, n=rows)
+        payloads, recon = codec.encode_table(bundle, x)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
+        assert np.array_equal(decoded, recon)
+        sm = bundle.streams[0]
+        base_only = dataclasses.replace(sm, refine=None, refine_sched=None, refine_entropy=None)
+        base_recon = codec.encode_table(codec.CodecBundle([base_only]), x)[1]
+        assert np.any(recon[-1] != base_recon[-1])  # the refinement reaches the last row
 
     def test_two_stream_layout(self):
         x = source(2, d=10)

@@ -178,6 +178,63 @@ class TestUnfold:
             assert np.linalg.norm(d_out) <= bound * np.linalg.norm(delta) + 1e-12
 
 
+def reference_unfold(y, model):
+    """The unfolded layers from their definition, one whole-input layer at a
+    time: beta_0 = 0, pre_k = beta_k - eta_k G^T (G beta_k - y), beta_k+1 =
+    soft(pre_k, tau_k). Returns the code and each layer's (beta, resid, pre)."""
+    g = model.measure @ model.dictionary
+    etas, taus = model.steps(), model.thresholds()
+    beta = np.zeros(y.shape[:-1] + (model.n_atoms,))
+    layers = []
+    for k in range(model.n_layers):
+        resid = beta @ g.T - y
+        pre = beta - etas[k] * (resid @ g)
+        layers.append((beta, resid, pre))
+        beta = np.sign(pre) * np.maximum(np.abs(pre) - taus[k], 0.0)
+    return beta, layers
+
+
+# a 1-D vector, one row, and row counts on both sides of the 1024-row blocks
+BLOCK_CASES = [None, 1, 1023, 1024, 1025, 2049]
+
+
+class TestBlockedLoop:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.model = refinement.init_refinement(12, 5, 12, 4, rng, step_init=0.6, thresh_init=0.3)
+        self.model.step_raw += 0.1 * rng.normal(size=self.model.step_raw.shape)
+        self.model.thresh_raw += 0.1 * rng.normal(size=self.model.thresh_raw.shape)
+
+    def measurements(self, rows):
+        rng = np.random.default_rng(rows or 0)
+        return rng.normal(size=(5,) if rows is None else (rows, 5))
+
+    @pytest.mark.parametrize("rows", BLOCK_CASES)
+    def test_synthesis_matches_reference_loop(self, rows):
+        y = self.measurements(rows)
+        beta, layers = reference_unfold(y, self.model)
+        got = refinement.unfold_synthesize(y, self.model)
+        assert got.shape == y.shape[:-1] + (12,)
+        np.testing.assert_allclose(got, beta @ self.model.dictionary.T, rtol=1e-12, atol=0.0)
+        if rows and rows > 1:  # every layer has live and dead-zone entries
+            for k, (_, _, pre) in enumerate(layers):
+                live = np.abs(pre) > self.model.thresholds()[k]
+                assert live.any() and not live.all()
+
+    @pytest.mark.parametrize("rows", BLOCK_CASES)
+    def test_record_covers_every_row(self, rows):
+        y = self.measurements(rows)
+        layers = []
+        beta = refinement.unfold_code(y, self.model, record=layers)
+        assert np.array_equal(beta, refinement.unfold_code(y, self.model))
+        _, ref_layers = reference_unfold(y.reshape(-1, 5), self.model)
+        assert len(layers) == self.model.n_layers
+        for got, want in zip(layers, ref_layers):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
 class TestParamCount:
     def test_default_arithmetic(self):
         model = refinement.init_refinement(50, 15, 50, 6, np.random.default_rng(0))
@@ -209,7 +266,7 @@ class TestSparsityPriorPaysOff:
             for it in range(iters):
                 idx = rng_t.integers(0, n_rows, 128)
                 batch = Var(r[idx])
-                loss = ad.vabs(batch - forward(batch, params)).mean()
+                loss = ad.vabs(batch - forward(batch, params)).sum() * (1.0 / batch.data.size)
                 loss.backward()
                 grads = {k_: p.grad for k_, p in params.items() if p.grad is not None}
                 for p in params.values():

@@ -243,6 +243,19 @@ class TestTrain:
         assert log[0]["lr"] == pytest.approx(0.01)
         assert log[0]["lr"] > log[1]["lr"] > log[2]["lr"] > 0.01 * 0.05
 
+    def test_full_rank_stream_has_no_refinement(self):
+        # rank == dim leaves a zero truncation residual; a refinement layer
+        # would only drive its latents under the probability floor (40 bits each)
+        x = np.random.default_rng(0).normal(size=(300, 8))
+        configs = codec.default_configs(8)
+        assert configs[0].rank == configs[0].dim == 8
+        assert not configs[0].has_refinement
+        bundle, log = trainer.train(x, configs, TrainConfig(lam=0.01, iters=120))
+        assert bundle.streams[0].refine is None
+        assert [row["iter"] for row in log] == [1, 100]
+        assert all(row["bits_refine"] == 0.0 for row in log)
+        assert log[-1]["loss"] <= log[0]["loss"]
+
     def test_joint_mode_runs_and_helps_distortion(self):
         x = toy_table(10, n=128)
         configs = codec.default_configs(8, transform="klt-trunc", rank=3)
