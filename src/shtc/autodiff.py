@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import entropy, refinement
-from .quantizer import round_half_away
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN2 = float(np.log(2.0))
@@ -248,14 +247,6 @@ def unfold(y: Var, measure: Var, dictionary: Var, step_raw: Var, thresh_raw: Var
         _acc(thresh_raw, d_thresh)
 
     out.bwd = bwd
-    return out
-
-
-def ste_quantize(x: Var, steps: Var) -> Var:
-    """Quantize-dequantize with a straight-through gradient to ``x`` only."""
-    q = round_half_away(x.data / steps.data) * steps.data
-    out = Var(q, (x,))
-    out.bwd = lambda g: _acc(x, g)
     return out
 
 

@@ -167,6 +167,64 @@ def _latent_model(take, n: int) -> tuple[QuantSchedule, GaussianEntropyModel]:
     return sched, GaussianEntropyModel(mu=mu, sigma=sigma)
 
 
+def _read_stream(dims: bytes, model: bytes) -> StreamModel:
+    """One stream's config and transmitted model from its dims and model block
+    contents. The only parser of both: ``deserialize`` reads files with it and
+    ``finalize_bundle`` reads back what the writer makes of a fitted model."""
+    if len(dims) != struct.calcsize(_DIMS_FMT):
+        raise DecodeError("dims block has the wrong length")
+    name, kind, has_ref, cs, ce, dim, rank, n_meas, n_atoms, n_layers, ref_floats = struct.unpack(
+        _DIMS_FMT, dims
+    )
+    name = name.rstrip(b"\x00")
+    if not name.isascii():
+        raise DecodeError("stream name is not ascii")
+    if kind >= len(TRANSFORMS):
+        raise DecodeError(f"unknown transform kind {kind}")
+    if not (cs < ce and dim == ce - cs):
+        raise DecodeError(f"columns [{cs}, {ce}) do not give a stream of dim {dim}")
+    if not 1 <= rank <= dim:
+        raise DecodeError(f"rank {rank} outside [1, {dim}]")
+    cfg = StreamConfig(
+        name=name.decode("ascii"),
+        col_start=cs,
+        col_end=ce,
+        transform=TRANSFORMS[kind],
+        rank=rank,
+        n_meas=n_meas,
+        n_atoms=n_atoms,
+        n_layers=n_layers,
+    )
+    take, exhausted = _f32_reader(model)
+    mean = take(dim)
+    evals = take(dim)
+    if cfg.stores_basis:
+        basis = take((dim, dim))
+    else:
+        basis = _fixed_basis(cfg.transform, dim)
+    klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
+    sm = StreamModel(cfg, klt, *_latent_model(take, rank))
+    if has_ref:
+        if n_meas == 0:
+            raise DecodeError("refinement with no measurements")
+        shapes = ((n_meas, dim), (dim, n_atoms), (n_layers, n_atoms), (n_layers, n_atoms))
+        sm.refine = RefinementModel(*(take(shape) for shape in shapes))
+        if param_count(sm.refine) != ref_floats:
+            raise DecodeError("declared refinement parameter count mismatch")
+        sm.refine_sched, sm.refine_entropy = _latent_model(take, n_meas)
+    if not exhausted():
+        raise DecodeError("model block has trailing floats")
+    return sm
+
+
+def finalize_bundle(bundle: CodecBundle) -> CodecBundle:
+    """The bundle a decoder reads back: each stream written as its dims and
+    model blocks and parsed by ``deserialize``'s own reader, so the in-process
+    reconstruction matches a decode from file bit-exactly."""
+    streams = [_read_stream(_dims_content(sm), _model_content(sm)) for sm in bundle.streams]
+    return CodecBundle(streams=streams)
+
+
 def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
     rd = _Reader(data)
     head = rd.take(12)
@@ -181,39 +239,7 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
     streams = []
     payloads = []
     for _ in range(n_streams):
-        dims = rd.block()
-        name, kind, has_ref, cs, ce, dim, rank, n_meas, n_atoms, n_layers, ref_floats = struct.unpack(
-            _DIMS_FMT, dims
-        )
-        cfg = StreamConfig(
-            name=name.rstrip(b"\x00").decode("ascii"),
-            col_start=cs,
-            col_end=ce,
-            transform=TRANSFORMS[kind],
-            rank=rank,
-            n_meas=n_meas,
-            n_atoms=n_atoms,
-            n_layers=n_layers,
-        )
-        take, exhausted = _f32_reader(rd.block())
-        mean = take(dim)
-        evals = take(dim)
-        if cfg.stores_basis:
-            basis = take((dim, dim))
-        else:
-            basis = _fixed_basis(cfg.transform, dim)
-        klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
-        sm = StreamModel(cfg, klt, *_latent_model(take, rank))
-        if has_ref:
-            shapes = ((n_meas, dim), (dim, n_atoms), (n_layers, n_atoms), (n_layers, n_atoms))
-            sm.refine = RefinementModel(*(take(shape) for shape in shapes))
-            if param_count(sm.refine) != ref_floats:
-                raise DecodeError("declared refinement parameter count mismatch")
-            sm.refine_sched, sm.refine_entropy = _latent_model(take, n_meas)
-        if not exhausted():
-            raise DecodeError("model block has trailing floats")
-        streams.append(sm)
-
+        streams.append(_read_stream(rd.block(), rd.block()))  # dims block, then model block
         pay = _Reader(rd.block())
         (n_latents,) = struct.unpack("<I", pay.take(4))
         latents = []

@@ -16,8 +16,8 @@ _EXIT_CONFIG = 2
 _EXIT_DATA = 3
 _EXIT_DIVERGED = 4
 
-_FIT_KEYS = {
-    "lambda": float,
+# fit keys passed on to trainer.TrainConfig and to codec.default_configs
+_TRAIN_KEYS = {
     "lambda_e": float,
     "lr": float,
     "iters": int,
@@ -26,8 +26,9 @@ _FIT_KEYS = {
     "refit_period": int,
     "grad_clip": float,
     "joint": bool,
-    "quant_mode": str,
     "log_every": int,
+}
+_STREAM_KEYS = {
     "transform": str,
     "rank": int,
     "n_meas": int,
@@ -35,8 +36,10 @@ _FIT_KEYS = {
     "n_layers": int,
     "scaling_cols": int,
 }
+_FIT_KEYS = {"lambda": float, **_TRAIN_KEYS, **_STREAM_KEYS}
 
-_BENCH_KEYS = {
+# bench keys passed on to bench.SyntheticSpec and to bench.baseline_rd
+_SPEC_KEYS = {
     "n_rows": int,
     "dim": int,
     "rank": int,
@@ -45,15 +48,10 @@ _BENCH_KEYS = {
     "sparsity": int,
     "spike_scale": float,
     "noise": float,
-    "seed": int,
     "basis": str,
-    "methods": list,
-    "lambdas": list,
-    "iters": int,
-    "batch": int,
-    "n_meas": int,
-    "n_layers": int,
 }
+_RD_KEYS = {"iters": int, "batch": int, "n_meas": int, "n_layers": int}
+_BENCH_KEYS = {**_SPEC_KEYS, **_RD_KEYS, "seed": int, "methods": list, "lambdas": list}
 
 
 def _parse_value(raw: str, kind):
@@ -145,36 +143,28 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _given(cfg: dict, keys) -> dict:
+    """The entries of ``cfg`` among ``keys``: a config file passes on only the
+    keys it sets, and the callee keeps its own defaults."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _stream_configs(dim: int, cfg: dict):
     from .codec import default_configs
 
-    return default_configs(
-        dim,
-        transform=cfg.get("transform", "shtc-full"),
-        rank=cfg.get("rank"),
-        n_meas=cfg.get("n_meas", 15),
-        n_atoms=cfg.get("n_atoms", 0),
-        n_layers=cfg.get("n_layers", 6),
-        scaling_cols=cfg.get("scaling_cols", 0),
-    )
+    return default_configs(dim, **_given(cfg, _STREAM_KEYS))
 
 
 def _train_config(cfg: dict, args):
     from .trainer import TrainConfig
 
-    kw = {}
+    kw = _given(cfg, _TRAIN_KEYS)
     if "lambda" in cfg:
         kw["lam"] = cfg["lambda"]
-    for src, dst in (
-        ("lambda_e", "lambda_e"), ("lr", "lr"), ("iters", "iters"), ("batch", "batch"),
-        ("refit_period", "refit_period"), ("grad_clip", "grad_clip"), ("joint", "joint"),
-        ("quant_mode", "quant_mode"), ("log_every", "log_every"),
-    ):
-        if src in cfg:
-            kw[dst] = cfg[src]
     if args.lam is not None:
         kw["lam"] = args.lam
-    kw["seed"] = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if args.seed is not None:
+        kw["seed"] = args.seed
     return TrainConfig(**kw)
 
 
@@ -279,35 +269,15 @@ def cmd_bench(args) -> int:
     if args.input:
         x = load_table(args.input)
     else:
-        spec = bench.SyntheticSpec(
-            n_rows=int(cfg.get("n_rows", 20000)),
-            dim=int(cfg.get("dim", 50)),
-            rank=int(cfg.get("rank", 15)),
-            spectrum_exp=float(cfg.get("spectrum_exp", 1.5)),
-            spectrum_scale=float(cfg.get("spectrum_scale", 3.0)),
-            sparsity=int(cfg.get("sparsity", 5)),
-            spike_scale=float(cfg.get("spike_scale", 0.6)),
-            noise=float(cfg.get("noise", 0.01)),
-            seed=seed,
-            basis=str(cfg.get("basis", "random")),
-        )
-        x = bench.synth_source(spec)
+        x = bench.synth_source(bench.SyntheticSpec(seed=seed, **_given(cfg, _SPEC_KEYS)))
     methods = [str(m) for m in cfg.get("methods", [])] or (
         [args.method] if args.method else list(bench.METHODS)
     )
     lambdas = [float(v) for v in cfg.get("lambdas", [])] or (
         [args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS)
     )
-    iters = int(cfg.get("iters", 3000))
-    batch = int(cfg.get("batch", 256))
-    curves = []
-    for method in methods:
-        curves.append(
-            bench.baseline_rd(
-                x, method, lambdas, seed=seed, iters=iters, batch=batch,
-                n_meas=int(cfg.get("n_meas", 15)), n_layers=int(cfg.get("n_layers", 6)),
-            )
-        )
+    rd_kw = _given(cfg, _RD_KEYS)
+    curves = [bench.baseline_rd(x, method, lambdas, seed=seed, **rd_kw) for method in methods]
     rd_path = _out_path(args, "rd_curve.csv")
     bench.write_rd_csv(curves, rd_path)
     bd_path = _out_path(args, "bd_rate.csv")

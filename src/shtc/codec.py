@@ -4,8 +4,9 @@ paths that tie the transforms, quantizer, and entropy coder together.
 A table is compressed as one or more column streams. Each stream has a base
 layer (fitted KLT or a fixed orthonormal basis, truncated to ``rank``
 coefficients) and, for the full hierarchy, a refinement layer coding the
-base-layer residual. All floats in a finalized bundle have passed through
-float32, so encoder- and decoder-side reconstructions are bit-identical.
+base-layer residual. A finalized bundle (``bitstream.finalize_bundle``) is
+the model a decoder reads back from the container, so encoder- and
+decoder-side reconstructions are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import base_layer, linalg, quantizer, refinement
 from .base_layer import KltModel
 from .entropy import GaussianEntropyModel, decode_symbols, encode_symbols
-from .errors import ConfigError, DimMismatch
+from .errors import ConfigError, DecodeError, DimMismatch
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel
 
@@ -191,45 +192,6 @@ def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Genera
     return CodecBundle(streams=[fit_stream(x, c, rng) for c in configs])
 
 
-def _f32(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float32).astype(np.float64)
-
-
-def finalize_bundle(bundle: CodecBundle) -> CodecBundle:
-    """Round every model float through float32 (the wire precision), so the
-    in-process reconstruction matches a decode from file bit-exactly."""
-    out = []
-    for sm in bundle.streams:
-        klt = KltModel(
-            mean=_f32(sm.klt.mean),
-            basis=_f32(sm.klt.basis),
-            eigenvalues=_f32(sm.klt.eigenvalues),
-            rank=sm.klt.rank,
-        )
-        base_sched = channel_schedule(
-            float(np.float32(sm.base_sched.q_s)), float(np.float32(sm.base_sched.alpha)), sm.base_sched.n
-        )
-        base_ent = GaussianEntropyModel(mu=_f32(sm.base_entropy.mu), sigma=_f32(sm.base_entropy.sigma))
-        new = StreamModel(config=sm.config, klt=klt, base_sched=base_sched, base_entropy=base_ent)
-        if sm.refine is not None:
-            new.refine = RefinementModel(
-                measure=_f32(sm.refine.measure),
-                dictionary=_f32(sm.refine.dictionary),
-                step_raw=_f32(sm.refine.step_raw),
-                thresh_raw=_f32(sm.refine.thresh_raw),
-            )
-            new.refine_sched = channel_schedule(
-                float(np.float32(sm.refine_sched.q_s)),
-                float(np.float32(sm.refine_sched.alpha)),
-                sm.refine_sched.n,
-            )
-            new.refine_entropy = GaussianEntropyModel(
-                mu=_f32(sm.refine_entropy.mu), sigma=_f32(sm.refine_entropy.sigma)
-            )
-        out.append(new)
-    return CodecBundle(streams=out)
-
-
 @dataclass
 class StreamPayload:
     """Entropy-coded latents of one stream: (symbol_count, coded_bytes)."""
@@ -283,6 +245,8 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
     columns = []
     rows = None
     for sm, payload in zip(bundle.streams, payloads):
+        if len(payload.latents) != (1 if sm.refine is None else 2):
+            raise DecodeError(f"stream {sm.config.name!r} carries {len(payload.latents)} coded latents")
         count, data = payload.latents[0]
         sym_base = decode_symbols(data, count, sm.base_entropy, sm.base_sched)
         sym_refine = None
@@ -290,6 +254,8 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
             count_r, data_r = payload.latents[1]
             sym_refine = decode_symbols(data_r, count_r, sm.refine_entropy, sm.refine_sched)
         rec = _reconstruct_stream(sm, sym_base, sym_refine)
+        if not np.isfinite(rec).all():
+            raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")
         if rows is None:
             rows = rec.shape[0]
         elif rec.shape[0] != rows:
@@ -300,14 +266,3 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
         out[:, cs:ce] = rec
     return out
 
-
-def stream_param_floats(sm: StreamModel) -> int:
-    """Float count of the transmitted model (mirrors serialization layout)."""
-    n = sm.klt.mean.size + sm.klt.eigenvalues.size
-    if sm.config.stores_basis:
-        n += sm.klt.basis.size
-    n += 2 + sm.base_entropy.mu.size + sm.base_entropy.sigma.size
-    if sm.refine is not None:
-        n += refinement.param_count(sm.refine)
-        n += 2 + sm.refine_entropy.mu.size + sm.refine_entropy.sigma.size
-    return n

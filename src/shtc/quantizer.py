@@ -56,11 +56,3 @@ def dequantize(symbols: np.ndarray, sched: QuantSchedule) -> np.ndarray:
         raise DimMismatch(f"expected last dim {sched.n}, got {symbols.shape[-1]}")
     return symbols.astype(np.float64) * sched.steps
 
-
-def noise_proxy(x: np.ndarray, sched: QuantSchedule, rng: np.random.Generator) -> np.ndarray:
-    """Additive-uniform surrogate: x + U(-step/2, step/2) per channel."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != sched.n:
-        raise DimMismatch(f"expected last dim {sched.n}, got {x.shape[-1]}")
-    u = rng.uniform(-0.5, 0.5, size=x.shape) * sched.steps
-    return x + u

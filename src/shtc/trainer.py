@@ -7,25 +7,26 @@ The objective per batch is
 
 with l1 terms as mean absolute error per element and rate terms as estimated
 bits per row. During training, quantization is replaced by additive uniform
-noise on both the rate and distortion paths (one shared draw per latent);
-straight-through rounding is available via ``TrainConfig.quant_mode`` but
-leaves the learnable steps with no distortion feedback, which lets them
-drift coarse. The fitted basis is a constant during training; in joint mode
-(learnable table) it is refit every ``refit_period`` iterations rather than
-differentiated through, since eigendecomposition gradients are
-ill-conditioned near degenerate eigenvalues.
+noise on both the rate and distortion paths (one shared draw per latent), so
+the learnable steps get distortion feedback too. The fitted basis is a
+constant during training; in joint mode (learnable table) it is refit every
+``refit_period`` iterations rather than differentiated through, since
+eigendecomposition gradients are ill-conditioned near degenerate
+eigenvalues. The trained bundle is finalized by ``bitstream.finalize_bundle``:
+what the container's reader makes of its written model, so it is the model a
+decoder runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from . import base_layer, refinement
+from . import base_layer, bitstream, refinement
 from .autodiff import Var
-from .codec import CodecBundle, StreamConfig, StreamModel, finalize_bundle, fit_bundle
+from .codec import CodecBundle, StreamConfig, StreamModel, fit_bundle
 from .entropy import GaussianEntropyModel
 from .errors import ConfigError, Diverged, InsufficientData
 from .quantizer import channel_schedule
@@ -43,7 +44,6 @@ class TrainConfig:
     refit_period: int = 500
     grad_clip: float = 10.0
     joint: bool = False
-    quant_mode: str = "noise"  # distortion-path quantization: noise | ste | none
     log_every: int = 100
     lr_decay: float = 0.05  # final lr fraction, exponential over the run
 
@@ -52,8 +52,6 @@ class TrainConfig:
             raise ConfigError("lam must be positive")
         if self.lambda_e < 0:
             raise ConfigError("lambda_e must be nonnegative")
-        if self.quant_mode not in ("ste", "noise", "none"):
-            raise ConfigError(f"unknown quant_mode {self.quant_mode!r}")
 
     @property
     def lambda_r(self) -> float:
@@ -86,18 +84,10 @@ def _schedule_var(params: dict, key: str, n: int) -> Var:
     return ad.vexp(params[f"{key}.log_qs"] + params[f"{key}.alpha"] * idx)
 
 
-def _latent_paths(x: Var, steps: Var, mode: str, rng: np.random.Generator) -> tuple[Var, Var]:
-    """(rate-path value, distortion-path value) for one latent.
-
-    The rate term always sees the noise proxy; in "noise" mode the same draw
-    feeds the distortion path, so the steps get distortion feedback too.
-    """
-    noisy = x + steps * Var(rng.uniform(-0.5, 0.5, size=x.shape))
-    if mode == "noise":
-        return noisy, noisy
-    if mode == "ste":
-        return noisy, ad.ste_quantize(x, steps)
-    return noisy, x
+def _noise_proxy(x: Var, steps: Var, rng: np.random.Generator) -> Var:
+    """The noise proxy of quantizing one latent, x + U(-step/2, step/2) per
+    channel: one draw that both the rate and the distortion path see."""
+    return x + steps * Var(rng.uniform(-0.5, 0.5, size=x.shape))
 
 
 def loss(
@@ -135,8 +125,8 @@ def loss(
 
         steps_b = _schedule_var(params, f"{p}.base", cfg.rank)
         sigma_b = ad.vexp(params[f"{p}.base.log_sigma"])
-        theta_rate, theta_hat = _latent_paths(theta, steps_b, config.quant_mode, rng)
-        bb = ad.rate_bits(theta_rate, params[f"{p}.base.mu"], sigma_b, steps_b)
+        theta_hat = _noise_proxy(theta, steps_b, rng)
+        bb = ad.rate_bits(theta_hat, params[f"{p}.base.mu"], sigma_b, steps_b)
         bits_base = bb if bits_base is None else bits_base + bb
 
         f_base = theta_hat @ v_m.T + mean
@@ -148,8 +138,8 @@ def loss(
             y = r @ a.T
             steps_r = _schedule_var(params, f"{p}.ref", cfg.n_meas)
             sigma_r = ad.vexp(params[f"{p}.ref.log_sigma"])
-            y_rate, y_hat = _latent_paths(y, steps_r, config.quant_mode, rng)
-            br = ad.rate_bits(y_rate, params[f"{p}.ref.mu"], sigma_r, steps_r)
+            y_hat = _noise_proxy(y, steps_r, rng)
+            br = ad.rate_bits(y_hat, params[f"{p}.ref.mu"], sigma_r, steps_r)
             bits_refine = br if bits_refine is None else bits_refine + br
             r_hat = ad.unfold(
                 y_hat, a, params[f"{p}.ref.dict"],
@@ -309,13 +299,8 @@ def _refit_bases(x: np.ndarray, bundle: CodecBundle) -> CodecBundle:
     for sm in bundle.streams:
         cfg = sm.config
         if cfg.stores_basis:
-            klt = base_layer.fit_klt(x[:, cfg.col_start : cfg.col_end], cfg.rank)
-            streams.append(StreamModel(
-                config=cfg, klt=klt, base_sched=sm.base_sched, base_entropy=sm.base_entropy,
-                refine=sm.refine, refine_sched=sm.refine_sched, refine_entropy=sm.refine_entropy,
-            ))
-        else:
-            streams.append(sm)
+            sm = replace(sm, klt=base_layer.fit_klt(x[:, cfg.col_start : cfg.col_end], cfg.rank))
+        streams.append(sm)
     return CodecBundle(streams=streams)
 
 
@@ -326,9 +311,9 @@ def train(
 ) -> tuple[CodecBundle, list[dict]]:
     """Fit, jointly optimize, and finalize a codec bundle for ``x``.
 
-    Returns the float32-rounded bundle plus the training log (one row per
-    ``log_every`` iterations). Bitwise reproducible for a fixed seed in
-    single-thread mode.
+    Returns the finalized bundle (the model a decoder reads back from the
+    container) plus the training log (one row per ``log_every`` iterations).
+    Bitwise reproducible for a fixed seed in single-thread mode.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -368,4 +353,4 @@ def train(
         bundle = _refit_bases(params["table"].data, bundle)
     bundle = apply_params(bundle, params)
     bundle = _recalibrate_entropy(bundle, params["table"].data if config.joint else x)
-    return finalize_bundle(bundle), log
+    return bitstream.finalize_bundle(bundle), log

@@ -226,7 +226,7 @@ class TestCriterion7ParameterAccounting:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(300, 50))
         configs = codec.default_configs(50)
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, rng))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
         sm = bundle.streams[0]
         count = refinement.param_count(sm.refine)
         assert count == 15 * 50 + 50 * 50 + 2 * 6 * 50 == 3850

@@ -165,21 +165,6 @@ class TestUnfoldNode:
             assert np.all(v.grad == 0.0)
 
 
-class TestSte:
-    def test_forward_rounds_half_away(self):
-        x = Var(np.array([0.5, -0.5, 1.2]), requires_grad=True)
-        steps = Var(np.array([1.0, 1.0, 1.0]))
-        out = ad.ste_quantize(x, steps)
-        assert np.allclose(out.data, [1.0, -1.0, 1.0])
-
-    def test_identity_gradient_to_x_none_to_steps(self):
-        x = Var(np.array([0.7, -1.3]), requires_grad=True)
-        steps = Var(np.array([0.5, 0.5]), requires_grad=True)
-        (ad.ste_quantize(x, steps) * 3.0).sum().backward()
-        assert np.allclose(x.grad, 3.0)
-        assert steps.grad is None
-
-
 class TestGather:
     def test_take_rows_scatter_add(self):
         x = Var(np.arange(12.0).reshape(4, 3), requires_grad=True)

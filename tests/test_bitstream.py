@@ -17,14 +17,14 @@ def minimal_bundle():
     x = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.7], [0.2, 0.1]])
     configs = [StreamConfig(name="feat", col_start=0, col_end=2, transform="klt-trunc", rank=1)]
     bundle = codec.fit_bundle(x, configs, np.random.default_rng(0))
-    return codec.finalize_bundle(bundle)
+    return bitstream.finalize_bundle(bundle)
 
 
 def fitted_bundle(seed=0, n=200, d=6, transform="shtc-full"):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
     configs = default_configs(d, transform=transform, rank=3, n_meas=3, n_layers=2)
-    return codec.finalize_bundle(codec.fit_bundle(x, configs, rng)), x
+    return bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng)), x
 
 
 class TestGoldenLayout:
@@ -38,7 +38,7 @@ class TestGoldenLayout:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 50))
         configs = [StreamConfig(name="feat", col_start=0, col_end=50, transform="klt-trunc", rank=15)]
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, rng))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
         no_basis = len(bitstream._model_content(bundle.streams[0])) - 50 * 50 * 4
         assert len(bitstream._model_content(bundle.streams[0])) == no_basis + 10000
 
@@ -78,7 +78,7 @@ class TestRoundTrip:
             configs = default_configs(
                 d, transform=transform, rank=max(1, d // 2), n_meas=max(1, d // 2), n_layers=2
             )
-            bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, rng))
+            bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
             data, _ = bitstream.serialize(bundle)
             b2, _ = bitstream.deserialize(data)
             assert bitstream.serialize(b2)[0] == data
@@ -186,6 +186,13 @@ class TestHostileModelBlock:
         with pytest.raises(DecodeError, match="float range"):
             self.decode(forge_model_float(self.data, self.offsets["refine.alpha"][0], alpha))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_reconstruction(self):
+        # exp(1e30) overflows the first refinement step: every float is finite
+        # and in range, but the stream decodes to inf/nan
+        with pytest.raises(DecodeError, match="non-finite"):
+            self.decode(forge_model_float(self.data, self.offsets["step_raw"][0], 1e30))
+
     def test_offsets_cover_the_block(self):
         # the forged offsets above hit the floats they name
         sm = self.bundle.streams[0]
@@ -194,6 +201,80 @@ class TestHostileModelBlock:
         b2, _ = bitstream.deserialize(forge_model_float(self.data, at, 0.125))
         assert b2.streams[0].refine_entropy.sigma[0] == 0.125
         assert np.array_equal(b2.streams[0].refine_entropy.sigma[1:], sm.refine_entropy.sigma[1:])
+
+
+DIMS_FIELDS = ("name", "kind", "has_ref", "col_start", "col_end", "dim", "rank",
+               "n_meas", "n_atoms", "n_layers", "ref_floats")
+
+
+def reseal_dims(data: bytes, content: bytes) -> bytes:
+    """Replace the first stream's dims block content and reseal its CRC."""
+    (length,) = struct.unpack_from("<I", data, 16)
+    block = struct.pack("<I", len(content)) + content + struct.pack("<I", zlib.crc32(content))
+    return data[:16] + block + data[24 + length :]
+
+
+def forge_dims(data: bytes, **fields) -> bytes:
+    """Overwrite named fields of the first stream's dims block (CRC resealed),
+    so only the dims checks can reject the file."""
+    (length,) = struct.unpack_from("<I", data, 16)
+    values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[20 : 20 + length])))
+    values.update(fields)
+    return reseal_dims(data, struct.pack(bitstream._DIMS_FMT, *values.values()))
+
+
+class TestHostileDimsBlock:
+    """A forged dims block ends as ``DecodeError``, never as another exception."""
+
+    def setup_method(self):
+        self.bundle, x = fitted_bundle(9)  # dim 6, rank 3, 3 measurements
+        payloads, _ = codec.encode_table(self.bundle, x)
+        self.data, _ = bitstream.serialize(self.bundle, payloads)
+
+    def decode(self, data):
+        codec.decode_table(*bitstream.deserialize(data))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": len(codec.TRANSFORMS)},
+            {"kind": 255},
+            {"name": b"f\xe9at"},
+            {"rank": 0},
+            {"rank": 7},
+            {"col_end": 0},
+            {"col_start": 6},
+            {"col_end": 7},
+            {"dim": 5},
+            {"dim": 7},
+        ],
+        ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
+    )
+    def test_forged_field(self, fields):
+        with pytest.raises(DecodeError):
+            self.decode(forge_dims(self.data, **fields))
+
+    def test_forge_helper_keeps_a_valid_block(self):
+        assert forge_dims(self.data) == self.data
+
+    def test_short_block(self):
+        (length,) = struct.unpack_from("<I", self.data, 16)
+        with pytest.raises(DecodeError):
+            self.decode(reseal_dims(self.data, self.data[20 : 20 + length - 2]))
+
+    def test_refinement_without_measurements(self):
+        # a self-consistent file whose refinement latent has no channels
+        sm = self.bundle.streams[0]
+        empty = dataclasses.replace(
+            sm,
+            config=dataclasses.replace(sm.config, n_meas=0),
+            refine=dataclasses.replace(sm.refine, measure=np.zeros((0, sm.config.dim))),
+            refine_sched=dataclasses.replace(sm.refine_sched, n=0),
+            refine_entropy=codec.GaussianEntropyModel(mu=np.zeros(0), sigma=np.zeros(0)),
+        )
+        data, _ = bitstream.serialize(codec.CodecBundle([empty]))
+        with pytest.raises(DecodeError, match="measurements"):
+            bitstream.deserialize(data)
 
 
 class TestMdlReport:

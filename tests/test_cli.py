@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process via main())."""
 
+import argparse
 import json
 import os
 
@@ -73,6 +74,39 @@ class TestConfigParsing:
         assert code == 2
 
 
+    def test_unset_keys_keep_the_defaults_of_the_callee(self):
+        from shtc.codec import default_configs
+        from shtc.trainer import TrainConfig
+
+        args = argparse.Namespace(lam=None, seed=None)
+        assert cli._stream_configs(50, {}) == default_configs(50)
+        assert cli._train_config({}, args) == TrainConfig()
+        cfg = {"lambda": 0.02, "iters": 7, "rank": 4}
+        assert cli._stream_configs(50, cfg) == default_configs(50, rank=4)
+        assert cli._train_config(cfg, args) == TrainConfig(lam=0.02, iters=7)
+
+    def test_bench_passes_only_the_keys_it_is_given(self, tmp_path, capsys, monkeypatch):
+        from shtc import bench
+
+        seen = []
+        monkeypatch.setattr(bench, "synth_source", lambda spec: seen.append(spec) or np.zeros((2, 2)))
+        monkeypatch.setattr(bench, "baseline_rd", lambda x, method, lambdas, **kw: seen.append(kw))
+        monkeypatch.setattr(bench, "write_rd_csv", lambda curves, path: None)
+        monkeypatch.setattr(bench, "write_bd_csv", lambda curves, path: [])
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n_rows = 300\nnoise = 0.5\niters = 40\nmethods = dct\n")
+        assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert seen == [bench.SyntheticSpec(n_rows=300, noise=0.5), {"seed": 0, "iters": 40}]
+
+    @pytest.mark.parametrize("command,line", [("fit", "quant_mode = ste"), ("bench", "spike_mix = 0.5")])
+    def test_keys_outside_the_surface_rejected(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        args = [command, "x.csv"] if command == "fit" else [command]
+        assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+
 class TestFitEncodeDecodeEval:
     def test_full_pipeline(self, tmp_path, capsys, table_csv, fit_config):
         table_path, x = table_csv
@@ -117,6 +151,21 @@ class TestFitEncodeDecodeEval:
         data, _ = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])
         path = tmp_path / "nan_sigma.shtc"
         path.write_bytes(forge_model_float(data, model_floats(bundle.streams[0])["base.sigma"][0], np.nan))
+        code = cli.main(["decode", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "decoded.csv").exists()
+
+    @pytest.mark.parametrize("fields", [{"kind": 9}, {"rank": 0}, {"dim": 5}], ids=["kind", "rank", "dim"])
+    def test_hostile_dims_block_is_data_error(self, tmp_path, capsys, fields):
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle, forge_dims
+
+        bundle, x = fitted_bundle(2)
+        data, _ = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])
+        path = tmp_path / "forged_dims.shtc"
+        path.write_bytes(forge_dims(data, **fields))
         code = cli.main(["decode", str(path), "--out", str(tmp_path)])
         assert code == 3
         assert "data error" in capsys.readouterr().err

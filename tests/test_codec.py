@@ -7,7 +7,7 @@ import pytest
 
 from shtc import bitstream, codec
 from shtc.codec import StreamConfig, default_configs
-from shtc.errors import ConfigError, DimMismatch
+from shtc.errors import ConfigError, DecodeError, DimMismatch
 
 
 def source(seed=0, n=300, d=8):
@@ -49,9 +49,9 @@ class TestEncodeDecode:
     def test_decode_equals_inprocess_reconstruction(self, transform):
         x = source(1)
         configs = default_configs(8, transform=transform, rank=4, n_meas=3, n_layers=2)
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(1)))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(1)))
         payloads, recon = codec.encode_table(bundle, x)
-        decoded = codec.decode_table(bundle, payloads)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
         assert np.array_equal(decoded, recon)
 
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
@@ -59,7 +59,7 @@ class TestEncodeDecode:
         # the unfolded decoder runs in blocks of 1024 rows; every row count
         # decodes from file to the encoder's reconstruction bit for bit
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
-        bundle = codec.finalize_bundle(codec.fit_bundle(source(3), configs, np.random.default_rng(3)))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3), configs, np.random.default_rng(3)))
         x = source(4, n=rows)
         payloads, recon = codec.encode_table(bundle, x)
         decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
@@ -72,7 +72,7 @@ class TestEncodeDecode:
     def test_two_stream_layout(self):
         x = source(2, d=10)
         configs = default_configs(10, scaling_cols=4, rank=3, n_meas=3, n_layers=2)
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(2)))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(2)))
         payloads, recon = codec.encode_table(bundle, x)
         assert len(payloads) == 2
         assert len(payloads[0].latents) == 2  # base + refinement
@@ -82,7 +82,7 @@ class TestEncodeDecode:
     def test_quantization_bounds_reconstruction(self):
         x = source(3)
         configs = default_configs(8, transform="klt-trunc", rank=8)
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(3)))
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(3)))
         _, recon = codec.encode_table(bundle, x)
         # full-rank orthonormal transform: error bounded by step/2 per channel
         worst = np.abs(bundle.streams[0].base_sched.steps).sum() / 2
@@ -95,6 +95,16 @@ class TestEncodeDecode:
         with pytest.raises(DimMismatch):
             codec.encode_table(bundle, x[:, :5])
 
+    def test_latent_count_must_match_stream(self):
+        # a bundle-only file, a missing refinement latent, an extra latent
+        x = source(7)
+        configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(7)))
+        latents = codec.encode_table(bundle, x)[0][0].latents
+        for forged in ([], latents[:1], latents * 2):
+            with pytest.raises(DecodeError, match="coded latents"):
+                codec.decode_table(bundle, [codec.StreamPayload(forged)])
+
     def test_param_float_accounting(self):
         x = source(5, d=8)
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
@@ -102,14 +112,12 @@ class TestEncodeDecode:
         sm = bundle.streams[0]
         expected = 8 + 8 + 64 + 2 + 3 + 3  # mean, eig, basis, sched, mu, sigma
         expected += 3 * 8 + 8 * 8 + 2 * 2 * 8 + 2 + 3 + 3  # refinement + its sched/entropy
-        assert codec.stream_param_floats(sm) == expected
+        assert len(bitstream._model_content(sm)) == 4 * expected
 
     def test_finalize_idempotent(self):
         x = source(6)
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
-        bundle = codec.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(6)))
-        from shtc.bitstream import serialize
-
-        once = serialize(bundle)[0]
-        twice = serialize(codec.finalize_bundle(bundle))[0]
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(6)))
+        once = bitstream.serialize(bundle)[0]
+        twice = bitstream.serialize(bitstream.finalize_bundle(bundle))[0]
         assert once == twice

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shtc import quantizer
+from shtc import quantizer, trainer
+from shtc.autodiff import Var
 from shtc.errors import BadStep, DimMismatch, Overflow
 
 
@@ -90,17 +91,22 @@ class TestDequantize:
 
 
 class TestNoiseProxy:
+    """The trainer's stand-in for quantization: x + U(-step/2, step/2) per channel."""
+
+    @staticmethod
+    def noise(x, sched, rng):
+        return trainer._noise_proxy(Var(x), Var(sched.steps), rng).data - x
+
     def test_mean_near_zero(self):
         rng = np.random.default_rng(0)
         sched = quantizer.channel_schedule(0.5, 0.0, 1)
-        x = np.zeros((1_000_000, 1))
-        noise = quantizer.noise_proxy(x, sched, rng) - x
+        noise = self.noise(np.zeros((1_000_000, 1)), sched, rng)
         assert abs(noise.mean()) < 1e-3 * 0.5
 
     def test_variance_step_sq_over_12(self):
         rng = np.random.default_rng(1)
         sched = quantizer.channel_schedule(0.8, 0.0, 1)
-        noise = quantizer.noise_proxy(np.zeros((1_000_000, 1)), sched, rng)
+        noise = self.noise(np.zeros((1_000_000, 1)), sched, rng)
         expected = 0.8**2 / 12.0
         assert noise.var() == pytest.approx(expected, rel=0.02)
 
@@ -108,11 +114,11 @@ class TestNoiseProxy:
         rng = np.random.default_rng(2)
         sched = quantizer.channel_schedule(0.1, 0.2, 6)
         x = rng.normal(size=(100, 6))
-        noise = quantizer.noise_proxy(x, sched, rng) - x
+        noise = self.noise(x, sched, rng)
         assert np.all(np.abs(noise) <= sched.steps / 2)
 
     def test_tiny_steps_limit(self):
         rng = np.random.default_rng(3)
         sched = quantizer.channel_schedule(1e-300, 0.0, 2)
         x = np.ones((5, 2))
-        assert np.allclose(quantizer.noise_proxy(x, sched, rng), x)
+        assert np.allclose(trainer._noise_proxy(Var(x), Var(sched.steps), rng).data, x)

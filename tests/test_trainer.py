@@ -19,13 +19,13 @@ def toy_table(seed=0, n=64, d=8, rank=3, spikes=2):
     return x + 0.01 * rng.normal(size=(n, d))
 
 
-def toy_setup(seed=0, transform="shtc-full", quant_mode="noise"):
+def toy_setup(seed=0, transform="shtc-full"):
     x = toy_table(seed)
     configs = codec.default_configs(8, transform=transform, rank=3, n_meas=3, n_layers=2)
     rng = np.random.default_rng(seed)
     bundle = codec.fit_bundle(x, configs, rng)
     params = trainer.make_params(bundle)
-    tc = TrainConfig(lam=0.01, iters=10, batch=16, seed=seed, quant_mode=quant_mode)
+    tc = TrainConfig(lam=0.01, iters=10, batch=16, seed=seed)
     return x, bundle, params, tc
 
 
@@ -43,17 +43,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(lam=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(quant_mode="bogus")
+            TrainConfig(lambda_e=-1.0)
 
 
 class TestLoss:
     def test_identity_configuration_zero_distortion(self):
-        # full-rank base, no quantization: distortion terms vanish
+        # full-rank base, steps of 1e-12 so the quantization noise is ~0:
+        # distortion terms vanish
         x = toy_table(1)
         configs = codec.default_configs(8, transform="klt-trunc", rank=8)
         bundle = codec.fit_bundle(x, configs, np.random.default_rng(1))
         params = trainer.make_params(bundle)
-        tc = TrainConfig(lam=0.01, quant_mode="none")
+        params["feat.base.log_qs"].data = np.log(1e-12)
+        tc = TrainConfig(lam=0.01)
         loss_var, comps = trainer.loss(x[:32], bundle, params, tc, np.random.default_rng(0))
         assert comps["l1_total"] < 1e-9
         assert comps["loss"] == pytest.approx(tc.lam * comps["bits_base"], rel=1e-6)
