@@ -20,7 +20,7 @@ import numpy as np
 from .base_layer import KltModel
 from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis
 from .entropy import GaussianEntropyModel
-from .errors import BadMagic, ChecksumError, DecodeError, VersionUnsupported
+from .errors import BadMagic, BadSize, ChecksumError, DecodeError, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
@@ -140,6 +140,8 @@ class _Reader:
 
 
 def _f32_reader(content: bytes):
+    if len(content) % 4:
+        raise DecodeError("model block is not a whole number of floats")
     arr = np.frombuffer(content, dtype="<f4").astype(np.float64)
     if not np.isfinite(arr).all():
         raise DecodeError("model block holds a non-finite float")
@@ -195,13 +197,18 @@ def _read_stream(dims: bytes, model: bytes) -> StreamModel:
         n_atoms=n_atoms,
         n_layers=n_layers,
     )
+    if has_ref != cfg.has_refinement:  # 0 or 1, and 1 only for a shtc-full stream below full rank
+        raise DecodeError(f"has_refinement {has_ref} does not fit a {cfg.transform} stream of rank {rank}")
     take, exhausted = _f32_reader(model)
     mean = take(dim)
     evals = take(dim)
     if cfg.stores_basis:
         basis = take((dim, dim))
     else:
-        basis = _fixed_basis(cfg.transform, dim)
+        try:
+            basis = _fixed_basis(cfg.transform, dim)
+        except BadSize as exc:  # a haar stream of odd dim
+            raise DecodeError(str(exc)) from exc
     klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
     sm = StreamModel(cfg, klt, *_latent_model(take, rank))
     if has_ref:

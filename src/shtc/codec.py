@@ -17,7 +17,8 @@ import numpy as np
 
 from . import base_layer, linalg, quantizer, refinement
 from .base_layer import KltModel
-from .entropy import GaussianEntropyModel, decode_symbols, encode_symbols
+from .entropy import GaussianEntropyModel, decode_latents, encode_latents
+from .entropy import decode_symbols, encode_symbols  # read by the benchmark's tracer; no codec path calls them
 from .errors import ConfigError, DecodeError, DimMismatch
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel
@@ -199,7 +200,29 @@ class StreamPayload:
     latents: list[tuple[int, bytes]]
 
 
-def _reconstruct_stream(sm: StreamModel, sym_base: np.ndarray, sym_refine) -> np.ndarray:
+def _latent_models(sm: StreamModel) -> list[tuple[GaussianEntropyModel, QuantSchedule]]:
+    """Entropy model and step schedule of each coded latent: base, then refinement."""
+    models = [(sm.base_entropy, sm.base_sched)]
+    if sm.refine is not None:
+        models.append((sm.refine_entropy, sm.refine_sched))
+    return models
+
+
+def _stream_symbols(sm: StreamModel, xs: np.ndarray) -> list[np.ndarray]:
+    """Quantized latents of one stream, in the order of :func:`_latent_models`."""
+    theta_p = base_layer.analyze_base(xs, sm.klt)
+    symbols = [quantizer.quantize(theta_p, sm.base_sched)]
+    if sm.refine is not None:
+        # Measurements take the truncation residual (unquantized base
+        # synthesis): the refinement codes what truncation discarded, not the
+        # base layer's quantization error.
+        f_trunc = base_layer.synthesize_base(theta_p, sm.klt)
+        y = refinement.analyze_refine(base_layer.residual(xs, f_trunc), sm.refine)
+        symbols.append(quantizer.quantize(y, sm.refine_sched))
+    return symbols
+
+
+def _reconstruct_stream(sm: StreamModel, sym_base: np.ndarray, sym_refine=None) -> np.ndarray:
     theta_hat = quantizer.dequantize(sym_base, sm.base_sched)
     f_base = base_layer.synthesize_base(theta_hat, sm.klt)
     if sm.refine is None:
@@ -208,61 +231,49 @@ def _reconstruct_stream(sm: StreamModel, sym_base: np.ndarray, sym_refine) -> np
     return f_base + refinement.unfold_synthesize(y_hat, sm.refine)
 
 
-def encode_stream(sm: StreamModel, xs: np.ndarray) -> tuple[StreamPayload, np.ndarray]:
-    theta_p = base_layer.analyze_base(xs, sm.klt)
-    sym_base = quantizer.quantize(theta_p, sm.base_sched)
-    latents = [(sym_base.size, encode_symbols(sym_base, sm.base_entropy, sm.base_sched))]
-    sym_refine = None
-    if sm.refine is not None:
-        # Measurements take the truncation residual (unquantized base
-        # synthesis): the refinement codes what truncation discarded, not the
-        # base layer's quantization error.
-        f_trunc = base_layer.synthesize_base(theta_p, sm.klt)
-        y = refinement.analyze_refine(base_layer.residual(xs, f_trunc), sm.refine)
-        sym_refine = quantizer.quantize(y, sm.refine_sched)
-        latents.append((sym_refine.size, encode_symbols(sym_refine, sm.refine_entropy, sm.refine_sched)))
-    return StreamPayload(latents=latents), _reconstruct_stream(sm, sym_base, sym_refine)
-
-
 def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[list[StreamPayload], np.ndarray]:
     """Quantize and entropy-code every stream; also return the decoder-side
-    reconstruction (computed from the coded symbols)."""
+    reconstruction (computed from the coded symbols). Every latent of the
+    table is coded in one ``encode_latents`` loop."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != bundle.dim:
         raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
     recon = np.zeros_like(x)
-    payloads = []
+    symbols = []
     for sm in bundle.streams:
-        payload, rec = encode_stream(sm, x[:, sm.config.col_start : sm.config.col_end])
-        payloads.append(payload)
-        recon[:, sm.config.col_start : sm.config.col_end] = rec
+        cols = slice(sm.config.col_start, sm.config.col_end)
+        syms = _stream_symbols(sm, x[:, cols])
+        recon[:, cols] = _reconstruct_stream(sm, *syms)
+        symbols.append(syms)
+    coded = iter(encode_latents([
+        (sym, *model)
+        for sm, syms in zip(bundle.streams, symbols)
+        for sym, model in zip(syms, _latent_models(sm))
+    ]))
+    payloads = [StreamPayload(latents=[(sym.size, next(coded)) for sym in syms]) for syms in symbols]
     return payloads, recon
 
 
 def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarray:
+    """The table a file decodes to. Every latent of the file is decoded in one
+    ``decode_latents`` loop, which first checks that all of them have one row
+    count."""
     if len(payloads) != len(bundle.streams):
         raise DimMismatch("payload count does not match stream count")
-    columns = []
-    rows = None
+    if not bundle.streams:
+        raise DecodeError("no streams to decode")
+    latents = []
     for sm, payload in zip(bundle.streams, payloads):
-        if len(payload.latents) != (1 if sm.refine is None else 2):
+        models = _latent_models(sm)
+        if len(payload.latents) != len(models):
             raise DecodeError(f"stream {sm.config.name!r} carries {len(payload.latents)} coded latents")
-        count, data = payload.latents[0]
-        sym_base = decode_symbols(data, count, sm.base_entropy, sm.base_sched)
-        sym_refine = None
-        if sm.refine is not None:
-            count_r, data_r = payload.latents[1]
-            sym_refine = decode_symbols(data_r, count_r, sm.refine_entropy, sm.refine_sched)
-        rec = _reconstruct_stream(sm, sym_base, sym_refine)
+        latents += [(data, count, *model) for (count, data), model in zip(payload.latents, models)]
+    decoded = decode_latents(latents)
+    out = np.zeros((decoded[0].shape[0], bundle.dim))
+    symbols = iter(decoded)
+    for sm in bundle.streams:
+        rec = _reconstruct_stream(sm, *(next(symbols) for _ in _latent_models(sm)))
         if not np.isfinite(rec).all():
             raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")
-        if rows is None:
-            rows = rec.shape[0]
-        elif rec.shape[0] != rows:
-            raise DimMismatch("streams decode to different row counts")
-        columns.append((sm.config.col_start, sm.config.col_end, rec))
-    out = np.zeros((rows or 0, bundle.dim))
-    for cs, ce, rec in columns:
-        out[:, cs:ce] = rec
+        out[:, sm.config.col_start : sm.config.col_end] = rec
     return out
-

@@ -11,6 +11,12 @@ arXiv:1402.3392): symbol k goes to lane ``k % lanes`` at step
 ``k // lanes``, and every numpy step advances all lanes at once. Lane states
 live in ``[2^31, 2^63)`` and renormalize by whole 32-bit words, so a lane
 moves at most one word per step. Byte layout: ``docs/format.md``.
+
+A numpy step costs more per call than per lane, so ``encode_latents`` and
+``decode_latents`` code every latent of a file in one loop: all of them have
+one row count, hence one step count, and each step advances the lanes of
+every latent. ``encode_symbols`` and ``decode_symbols`` are the one-latent
+case of the same loop.
 """
 
 from __future__ import annotations
@@ -152,35 +158,58 @@ def lane_count(rows: int, channels: int) -> int:
     return channels * max(1, rows // _LANE_ROWS)
 
 
-def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> bytes:
-    """Entropy-code integer symbols (shape (..., channels)), row-major."""
-    sym = np.asarray(symbols, dtype=np.int64)
-    if sym.size == 0:
-        return b""
-    try:
-        sym = sym.reshape(-1, model.n)
-    except ValueError as exc:
-        raise DimMismatch(f"symbols not divisible into {model.n} channels") from exc
-    tables = build_tables(model, sched)
-    idx = sym - tables.lo
-    escaped = (idx < 0) | (idx >= tables.size)
-    raw = sym[escaped]
-    if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
-        raise Overflow("escaped symbol exceeds 32-bit signed range")
-    entry = (np.where(escaped, tables.size, idx) + tables.start).ravel()
-    lanes = lane_count(sym.shape[0], model.n)
-    steps = -(-entry.size // lanes)
+def encode_latents(latents) -> list[bytes]:
+    """Entropy-code every latent of a file in one lane loop.
+
+    ``latents`` lists ``(symbols, model, sched)``; each symbol array has shape
+    (..., channels) and all of them share one row count, so they share one
+    step count. The loop advances the lanes of every latent together, but
+    each latent keeps its own lanes, words and escapes: its bytes are exactly
+    those of coding it alone (``docs/format.md``).
+    """
+    syms = []
+    for symbols, model, _ in latents:
+        sym = np.asarray(symbols, dtype=np.int64)
+        n = model.n
+        rows = sym.size // n if n else 0
+        if rows * n != sym.size:
+            raise DimMismatch(f"symbols not divisible into {n} channels")
+        syms.append(sym.reshape(rows, n))
+    rows = syms[0].shape[0] if syms else 0
+    if any(sym.shape[0] != rows for sym in syms):
+        raise DimMismatch("latents of one file differ in row count")
+    if rows == 0:
+        return [b"" for _ in syms]
+    blocks = max(1, rows // _LANE_ROWS)
+    steps = -(-rows // blocks)
+    widths = [blocks * sym.shape[1] for sym in syms]
     # a partial last step is padded with freq 2^16, cum 0: an identity on the state
-    pad = steps * lanes - entry.size
-    freq = np.concatenate((tables.freq[entry], np.full(pad, _TOTAL, np.uint64))).reshape(steps, lanes)
-    cum = np.concatenate((tables.cum[entry], np.zeros(pad, np.uint64))).reshape(steps, lanes)
+    freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
+    cum = np.zeros(freq.shape, dtype=np.uint64)
+    raws = []
+    a = 0
+    for sym, (_, model, sched), lanes in zip(syms, latents, widths):
+        tables = build_tables(model, sched)
+        idx = sym - tables.lo
+        escaped = (idx < 0) | (idx >= tables.size)
+        raw = sym[escaped]
+        if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
+            raise Overflow("escaped symbol exceeds 32-bit signed range")
+        raws.append(raw)
+        entry = (np.where(escaped, tables.size, idx) + tables.start).ravel()
+        head = (steps - 1) * lanes  # symbols before the last step
+        for dst, src in ((freq, tables.freq), (cum, tables.cum)):
+            cols = dst[:, a : a + lanes]
+            cols[:-1] = src[entry[:head]].reshape(steps - 1, lanes)
+            cols[-1, : entry.size - head] = src[entry[head:]]
+        a += lanes
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
-    words = np.empty((steps, lanes), dtype=np.uint32)
-    emitted = np.empty((steps, lanes), dtype=bool)
-    x = np.full(lanes, _STATE_LOW, dtype=np.uint64)
-    q = np.empty(lanes, dtype=np.uint64)
+    words = np.empty(freq.shape, dtype=np.uint32)
+    emitted = np.empty(freq.shape, dtype=bool)
+    x = np.full(freq.shape[1], _STATE_LOW, dtype=np.uint64)
+    q = np.empty_like(x)
     for t in range(steps - 1, -1, -1):
         out = np.greater_equal(x, limit[t], out=emitted[t])
         words[t] = x  # the low word
@@ -190,74 +219,129 @@ def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: Quan
         q *= gap[t]
         x += q
         x += cum[t]
-    return (
-        x.astype("<u8").tobytes()
-        + words[emitted].astype("<u4").tobytes()
-        + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
-    )
+    coded = []
+    a = 0
+    for lanes, raw in zip(widths, raws):
+        cols = slice(a, a + lanes)
+        coded.append(
+            x[cols].astype("<u8").tobytes()
+            + words[:, cols][emitted[:, cols]].astype("<u4").tobytes()
+            + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
+        )
+        a += lanes
+    return coded
+
+
+def decode_latents(latents) -> list[np.ndarray]:
+    """Inverse of :func:`encode_latents`: ``latents`` lists
+    ``(data, count, model, sched)``, ``count`` being a latent's symbol count.
+
+    Each payload is checked against its count before anything of that size
+    is allocated: it must hold every lane's state, so a payload of B bytes
+    decodes to fewer than 1024 * B symbols. Every latent must have the same
+    row count.
+    """
+    rows = None
+    for _, count, model, _ in latents:
+        r = count // model.n if model.n else 0
+        if r * model.n != count:
+            raise DecodeError(f"symbol count {count} not a multiple of {model.n} channels")
+        if rows is None:
+            rows = r
+        elif r != rows:
+            raise DecodeError("latents of one file differ in row count")
+    if not rows:
+        if any(data for data, *_ in latents):
+            raise DecodeError("nonempty payload for zero symbols")
+        return [np.zeros((0, model.n), dtype=np.int64) for _, _, model, _ in latents]
+    blocks = max(1, rows // _LANE_ROWS)
+    steps = -(-rows // blocks)
+    states, areas = [], []
+    for data, _, model, _ in latents:
+        lanes = blocks * model.n
+        head = 8 * lanes
+        if len(data) < head or (len(data) - head) % 4:
+            raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
+        states.append(np.frombuffer(data, dtype="<u8", count=lanes))
+        areas.append(np.frombuffer(data, dtype="<u4", offset=head).astype(np.uint64))
+    x = np.concatenate(states).astype(np.uint64)
+    if np.any((x < _STATE_LOW) | (x >= _STATE_LOW << _WORD_BITS)):
+        raise DecodeError("lane state out of range")
+    tables = [build_tables(model, sched) for _, _, model, sched in latents]
+    # One sorted search serves every latent: latent i's channels are numbered
+    # after those of the latents before it. A last, pad channel holds one
+    # entry of freq 2^16, cum 0 (an identity on the state): the lanes idle in
+    # a partial last step decode it, so every step runs on every lane.
+    first_chan = np.cumsum([0] + [model.n for _, _, model, _ in latents], dtype=np.uint64)
+    pad = first_chan[-1] << np.uint64(_FREQ_BITS)
+    key = np.concatenate(
+        [t.key + (c << np.uint64(_FREQ_BITS)) for t, c in zip(tables, first_chan)] + [[pad]]
+    )[1:]  # key[0] = 0 <= every slot: the search yields the entry itself
+    freq = np.concatenate([t.freq for t in tables] + [[_TOTAL]]).astype(np.uint64)
+    cum = np.concatenate([t.cum for t in tables] + [[0]]).astype(np.uint64)
+    first_entry = np.cumsum([0] + [t.freq.size for t in tables])
+    spans, chan_key, last_key = [], [], []
+    a = 0
+    for (_, count, model, _), c in zip(latents, first_chan):
+        lanes = blocks * model.n
+        spans.append((a, a + lanes))
+        keys = (c + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
+        chan_key.append(keys)
+        last_key.append(np.where(np.arange(lanes) < count - (steps - 1) * lanes, keys, pad))
+        a += lanes
+    chan_key = np.concatenate(chan_key)
+    step_keys = [chan_key] * (steps - 1) + [np.concatenate(last_key)]
+    # numpy scalars: a Python int operand costs a conversion on every step
+    mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
+    freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
+    entries = np.empty((steps, x.size), dtype=np.intp)
+    need = np.empty(x.size, dtype=bool)
+    lane_need = [need[a:b] for a, b in spans]
+    pos = [0] * len(latents)
+    for t, ck in enumerate(step_keys):
+        slot = x & mask
+        e = entries[t] = key.searchsorted(ck | slot, side="right")
+        x >>= freq_bits
+        x *= freq[e]
+        x += slot
+        x -= cum[e]
+        np.less(x, low, out=need)
+        # each latent reads its next words from its own area, in lane order
+        words = []
+        for i, area in enumerate(areas):
+            k = np.count_nonzero(lane_need[i])
+            if k:
+                if pos[i] + k > area.size:
+                    raise DecodeError("entropy payload truncated")
+                words.append(area[pos[i] : pos[i] + k])
+                pos[i] += k
+        if words:
+            x[need] = (x[need] << word_bits) | np.concatenate(words)
+    if np.any(x != _STATE_LOW):
+        raise DecodeError("lane does not end at its initial state")
+    out = []
+    for (_, count, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
+        idx = (entries[:, a:b].reshape(-1)[:count] - e0).reshape(rows, model.n) - t.start
+        escaped = idx == t.size
+        if p + np.count_nonzero(escaped) != area.size:
+            raise DecodeError("payload length does not match decoded symbols")
+        sym = idx + t.lo
+        raw = area[p:].astype(np.int64) - _ESCAPE_BIAS
+        chan = np.nonzero(escaped)[1]
+        if np.any((raw >= t.lo[chan]) & (raw < t.lo[chan] + t.size[chan])):
+            raise DecodeError("escaped symbol lies inside its table")
+        sym[escaped] = raw
+        out.append(sym)
+    return out
+
+
+def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> bytes:
+    """Entropy-code one latent's integer symbols (shape (..., channels)), row-major."""
+    return encode_latents([(symbols, model, sched)])[0]
 
 
 def decode_symbols(
     data: bytes, count: int, model: GaussianEntropyModel, sched: QuantSchedule
 ) -> np.ndarray:
-    """Inverse of :func:`encode_symbols`; ``count`` is the total symbol count.
-
-    The payload is checked against ``count`` before anything of that size is
-    allocated: it must hold every lane's state, so a payload of B bytes
-    decodes to fewer than 1024 * B symbols.
-    """
-    n = model.n
-    if count % n != 0:
-        raise DecodeError(f"symbol count {count} not a multiple of {n} channels")
-    rows = count // n
-    if rows == 0:
-        if data:
-            raise DecodeError("nonempty payload for zero symbols")
-        return np.zeros((0, n), dtype=np.int64)
-    lanes = lane_count(rows, n)
-    head = 8 * lanes
-    if len(data) < head or (len(data) - head) % 4:
-        raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
-    x = np.frombuffer(data, dtype="<u8", count=lanes).astype(np.uint64)
-    if np.any((x < _STATE_LOW) | (x >= _STATE_LOW << _WORD_BITS)):
-        raise DecodeError("lane state out of range")
-    area = np.frombuffer(data, dtype="<u4", offset=head).astype(np.uint64)
-    tables = build_tables(model, sched)
-    steps = -(-count // lanes)
-    chan_key = (np.arange(lanes, dtype=np.uint64) % n) << _FREQ_BITS
-    key = tables.key[1:]  # key[0] = 0 <= every slot: the search yields the entry itself
-    # numpy scalars: a Python int operand costs a conversion on every step
-    mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
-    freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
-    entries = []
-    pos = 0
-    for t in range(steps):
-        xs = x[: min(lanes, count - t * lanes)]
-        slot = xs & mask
-        e = np.searchsorted(key, chan_key[: xs.size] | slot, side="right")
-        entries.append(e)
-        xs >>= freq_bits
-        xs *= tables.freq[e]
-        xs += slot
-        xs -= tables.cum[e]
-        need = xs < low
-        k = int(np.count_nonzero(need))
-        if k:
-            if pos + k > area.size:
-                raise DecodeError("entropy payload truncated")
-            np.place(xs, need, (xs[need] << word_bits) | area[pos : pos + k])
-            pos += k
-    if np.any(x != _STATE_LOW):
-        raise DecodeError("lane does not end at its initial state")
-    idx = np.concatenate(entries).reshape(rows, n) - tables.start
-    escaped = idx == tables.size
-    n_esc = int(np.count_nonzero(escaped))
-    if pos + n_esc != area.size:
-        raise DecodeError("payload length does not match decoded symbols")
-    out = idx + tables.lo
-    raw = area[pos:].astype(np.int64) - _ESCAPE_BIAS
-    chan = np.nonzero(escaped)[1]
-    if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
-        raise DecodeError("escaped symbol lies inside its table")
-    out[escaped] = raw
-    return out
+    """Inverse of :func:`encode_symbols`; ``count`` is the total symbol count."""
+    return decode_latents([(data, count, model, sched)])[0]

@@ -111,19 +111,9 @@ def soft_threshold(z: np.ndarray, tau) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
-def operator_sq_norm(a: np.ndarray, dictionary: np.ndarray, iters: int = 200) -> float:
-    """Largest eigenvalue of (AD)^T (AD), by power iteration."""
-    g = a @ dictionary
-    m = g.T @ g
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        w = m @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+def operator_sq_norm(a: np.ndarray, dictionary: np.ndarray) -> float:
+    """Largest eigenvalue of (AD)^T (AD): the squared spectral norm of AD."""
+    return float(np.linalg.norm(a @ dictionary, 2) ** 2)
 
 
 def ista_solve(

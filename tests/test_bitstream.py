@@ -1,11 +1,15 @@
 """Container format tests: round trips, golden sizes, corruption handling."""
 
 import dataclasses
+import functools
 import struct
+import time
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shtc import bitstream, codec
 from shtc.codec import StreamConfig, default_configs
@@ -214,13 +218,37 @@ def reseal_dims(data: bytes, content: bytes) -> bytes:
     return data[:16] + block + data[24 + length :]
 
 
-def forge_dims(data: bytes, **fields) -> bytes:
-    """Overwrite named fields of the first stream's dims block (CRC resealed),
-    so only the dims checks can reject the file."""
-    (length,) = struct.unpack_from("<I", data, 16)
-    values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[20 : 20 + length])))
+def block_spans(data: bytes) -> list[tuple[int, int]]:
+    """(offset, length) of each block's content, in file order: dims, model
+    and payload of each stream. Stops at the first block that does not fit."""
+    spans, at = [], 16
+    while at + 8 <= len(data):
+        (length,) = struct.unpack_from("<I", data, at)
+        if at + 8 + length > len(data):
+            break
+        spans.append((at + 4, length))
+        at += 8 + length
+    return spans
+
+
+def reseal(data: bytes) -> bytes:
+    """Recompute the header CRC and the CRC of every block that fits, so a
+    forged byte reaches the parser behind the checksums."""
+    out = bytearray(data)
+    if len(out) >= 16:
+        struct.pack_into("<I", out, 12, zlib.crc32(out[:12]))
+    for at, length in block_spans(out):
+        struct.pack_into("<I", out, at + length, zlib.crc32(out[at : at + length]))
+    return bytes(out)
+
+
+def forge_dims(data: bytes, stream: int = 0, **fields) -> bytes:
+    """Overwrite named fields of a stream's dims block (CRCs resealed), so
+    only the dims checks can reject the file."""
+    at, length = block_spans(data)[3 * stream]
+    values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[at : at + length])))
     values.update(fields)
-    return reseal_dims(data, struct.pack(bitstream._DIMS_FMT, *values.values()))
+    return reseal(data[:at] + struct.pack(bitstream._DIMS_FMT, *values.values()) + data[at + length :])
 
 
 class TestHostileDimsBlock:
@@ -247,6 +275,10 @@ class TestHostileDimsBlock:
             {"col_end": 7},
             {"dim": 5},
             {"dim": 7},
+            {"has_ref": 0},
+            {"has_ref": 2},
+            {"has_ref": 255},
+            {"kind": 3},  # klt-trunc, the refinement section kept
         ],
         ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
     )
@@ -275,6 +307,103 @@ class TestHostileDimsBlock:
         data, _ = bitstream.serialize(codec.CodecBundle([empty]))
         with pytest.raises(DecodeError, match="measurements"):
             bitstream.deserialize(data)
+
+
+@functools.cache
+def fuzz_file(streams: int) -> bytes:
+    """An encoded 120-row file: one shtc-full stream, or that plus a base-only
+    scaling stream."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(120, 9)) @ rng.normal(size=(9, 9))
+    configs = default_configs(9, rank=3, n_meas=3, n_layers=2, scaling_cols=3 * (streams - 1))
+    bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
+    return bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+
+
+def decode_or_decode_error(data: bytes):
+    start = time.perf_counter()
+    try:
+        codec.decode_table(*bitstream.deserialize(data))
+    except DecodeError:
+        pass
+    assert time.perf_counter() - start < 2.0
+
+
+class TestHostileBlockShapes:
+    """Cases the file fuzz below found: each raised outside ``DecodeError``."""
+
+    def test_model_block_not_whole_floats(self):
+        data = fuzz_file(1)
+        at, length = block_spans(data)[1]
+        content = data[at : at + length - 1]
+        forged = data[: at - 4] + struct.pack("<I", len(content)) + content + bytes(4) + data[at + length + 4 :]
+        with pytest.raises(DecodeError, match="whole number of floats"):
+            bitstream.deserialize(reseal(forged))
+
+    def test_haar_stream_of_odd_dim(self):
+        with pytest.raises(DecodeError, match="even size"):
+            bitstream.deserialize(forge_dims(fuzz_file(1), kind=2, has_ref=0))
+
+
+U32 = st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1))
+DIMS_VALUES = {
+    "name": st.binary(min_size=8, max_size=8),
+    "kind": st.integers(0, 255),
+    "has_ref": st.integers(0, 255),
+    "ref_floats": U32,
+    **{f: st.one_of(st.integers(0, 16), st.integers(0, 2**16 - 1))
+       for f in ("col_start", "col_end", "dim", "rank", "n_meas", "n_atoms", "n_layers")},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("streams", [1, 2])
+class TestFileFuzz:
+    """Forged files, CRCs resealed so each forgery reaches the parser: only
+    ``DecodeError``-family exceptions come out of ``deserialize`` +
+    ``decode_table``, each within a time bound."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        cut=st.one_of(st.just(0), st.integers(1, 2**16)),
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=4),
+    )
+    def test_truncations_and_flips(self, streams, cut, flips):
+        data = bytearray(fuzz_file(streams))
+        for pos, mask in flips:
+            data[pos % len(data)] ^= mask
+        data = reseal(bytes(data))
+        decode_or_decode_error(data[: len(data) - cut % (len(data) + 1)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        stream=st.integers(0, 1),
+        latent=st.integers(0, 1),
+        field=st.sampled_from(["symbol_count", "byte_count"]),
+        value=st.one_of(U32, st.tuples(st.integers(-64, 64))),
+    )
+    def test_forged_latent_fields(self, streams, stream, latent, field, value):
+        data = bytearray(fuzz_file(streams))
+        at, _ = block_spans(data)[3 * (stream % streams) + 2]
+        (n_latents,) = struct.unpack_from("<I", data, at)
+        at += 4
+        for _ in range(latent % n_latents):
+            at += 8 + struct.unpack_from("<II", data, at)[1]
+        at += 4 * (field == "byte_count")
+        if isinstance(value, tuple):  # a small step from the true value
+            value = (struct.unpack_from("<I", data, at)[0] + value[0]) % 2**32
+        struct.pack_into("<I", data, at, value)
+        decode_or_decode_error(reseal(bytes(data)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(stream=st.integers(0, 1), fields=st.fixed_dictionaries({}, optional=DIMS_VALUES).filter(bool))
+    def test_forged_dims_fields(self, streams, stream, fields):
+        decode_or_decode_error(forge_dims(fuzz_file(streams), stream % streams, **fields))
+
+    def test_unforged_file_decodes(self, streams):
+        data = fuzz_file(streams)
+        assert reseal(data) == data
+        assert codec.decode_table(*bitstream.deserialize(data)).shape == (120, 9)
 
 
 class TestMdlReport:

@@ -171,6 +171,21 @@ class TestFitEncodeDecodeEval:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "decoded.csv").exists()
 
+    def test_latents_of_different_row_counts_is_data_error(self, tmp_path, capsys):
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle
+
+        bundle, x = fitted_bundle(2)
+        base = codec.encode_table(bundle, x[:150])[0][0].latents[0]
+        refine = codec.encode_table(bundle, x[:50])[0][0].latents[1]
+        path = tmp_path / "rows.shtc"
+        path.write_bytes(bitstream.serialize(bundle, [codec.StreamPayload([base, refine])])[0])
+        code = cli.main(["decode", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "decoded.csv").exists()
+
     def test_deterministic_fit_encode(self, tmp_path, capsys, table_csv, fit_config):
         table_path, _ = table_csv
         blobs = []

@@ -195,6 +195,64 @@ class TestRoundTrip:
             entropy.decode_symbols(blob[: len(blob) // 2], sym.size, model, sched)
 
 
+class TestLatentsLoop:
+    """``encode_latents`` / ``decode_latents`` code several latents of one row
+    count in one loop; each keeps its own lanes, words and escapes."""
+
+    @staticmethod
+    def latents(rows):
+        rng = np.random.default_rng(rows)
+        out = []
+        for n, sigma in ((3, 1.5), (1, 0.4), (5, 3.0)):
+            model = make_model(n, sigma=sigma)
+            sched = quantizer.channel_schedule(0.5, 0.0, n)
+            sym = quantizer.quantize(rng.normal(0.0, sigma, size=(rows, n)), sched)
+            flat = sym.reshape(-1)
+            lanes = entropy.lane_count(rows, n)
+            # escapes on the first and last lane, and on the last symbol
+            for k in (0, lanes - 1, flat.size - 1):
+                flat[k] = 100_000 + k
+            out.append((sym, model, sched))
+        return out
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 8193, 12289])
+    def test_round_trip_with_the_bytes_of_each_latent_alone(self, rows):
+        latents = self.latents(rows)
+        coded = entropy.encode_latents(latents)
+        assert coded == [entropy.encode_symbols(*latent) for latent in latents]
+        decoded = entropy.decode_latents(
+            [(data, sym.size, model, sched) for data, (sym, model, sched) in zip(coded, latents)]
+        )
+        for out, (sym, _, _) in zip(decoded, latents):
+            assert np.array_equal(out, sym)
+
+    def test_empty(self):
+        latents = [(np.zeros((0, n), dtype=np.int64), make_model(n), quantizer.channel_schedule(1.0, 0.0, n))
+                   for n in (2, 3)]
+        assert entropy.encode_latents(latents) == [b"", b""]
+        decoded = entropy.decode_latents([(b"", 0, model, sched) for _, model, sched in latents])
+        assert [out.shape for out in decoded] == [(0, 2), (0, 3)]
+
+    def test_row_counts_must_agree(self):
+        latents = self.latents(40)
+        short = (latents[1][0][:20],) + latents[1][1:]
+        with pytest.raises(DimMismatch):
+            entropy.encode_latents([latents[0], short])
+        coded = entropy.encode_latents(latents[:1]) + entropy.encode_latents([short])
+        with pytest.raises(DecodeError, match="row count"):
+            entropy.decode_latents([(coded[0], 120, *latents[0][1:]), (coded[1], 20, *short[1:])])
+
+    def test_each_latent_checked(self):
+        # a second latent cut short, or one word longer, fails on its own area
+        latents = self.latents(300)
+        coded = entropy.encode_latents(latents)
+        for forged in (coded[1][:-4], coded[1] + b"\x00" * 4):
+            items = [(data, sym.size, model, sched) for data, (sym, model, sched) in zip(coded, latents)]
+            items[1] = (forged,) + items[1][1:]
+            with pytest.raises(DecodeError):
+                entropy.decode_latents(items)
+
+
 class TestHostilePayload:
     @staticmethod
     def coded(rows=300, n=3, seed=12):
