@@ -67,7 +67,7 @@ def bin_bits(x: np.ndarray, mu, sigma, steps):
 
     Also returns what a gradient needs: the unfloored mass and the bin's
     standardized lower and upper edges. Shared by :func:`rate_bits` and the
-    trainer's fused rate node, so both price a latent identically.
+    trainer's rate term, so both price a latent identically.
     """
     half = 0.5 * steps
     z_hi = (x - mu + half) / sigma

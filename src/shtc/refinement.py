@@ -160,7 +160,7 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
     If ``record`` is a list, each layer appends its input beta, its
     measurement residual and its pre-activation (the soft threshold's
     argument) over all rows, which is what a hand-written backward pass
-    needs. The trainer's fused unfold node runs this same loop, so training
+    needs. The trainer's loss runs this same loop, so training
     and decoding share one forward definition.
     """
     g = model.measure @ model.dictionary

@@ -15,22 +15,34 @@ eigendecomposition gradients are ill-conditioned near degenerate
 eigenvalues. The trained bundle is finalized by ``bitstream.finalize_bundle``:
 what the container's reader makes of its written model, so it is the model a
 decoder runs.
+
+The objective is one fixed function with one forward, ``loss``, and one
+hand-written backward, ``backward``, which walks the intermediates ``loss``
+keeps in reverse. Its two costly parts run the codec's own forward helpers:
+the rate term ``entropy.bin_bits`` (backward ``_rate_grad``; a bin mass on
+the floor side of the clamp gets no gradient) and the unfolded-ISTA decoder
+``refinement.unfold_code`` (backward ``_unfold_grad``; zero inside each
+soft-threshold dead zone). |x| has subgradient 0 at x = 0. The learnable
+parameters are named views into one flat vector, so gradient clipping and
+Adam are whole-vector updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from . import base_layer, bitstream, refinement
-from .autodiff import Var
+from . import base_layer, bitstream, entropy, refinement
 from .codec import CodecBundle, StreamConfig, StreamModel, fit_bundle
 from .entropy import GaussianEntropyModel
 from .errors import ConfigError, Diverged, InsufficientData
 from .quantizer import channel_schedule
 from .refinement import RefinementModel
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN2 = float(np.log(2.0))
 
 
 @dataclass
@@ -48,224 +60,377 @@ class TrainConfig:
     lr_decay: float = 0.05  # final lr fraction, exponential over the run
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("lam must be positive")
-        if self.lambda_e < 0:
-            raise ConfigError("lambda_e must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError("lam must be finite and positive")
+        if not (math.isfinite(self.lambda_e) and self.lambda_e >= 0):
+            raise ConfigError("lambda_e must be finite and nonnegative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be finite and positive")
+        if self.iters < 0:
+            raise ConfigError("iters must be nonnegative")
+        if self.batch < 1:
+            raise ConfigError("batch must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.refit_period < 0:
+            raise ConfigError("refit_period must be nonnegative")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ConfigError("grad_clip must be finite and nonnegative")
+        if self.log_every < 1:
+            raise ConfigError("log_every must be at least 1")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError("lr_decay must be in (0, 1]")
 
     @property
     def lambda_r(self) -> float:
         return max(self.lam / 4.0, 0.001)
 
 
-def make_params(bundle: CodecBundle) -> dict[str, Var]:
-    """Learnable leaves: schedules, entropy parameters, refinement weights."""
-    params: dict[str, Var] = {}
+class Params(dict):
+    """Learnable arrays by name, each a view into the one flat vector ``flat``."""
+
+    def __init__(self, arrays: dict):
+        self._shapes = {name: np.shape(a) for name, a in arrays.items()}
+        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        super().__init__(self.views(self.flat))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat``, a vector laid out like ``self.flat``, as named views."""
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = flat[start : start + size].reshape(shape)
+            start += size
+        return out
+
+
+def _latent_arrays(key: str, sched, model: GaussianEntropyModel) -> dict:
+    return {
+        f"{key}.log_qs": np.log(sched.q_s),
+        f"{key}.alpha": sched.alpha,
+        f"{key}.mu": model.mu,
+        f"{key}.log_sigma": np.log(model.sigma),
+    }
+
+
+def make_params(bundle: CodecBundle, table: np.ndarray | None = None) -> Params:
+    """Learnable leaves: schedules, entropy parameters, refinement weights,
+    and in joint mode the training table itself (``"table"``)."""
+    arrays = {}
     for sm in bundle.streams:
         p = sm.config.name
-        params[f"{p}.base.log_qs"] = Var(np.log(sm.base_sched.q_s), requires_grad=True)
-        params[f"{p}.base.alpha"] = Var(float(sm.base_sched.alpha), requires_grad=True)
-        params[f"{p}.base.mu"] = Var(sm.base_entropy.mu.copy(), requires_grad=True)
-        params[f"{p}.base.log_sigma"] = Var(np.log(sm.base_entropy.sigma), requires_grad=True)
+        arrays.update(_latent_arrays(f"{p}.base", sm.base_sched, sm.base_entropy))
         if sm.refine is not None:
-            params[f"{p}.ref.measure"] = Var(sm.refine.measure.copy(), requires_grad=True)
-            params[f"{p}.ref.dict"] = Var(sm.refine.dictionary.copy(), requires_grad=True)
-            params[f"{p}.ref.step_raw"] = Var(sm.refine.step_raw.copy(), requires_grad=True)
-            params[f"{p}.ref.thresh_raw"] = Var(sm.refine.thresh_raw.copy(), requires_grad=True)
-            params[f"{p}.ref.log_qs"] = Var(np.log(sm.refine_sched.q_s), requires_grad=True)
-            params[f"{p}.ref.alpha"] = Var(float(sm.refine_sched.alpha), requires_grad=True)
-            params[f"{p}.ref.mu"] = Var(sm.refine_entropy.mu.copy(), requires_grad=True)
-            params[f"{p}.ref.log_sigma"] = Var(np.log(sm.refine_entropy.sigma), requires_grad=True)
-    return params
+            arrays[f"{p}.ref.measure"] = sm.refine.measure
+            arrays[f"{p}.ref.dict"] = sm.refine.dictionary
+            arrays[f"{p}.ref.step_raw"] = sm.refine.step_raw
+            arrays[f"{p}.ref.thresh_raw"] = sm.refine.thresh_raw
+            arrays.update(_latent_arrays(f"{p}.ref", sm.refine_sched, sm.refine_entropy))
+    if table is not None:
+        arrays["table"] = table
+    return Params(arrays)
 
 
-def _schedule_var(params: dict, key: str, n: int) -> Var:
-    idx = Var(np.arange(n, dtype=np.float64))
-    return ad.vexp(params[f"{key}.log_qs"] + params[f"{key}.alpha"] * idx)
+def _rate_grad(g, p, z_lo, z_hi, sigma):
+    """Gradient of ``g * sum(entropy.bin_bits(x, mu, sigma, steps)[0])`` with
+    respect to x, mu, sigma and steps, from the forward's unfloored bin mass
+    ``p`` and standardized bin edges.
+
+    The mass is floored at ``entropy._PROB_FLOOR``; an element on the floor
+    side gets no gradient. Elsewhere d(-log2 p) = -dp / (p ln 2), with dp from
+    the Gaussian pdf at both bin edges, (x - mu +- step/2) / sigma.
+    """
+    pdf_lo = np.exp(-0.5 * z_lo * z_lo) * _INV_SQRT_2PI
+    pdf_hi = np.exp(-0.5 * z_hi * z_hi) * _INV_SQRT_2PI
+    floor = entropy._PROB_FLOOR
+    gp = (p > floor) * (-g / (np.maximum(p, floor) * _LN2)) / sigma
+    dx = gp * (pdf_hi - pdf_lo)
+    d_sigma = -(gp * (z_hi * pdf_hi - z_lo * pdf_lo)).sum(axis=0)
+    d_steps = (0.5 * gp * (pdf_hi + pdf_lo)).sum(axis=0)
+    return dx, -dx.sum(axis=0), d_sigma, d_steps
 
 
-def _noise_proxy(x: Var, steps: Var, rng: np.random.Generator) -> Var:
+def _unfold_grad(g, y, model: RefinementModel, beta, layers):
+    """Gradient of ``sum(g * (beta @ D.T))``, beta = ``refinement.unfold_code``
+    of ``y`` with ``record=layers``, with respect to y, the measurement, the
+    dictionary, step_raw and thresh_raw.
+
+    Walks the recorded layers in reverse. Subgradient: zero inside each
+    soft-threshold dead zone (|pre| <= tau), for the pre-activation and the
+    threshold alike.
+    """
+    a, d = model.measure, model.dictionary
+    gmat = a @ d
+    etas = model.steps()
+    taus = model.thresholds()
+    d_g = np.zeros_like(gmat)
+    d_y = np.zeros_like(y)
+    d_step = np.zeros_like(model.step_raw)
+    d_thresh = np.zeros_like(model.thresh_raw)
+    d_dict = g.T @ beta
+    g_beta = g @ d
+    for k in range(len(layers) - 1, -1, -1):
+        # pre = beta_k - eta_k * (resid @ G),  resid = beta_k @ G.T - y
+        beta_k, resid, pre = layers[k]
+        g_pre = g_beta * (np.abs(pre) > taus[k])
+        d_thresh[k] = -(g_pre * np.sign(pre)).sum(axis=0) / (1.0 + np.exp(-model.thresh_raw[k]))
+        r_g = resid.T @ g_pre
+        d_step[k] = -(r_g * gmat).sum(axis=0) * etas[k]
+        d_g -= r_g * etas[k]
+        g_resid = -(g_pre * etas[k]) @ gmat.T
+        d_y -= g_resid
+        if k > 0:  # layer 0 starts from a constant zero code
+            d_g += g_resid.T @ beta_k
+            g_beta = g_pre + g_resid @ gmat
+    return d_y, d_g @ d.T, d_dict + a.T @ d_g, d_step, d_thresh
+
+
+@dataclass
+class _Latent:
+    """One latent on the noise path, ``x_hat = x + steps * u``, priced by
+    ``entropy.bin_bits``: what its backward needs."""
+
+    key: str
+    x_hat: np.ndarray
+    u: np.ndarray
+    steps: np.ndarray
+    sigma: np.ndarray
+    bits: float
+    p: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+
+
+def _noise_proxy(x: np.ndarray, steps: np.ndarray, rng: np.random.Generator):
     """The noise proxy of quantizing one latent, x + U(-step/2, step/2) per
-    channel: one draw that both the rate and the distortion path see."""
-    return x + steps * Var(rng.uniform(-0.5, 0.5, size=x.shape))
+    channel: one draw that both the rate and the distortion path see.
+    Returns the noisy latent and the unit draw."""
+    u = rng.uniform(-0.5, 0.5, size=x.shape)
+    return x + steps * u, u
+
+
+def _latent(x: np.ndarray, params: Params, key: str, rng: np.random.Generator) -> _Latent:
+    """Latent ``x`` through the noise proxy, priced by the schedule and
+    entropy model under ``key``."""
+    steps = np.exp(params[f"{key}.log_qs"] + params[f"{key}.alpha"] * np.arange(x.shape[1]))
+    sigma = np.exp(params[f"{key}.log_sigma"])
+    x_hat, u = _noise_proxy(x, steps, rng)
+    bits, p, z_lo, z_hi = entropy.bin_bits(x_hat, params[f"{key}.mu"], sigma, steps)
+    return _Latent(key, x_hat, u, steps, sigma, float(bits.sum()), p, z_lo, z_hi)
+
+
+def _latent_grad(lat: _Latent, g_x_hat: np.ndarray, weight: float, grads: dict) -> np.ndarray:
+    """Backward through one latent: ``g_x_hat`` reaches x_hat from the
+    distortion path and ``weight`` scales its bits. Accumulates the schedule
+    and entropy gradients into ``grads``; returns the gradient at x."""
+    dx, d_mu, d_sigma, d_steps = _rate_grad(weight, lat.p, lat.z_lo, lat.z_hi, lat.sigma)
+    g = g_x_hat + dx
+    g_log_steps = (d_steps + (g * lat.u).sum(axis=0)) * lat.steps
+    grads[f"{lat.key}.log_qs"] += g_log_steps.sum()
+    grads[f"{lat.key}.alpha"] += g_log_steps @ np.arange(g_log_steps.size)
+    grads[f"{lat.key}.mu"] += d_mu
+    grads[f"{lat.key}.log_sigma"] += d_sigma * lat.sigma
+    return g
+
+
+@dataclass
+class _StreamPass:
+    """One stream's intermediates; the refinement fields stay None without
+    a refinement layer."""
+
+    sm: StreamModel
+    base: _Latent
+    err: np.ndarray | None = None  # f - f_hat
+    refine: _Latent | None = None
+    r: np.ndarray | None = None  # truncation residual
+    resid_err: np.ndarray | None = None  # r - r_hat
+    unfold: tuple | None = None  # (model, beta, recorded layers)
+
+
+@dataclass
+class Forward:
+    """A loss value and what ``backward`` needs of the pass that made it."""
+
+    parents = ()  # perfbench's tracer walks this as the root of a tape
+    value: float
+    streams: list
+    weights: tuple  # of l1(f, f_hat), l1(r, r_hat), base bits, refinement bits
+    rows: np.ndarray | None  # the batch's rows of params["table"] (joint mode)
 
 
 def loss(
     batch: np.ndarray,
     bundle: CodecBundle,
-    params: dict[str, Var],
+    params: Params,
     config: TrainConfig,
     rng: np.random.Generator,
-    batch_var: Var | None = None,
-) -> tuple[Var, dict]:
-    """One forward pass; returns the scalar loss node and logged components.
+    rows: np.ndarray | None = None,
+) -> tuple[Forward, dict]:
+    """One forward pass; returns the loss with its intermediates and the
+    logged components.
 
-    ``batch`` holds the original rows (the distortion anchor). ``batch_var``
-    optionally supplies learnable current rows (joint mode).
+    ``batch`` holds the original rows (the distortion anchor). In joint mode
+    ``rows`` indexes the batch in ``params["table"]``, the learnable current
+    rows the transforms see.
     """
     n_rows = batch.shape[0]
     if n_rows == 0:
         raise InsufficientData("empty batch")
     inv_rows = 1.0 / n_rows
-    total_abs: Var | None = None
-    total_elems = 0
-    resid_abs: Var | None = None
-    resid_elems = 0
-    bits_base: Var | None = None
-    bits_refine: Var | None = None
+    current = batch if rows is None else params["table"][rows]
+    streams = []
+    total_abs = resid_abs = bits_base = bits_refine = 0.0
+    total_elems = resid_elems = 0
 
     for sm in bundle.streams:
         cfg = sm.config
         p = cfg.name
-        f_orig = Var(batch[:, cfg.col_start : cfg.col_end])
-        f = ad.slice_cols(batch_var, cfg.col_start, cfg.col_end) if batch_var is not None else f_orig
-        v_m = Var(sm.klt.basis[:, : cfg.rank])
-        mean = Var(sm.klt.mean)
-        theta = (f - mean) @ v_m
-
-        steps_b = _schedule_var(params, f"{p}.base", cfg.rank)
-        sigma_b = ad.vexp(params[f"{p}.base.log_sigma"])
-        theta_hat = _noise_proxy(theta, steps_b, rng)
-        bb = ad.rate_bits(theta_hat, params[f"{p}.base.mu"], sigma_b, steps_b)
-        bits_base = bb if bits_base is None else bits_base + bb
-
-        f_base = theta_hat @ v_m.T + mean
+        f = current[:, cfg.col_start : cfg.col_end]
+        v_m = sm.klt.basis[:, : cfg.rank]
+        theta = (f - sm.klt.mean) @ v_m
+        s = _StreamPass(sm, _latent(theta, params, f"{p}.base", rng))
+        bits_base += s.base.bits
+        f_hat = s.base.x_hat @ v_m.T + sm.klt.mean
 
         if sm.refine is not None:
-            a = params[f"{p}.ref.measure"]
-            # truncation residual: independent of the base quantization path
-            r = f - (theta @ v_m.T + mean)
-            y = r @ a.T
-            steps_r = _schedule_var(params, f"{p}.ref", cfg.n_meas)
-            sigma_r = ad.vexp(params[f"{p}.ref.log_sigma"])
-            y_hat = _noise_proxy(y, steps_r, rng)
-            br = ad.rate_bits(y_hat, params[f"{p}.ref.mu"], sigma_r, steps_r)
-            bits_refine = br if bits_refine is None else bits_refine + br
-            r_hat = ad.unfold(
-                y_hat, a, params[f"{p}.ref.dict"],
-                params[f"{p}.ref.step_raw"], params[f"{p}.ref.thresh_raw"],
+            model = RefinementModel(
+                measure=params[f"{p}.ref.measure"], dictionary=params[f"{p}.ref.dict"],
+                step_raw=params[f"{p}.ref.step_raw"], thresh_raw=params[f"{p}.ref.thresh_raw"],
             )
-            f_hat = f_base + r_hat
-            ra = ad.vabs(r - r_hat).sum()
-            resid_abs = ra if resid_abs is None else resid_abs + ra
-            resid_elems += n_rows * cfg.dim
-        else:
-            f_hat = f_base
+            # truncation residual: independent of the base quantization path
+            s.r = f - (theta @ v_m.T + sm.klt.mean)
+            s.refine = _latent(s.r @ model.measure.T, params, f"{p}.ref", rng)
+            bits_refine += s.refine.bits
+            layers: list = []
+            beta = refinement.unfold_code(s.refine.x_hat, model, record=layers)
+            s.unfold = (model, beta, layers)
+            r_hat = beta @ model.dictionary.T
+            f_hat = f_hat + r_hat
+            s.resid_err = s.r - r_hat
+            resid_abs += np.abs(s.resid_err).sum()
+            resid_elems += f.size
 
-        err = ad.vabs(f_orig - f_hat).sum()
-        total_abs = err if total_abs is None else total_abs + err
-        total_elems += n_rows * cfg.dim
+        s.err = batch[:, cfg.col_start : cfg.col_end] - f_hat
+        total_abs += np.abs(s.err).sum()
+        total_elems += f.size
+        streams.append(s)
 
-    l1_total = total_abs * (1.0 / total_elems)
+    weights = (
+        1.0 / total_elems,
+        config.lambda_e * (1.0 / resid_elems) if resid_elems else 0.0,
+        config.lam * inv_rows,
+        config.lambda_r * inv_rows,
+    )
+    l1_total = total_abs / total_elems
     bits_base_row = bits_base * inv_rows
-    out = l1_total + config.lam * bits_base_row
-    l1_resid_val = 0.0
-    bits_refine_val = 0.0
-    if resid_abs is not None:
-        l1_resid = resid_abs * (1.0 / resid_elems)
+    value = l1_total + config.lam * bits_base_row
+    l1_resid = bits_refine_row = 0.0
+    if resid_elems:
+        l1_resid = resid_abs / resid_elems
         bits_refine_row = bits_refine * inv_rows
-        out = out + config.lambda_e * l1_resid + config.lambda_r * bits_refine_row
-        l1_resid_val = float(l1_resid.data)
-        bits_refine_val = float(bits_refine_row.data)
+        value = value + config.lambda_e * l1_resid + config.lambda_r * bits_refine_row
     components = {
-        "loss": float(out.data),
-        "bits_base": float(bits_base_row.data),
-        "bits_refine": bits_refine_val,
-        "l1_total": float(l1_total.data),
-        "l1_residual": l1_resid_val,
+        "loss": float(value),
+        "bits_base": float(bits_base_row),
+        "bits_refine": float(bits_refine_row),
+        "l1_total": float(l1_total),
+        "l1_residual": float(l1_resid),
     }
-    return out, components
+    return Forward(float(value), streams, weights, rows), components
 
 
-def backward(loss_var: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
-    """Gradients for every learnable leaf; clears leaf grads afterwards."""
-    loss_var.backward()
-    grads = {}
-    for name, p in params.items():
-        if p.grad is not None:
-            grads[name] = p.grad
-            p.grad = None
-    return grads
+def backward(fwd: Forward, params: Params) -> np.ndarray:
+    """The gradient of ``fwd``'s loss, laid out like ``params.flat``."""
+    grad = np.zeros_like(params.flat)
+    grads = params.views(grad)
+    w_l1, w_resid, w_base, w_refine = fwd.weights
+    g_batch = None if fwd.rows is None else np.zeros((len(fwd.rows), params["table"].shape[1]))
+    for s in fwd.streams:
+        cfg = s.sm.config
+        p = cfg.name
+        v_m = s.sm.klt.basis[:, : cfg.rank]
+        g_f_hat = -w_l1 * np.sign(s.err)
+        g_theta = _latent_grad(s.base, g_f_hat @ v_m, w_base, grads)
+        g_r = 0.0  # at the truncation residual, joint mode only
+        if s.refine is not None:
+            model, beta, layers = s.unfold
+            g_r_hat = g_f_hat - w_resid * np.sign(s.resid_err)
+            d_y, d_measure, d_dict, d_step, d_thresh = _unfold_grad(
+                g_r_hat, s.refine.x_hat, model, beta, layers
+            )
+            g_y = _latent_grad(s.refine, d_y, w_refine, grads)
+            grads[f"{p}.ref.measure"] += d_measure + g_y.T @ s.r  # y = r @ A.T
+            grads[f"{p}.ref.dict"] += d_dict
+            grads[f"{p}.ref.step_raw"] += d_step
+            grads[f"{p}.ref.thresh_raw"] += d_thresh
+            if g_batch is not None:  # r = f - theta @ V.T - mean
+                g_r = w_resid * np.sign(s.resid_err) + g_y @ model.measure
+                g_theta = g_theta - g_r @ v_m
+        if g_batch is not None:  # theta = (f - mean) @ V
+            g_batch[:, cfg.col_start : cfg.col_end] = g_theta @ v_m.T + g_r
+    if g_batch is not None:
+        np.add.at(grads["table"], fwd.rows, g_batch)
+    return grad
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale ``grad`` in place to at most ``max_norm`` (0: no clipping);
+    returns its norm before."""
+    total = float(np.sqrt(grad @ grad))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
 def adam_step(
-    params: dict[str, Var],
-    grads: dict[str, np.ndarray],
+    theta: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ):
-    """In-place Adam update with bias correction."""
+    """In-place Adam update of the vector ``theta``, with bias correction."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.t += 1
     b1, b2 = betas
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    for name, g in grads.items():
-        p = params[name]
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    theta -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + eps)
 
 
-def apply_params(bundle: CodecBundle, params: dict[str, Var]) -> CodecBundle:
+def _latent_model(params: Params, key: str, n: int):
+    sched = channel_schedule(float(np.exp(params[f"{key}.log_qs"])), float(params[f"{key}.alpha"]), n)
+    model = GaussianEntropyModel(mu=params[f"{key}.mu"].copy(), sigma=np.exp(params[f"{key}.log_sigma"]))
+    return sched, model
+
+
+def apply_params(bundle: CodecBundle, params: Params) -> CodecBundle:
     """Bundle with the learned parameter values written back."""
     streams = []
     for sm in bundle.streams:
         p = sm.config.name
-        new = StreamModel(
-            config=sm.config,
-            klt=sm.klt,
-            base_sched=channel_schedule(
-                float(np.exp(params[f"{p}.base.log_qs"].data)),
-                float(params[f"{p}.base.alpha"].data),
-                sm.config.rank,
-            ),
-            base_entropy=GaussianEntropyModel(
-                mu=params[f"{p}.base.mu"].data.copy(),
-                sigma=np.exp(params[f"{p}.base.log_sigma"].data),
-            ),
-        )
+        base_sched, base_entropy = _latent_model(params, f"{p}.base", sm.config.rank)
+        new = StreamModel(config=sm.config, klt=sm.klt, base_sched=base_sched, base_entropy=base_entropy)
         if sm.refine is not None:
             new.refine = RefinementModel(
-                measure=params[f"{p}.ref.measure"].data.copy(),
-                dictionary=params[f"{p}.ref.dict"].data.copy(),
-                step_raw=params[f"{p}.ref.step_raw"].data.copy(),
-                thresh_raw=params[f"{p}.ref.thresh_raw"].data.copy(),
+                measure=params[f"{p}.ref.measure"].copy(),
+                dictionary=params[f"{p}.ref.dict"].copy(),
+                step_raw=params[f"{p}.ref.step_raw"].copy(),
+                thresh_raw=params[f"{p}.ref.thresh_raw"].copy(),
             )
-            new.refine_sched = channel_schedule(
-                float(np.exp(params[f"{p}.ref.log_qs"].data)),
-                float(params[f"{p}.ref.alpha"].data),
-                sm.config.n_meas,
-            )
-            new.refine_entropy = GaussianEntropyModel(
-                mu=params[f"{p}.ref.mu"].data.copy(),
-                sigma=np.exp(params[f"{p}.ref.log_sigma"].data),
-            )
+            new.refine_sched, new.refine_entropy = _latent_model(params, f"{p}.ref", sm.config.n_meas)
         streams.append(new)
     return CodecBundle(streams=streams)
 
@@ -322,24 +487,21 @@ def train(
     batch_size = min(config.batch, n)
     rng = np.random.default_rng(config.seed)
     bundle = fit_bundle(x, configs, rng)
-    params = make_params(bundle)
-    if config.joint:
-        params["table"] = Var(x.copy(), requires_grad=True)
+    params = make_params(bundle, x if config.joint else None)
     state = AdamState()
     log: list[dict] = []
     for it in range(config.iters):
         idx = rng.integers(0, n, size=batch_size)
-        batch_var = ad.take_rows(params["table"], idx) if config.joint else None
-        loss_var, comps = loss(x[idx], bundle, params, config, rng, batch_var=batch_var)
-        if not np.isfinite(loss_var.data):
+        fwd, comps = loss(x[idx], bundle, params, config, rng, rows=idx if config.joint else None)
+        if not np.isfinite(fwd.value):
             raise Diverged(f"non-finite loss at iteration {it}: {comps}")
-        grads = backward(loss_var, params)
-        grad_norm = clip_gradients(grads, config.grad_clip)
+        grad = backward(fwd, params)
+        grad_norm = clip_gradients(grad, config.grad_clip)
         lr = config.lr * config.lr_decay ** (it / max(config.iters - 1, 1))
-        adam_step(params, grads, state, lr)
+        adam_step(params.flat, grad, state, lr)
         if (it + 1) % config.log_every == 0 or it == 0:
             comps["iter"] = it + 1
-            comps["grad_norm"] = float(grad_norm)
+            comps["grad_norm"] = grad_norm
             comps["lr"] = lr
             log.append(comps)
         if (
@@ -348,9 +510,9 @@ def train(
             and (it + 1) % config.refit_period == 0
             and it + 1 < config.iters
         ):
-            bundle = _refit_bases(params["table"].data, bundle)
+            bundle = _refit_bases(params["table"], bundle)
     if config.joint:
-        bundle = _refit_bases(params["table"].data, bundle)
+        bundle = _refit_bases(params["table"], bundle)
     bundle = apply_params(bundle, params)
-    bundle = _recalibrate_entropy(bundle, params["table"].data if config.joint else x)
+    bundle = _recalibrate_entropy(bundle, params["table"] if config.joint else x)
     return bitstream.finalize_bundle(bundle), log

@@ -106,19 +106,15 @@ class TestCriterion3GradientCorrectness:
             batch = x[:12]
             if _kink_margins(batch, bundle, params, tc, probe) < 1e-4:
                 continue
-            loss_var, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
-            grads = trainer.backward(loss_var, params)
+            fwd, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
+            grads = params.views(trainer.backward(fwd, params))
 
             def value():
-                lv, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
-                return float(lv.data)
+                return trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))[0].value
 
             for name, p in params.items():
-                g = grads.get(name)
-                if g is None:
-                    continue
-                gf = np.asarray(g).reshape(-1)
-                flat = p.data.reshape(-1)
+                gf = grads[name].reshape(-1)
+                flat = p.reshape(-1)
                 i = int(np.argmax(np.abs(gf)))
                 orig = flat[i]
                 flat[i] = orig + h

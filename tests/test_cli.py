@@ -74,6 +74,16 @@ class TestConfigParsing:
         assert code == 2
 
 
+    def test_bad_training_settings_rejected(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        cli.save_table(data, np.random.default_rng(0).normal(size=(300, 8)))
+        for line in ("log_every = 0", "batch = -5", "batch = 0", "lr = -1", "iters = -3"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            assert cli.main(["fit", str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 2, line
+            assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.shtc").exists()
+
     def test_unset_keys_keep_the_defaults_of_the_callee(self):
         from shtc.codec import default_configs
         from shtc.trainer import TrainConfig

@@ -250,9 +250,7 @@ class TestSparsityPriorPaysOff:
         """On a 5-sparse residual source, the unfolded decoder reconstructs
         strictly better than a generic two-matrix linear decoder with the
         same parameter budget and optimizer budget."""
-        import shtc.autodiff as ad
-        from shtc.autodiff import Var
-        from shtc.trainer import AdamState, adam_step, clip_gradients
+        from shtc.trainer import AdamState, Params, _unfold_grad, adam_step, clip_gradients
 
         dim, n_meas, k, n_rows, iters = 50, 15, 5, 20000, 1500
         rng = np.random.default_rng(0)
@@ -260,37 +258,45 @@ class TestSparsityPriorPaysOff:
         cols = np.argsort(rng.random((n_rows, dim)), axis=1)[:, :k]
         np.put_along_axis(r, cols, rng.normal(0.0, 1.0, cols.shape), axis=1)
 
-        def train(params, forward, seed):
+        def train(params, add_grads, seed):
+            """Adam on the mean l1 error, whose gradient at a batch
+            ``add_grads(batch, params, grads)`` adds into the named views ``grads``."""
             rng_t = np.random.default_rng(seed)
             state = AdamState()
             for it in range(iters):
                 idx = rng_t.integers(0, n_rows, 128)
-                batch = Var(r[idx])
-                loss = ad.vabs(batch - forward(batch, params)).sum() * (1.0 / batch.data.size)
-                loss.backward()
-                grads = {k_: p.grad for k_, p in params.items() if p.grad is not None}
-                for p in params.values():
-                    p.grad = None
-                clip_gradients(grads, 10.0)
-                adam_step(params, grads, state, 0.01 * 0.05 ** (it / iters))
+                batch = r[idx]
+                grad = np.zeros_like(params.flat)
+                add_grads(batch, params, params.views(grad))
+                clip_gradients(grad, 10.0)
+                adam_step(params.flat, grad, state, 0.01 * 0.05 ** (it / iters))
             return params
+
+        def l1_grad(batch, decoded):
+            # d mean|batch - decoded| / d decoded
+            return -np.sign(batch - decoded) * (1.0 / batch.size)
+
+        def unfold_grads(batch, p, grads):
+            model = refinement.RefinementModel(p["A"], p["D"], p["a"], p["b"])
+            y = batch @ p["A"].T
+            layers = []
+            beta = refinement.unfold_code(y, model, record=layers)
+            g = l1_grad(batch, beta @ p["D"].T)
+            d_y, d_a, d_d, d_step, d_thresh = _unfold_grad(g, y, model, beta, layers)
+            grads["A"] += d_a + d_y.T @ batch
+            grads["D"] += d_d
+            grads["a"] += d_step
+            grads["b"] += d_thresh
 
         # unfolded decoder at the default architecture
         init = refinement.init_refinement(dim, n_meas, dim, 6, np.random.default_rng(1), thresh_init=0.15)
-        unfold_params = {
-            "A": Var(init.measure, requires_grad=True),
-            "D": Var(init.dictionary, requires_grad=True),
-            "a": Var(init.step_raw, requires_grad=True),
-            "b": Var(init.thresh_raw, requires_grad=True),
-        }
         unfold_params = train(
-            unfold_params,
-            lambda batch, p: ad.unfold(batch @ p["A"].T, p["A"], p["D"], p["a"], p["b"]),
+            Params({"A": init.measure, "D": init.dictionary, "a": init.step_raw, "b": init.thresh_raw}),
+            unfold_grads,
             seed=2,
         )
         model = refinement.RefinementModel(
-            unfold_params["A"].data, unfold_params["D"].data,
-            unfold_params["a"].data, unfold_params["b"].data,
+            unfold_params["A"], unfold_params["D"], unfold_params["a"], unfold_params["b"]
         )
         unfold_err = np.abs(r - refinement.unfold_synthesize(refinement.analyze_refine(r, model), model)).mean()
 
@@ -298,18 +304,25 @@ class TestSparsityPriorPaysOff:
         # decoder params D*N_d + 2*N_u*N_d = 3100 -> hidden 47 (3055 params)
         hidden = (dim * dim + 2 * 6 * dim) // (n_meas + dim)
         rng_l = np.random.default_rng(1)
-        lin_params = {
-            "A": Var(rng_l.normal(0, 1 / np.sqrt(dim), (n_meas, dim)), requires_grad=True),
-            "W1": Var(rng_l.normal(0, 1 / np.sqrt(n_meas), (n_meas, hidden)), requires_grad=True),
-            "W2": Var(rng_l.normal(0, 1 / np.sqrt(hidden), (hidden, dim)), requires_grad=True),
-        }
+
+        def linear_grads(batch, p, grads):
+            h1 = batch @ p["A"].T
+            h2 = h1 @ p["W1"]
+            g = l1_grad(batch, h2 @ p["W2"])
+            grads["W2"] += h2.T @ g
+            g_h2 = g @ p["W2"].T
+            grads["W1"] += h1.T @ g_h2
+            grads["A"] += (g_h2 @ p["W1"].T).T @ batch
+
         lin_params = train(
-            lin_params,
-            lambda batch, p: ((batch @ p["A"].T) @ p["W1"]) @ p["W2"],
+            Params({
+                "A": rng_l.normal(0, 1 / np.sqrt(dim), (n_meas, dim)),
+                "W1": rng_l.normal(0, 1 / np.sqrt(n_meas), (n_meas, hidden)),
+                "W2": rng_l.normal(0, 1 / np.sqrt(hidden), (hidden, dim)),
+            }),
+            linear_grads,
             seed=2,
         )
-        lin_err = np.abs(
-            r - ((r @ lin_params["A"].data.T) @ lin_params["W1"].data) @ lin_params["W2"].data
-        ).mean()
+        lin_err = np.abs(r - ((r @ lin_params["A"].T) @ lin_params["W1"]) @ lin_params["W2"]).mean()
 
         assert unfold_err < lin_err, (unfold_err, lin_err)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from shtc import codec, trainer
-from shtc.autodiff import Var
 from shtc.errors import ConfigError, InsufficientData
-from shtc.trainer import AdamState, TrainConfig, adam_step
+from shtc.trainer import AdamState, TrainConfig
 
 
 def toy_table(seed=0, n=64, d=8, rank=3, spikes=2):
@@ -19,12 +18,14 @@ def toy_table(seed=0, n=64, d=8, rank=3, spikes=2):
     return x + 0.01 * rng.normal(size=(n, d))
 
 
-def toy_setup(seed=0, transform="shtc-full"):
+def toy_setup(seed=0, transform="shtc-full", scaling_cols=0, joint=False):
     x = toy_table(seed)
-    configs = codec.default_configs(8, transform=transform, rank=3, n_meas=3, n_layers=2)
+    configs = codec.default_configs(
+        8, transform=transform, rank=3, n_meas=3, n_layers=2, scaling_cols=scaling_cols
+    )
     rng = np.random.default_rng(seed)
     bundle = codec.fit_bundle(x, configs, rng)
-    params = trainer.make_params(bundle)
+    params = trainer.make_params(bundle, x if joint else None)
     tc = TrainConfig(lam=0.01, iters=10, batch=16, seed=seed)
     return x, bundle, params, tc
 
@@ -40,10 +41,26 @@ class TestConfig:
         assert tc.lambda_e == pytest.approx(0.03)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lam=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(lambda_e=-1.0)
+        nan, inf = float("nan"), float("inf")
+        bad = [
+            *({"lam": v} for v in (0.0, nan, inf)),
+            *({"lambda_e": v} for v in (-1.0, nan, inf)),
+            {"seed": -1},
+            {"batch": 0},
+            {"batch": -5},
+            {"log_every": 0},
+            {"iters": -3},
+            {"refit_period": -1},
+            *({"lr": v} for v in (-1.0, 0.0, nan, inf)),
+            *({"grad_clip": v} for v in (-1.0, nan, inf)),
+            *({"lr_decay": v} for v in (0.0, -0.5, 1.5, nan)),
+        ]
+        for kw in bad:
+            with pytest.raises(ConfigError):
+                TrainConfig(**kw)
+
+    def test_edge_values_accepted(self):
+        TrainConfig(iters=0, batch=1, refit_period=0, grad_clip=0.0, log_every=1, lr_decay=1.0)
 
 
 class TestLoss:
@@ -54,9 +71,9 @@ class TestLoss:
         configs = codec.default_configs(8, transform="klt-trunc", rank=8)
         bundle = codec.fit_bundle(x, configs, np.random.default_rng(1))
         params = trainer.make_params(bundle)
-        params["feat.base.log_qs"].data = np.log(1e-12)
+        params["feat.base.log_qs"][...] = np.log(1e-12)
         tc = TrainConfig(lam=0.01)
-        loss_var, comps = trainer.loss(x[:32], bundle, params, tc, np.random.default_rng(0))
+        _, comps = trainer.loss(x[:32], bundle, params, tc, np.random.default_rng(0))
         assert comps["l1_total"] < 1e-9
         assert comps["loss"] == pytest.approx(tc.lam * comps["bits_base"], rel=1e-6)
 
@@ -75,24 +92,23 @@ class TestLoss:
         x, bundle, params, tc = toy_setup(4)
         l1, c1 = trainer.loss(x[:16], bundle, params, tc, np.random.default_rng(9))
         l2, c2 = trainer.loss(x[:16], bundle, params, tc, np.random.default_rng(9))
-        assert float(l1.data) == float(l2.data)
+        assert l1.value == l2.value
         assert c1 == c2
 
 
-def _kink_margins(x, bundle, params, tc, rng_seed):
+def _kink_margins(x, bundle, params, tc, rng_seed, rows=None):
     """Smallest distance to any nondifferentiable point in the forward pass.
 
-    Spies on the shared forward helpers the fused tape nodes run: every
-    soft-threshold layer of ``refinement.unfold_code``, every bin mass of
-    ``entropy.bin_bits`` against the probability floor, and every ``ad.vabs``.
+    Spies on the shared forward helpers the loss runs, through their modules:
+    every soft-threshold layer of ``refinement.unfold_code`` and every bin
+    mass of ``entropy.bin_bits`` against the probability floor. The l1 kinks,
+    f - f_hat and r - r_hat, come from the intermediates the loss keeps.
     """
-    import shtc.autodiff as ad
     from shtc import entropy, refinement
 
     margins = [np.inf]
     orig_unfold = refinement.unfold_code
     orig_bits = entropy.bin_bits
-    orig_abs = ad.vabs
 
     def unfold_spy(y, model, record=None):
         layers = [] if record is None else record
@@ -107,50 +123,57 @@ def _kink_margins(x, bundle, params, tc, rng_seed):
         margins.append(np.abs(out[1] - entropy._PROB_FLOOR).min())
         return out
 
-    def abs_spy(a):
-        margins.append(np.abs(a.data).min())
-        return orig_abs(a)
-
     refinement.unfold_code = unfold_spy
     entropy.bin_bits = bits_spy
-    ad.vabs = abs_spy
-    # the trainer and the fused nodes look these up through their modules
     try:
-        trainer.loss(x, bundle, params, tc, np.random.default_rng(rng_seed))
+        fwd, _ = trainer.loss(x, bundle, params, tc, np.random.default_rng(rng_seed), rows=rows)
     finally:
         refinement.unfold_code = orig_unfold
         entropy.bin_bits = orig_bits
-        ad.vabs = orig_abs
+    for s in fwd.streams:
+        margins.append(np.abs(s.err).min())
+        if s.resid_err is not None:
+            margins.append(np.abs(s.resid_err).min())
     return min(margins)
 
 
+# (toy_setup keywords, batch rows of the table); the joint batch repeats a
+# row, so the table gradient must add both of its copies
+PIPELINE_CASES = {
+    "one-stream": ({}, None),
+    "two-streams": ({"scaling_cols": 2}, None),
+    "joint": ({"joint": True}, np.r_[np.arange(15), 3]),
+}
+
+
 class TestFullPipelineGradients:
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("case", list(PIPELINE_CASES))
+    def test_gradients_match_finite_differences(self, case):
         # noise-mode quantization keeps the pipeline differentiable a.e.;
         # probes landing near a kink are resampled
+        setup, rows = PIPELINE_CASES[case]
         h = 1e-5
         checked = 0
         probe = 0
         while checked < 5 and probe < 25:
             probe += 1
-            x, bundle, params, tc = toy_setup(seed=100 + probe)
-            batch = x[:16]
-            if _kink_margins(batch, bundle, params, tc, probe) < 1e-4:
+            x, bundle, params, tc = toy_setup(seed=100 + probe, **setup)
+            batch = x[:16] if rows is None else x[rows]
+            if _kink_margins(batch, bundle, params, tc, probe, rows) < 1e-4:
                 continue
-            loss_var, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
-            grads = trainer.backward(loss_var, params)
+            fwd, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe), rows=rows)
+            grads = params.views(trainer.backward(fwd, params))
 
             def value():
-                lv, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
-                return float(lv.data)
+                return trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe), rows=rows)[0].value
 
             for name, p in params.items():
-                g = grads.get(name)
-                if g is None:
-                    continue
-                flat = p.data.reshape(-1)
-                gf = np.asarray(g).reshape(-1)
+                flat = p.reshape(-1)
+                gf = grads[name].reshape(-1)
                 idx = np.argsort(-np.abs(gf))[:3]  # largest entries per parameter
+                if name == "table":  # and the largest of the row the batch holds twice
+                    row = p.shape[1] * rows[-1]
+                    idx = np.r_[idx, row + np.argmax(np.abs(gf[row : row + p.shape[1]]))]
                 for i in idx:
                     orig = flat[i]
                     flat[i] = orig + h
@@ -166,37 +189,36 @@ class TestFullPipelineGradients:
 
 
 class TestAdam:
-    def test_simple_quadratic_gradient(self):
-        v = Var(np.array([1.0, 2.0]), requires_grad=True)
-        (v * v).sum().backward()
-        assert np.allclose(v.grad, [2.0, 4.0])
-
     def test_bias_corrected_first_step(self):
-        params = {"w": Var(np.array([1.0]), requires_grad=True)}
-        state = AdamState()
-        adam_step(params, {"w": np.array([0.5])}, state, lr=0.1)
+        w = np.array([1.0])
+        trainer.adam_step(w, np.array([0.5]), AdamState(), lr=0.1)
         # first step moves by ~lr regardless of gradient scale
-        assert params["w"].data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
+        assert w[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
     def test_zero_gradient_fixed_point(self):
-        params = {"w": Var(np.array([3.0]), requires_grad=True)}
-        state = AdamState()
-        adam_step(params, {"w": np.array([0.0])}, state, lr=0.1)
-        assert params["w"].data[0] == pytest.approx(3.0, abs=1e-9)
+        w = np.array([3.0])
+        trainer.adam_step(w, np.array([0.0]), AdamState(), lr=0.1)
+        assert w[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_converges_on_quadratic(self):
-        params = {"w": Var(np.array([5.0, -3.0]), requires_grad=True)}
+        w = np.array([5.0, -3.0])
         state = AdamState()
         for _ in range(800):
-            g = 2.0 * params["w"].data
-            adam_step(params, {"w": g}, state, lr=0.05)
-        assert np.abs(params["w"].data).max() < 1e-3
+            trainer.adam_step(w, 2.0 * w, state, lr=0.05)
+        assert np.abs(w).max() < 1e-3
+
+    def test_updates_named_views_in_place(self):
+        params = trainer.Params({"a": 1.0, "b": np.array([[2.0, -2.0]])})
+        a, b = params["a"], params["b"]
+        trainer.adam_step(params.flat, np.array([1.0, -1.0, 1.0]), AdamState(), lr=0.1)
+        assert params["a"] is a and params["b"] is b
+        assert a == pytest.approx(0.9) and b == pytest.approx(np.array([[2.1, -2.1]]))
 
     def test_clip_gradients(self):
-        grads = {"a": np.array([30.0]), "b": np.array([40.0])}
-        norm = trainer.clip_gradients(grads, 10.0)
+        grad = np.array([30.0, 40.0])
+        norm = trainer.clip_gradients(grad, 10.0)
         assert norm == pytest.approx(50.0)
-        assert np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) == pytest.approx(10.0)
+        assert np.linalg.norm(grad) == pytest.approx(10.0)
 
 
 class TestTrain:
