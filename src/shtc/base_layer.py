@@ -12,21 +12,22 @@ from .errors import BadSize, DimMismatch
 
 @dataclass(frozen=True)
 class KltModel:
-    """Fitted channel transform: column means, orthonormal basis, spectrum.
-
-    ``basis`` holds eigenvectors as columns, ordered by descending
-    eigenvalue; ``rank`` is the number of retained (coded) coefficients.
-    Immutable after fitting.
+    """Base transform as the file carries it: column means and the retained
+    orthonormal basis columns (a fitted KLT's leading eigenvectors, by
+    descending eigenvalue). Immutable after fitting.
     """
 
     mean: np.ndarray
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-    rank: int
+    basis: np.ndarray  # (dim, rank)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Retained (coded) coefficients."""
+        return self.basis.shape[1]
 
 
 def fit_klt(x: np.ndarray, rank: int) -> KltModel:
@@ -35,28 +36,27 @@ def fit_klt(x: np.ndarray, rank: int) -> KltModel:
     d = x.shape[1]
     if not 1 <= rank <= d:
         raise BadSize(f"rank must be in [1, {d}], got {rank}")
-    s = linalg.covariance(x)
-    evals, v = linalg.sym_eig(s)
-    return KltModel(mean=x.mean(axis=0), basis=v, eigenvalues=evals, rank=rank)
+    _, v = linalg.sym_eig(linalg.covariance(x))
+    return KltModel(mean=x.mean(axis=0), basis=v[:, :rank])
 
 
 def analyze_base(f: np.ndarray, model: KltModel) -> np.ndarray:
-    """Project onto the retained basis: first ``rank`` entries of V^T (f - m).
+    """Project onto the retained basis: V^T (f - m).
 
     Accepts a single vector (D,) or a table (N, D).
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape[-1] != model.dim:
         raise DimMismatch(f"expected last dim {model.dim}, got {f.shape[-1]}")
-    return (f - model.mean) @ model.basis[:, : model.rank]
+    return (f - model.mean) @ model.basis
 
 
 def synthesize_base(theta_p: np.ndarray, model: KltModel) -> np.ndarray:
-    """Reconstruct from retained coefficients: V[:, :rank] theta + m."""
+    """Reconstruct from retained coefficients: V theta + m."""
     theta_p = np.asarray(theta_p, dtype=np.float64)
     if theta_p.shape[-1] != model.rank:
         raise DimMismatch(f"expected last dim {model.rank}, got {theta_p.shape[-1]}")
-    return theta_p @ model.basis[:, : model.rank].T + model.mean
+    return theta_p @ model.basis.T + model.mean
 
 
 def residual(f: np.ndarray, f_base: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ length) plus entropy-coded payloads (L(D|M)).
 Layout (all ints little-endian, floats 32-bit LE; full byte map in
 ``docs/format.md``):
 
-    header:  magic "SHTC" | version u16 | stream count u16 | reserved u32
+    header:  magic "SHTC" | version u16 | stream count u16 | rows u32
              | crc32 of the 12 preceding bytes
     stream:  dims block, model block, payload block
     block:   content length u32 | content | crc32(content)
@@ -20,14 +20,15 @@ import numpy as np
 from .base_layer import KltModel
 from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis
 from .entropy import GaussianEntropyModel
-from .errors import BadMagic, BadSize, ChecksumError, DecodeError, VersionUnsupported
+from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, DimMismatch, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 2
+VERSION = 3
 
-_DIMS_FMT = "<8sBBHHHHHHHI"
+_HEAD_FMT = "<4sHHI"
+_DIMS_FMT = "<8sBHHHHHHI"
 
 
 def _f32_bytes(*arrays) -> bytes:
@@ -48,10 +49,8 @@ def _dims_content(sm: StreamModel) -> bytes:
         _DIMS_FMT,
         cfg.name.encode("ascii"),
         TRANSFORMS.index(cfg.transform),
-        1 if sm.refine is not None else 0,
         cfg.col_start,
         cfg.col_end,
-        cfg.dim,
         cfg.rank,
         cfg.n_meas,
         cfg.atoms,
@@ -61,7 +60,7 @@ def _dims_content(sm: StreamModel) -> bytes:
 
 
 def _model_content(sm: StreamModel) -> bytes:
-    parts = [sm.klt.mean, sm.klt.eigenvalues]
+    parts = [sm.klt.mean]
     if sm.config.stores_basis:
         parts.append(sm.klt.basis)
     parts += [
@@ -82,32 +81,33 @@ def _model_content(sm: StreamModel) -> bytes:
     return _f32_bytes(*parts)
 
 
-def _payload_content(payload: StreamPayload | None) -> bytes:
-    latents = payload.latents if payload is not None else []
-    out = bytearray(struct.pack("<I", len(latents)))
-    for count, data in latents:
-        out += struct.pack("<II", count, len(data))
-        out += data
+def _payload_content(payload: StreamPayload) -> bytes:
+    out = bytearray(struct.pack("<I", len(payload.latents)))
+    for data in payload.latents:
+        out += struct.pack("<I", len(data)) + data
     return bytes(out)
 
 
 def serialize(bundle: CodecBundle, payloads: list[StreamPayload] | None = None) -> tuple[bytes, dict]:
-    """Serialize to bytes; returns (data, {"model_bytes", "payload_bytes"})."""
+    """Serialize to bytes; returns (data, {"model_bytes", "payload_bytes"}).
+    Without payloads the file is bundle-only: 0 rows, no latents."""
     if payloads is None:
-        payloads = [None] * len(bundle.streams)
+        payloads = [StreamPayload([], 0)] * len(bundle.streams)
     if len(payloads) != len(bundle.streams):
-        raise DecodeError("payload list does not match stream count")
-    head = struct.pack("<4sHHI", MAGIC, VERSION, len(bundle.streams), 0)
+        raise DimMismatch("payload list does not match stream count")
+    rows = {p.rows for p in payloads} or {0}
+    if len(rows) > 1:
+        raise DimMismatch(f"the payloads of one file differ in row count: {sorted(rows)}")
+    head = struct.pack(_HEAD_FMT, MAGIC, VERSION, len(bundle.streams), rows.pop())
     out = bytearray(head + struct.pack("<I", zlib.crc32(head)))
     model_bytes = 0
     payload_bytes = 0
     for sm, payload in zip(bundle.streams, payloads):
         dims = _dims_content(sm)
         model = _model_content(sm)
-        pay = _payload_content(payload)
         model_bytes += len(dims) + len(model)
-        payload_bytes += sum(len(d) for _, d in (payload.latents if payload else []))
-        out += _block(dims) + _block(model) + _block(pay)
+        payload_bytes += sum(map(len, payload.latents))
+        out += _block(dims) + _block(model) + _block(_payload_content(payload))
     return bytes(out), {"model_bytes": model_bytes, "payload_bytes": payload_bytes}
 
 
@@ -175,46 +175,23 @@ def _read_stream(dims: bytes, model: bytes) -> StreamModel:
     ``finalize_bundle`` reads back what the writer makes of a fitted model."""
     if len(dims) != struct.calcsize(_DIMS_FMT):
         raise DecodeError("dims block has the wrong length")
-    name, kind, has_ref, cs, ce, dim, rank, n_meas, n_atoms, n_layers, ref_floats = struct.unpack(
-        _DIMS_FMT, dims
-    )
+    name, kind, cs, ce, rank, n_meas, n_atoms, n_layers, ref_floats = struct.unpack(_DIMS_FMT, dims)
     name = name.rstrip(b"\x00")
     if not name.isascii():
         raise DecodeError("stream name is not ascii")
     if kind >= len(TRANSFORMS):
         raise DecodeError(f"unknown transform kind {kind}")
-    if not (cs < ce and dim == ce - cs):
-        raise DecodeError(f"columns [{cs}, {ce}) do not give a stream of dim {dim}")
-    if not 1 <= rank <= dim:
-        raise DecodeError(f"rank {rank} outside [1, {dim}]")
-    cfg = StreamConfig(
-        name=name.decode("ascii"),
-        col_start=cs,
-        col_end=ce,
-        transform=TRANSFORMS[kind],
-        rank=rank,
-        n_meas=n_meas,
-        n_atoms=n_atoms,
-        n_layers=n_layers,
-    )
-    if has_ref != cfg.has_refinement:  # 0 or 1, and 1 only for a shtc-full stream below full rank
-        raise DecodeError(f"has_refinement {has_ref} does not fit a {cfg.transform} stream of rank {rank}")
+    try:
+        cfg = StreamConfig(name.decode("ascii"), cs, ce, TRANSFORMS[kind], rank, n_meas, n_atoms, n_layers)
+    except ConfigError as exc:
+        raise DecodeError(f"dims block: {exc}") from exc
+    dim = cfg.dim
     take, exhausted = _f32_reader(model)
     mean = take(dim)
-    evals = take(dim)
-    if cfg.stores_basis:
-        basis = take((dim, dim))
-    else:
-        try:
-            basis = _fixed_basis(cfg.transform, dim)
-        except BadSize as exc:  # a haar stream of odd dim
-            raise DecodeError(str(exc)) from exc
-    klt = KltModel(mean=mean, basis=basis, eigenvalues=evals, rank=rank)
-    sm = StreamModel(cfg, klt, *_latent_model(take, rank))
-    if has_ref:
-        if n_meas == 0:
-            raise DecodeError("refinement with no measurements")
-        shapes = ((n_meas, dim), (dim, n_atoms), (n_layers, n_atoms), (n_layers, n_atoms))
+    basis = take((dim, rank)) if cfg.stores_basis else _fixed_basis(cfg.transform, dim)[:, :rank]
+    sm = StreamModel(cfg, KltModel(mean=mean, basis=basis), *_latent_model(take, rank))
+    if cfg.has_refinement:  # a shtc-full stream below full rank
+        shapes = ((n_meas, dim), (dim, cfg.atoms), (n_layers, cfg.atoms), (n_layers, cfg.atoms))
         sm.refine = RefinementModel(*(take(shape) for shape in shapes))
         if param_count(sm.refine) != ref_floats:
             raise DecodeError("declared refinement parameter count mismatch")
@@ -235,7 +212,7 @@ def finalize_bundle(bundle: CodecBundle) -> CodecBundle:
 def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
     rd = _Reader(data)
     head = rd.take(12)
-    magic, version, n_streams, _ = struct.unpack("<4sHHI", head)
+    magic, version, n_streams, rows = struct.unpack(_HEAD_FMT, head)
     (crc,) = struct.unpack("<I", rd.take(4))
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
@@ -251,11 +228,11 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
         (n_latents,) = struct.unpack("<I", pay.take(4))
         latents = []
         for _ in range(n_latents):
-            count, nbytes = struct.unpack("<II", pay.take(8))
-            latents.append((count, pay.take(nbytes)))
+            (nbytes,) = struct.unpack("<I", pay.take(4))
+            latents.append(pay.take(nbytes))
         if pay.pos != len(pay.data):
             raise DecodeError("payload block has trailing bytes")
-        payloads.append(StreamPayload(latents=latents))
+        payloads.append(StreamPayload(latents, rows))
     if rd.pos != len(rd.data):
         raise DecodeError("file has trailing bytes")
     return CodecBundle(streams=streams), payloads
@@ -271,15 +248,13 @@ def mdl_report(path) -> dict:
     with open(path, "rb") as fh:
         data = fh.read()
     bundle, payloads = deserialize(data)
+    rows = struct.unpack_from(_HEAD_FMT, data)[3]
     per_stream = []
     model_total = 0
     payload_total = 0
-    rows = None
     for sm, payload in zip(bundle.streams, payloads):
         m = len(_dims_content(sm)) + len(_model_content(sm))
-        p = sum(len(d) for _, d in payload.latents)
-        if payload.latents and rows is None:
-            rows = payload.latents[0][0] // sm.config.rank
+        p = sum(map(len, payload.latents))
         per_stream.append(
             {"stream": sm.config.name, "model_bytes": m, "payload_bytes": p}
         )

@@ -309,8 +309,7 @@ def cmd_report(args) -> int:
         from .base_layer import fit_klt
 
         x = load_table(args.table)
-        rank = min(15, x.shape[1])
-        out["analysis"] = bench.analysis_report(x, fit_klt(x, rank), args.out)
+        out["analysis"] = bench.analysis_report(x, fit_klt(x, x.shape[1]), args.out)
     if args.bitstream:
         from . import bitstream
 

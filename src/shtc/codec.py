@@ -28,6 +28,8 @@ TRANSFORMS = ("none", "dct", "haar", "klt-trunc", "shtc-full")
 # Transform kinds whose basis must be transmitted (data-dependent).
 _STORED_BASIS = ("klt-trunc", "shtc-full")
 
+_U16 = 1 << 16  # the dims block stores columns, rank, n_meas, n_atoms and n_layers as u16
+
 
 @dataclass
 class StreamConfig:
@@ -43,14 +45,23 @@ class StreamConfig:
     n_layers: int = 6
 
     def __post_init__(self):
+        """The one definition of a valid stream: a configuration and a file's
+        dims block (``bitstream._read_stream``) both pass through it."""
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {self.transform!r}")
         if not self.name.isascii() or len(self.name) > 8:
             raise ConfigError("stream name must be ascii, at most 8 chars")
+        for key in ("col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers"):
+            if not 0 <= getattr(self, key) < _U16:
+                raise ConfigError(f"{key} = {getattr(self, key)} does not fit a u16")
         if self.col_end <= self.col_start:
-            raise ConfigError("empty column range")
+            raise ConfigError(f"empty column range [{self.col_start}, {self.col_end})")
         if not 1 <= self.rank <= self.dim:
-            raise ConfigError(f"rank must be in [1, {self.dim}]")
+            raise ConfigError(f"rank {self.rank} outside [1, {self.dim}]")
+        if self.n_meas < 1 or self.n_layers < 1:
+            raise ConfigError(f"n_meas {self.n_meas} and n_layers {self.n_layers} must be at least 1")
+        if self.transform == "haar" and self.dim > 1 and self.dim % 2:
+            raise ConfigError(f"haar needs an even size, got dim {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -162,10 +173,7 @@ def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> St
     if cfg.stores_basis:
         klt = base_layer.fit_klt(xs, cfg.rank)
     else:
-        mean = xs.mean(axis=0)
-        basis = _fixed_basis(cfg.transform, cfg.dim)
-        coeffs = (xs - mean) @ basis
-        klt = KltModel(mean=mean, basis=basis, eigenvalues=coeffs.var(axis=0), rank=cfg.rank)
+        klt = KltModel(mean=xs.mean(axis=0), basis=_fixed_basis(cfg.transform, cfg.dim)[:, : cfg.rank])
     theta_p = base_layer.analyze_base(xs, klt)
     sd = _coeff_stats(theta_p)
     sm = StreamModel(
@@ -195,9 +203,10 @@ def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Genera
 
 @dataclass
 class StreamPayload:
-    """Entropy-coded latents of one stream: (symbol_count, coded_bytes)."""
+    """Coded bytes of one stream's latents, each over the file's ``rows`` rows."""
 
-    latents: list[tuple[int, bytes]]
+    latents: list[bytes]
+    rows: int
 
 
 def _latent_models(sm: StreamModel) -> list[tuple[GaussianEntropyModel, QuantSchedule]]:
@@ -250,14 +259,13 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[list[StreamPayload
         for sm, syms in zip(bundle.streams, symbols)
         for sym, model in zip(syms, _latent_models(sm))
     ]))
-    payloads = [StreamPayload(latents=[(sym.size, next(coded)) for sym in syms]) for syms in symbols]
+    payloads = [StreamPayload([next(coded) for _ in syms], x.shape[0]) for syms in symbols]
     return payloads, recon
 
 
 def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarray:
-    """The table a file decodes to. Every latent of the file is decoded in one
-    ``decode_latents`` loop, which first checks that all of them have one row
-    count."""
+    """The table a file decodes to: its payloads share the file's one row
+    count, and every latent is decoded in one ``decode_latents`` loop."""
     if len(payloads) != len(bundle.streams):
         raise DimMismatch("payload count does not match stream count")
     if not bundle.streams:
@@ -267,10 +275,10 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
         models = _latent_models(sm)
         if len(payload.latents) != len(models):
             raise DecodeError(f"stream {sm.config.name!r} carries {len(payload.latents)} coded latents")
-        latents += [(data, count, *model) for (count, data), model in zip(payload.latents, models)]
-    decoded = decode_latents(latents)
-    out = np.zeros((decoded[0].shape[0], bundle.dim))
-    symbols = iter(decoded)
+        latents += [(data, *model) for data, model in zip(payload.latents, models)]
+    rows = payloads[0].rows
+    symbols = iter(decode_latents(rows, latents))
+    out = np.zeros((rows, bundle.dim))
     for sm in bundle.streams:
         rec = _reconstruct_stream(sm, *(next(symbols) for _ in _latent_models(sm)))
         if not np.isfinite(rec).all():

@@ -232,32 +232,22 @@ def encode_latents(latents) -> list[bytes]:
     return coded
 
 
-def decode_latents(latents) -> list[np.ndarray]:
+def decode_latents(rows: int, latents) -> list[np.ndarray]:
     """Inverse of :func:`encode_latents`: ``latents`` lists
-    ``(data, count, model, sched)``, ``count`` being a latent's symbol count.
+    ``(data, model, sched)``, each latent coding ``rows`` rows.
 
-    Each payload is checked against its count before anything of that size
-    is allocated: it must hold every lane's state, so a payload of B bytes
-    decodes to fewer than 1024 * B symbols. Every latent must have the same
-    row count.
+    Each payload is checked against ``rows`` before anything of that size is
+    allocated: it must hold every lane's state, so a payload of B bytes
+    decodes to fewer than 1024 * B symbols.
     """
-    rows = None
-    for _, count, model, _ in latents:
-        r = count // model.n if model.n else 0
-        if r * model.n != count:
-            raise DecodeError(f"symbol count {count} not a multiple of {model.n} channels")
-        if rows is None:
-            rows = r
-        elif r != rows:
-            raise DecodeError("latents of one file differ in row count")
     if not rows:
         if any(data for data, *_ in latents):
-            raise DecodeError("nonempty payload for zero symbols")
-        return [np.zeros((0, model.n), dtype=np.int64) for _, _, model, _ in latents]
+            raise DecodeError("nonempty payload for zero rows")
+        return [np.zeros((0, model.n), dtype=np.int64) for _, model, _ in latents]
     blocks = max(1, rows // _LANE_ROWS)
     steps = -(-rows // blocks)
     states, areas = [], []
-    for data, _, model, _ in latents:
+    for data, model, _ in latents:
         lanes = blocks * model.n
         head = 8 * lanes
         if len(data) < head or (len(data) - head) % 4:
@@ -267,12 +257,12 @@ def decode_latents(latents) -> list[np.ndarray]:
     x = np.concatenate(states).astype(np.uint64)
     if np.any((x < _STATE_LOW) | (x >= _STATE_LOW << _WORD_BITS)):
         raise DecodeError("lane state out of range")
-    tables = [build_tables(model, sched) for _, _, model, sched in latents]
+    tables = [build_tables(model, sched) for _, model, sched in latents]
     # One sorted search serves every latent: latent i's channels are numbered
     # after those of the latents before it. A last, pad channel holds one
     # entry of freq 2^16, cum 0 (an identity on the state): the lanes idle in
     # a partial last step decode it, so every step runs on every lane.
-    first_chan = np.cumsum([0] + [model.n for _, _, model, _ in latents], dtype=np.uint64)
+    first_chan = np.cumsum([0] + [model.n for _, model, _ in latents], dtype=np.uint64)
     pad = first_chan[-1] << np.uint64(_FREQ_BITS)
     key = np.concatenate(
         [t.key + (c << np.uint64(_FREQ_BITS)) for t, c in zip(tables, first_chan)] + [[pad]]
@@ -282,12 +272,12 @@ def decode_latents(latents) -> list[np.ndarray]:
     first_entry = np.cumsum([0] + [t.freq.size for t in tables])
     spans, chan_key, last_key = [], [], []
     a = 0
-    for (_, count, model, _), c in zip(latents, first_chan):
+    for (_, model, _), c in zip(latents, first_chan):
         lanes = blocks * model.n
         spans.append((a, a + lanes))
         keys = (c + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
         chan_key.append(keys)
-        last_key.append(np.where(np.arange(lanes) < count - (steps - 1) * lanes, keys, pad))
+        last_key.append(np.where(np.arange(lanes) < rows * model.n - (steps - 1) * lanes, keys, pad))
         a += lanes
     chan_key = np.concatenate(chan_key)
     step_keys = [chan_key] * (steps - 1) + [np.concatenate(last_key)]
@@ -320,8 +310,8 @@ def decode_latents(latents) -> list[np.ndarray]:
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
     out = []
-    for (_, count, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
-        idx = (entries[:, a:b].reshape(-1)[:count] - e0).reshape(rows, model.n) - t.start
+    for (_, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
+        idx = (entries[:, a:b].reshape(-1)[: rows * model.n] - e0).reshape(rows, model.n) - t.start
         escaped = idx == t.size
         if p + np.count_nonzero(escaped) != area.size:
             raise DecodeError("payload length does not match decoded symbols")
@@ -344,4 +334,7 @@ def decode_symbols(
     data: bytes, count: int, model: GaussianEntropyModel, sched: QuantSchedule
 ) -> np.ndarray:
     """Inverse of :func:`encode_symbols`; ``count`` is the total symbol count."""
-    return decode_latents([(data, count, model, sched)])[0]
+    rows, extra = divmod(count, model.n)
+    if extra:
+        raise DecodeError(f"symbol count {count} not a multiple of {model.n} channels")
+    return decode_latents(rows, [(data, model, sched)])[0]

@@ -286,7 +286,7 @@ def loss(
         cfg = sm.config
         p = cfg.name
         f = current[:, cfg.col_start : cfg.col_end]
-        v_m = sm.klt.basis[:, : cfg.rank]
+        v_m = sm.klt.basis
         theta = (f - sm.klt.mean) @ v_m
         s = _StreamPass(sm, _latent(theta, params, f"{p}.base", rng))
         bits_base += s.base.bits
@@ -348,7 +348,7 @@ def backward(fwd: Forward, params: Params) -> np.ndarray:
     for s in fwd.streams:
         cfg = s.sm.config
         p = cfg.name
-        v_m = s.sm.klt.basis[:, : cfg.rank]
+        v_m = s.sm.klt.basis
         g_f_hat = -w_l1 * np.sign(s.err)
         g_theta = _latent_grad(s.base, g_f_hat @ v_m, w_base, grads)
         g_r = 0.0  # at the truncation residual, joint mode only

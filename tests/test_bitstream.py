@@ -33,18 +33,18 @@ def fitted_bundle(seed=0, n=200, d=6, transform="shtc-full"):
 
 class TestGoldenLayout:
     def test_minimal_bundle_byte_count(self):
-        # header 16 | dims block 8+28 | model block 8+12*4 | payload block 8+4
+        # header 16 | dims block 8+25 | model block 8+8*4 | payload block 8+4
         data, counts = bitstream.serialize(minimal_bundle())
-        assert counts == {"model_bytes": 28 + 48, "payload_bytes": 0}
-        assert len(data) == 16 + (8 + 28) + (8 + 48) + (8 + 4) == 120
+        assert counts == {"model_bytes": 25 + 32, "payload_bytes": 0}
+        assert len(data) == 16 + (8 + 25) + (8 + 32) + (8 + 4) == 101
 
     def test_basis_cost_for_50_channels(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 50))
         configs = [StreamConfig(name="feat", col_start=0, col_end=50, transform="klt-trunc", rank=15)]
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
-        no_basis = len(bitstream._model_content(bundle.streams[0])) - 50 * 50 * 4
-        assert len(bitstream._model_content(bundle.streams[0])) == no_basis + 10000
+        # mean, the 15 retained basis columns, schedule, entropy model
+        assert len(bitstream._model_content(bundle.streams[0])) == 4 * (50 + 50 * 15 + 2 + 2 * 15)
 
     def test_magic_prefix(self):
         data, _ = bitstream.serialize(minimal_bundle())
@@ -71,6 +71,7 @@ class TestRoundTrip:
         data1, _ = bitstream.serialize(bundle)
         data2, _ = bitstream.serialize(b2)
         assert data1 == data2
+        assert struct.unpack_from("<I", data1, 8) == (0,)  # no rows
         assert counts["payload_bytes"] == 0
 
     def test_random_bundles_many(self):
@@ -104,14 +105,24 @@ class TestCorruption:
             bitstream.deserialize(b"XXXX" + data[4:])
 
     def test_version_bump_rejected(self):
-        # v1 files carry range-coded payloads; this reader decodes rANS lanes (v2)
+        # v1 files carry range-coded payloads, v2 files eigenvalues, a full
+        # basis and per-latent symbol counts; this reader reads v3
         data, _ = bitstream.serialize(minimal_bundle())
-        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (2,)
-        for version in (1, 3):
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (3,)
+        for version in (1, 2, 4):
             head = struct.pack("<4sHHI", b"SHTC", version, 1, 0)
             patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
             with pytest.raises(VersionUnsupported):
                 bitstream.deserialize(patched)
+
+    def test_forged_rows_rejected_before_allocation(self):
+        data = bytearray(fuzz_file(1))
+        assert struct.unpack_from("<I", data, 8) == (120,)  # the header's row count
+        struct.pack_into("<I", data, 8, 2**32 - 1)
+        start = time.perf_counter()
+        with pytest.raises(DecodeError):
+            codec.decode_table(*bitstream.deserialize(reseal(bytes(data))))
+        assert time.perf_counter() - start < 1.0
 
     def test_truncated_rejected(self):
         data, _ = bitstream.serialize(minimal_bundle())
@@ -130,7 +141,7 @@ def model_floats(sm):
     d, rank, n_meas, atoms, layers = (
         sm.config.dim, sm.config.rank, sm.config.n_meas, sm.config.atoms, sm.config.n_layers
     )
-    sizes = [("mean", d), ("evals", d), ("basis", d * d), ("base.q_s", 1), ("base.alpha", 1),
+    sizes = [("mean", d), ("basis", d * rank), ("base.q_s", 1), ("base.alpha", 1),
              ("base.mu", rank), ("base.sigma", rank), ("measure", n_meas * d), ("dictionary", d * atoms),
              ("step_raw", layers * atoms), ("thresh_raw", layers * atoms), ("refine.q_s", 1),
              ("refine.alpha", 1), ("refine.mu", n_meas), ("refine.sigma", n_meas)]
@@ -207,8 +218,7 @@ class TestHostileModelBlock:
         assert np.array_equal(b2.streams[0].refine_entropy.sigma[1:], sm.refine_entropy.sigma[1:])
 
 
-DIMS_FIELDS = ("name", "kind", "has_ref", "col_start", "col_end", "dim", "rank",
-               "n_meas", "n_atoms", "n_layers", "ref_floats")
+DIMS_FIELDS = ("name", "kind", "col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers", "ref_floats")
 
 
 def reseal_dims(data: bytes, content: bytes) -> bytes:
@@ -242,12 +252,15 @@ def reseal(data: bytes) -> bytes:
     return bytes(out)
 
 
-def forge_dims(data: bytes, stream: int = 0, **fields) -> bytes:
+def forge_dims(data: bytes, stream: int = 0, dim: int | None = None, **fields) -> bytes:
     """Overwrite named fields of a stream's dims block (CRCs resealed), so
-    only the dims checks can reject the file."""
+    only the dims checks can reject the file. A forged ``dim`` moves
+    ``col_end``: the block states a stream's dim as ``col_end - col_start``."""
     at, length = block_spans(data)[3 * stream]
     values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[at : at + length])))
     values.update(fields)
+    if dim is not None:
+        values["col_end"] = values["col_start"] + dim
     return reseal(data[:at] + struct.pack(bitstream._DIMS_FMT, *values.values()) + data[at + length :])
 
 
@@ -256,8 +269,8 @@ class TestHostileDimsBlock:
 
     def setup_method(self):
         self.bundle, x = fitted_bundle(9)  # dim 6, rank 3, 3 measurements
-        payloads, _ = codec.encode_table(self.bundle, x)
-        self.data, _ = bitstream.serialize(self.bundle, payloads)
+        self.payloads, _ = codec.encode_table(self.bundle, x)
+        self.data, _ = bitstream.serialize(self.bundle, self.payloads)
 
     def decode(self, data):
         codec.decode_table(*bitstream.deserialize(data))
@@ -275,9 +288,8 @@ class TestHostileDimsBlock:
             {"col_end": 7},
             {"dim": 5},
             {"dim": 7},
-            {"has_ref": 0},
-            {"has_ref": 2},
-            {"has_ref": 255},
+            {"n_meas": 0},
+            {"n_layers": 0},
             {"kind": 3},  # klt-trunc, the refinement section kept
         ],
         ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
@@ -294,19 +306,48 @@ class TestHostileDimsBlock:
         with pytest.raises(DecodeError):
             self.decode(reseal_dims(self.data, self.data[20 : 20 + length - 2]))
 
+    def forged_file(self, sm, **config):
+        """An encoded file whose stream is ``sm`` with ``config`` fields set
+        past ``StreamConfig``'s checks, as a forger's writer would."""
+        cfg = dataclasses.replace(sm.config)
+        for key, value in config.items():
+            setattr(cfg, key, value)
+        return bitstream.serialize(codec.CodecBundle([dataclasses.replace(sm, config=cfg)]), self.payloads)[0]
+
     def test_refinement_without_measurements(self):
         # a self-consistent file whose refinement latent has no channels
         sm = self.bundle.streams[0]
         empty = dataclasses.replace(
             sm,
-            config=dataclasses.replace(sm.config, n_meas=0),
             refine=dataclasses.replace(sm.refine, measure=np.zeros((0, sm.config.dim))),
             refine_sched=dataclasses.replace(sm.refine_sched, n=0),
             refine_entropy=codec.GaussianEntropyModel(mu=np.zeros(0), sigma=np.zeros(0)),
         )
-        data, _ = bitstream.serialize(codec.CodecBundle([empty]))
-        with pytest.raises(DecodeError, match="measurements"):
-            bitstream.deserialize(data)
+        with pytest.raises(DecodeError, match="n_meas"):
+            self.decode(self.forged_file(empty, n_meas=0))
+
+    def test_refinement_without_layers(self):
+        # a self-consistent file whose unfolded decoder has no layers: its
+        # synthesis would read a buffer no layer wrote
+        sm = self.bundle.streams[0]
+        r = sm.refine
+        no_layers = dataclasses.replace(
+            sm, refine=dataclasses.replace(r, step_raw=r.step_raw[:0], thresh_raw=r.thresh_raw[:0])
+        )
+        with pytest.raises(DecodeError, match="n_layers"):
+            self.decode(self.forged_file(no_layers, n_layers=0))
+
+    def test_refinement_without_atoms(self):
+        # a self-consistent file whose dictionary has no atoms (0 atoms reads
+        # as dim atoms, so the model block is too short for it)
+        sm = self.bundle.streams[0]
+        r = sm.refine
+        no_atoms = dataclasses.replace(
+            sm, refine=dataclasses.replace(r, dictionary=r.dictionary[:, :0], step_raw=r.step_raw[:, :0],
+                                           thresh_raw=r.thresh_raw[:, :0])
+        )
+        with pytest.raises(DecodeError):
+            self.decode(forge_dims(self.forged_file(no_atoms), n_atoms=0))
 
 
 @functools.cache
@@ -318,6 +359,14 @@ def fuzz_file(streams: int) -> bytes:
     configs = default_configs(9, rank=3, n_meas=3, n_layers=2, scaling_cols=3 * (streams - 1))
     bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
     return bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+
+
+def forge_u32(data: bytearray, at: int, value):
+    """Overwrite the u32 at ``at`` with ``value``, or with the true value
+    stepped by ``value[0]`` when ``value`` is a 1-tuple."""
+    if isinstance(value, tuple):
+        value = (struct.unpack_from("<I", data, at)[0] + value[0]) % 2**32
+    struct.pack_into("<I", data, at, value)
 
 
 def decode_or_decode_error(data: bytes):
@@ -342,17 +391,16 @@ class TestHostileBlockShapes:
 
     def test_haar_stream_of_odd_dim(self):
         with pytest.raises(DecodeError, match="even size"):
-            bitstream.deserialize(forge_dims(fuzz_file(1), kind=2, has_ref=0))
+            bitstream.deserialize(forge_dims(fuzz_file(1), kind=2))
 
 
 U32 = st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1))
 DIMS_VALUES = {
     "name": st.binary(min_size=8, max_size=8),
     "kind": st.integers(0, 255),
-    "has_ref": st.integers(0, 255),
     "ref_floats": U32,
     **{f: st.one_of(st.integers(0, 16), st.integers(0, 2**16 - 1))
-       for f in ("col_start", "col_end", "dim", "rank", "n_meas", "n_atoms", "n_layers")},
+       for f in ("col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers")},
 }
 
 
@@ -379,20 +427,23 @@ class TestFileFuzz:
     @given(
         stream=st.integers(0, 1),
         latent=st.integers(0, 1),
-        field=st.sampled_from(["symbol_count", "byte_count"]),
         value=st.one_of(U32, st.tuples(st.integers(-64, 64))),
     )
-    def test_forged_latent_fields(self, streams, stream, latent, field, value):
+    def test_forged_latent_fields(self, streams, stream, latent, value):
         data = bytearray(fuzz_file(streams))
         at, _ = block_spans(data)[3 * (stream % streams) + 2]
         (n_latents,) = struct.unpack_from("<I", data, at)
         at += 4
         for _ in range(latent % n_latents):
-            at += 8 + struct.unpack_from("<II", data, at)[1]
-        at += 4 * (field == "byte_count")
-        if isinstance(value, tuple):  # a small step from the true value
-            value = (struct.unpack_from("<I", data, at)[0] + value[0]) % 2**32
-        struct.pack_into("<I", data, at, value)
+            at += 4 + struct.unpack_from("<I", data, at)[0]
+        forge_u32(data, at, value)  # the latent's byte_len
+        decode_or_decode_error(reseal(bytes(data)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(value=st.one_of(U32, st.integers(2**32 - 2**16, 2**32 - 1), st.tuples(st.integers(-64, 64))))
+    def test_forged_rows(self, streams, value):
+        data = bytearray(fuzz_file(streams))
+        forge_u32(data, 8, value)  # the header's row count
         decode_or_decode_error(reseal(bytes(data)))
 
     @settings(max_examples=120, deadline=None)
@@ -430,7 +481,7 @@ class TestMdlReport:
         report = bitstream.mdl_report(path)
         sm = bundle.streams[0]
         d, rank = sm.config.dim, sm.config.rank
-        expected_model = 28 + 4 * (2 * d + d * d + 2 + 2 * rank)
+        expected_model = 25 + 4 * (d + d * rank + 2 + 2 * rank)
         assert report["streams"][0]["model_bytes"] == expected_model
 
     def test_stable_across_reads(self, tmp_path):

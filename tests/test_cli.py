@@ -84,6 +84,16 @@ class TestConfigParsing:
             assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "bundle.shtc").exists()
 
+    def test_bad_stream_settings_rejected(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        cli.save_table(data, np.random.default_rng(0).normal(size=(60, 7)))
+        for line in ("n_layers = 0", "n_meas = 0", "n_atoms = 70000", "transform = haar"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            assert cli.main(["fit", str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 2, line
+            assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.shtc").exists()
+
     def test_unset_keys_keep_the_defaults_of_the_callee(self):
         from shtc.codec import default_configs
         from shtc.trainer import TrainConfig
@@ -190,10 +200,27 @@ class TestFitEncodeDecodeEval:
         base = codec.encode_table(bundle, x[:150])[0][0].latents[0]
         refine = codec.encode_table(bundle, x[:50])[0][0].latents[1]
         path = tmp_path / "rows.shtc"
-        path.write_bytes(bitstream.serialize(bundle, [codec.StreamPayload([base, refine])])[0])
+        path.write_bytes(bitstream.serialize(bundle, [codec.StreamPayload([base, refine], 150)])[0])
         code = cli.main(["decode", str(path), "--out", str(tmp_path)])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "decoded.csv").exists()
+
+    def test_older_version_is_data_error(self, tmp_path, capsys):
+        import struct
+        import zlib
+
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle
+
+        bundle, x = fitted_bundle(2)
+        data, _ = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])
+        head = data[:4] + struct.pack("<H", 2) + data[6:12]  # a v2 header
+        path = tmp_path / "v2.shtc"
+        path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + data[16:])
+        assert cli.main(["decode", str(path), "--out", str(tmp_path)]) == 3
+        assert "version 2 unsupported" in capsys.readouterr().err
         assert not (tmp_path / "decoded.csv").exists()
 
     def test_deterministic_fit_encode(self, tmp_path, capsys, table_csv, fit_config):

@@ -44,6 +44,44 @@ class TestConfigs:
         cfg = default_configs(4)[0]
         assert cfg.rank == 4 and cfg.n_meas == 4
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_meas": 0},
+            {"n_layers": 0},
+            {"n_layers": -2},
+            {"n_atoms": -1},
+            {"n_atoms": 70000},
+            {"n_layers": 2**16},
+            {"col_start": -1},
+            {"col_end": 2**16},
+            {"transform": "haar", "col_end": 7},
+        ],
+        ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()),
+    )
+    def test_invalid_stream_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            StreamConfig(**{"name": "x", "col_start": 0, "col_end": 8, "rank": 4, **fields})
+
+    def test_edge_values_accepted(self):
+        for fields in (
+            {"n_meas": 1, "n_layers": 1, "n_atoms": 0},
+            {"n_atoms": 2**16 - 1, "n_layers": 2**16 - 1, "n_meas": 2**16 - 1},
+            {"col_start": 2**16 - 9, "col_end": 2**16 - 1},
+            {"transform": "haar"},
+            {"transform": "haar", "col_end": 1, "rank": 1},
+        ):
+            StreamConfig(**{"name": "x", "col_start": 0, "col_end": 8, "rank": 4, **fields})
+
+    def test_default_configs_reject_what_a_stream_rejects(self):
+        # before these were ConfigErrors they failed later: an IndexError in
+        # training, a ValueError, a struct.error at serialize, a BadSize
+        for kw in ({"n_layers": 0}, {"n_meas": 0}, {"n_atoms": 70000}):
+            with pytest.raises(ConfigError):
+                default_configs(8, rank=4, **kw)
+        with pytest.raises(ConfigError, match="even size"):
+            default_configs(7, transform="haar")
+
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("transform", ["none", "dct", "haar", "klt-trunc", "shtc-full"])
@@ -104,14 +142,14 @@ class TestEncodeDecode:
         latents = codec.encode_table(bundle, x)[0][0].latents
         for forged in ([], latents[:1], latents * 2):
             with pytest.raises(DecodeError, match="coded latents"):
-                codec.decode_table(bundle, [codec.StreamPayload(forged)])
+                codec.decode_table(bundle, [codec.StreamPayload(forged, x.shape[0])])
 
     def test_param_float_accounting(self):
         x = source(5, d=8)
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = codec.fit_bundle(x, configs, np.random.default_rng(5))
         sm = bundle.streams[0]
-        expected = 8 + 8 + 64 + 2 + 3 + 3  # mean, eig, basis, sched, mu, sigma
+        expected = 8 + 8 * 3 + 2 + 3 + 3  # mean, retained basis columns, sched, mu, sigma
         expected += 3 * 8 + 8 * 8 + 2 * 2 * 8 + 2 + 3 + 3  # refinement + its sched/entropy
         assert len(bitstream._model_content(sm)) == 4 * expected
 
@@ -138,21 +176,22 @@ def lane_edge_table(rows, scaling_cols):
 
 class TestOneLoopPerFile:
     """A file's latents are coded in one lane loop, with the bytes of coding
-    each latent alone: sha256 of files made when every latent had its own loop."""
+    each latent alone: sha256 of files whose latents are those made when every
+    latent had its own loop (re-pinned at bitstream v3, latent bytes unchanged)."""
 
     PINNED = {
-        (0, 0): "9a721eac7f4f12fb81aa9c50cd372499ca9418b664906109e5640687a936be67",
-        (1, 0): "dce1f3c3de7059b4e0a4ffc5468dd8581f170c5f1228e9d60ca31aa34a701d6a",
-        (4095, 0): "6a9b999ed04c74783e31abdaad3f40739da392f0ed20e1170ccda019fd7902ef",
-        (4096, 0): "ea4f07827269d38ee328272783b06b19e24ff6c1a3d9bcbdcfa327ddff5850ba",
-        (8193, 0): "91e8982296e232a9e42481e3b4b2906968035f9fcb6c4d55aed98dcd714720de",
-        (12289, 0): "0fe3aa2b3bc7c5c3638360359fc301b23d1d979927754e4aae1f9af235404c6c",
-        (0, 4): "2ad852fb8146289387eefc6c42eab7300bb81e72612ea891a2db9c7227019a6f",
-        (1, 4): "43c1989d726235f3ddde91faf3f080b3e09771f4200cc26046d0528fb66d829b",
-        (4095, 4): "f64427192499f97ee03b6a6919ef7e8be6c354e55b1ceb8c5b5fbee6f95289a7",
-        (4096, 4): "31bb30b7d45dd1d745da86fbd9461e4cb6ad33403bc882026520a13e8c3d358c",
-        (8193, 4): "6c7de9a58f4141c14ecb626c78649d5045225c8c8303c2e411572229b36b99ab",
-        (12289, 4): "8015c8120166cb89cef362b48c685c905ab37310b124b630764cc27476a8939f",
+        (0, 0): "9bc02ad989db63c435416d59a0eb0e1538140e71f24e32bdc9c21c8687f8fb21",
+        (1, 0): "ac559451da1b4d85c77613607d1d6599fbffcacd041a8a7186860701459077fd",
+        (4095, 0): "37f5997cf8eccb1368412221c5d04b048158316b52a1ef8e16b895edbfb90322",
+        (4096, 0): "9b3a4cce7218705d42b18c0fa194ff3188d12f00768203857bcb44938c48492b",
+        (8193, 0): "ab5b90c2cfefa887d895d48bdb842043366a716e1d73c1aff63b3e5144ffbd44",
+        (12289, 0): "e8ea662f2b1cb1f9fc011ef8e32f06ca91fc8a5e915b30820fe5db99abcea830",
+        (0, 4): "b74f7c179b781ae69edf962ead425f54f16a69f90e8129d693e84e552eac4342",
+        (1, 4): "1ba556b1fdcb22b17effcbfadeff97be52f0b3916522118e1d8f6ced8f6bcab5",
+        (4095, 4): "bae4ef19d6a1c73ac709a81a1fb242ef3cc23971c612915b7ec55ff23fd50014",
+        (4096, 4): "f133dc21635a43cd253ee1d2077adeea0cc2392e0d849c3eb30dbc11516ed11c",
+        (8193, 4): "a05e7db3b160863ed1796024aaba5018fdcdab684163404ab3e5c2d3d1c334d3",
+        (12289, 4): "1ed398ad8080fe32feac52fa53fedd6348907323b28a4f81fc75f480ea11ab4c",
     }
 
     @pytest.mark.parametrize("scaling_cols", [0, 4])
@@ -166,26 +205,27 @@ class TestOneLoopPerFile:
         if rows:
             blocks = max(1, rows // 4096)
             latents = [
-                (coded, count, *model)
+                (coded, *model)
                 for sm, payload in zip(bundle.streams, payloads)
-                for (count, coded), model in zip(payload.latents, codec._latent_models(sm))
+                for coded, model in zip(payload.latents, codec._latent_models(sm))
             ]
-            for (_, _, model, sched), sym in zip(latents, entropy.decode_latents(latents)):
+            for (_, model, sched), sym in zip(latents, entropy.decode_latents(rows, latents)):
                 tables = entropy.build_tables(model, sched)
                 escaped = (sym < tables.lo) | (sym >= tables.lo + tables.size)
                 assert escaped[0, 0] and escaped[blocks - 1, -1] and escaped[-1, -1]
 
 
 class TestOneRowCount:
-    """Every latent of a file must have the same row count (``docs/format.md``)."""
+    """A file states one row count, in its header (``docs/format.md``): a
+    latent coded over other rows does not decode."""
 
     def test_refinement_rows_differ_from_base(self):
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(8), configs, np.random.default_rng(8)))
         base = codec.encode_table(bundle, source(9, n=300))[0][0].latents[0]
         refine = codec.encode_table(bundle, source(9, n=100))[0][0].latents[1]
-        data = bitstream.serialize(bundle, [codec.StreamPayload([base, refine])])[0]
-        with pytest.raises(DecodeError, match="row count"):
+        data = bitstream.serialize(bundle, [codec.StreamPayload([base, refine], 300)])[0]
+        with pytest.raises(DecodeError):
             codec.decode_table(*bitstream.deserialize(data))
 
     def test_streams_rows_differ(self):
@@ -193,8 +233,11 @@ class TestOneRowCount:
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(8, d=10), configs, np.random.default_rng(8)))
         feat = codec.encode_table(bundle, source(9, n=300, d=10))[0][0]
         scale = codec.encode_table(bundle, source(9, n=100, d=10))[0][1]
+        with pytest.raises(DimMismatch, match="row count"):
+            bitstream.serialize(bundle, [feat, scale])
+        scale.rows = feat.rows  # the file claims 300 rows for the 100-row latent
         data = bitstream.serialize(bundle, [feat, scale])[0]
-        with pytest.raises(DecodeError, match="row count"):
+        with pytest.raises(DecodeError):
             codec.decode_table(*bitstream.deserialize(data))
 
     def test_no_streams(self):

@@ -1,10 +1,12 @@
 """The benchmark's contract with the package.
 
 ``perfbench/run.py`` counts an exception inside a timed op as a failed op and
-goes on, but an exception while installing its tracer or while stamping the
-environment record ends the whole run. These tests run those paths from the
-checkout's ``perfbench/`` on a tiny table: every name the tracer rebinds
-resolves, and a traced fit, encode and decode run clean.
+goes on, but an exception while installing its tracer, while stamping the
+environment record or in a workload's set-up ends the whole run. These tests
+run those paths from the checkout's ``perfbench/``: every name the tracer
+rebinds resolves, a traced fit, encode and decode run clean on a tiny table,
+and each workload runs its set-up and its least number of cycles without a
+failed op.
 """
 
 import os
@@ -72,3 +74,11 @@ def test_traced_fit_encode_decode(perfbench):
     for name in ("trainer.forward_ms", "trainer.backward_ms", "trainer.adam_ms", "trainer.iter_ms"):
         assert metrics[name][0] > 0.0, name
     assert metrics["bitstream.payload_bytes"][0] > 0
+
+
+@pytest.mark.parametrize("name", ["fit-std", "codec-small"])
+def test_workload_runs_clean(perfbench, name):
+    _, workloads = perfbench
+    detail, result = workloads.run(name, 1, 0.0, False, 0.0)
+    assert result["correct"] and result["failed"] == 0, detail["failures"]
+    assert result["attempted"] > 0

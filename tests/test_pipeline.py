@@ -36,7 +36,7 @@ class TestRateEstimateFidelity:
         est_bits += entropy.rate_bits(
             quantizer.dequantize(sym_y, sm.refine_sched), sm.refine_entropy, sm.refine_sched
         )
-        actual_bytes = sum(len(b) for _, b in payloads[0].latents)
+        actual_bytes = sum(map(len, payloads[0].latents))
         assert actual_bytes <= est_bits / 8.0 * 1.05 + 64.0
 
     def test_loss_components_nonnegative_in_log(self, trained_small):
