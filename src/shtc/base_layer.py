@@ -58,11 +58,3 @@ def synthesize_base(theta_p: np.ndarray, model: KltModel) -> np.ndarray:
         raise DimMismatch(f"expected last dim {model.rank}, got {theta_p.shape[-1]}")
     return theta_p @ model.basis.T + model.mean
 
-
-def residual(f: np.ndarray, f_base: np.ndarray) -> np.ndarray:
-    """Reconstruction residual f - f_base (what the refinement layer codes)."""
-    f = np.asarray(f, dtype=np.float64)
-    f_base = np.asarray(f_base, dtype=np.float64)
-    if f.shape != f_base.shape:
-        raise DimMismatch(f"shape mismatch {f.shape} vs {f_base.shape}")
-    return f - f_base

@@ -18,7 +18,7 @@ import numpy as np
 from . import base_layer, linalg
 from .bitstream import serialize
 from .codec import default_configs, encode_table
-from .errors import CodecError, NoOverlap
+from .errors import CodecError, ConfigError, NoOverlap
 from .trainer import TrainConfig, train
 
 DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)
@@ -40,23 +40,23 @@ class SyntheticSpec:
     basis: str = "random"  # random | smooth (low-frequency, DCT-like)
 
     def __post_init__(self):
-        if self.sparsity > self.dim:
-            raise ValueError("sparsity cannot exceed dim")
+        if self.sparsity > self.dim or self.rank > self.dim:
+            raise ConfigError("sparsity and rank cannot exceed dim")
         if self.n_rows < 2:
-            raise ValueError("need at least 2 rows")
+            raise ConfigError("need at least 2 rows")
+        if self.basis not in ("random", "smooth"):
+            raise ConfigError(f"unknown basis kind {self.basis!r}")
 
 
 def _mixing_basis(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.basis == "random":
         q, r = np.linalg.qr(rng.normal(size=(spec.dim, spec.dim)))
         return q * np.sign(np.diag(r))
-    if spec.basis == "smooth":
-        # Mostly low-frequency structure: DCT basis nudged by a small random
-        # rotation, so a fixed DCT sits between KLT and raw channels.
-        base = linalg.dct_matrix(spec.dim).T
-        q, r = np.linalg.qr(base + 0.15 * rng.normal(size=(spec.dim, spec.dim)))
-        return q * np.sign(np.diag(r))
-    raise ValueError(f"unknown basis kind {spec.basis!r}")
+    # smooth: mostly low-frequency structure, a DCT basis nudged by a small
+    # random rotation, so a fixed DCT sits between KLT and raw channels
+    base = linalg.dct_matrix(spec.dim).T
+    q, r = np.linalg.qr(base + 0.15 * rng.normal(size=(spec.dim, spec.dim)))
+    return q * np.sign(np.diag(r))
 
 
 def synth_source(spec: SyntheticSpec) -> np.ndarray:

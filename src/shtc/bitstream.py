@@ -188,7 +188,7 @@ def _read_stream(dims: bytes, model: bytes) -> StreamModel:
     dim = cfg.dim
     take, exhausted = _f32_reader(model)
     mean = take(dim)
-    basis = take((dim, rank)) if cfg.stores_basis else _fixed_basis(cfg.transform, dim)[:, :rank]
+    basis = take((dim, rank)) if cfg.stores_basis else _fixed_basis(cfg.transform, dim, rank)
     sm = StreamModel(cfg, KltModel(mean=mean, basis=basis), *_latent_model(take, rank))
     if cfg.has_refinement:  # a shtc-full stream below full rank
         shapes = ((n_meas, dim), (dim, cfg.atoms), (n_layers, cfg.atoms), (n_layers, cfg.atoms))

@@ -2,7 +2,7 @@
 
 Thread-count env vars are applied before numpy is imported, so the heavy
 modules are imported lazily inside the command handlers. Exit codes: 0 ok,
-2 config error, 3 data error, 4 training divergence.
+2 config error, 3 data error (any other codec error), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -318,13 +318,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser, seed_default=None):
-    parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--seed", type=int, default=seed_default)
+def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1)
+
+
+def _add_run_flags(parser):
+    """The flags of the commands that train: ``fit`` and ``bench``."""
+    parser.add_argument("--config", default=None, help="key = value config file")
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--method", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="train a codec bundle on a table")
     p.add_argument("input")
     _add_common(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("encode", help="entropy-code a table with a fitted bundle")
@@ -355,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="R-D sweep over baseline transforms")
     p.add_argument("--input", default=None, help="table to bench (default: synthetic)")
+    p.add_argument("--method", default=None)
     _add_common(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("image-metric", help="YCbCr-space distortion between two PPM images")
@@ -381,14 +387,7 @@ def _apply_threads(args):
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        ConfigError,
-        DataError,
-        DecodeError,
-        DimMismatch,
-        Diverged,
-        InsufficientData,
-    )
+    from .errors import CodecError, ConfigError, Diverged
 
     args = build_parser().parse_args(argv)
     _apply_threads(args)
@@ -400,7 +399,7 @@ def main(argv=None) -> int:
     except Diverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return _EXIT_DIVERGED
-    except (DataError, DecodeError, DimMismatch, InsufficientData, OSError) as exc:
+    except (CodecError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return _EXIT_DATA
 

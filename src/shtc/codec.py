@@ -150,22 +150,38 @@ class CodecBundle:
         return max(s.config.col_end for s in self.streams)
 
 
-def _fixed_basis(kind: str, dim: int) -> np.ndarray:
+def _fixed_basis(kind: str, dim: int, rank: int) -> np.ndarray:
+    """The ``rank`` leading columns of a fixed orthonormal basis, built
+    without the columns a stream drops."""
     if kind == "none":
-        return np.eye(dim)
+        return np.eye(dim, rank)
     if kind == "dct":
-        return linalg.dct_matrix(dim).T
+        return linalg.dct_matrix(dim, rank).T
     if kind == "haar":
-        return linalg.haar_matrix(dim).T
+        return linalg.haar_matrix(dim, rank).T
     raise ConfigError(f"no fixed basis for {kind!r}")
+
+
+def split_base(xs: np.ndarray, klt: KltModel) -> tuple[np.ndarray, np.ndarray]:
+    """A stream's analysis, for the codec and the trainer alike: the retained
+    coefficients theta of ``xs`` and the truncation residual that the
+    refinement layer measures, ``xs - synthesize_base(theta)``. Unquantized:
+    refinement codes what truncation discarded, not quantization error."""
+    theta = base_layer.analyze_base(xs, klt)
+    return theta, xs - base_layer.synthesize_base(theta, klt)
 
 
 _STEP_FRAC = 0.3
 _SD_FLOOR = 1e-4
 
 
-def _coeff_stats(values: np.ndarray) -> np.ndarray:
-    return np.maximum(values.std(axis=0), _SD_FLOOR)
+def _initial_latent(values: np.ndarray) -> tuple[QuantSchedule, GaussianEntropyModel]:
+    """Starting step schedule and entropy model of a latent: a zero-mean
+    Gaussian at each channel's spread, and a flat step of a fraction of the
+    median spread."""
+    sd = np.maximum(values.std(axis=0), _SD_FLOOR)
+    sched = channel_schedule(_STEP_FRAC * float(np.median(sd)), 0.0, sd.size)
+    return sched, GaussianEntropyModel(mu=np.zeros(sd.size), sigma=sd)
 
 
 def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> StreamModel:
@@ -173,24 +189,15 @@ def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> St
     if cfg.stores_basis:
         klt = base_layer.fit_klt(xs, cfg.rank)
     else:
-        klt = KltModel(mean=xs.mean(axis=0), basis=_fixed_basis(cfg.transform, cfg.dim)[:, : cfg.rank])
-    theta_p = base_layer.analyze_base(xs, klt)
-    sd = _coeff_stats(theta_p)
-    sm = StreamModel(
-        config=cfg,
-        klt=klt,
-        base_sched=channel_schedule(_STEP_FRAC * float(np.median(sd)), 0.0, cfg.rank),
-        base_entropy=GaussianEntropyModel(mu=np.zeros(cfg.rank), sigma=sd),
-    )
+        klt = KltModel(mean=xs.mean(axis=0), basis=_fixed_basis(cfg.transform, cfg.dim, cfg.rank))
+    theta, r = split_base(xs, klt)
+    sm = StreamModel(cfg, klt, *_initial_latent(theta))
     if cfg.has_refinement:
-        r0 = xs - base_layer.synthesize_base(theta_p, klt)
         sm.refine = refinement.init_refinement(
             cfg.dim, cfg.n_meas, cfg.atoms, cfg.n_layers, rng,
-            thresh_init=max(0.5 * float(r0.std()), 1e-3),
+            thresh_init=max(0.5 * float(r.std()), 1e-3),
         )
-        sdy = _coeff_stats(refinement.analyze_refine(r0, sm.refine))
-        sm.refine_sched = channel_schedule(_STEP_FRAC * float(np.median(sdy)), 0.0, cfg.n_meas)
-        sm.refine_entropy = GaussianEntropyModel(mu=np.zeros(cfg.n_meas), sigma=sdy)
+        sm.refine_sched, sm.refine_entropy = _initial_latent(refinement.analyze_refine(r, sm.refine))
     return sm
 
 
@@ -219,15 +226,10 @@ def _latent_models(sm: StreamModel) -> list[tuple[GaussianEntropyModel, QuantSch
 
 def _stream_symbols(sm: StreamModel, xs: np.ndarray) -> list[np.ndarray]:
     """Quantized latents of one stream, in the order of :func:`_latent_models`."""
-    theta_p = base_layer.analyze_base(xs, sm.klt)
-    symbols = [quantizer.quantize(theta_p, sm.base_sched)]
+    theta, r = split_base(xs, sm.klt)
+    symbols = [quantizer.quantize(theta, sm.base_sched)]
     if sm.refine is not None:
-        # Measurements take the truncation residual (unquantized base
-        # synthesis): the refinement codes what truncation discarded, not the
-        # base layer's quantization error.
-        f_trunc = base_layer.synthesize_base(theta_p, sm.klt)
-        y = refinement.analyze_refine(base_layer.residual(xs, f_trunc), sm.refine)
-        symbols.append(quantizer.quantize(y, sm.refine_sched))
+        symbols.append(quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched))
     return symbols
 
 

@@ -152,10 +152,12 @@ def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTable
     )
 
 
-def lane_count(rows: int, channels: int) -> int:
-    """Interleaved lanes of a ``rows`` x ``channels`` latent: one per channel
-    for each whole block of ``_LANE_ROWS`` rows (at least one block)."""
-    return channels * max(1, rows // _LANE_ROWS)
+def lane_grid(rows: int) -> tuple[int, int]:
+    """The lane rule of a ``rows``-row latent: one lane per channel for each
+    whole block of ``_LANE_ROWS`` rows (at least one block), and the steps
+    that take every row. Returns ``(blocks, steps)``."""
+    blocks = max(1, rows // _LANE_ROWS)
+    return blocks, -(-rows // blocks)
 
 
 def encode_latents(latents) -> list[bytes]:
@@ -180,8 +182,7 @@ def encode_latents(latents) -> list[bytes]:
         raise DimMismatch("latents of one file differ in row count")
     if rows == 0:
         return [b"" for _ in syms]
-    blocks = max(1, rows // _LANE_ROWS)
-    steps = -(-rows // blocks)
+    blocks, steps = lane_grid(rows)
     widths = [blocks * sym.shape[1] for sym in syms]
     # a partial last step is padded with freq 2^16, cum 0: an identity on the state
     freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
@@ -244,8 +245,7 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
         if any(data for data, *_ in latents):
             raise DecodeError("nonempty payload for zero rows")
         return [np.zeros((0, model.n), dtype=np.int64) for _, model, _ in latents]
-    blocks = max(1, rows // _LANE_ROWS)
-    steps = -(-rows // blocks)
+    blocks, steps = lane_grid(rows)
     states, areas = [], []
     for data, model, _ in latents:
         lanes = blocks * model.n

@@ -86,20 +86,22 @@ def energy_per_channel(x: np.ndarray) -> np.ndarray:
     return e / total
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II analysis matrix (rows are basis functions)."""
+def dct_matrix(n: int, rows: int | None = None) -> np.ndarray:
+    """Orthonormal DCT-II analysis matrix (rows are basis functions): its
+    leading ``rows`` rows (default all n), built without the rest."""
     if n < 1:
         raise BadSize("dct_matrix needs n >= 1")
-    j = np.arange(n)
-    k = np.arange(n)[:, None]
-    m = np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+    m = np.pi * (2 * np.arange(n) + 1) * np.arange(n if rows is None else rows)[:, None]
+    m /= 2 * n
+    np.cos(m, out=m)
     m *= np.sqrt(2.0 / n)
     m[0, :] = np.sqrt(1.0 / n)
     return m
 
 
-def haar_matrix(n: int) -> np.ndarray:
-    """Single-level Haar analysis matrix: n/2 lowpass rows, then n/2 highpass.
+def haar_matrix(n: int, rows: int | None = None) -> np.ndarray:
+    """Single-level Haar analysis matrix: n/2 lowpass rows, then n/2 highpass;
+    its leading ``rows`` rows (default all n), built without the rest.
 
     Requires an even size (n=1 degenerates to identity).
     """
@@ -110,11 +112,9 @@ def haar_matrix(n: int) -> np.ndarray:
     if n % 2 != 0:
         raise BadSize(f"haar_matrix needs an even size, got {n}")
     half = n // 2
-    m = np.zeros((n, n))
+    i = np.arange(n if rows is None else rows)
+    m = np.zeros((i.size, n))
     r = 1.0 / np.sqrt(2.0)
-    for i in range(half):
-        m[i, 2 * i] = r
-        m[i, 2 * i + 1] = r
-        m[half + i, 2 * i] = r
-        m[half + i, 2 * i + 1] = -r
+    m[i, 2 * (i % half)] = r
+    m[i, 2 * (i % half) + 1] = np.where(i < half, r, -r)
     return m

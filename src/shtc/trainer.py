@@ -12,9 +12,12 @@ the learnable steps get distortion feedback too. The fitted basis is a
 constant during training; in joint mode (learnable table) it is refit every
 ``refit_period`` iterations rather than differentiated through, since
 eigendecomposition gradients are ill-conditioned near degenerate
-eigenvalues. The trained bundle is finalized by ``bitstream.finalize_bundle``:
-what the container's reader makes of its written model, so it is the model a
-decoder runs.
+eigenvalues. A stream is analyzed by the codec's ``codec.split_base``, so
+training optimizes the transform the codec ships. Training ends in one
+finalization pass, ``_finalize``: the learned schedules and refinement
+weights are written back, each entropy model is fitted to the latents it
+will code, and ``bitstream.finalize_bundle`` returns the model a decoder
+reads back from the container.
 
 The objective is one fixed function with one forward, ``loss``, and one
 hand-written backward, ``backward``, which walks the intermediates ``loss``
@@ -30,12 +33,12 @@ Adam are whole-vector updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import base_layer, bitstream, entropy, refinement
-from .codec import CodecBundle, StreamConfig, StreamModel, fit_bundle
+from .codec import CodecBundle, StreamConfig, StreamModel, fit_bundle, split_base
 from .entropy import GaussianEntropyModel
 from .errors import ConfigError, Diverged, InsufficientData
 from .quantizer import channel_schedule
@@ -113,18 +116,25 @@ def _latent_arrays(key: str, sched, model: GaussianEntropyModel) -> dict:
     }
 
 
+_REFINE_FIELDS = tuple(f.name for f in fields(RefinementModel))
+
+
+def _refine_model(arrays: dict, key: str) -> RefinementModel:
+    """The refinement weights named ``{key}.{field}`` in ``arrays``, as a
+    model of views (of the parameters, or of their gradient)."""
+    return RefinementModel(**{name: arrays[f"{key}.{name}"] for name in _REFINE_FIELDS})
+
+
 def make_params(bundle: CodecBundle, table: np.ndarray | None = None) -> Params:
-    """Learnable leaves: schedules, entropy parameters, refinement weights,
-    and in joint mode the training table itself (``"table"``)."""
+    """Learnable leaves: schedules, entropy parameters, refinement weights
+    (``{stream}.ref.{field}``, one per ``RefinementModel`` field), and in joint
+    mode the training table itself (``"table"``)."""
     arrays = {}
     for sm in bundle.streams:
         p = sm.config.name
         arrays.update(_latent_arrays(f"{p}.base", sm.base_sched, sm.base_entropy))
         if sm.refine is not None:
-            arrays[f"{p}.ref.measure"] = sm.refine.measure
-            arrays[f"{p}.ref.dict"] = sm.refine.dictionary
-            arrays[f"{p}.ref.step_raw"] = sm.refine.step_raw
-            arrays[f"{p}.ref.thresh_raw"] = sm.refine.thresh_raw
+            arrays.update({f"{p}.ref.{name}": getattr(sm.refine, name) for name in _REFINE_FIELDS})
             arrays.update(_latent_arrays(f"{p}.ref", sm.refine_sched, sm.refine_entropy))
     if table is not None:
         arrays["table"] = table
@@ -286,20 +296,15 @@ def loss(
         cfg = sm.config
         p = cfg.name
         f = current[:, cfg.col_start : cfg.col_end]
-        v_m = sm.klt.basis
-        theta = (f - sm.klt.mean) @ v_m
+        theta, r = split_base(f, sm.klt)
         s = _StreamPass(sm, _latent(theta, params, f"{p}.base", rng))
         bits_base += s.base.bits
-        f_hat = s.base.x_hat @ v_m.T + sm.klt.mean
+        f_hat = base_layer.synthesize_base(s.base.x_hat, sm.klt)
 
         if sm.refine is not None:
-            model = RefinementModel(
-                measure=params[f"{p}.ref.measure"], dictionary=params[f"{p}.ref.dict"],
-                step_raw=params[f"{p}.ref.step_raw"], thresh_raw=params[f"{p}.ref.thresh_raw"],
-            )
-            # truncation residual: independent of the base quantization path
-            s.r = f - (theta @ v_m.T + sm.klt.mean)
-            s.refine = _latent(s.r @ model.measure.T, params, f"{p}.ref", rng)
+            model = _refine_model(params, f"{p}.ref")
+            s.r = r
+            s.refine = _latent(refinement.analyze_refine(r, model), params, f"{p}.ref", rng)
             bits_refine += s.refine.bits
             layers: list = []
             beta = refinement.unfold_code(s.refine.x_hat, model, record=layers)
@@ -359,10 +364,11 @@ def backward(fwd: Forward, params: Params) -> np.ndarray:
                 g_r_hat, s.refine.x_hat, model, beta, layers
             )
             g_y = _latent_grad(s.refine, d_y, w_refine, grads)
-            grads[f"{p}.ref.measure"] += d_measure + g_y.T @ s.r  # y = r @ A.T
-            grads[f"{p}.ref.dict"] += d_dict
-            grads[f"{p}.ref.step_raw"] += d_step
-            grads[f"{p}.ref.thresh_raw"] += d_thresh
+            g_model = _refine_model(grads, f"{p}.ref")
+            g_model.measure += d_measure + g_y.T @ s.r  # y = r @ A.T
+            g_model.dictionary += d_dict
+            g_model.step_raw += d_step
+            g_model.thresh_raw += d_thresh
             if g_batch is not None:  # r = f - theta @ V.T - mean
                 g_r = w_resid * np.sign(s.resid_err) + g_y @ model.measure
                 g_theta = g_theta - g_r @ v_m
@@ -410,53 +416,31 @@ def adam_step(
     theta -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + eps)
 
 
-def _latent_model(params: Params, key: str, n: int):
-    sched = channel_schedule(float(np.exp(params[f"{key}.log_qs"])), float(params[f"{key}.alpha"]), n)
-    model = GaussianEntropyModel(mu=params[f"{key}.mu"].copy(), sigma=np.exp(params[f"{key}.log_sigma"]))
-    return sched, model
+def _schedule(params: Params, key: str, n: int):
+    return channel_schedule(float(np.exp(params[f"{key}.log_qs"])), float(params[f"{key}.alpha"]), n)
 
 
-def apply_params(bundle: CodecBundle, params: Params) -> CodecBundle:
-    """Bundle with the learned parameter values written back."""
+def _fit_entropy(values: np.ndarray) -> GaussianEntropyModel:
+    """Per-channel mean and spread of the latents a model will code. The
+    learned (mu, sigma) price the rate term only: they drift in channels
+    whose rate signal is pure noise (degenerate sources)."""
+    return GaussianEntropyModel(mu=values.mean(axis=0), sigma=np.maximum(values.std(axis=0), 1e-9))
+
+
+def _finalize(bundle: CodecBundle, params: Params, x: np.ndarray) -> CodecBundle:
+    """The trained bundle, each entropy model fitted to the latents of ``x``."""
     streams = []
     for sm in bundle.streams:
-        p = sm.config.name
-        base_sched, base_entropy = _latent_model(params, f"{p}.base", sm.config.rank)
-        new = StreamModel(config=sm.config, klt=sm.klt, base_sched=base_sched, base_entropy=base_entropy)
-        if sm.refine is not None:
-            new.refine = RefinementModel(
-                measure=params[f"{p}.ref.measure"].copy(),
-                dictionary=params[f"{p}.ref.dict"].copy(),
-                step_raw=params[f"{p}.ref.step_raw"].copy(),
-                thresh_raw=params[f"{p}.ref.thresh_raw"].copy(),
-            )
-            new.refine_sched, new.refine_entropy = _latent_model(params, f"{p}.ref", sm.config.n_meas)
-        streams.append(new)
-    return CodecBundle(streams=streams)
-
-
-def _recalibrate_entropy(bundle: CodecBundle, x: np.ndarray) -> CodecBundle:
-    """Snap the per-channel (mu, sigma) to the final latent statistics.
-
-    The jointly learned values can drift in channels whose rate signal is
-    pure noise (degenerate sources); the coder only needs the model to
-    describe the latents it actually sees, so a final descriptive refit
-    strictly helps matched-model coding.
-    """
-    for sm in bundle.streams:
         cfg = sm.config
-        xs = x[:, cfg.col_start : cfg.col_end]
-        theta = base_layer.analyze_base(xs, sm.klt)
-        sm.base_entropy = GaussianEntropyModel(
-            mu=theta.mean(axis=0), sigma=np.maximum(theta.std(axis=0), 1e-9)
-        )
+        p = cfg.name
+        theta, r = split_base(x[:, cfg.col_start : cfg.col_end], sm.klt)
+        new = StreamModel(cfg, sm.klt, _schedule(params, f"{p}.base", cfg.rank), _fit_entropy(theta))
         if sm.refine is not None:
-            f_trunc = base_layer.synthesize_base(theta, sm.klt)
-            y = refinement.analyze_refine(xs - f_trunc, sm.refine)
-            sm.refine_entropy = GaussianEntropyModel(
-                mu=y.mean(axis=0), sigma=np.maximum(y.std(axis=0), 1e-9)
-            )
-    return bundle
+            new.refine = _refine_model(params, f"{p}.ref")
+            new.refine_sched = _schedule(params, f"{p}.ref", cfg.n_meas)
+            new.refine_entropy = _fit_entropy(refinement.analyze_refine(r, new.refine))
+        streams.append(new)
+    return bitstream.finalize_bundle(CodecBundle(streams=streams))
 
 
 def _refit_bases(x: np.ndarray, bundle: CodecBundle) -> CodecBundle:
@@ -512,7 +496,6 @@ def train(
         ):
             bundle = _refit_bases(params["table"], bundle)
     if config.joint:
-        bundle = _refit_bases(params["table"], bundle)
-    bundle = apply_params(bundle, params)
-    bundle = _recalibrate_entropy(bundle, params["table"] if config.joint else x)
-    return bitstream.finalize_bundle(bundle), log
+        x = params["table"]
+        bundle = _refit_bases(x, bundle)
+    return _finalize(bundle, params, x), log

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shtc import base_layer, linalg
+from shtc import base_layer, codec, linalg
 from shtc.errors import DimMismatch
 
 
@@ -86,30 +86,29 @@ class TestAnalyzeSynthesize:
 
 
 class TestResidual:
+    """The truncation residual, as ``codec.split_base`` defines it for the
+    codec and the trainer alike."""
+
     def test_full_rank_residual_zero(self, correlated_table):
         model = base_layer.fit_klt(correlated_table, 6)
-        f = correlated_table[3]
-        f_base = base_layer.synthesize_base(base_layer.analyze_base(f, model), model)
-        assert np.allclose(base_layer.residual(f, f_base), 0.0, atol=1e-9)
+        theta, r = codec.split_base(correlated_table[3], model)
+        assert np.array_equal(theta, base_layer.analyze_base(correlated_table[3], model))
+        assert np.allclose(r, 0.0, atol=1e-9)
 
     def test_mean_input_residual_zero(self, correlated_table):
         model = base_layer.fit_klt(correlated_table, 4)
-        f_base = base_layer.synthesize_base(
-            base_layer.analyze_base(model.mean, model), model
-        )
-        assert np.allclose(base_layer.residual(model.mean, f_base), 0.0, atol=1e-9)
+        assert np.allclose(codec.split_base(model.mean, model)[1], 0.0, atol=1e-9)
 
     def test_residual_orthogonal_to_retained_basis(self, correlated_table):
         model = base_layer.fit_klt(correlated_table, 3)
-        f = correlated_table[100]
-        f_base = base_layer.synthesize_base(base_layer.analyze_base(f, model), model)
-        r = base_layer.residual(f, f_base)
-        for i in range(3):
-            assert abs(model.basis[:, i] @ r) < 1e-9
+        f = correlated_table[:100]
+        theta, r = codec.split_base(f, model)
+        assert np.array_equal(r, f - base_layer.synthesize_base(theta, model))
+        assert np.abs(r @ model.basis).max() < 1e-9
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, correlated_table):
         with pytest.raises(DimMismatch):
-            base_layer.residual(np.zeros(3), np.zeros(4))
+            codec.split_base(np.zeros(4), base_layer.fit_klt(correlated_table, 3))
 
 
 class TestDecorrelationAndCompaction:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import struct
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shtc import bitstream, codec
+from shtc.base_layer import KltModel
 from shtc.codec import StreamConfig, default_configs
+from shtc.entropy import GaussianEntropyModel
 from shtc.errors import BadMagic, ChecksumError, DecodeError, VersionUnsupported
+from shtc.quantizer import channel_schedule
 
 
 def minimal_bundle():
@@ -392,6 +396,25 @@ class TestHostileBlockShapes:
     def test_haar_stream_of_odd_dim(self):
         with pytest.raises(DecodeError, match="even size"):
             bitstream.deserialize(forge_dims(fuzz_file(1), kind=2))
+
+    def test_fixed_basis_reader_memory(self):
+        # a 16 KB bundle-only file of one dct stream: the reader builds the
+        # rank columns the stream keeps (8 * dim * rank bytes), not dim x dim
+        dim, rank = 2000, 1000
+        cfg = StreamConfig("feat", 0, dim, transform="dct", rank=rank)
+        klt = KltModel(mean=np.zeros(dim), basis=np.zeros((dim, rank)))  # the writer sends no dct basis
+        entropy = GaussianEntropyModel(np.zeros(rank), np.ones(rank))
+        sm = codec.StreamModel(cfg, klt, channel_schedule(1.0, 0.0, rank), entropy)
+        data = bitstream.serialize(codec.CodecBundle([sm]))[0]
+        assert len(data) < 17_000
+        tracemalloc.start()
+        try:
+            bundle, _ = bitstream.deserialize(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.streams[0].klt.basis.shape == (dim, rank)
+        assert peak <= 2 * 8 * dim * rank
 
 
 U32 = st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1))

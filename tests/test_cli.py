@@ -118,6 +118,28 @@ class TestConfigParsing:
         assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert seen == [bench.SyntheticSpec(n_rows=300, noise=0.5), {"seed": 0, "iters": 40}]
 
+    @pytest.mark.parametrize("line", ["basis = foo", "sparsity = 51", "rank = 51"])
+    def test_bad_bench_source_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "f", "--lambda", "1"],
+            ["encode", "t.csv", "b.shtc", "--seed", "0"],
+            ["report", "--config", "c.cfg"],
+            ["fit", "t.csv", "--method", "dct"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,line", [("fit", "quant_mode = ste"), ("bench", "spike_mix = 0.5")])
     def test_keys_outside_the_surface_rejected(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -161,6 +183,15 @@ class TestFitEncodeDecodeEval:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 3
+
+    def test_overflowing_table_is_data_error(self, tmp_path, capsys, table_csv, fit_config):
+        table_path, x = table_csv
+        _, fit_info = run(capsys, "fit", table_path, "--config", fit_config, "--out", str(tmp_path))
+        huge = tmp_path / "huge.csv"
+        cli.save_table(huge, np.where(np.arange(x.shape[1]) == 0, 1e15, x))
+        code = cli.main(["encode", str(huge), fit_info["bundle"], "--out", str(tmp_path)])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_hostile_model_block_is_data_error(self, tmp_path, capsys):
         from shtc import bitstream, codec
@@ -305,6 +336,12 @@ class TestReport:
         code, info = run(capsys, "report", "--bitstream", enc_info["encoded"], "--out", out)
         assert code == 0
         assert info["mdl"]["file_bytes"] > 0
+
+    def test_all_zero_table_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "zero.csv"
+        cli.save_table(table, np.zeros((20, 4)))
+        assert cli.main(["report", "--table", str(table), "--out", str(tmp_path)]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_needs_an_input(self, tmp_path, capsys):
         code = cli.main(["report", "--out", str(tmp_path)])

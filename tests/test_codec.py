@@ -169,7 +169,7 @@ def lane_edge_table(rows, scaling_cols):
     configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=scaling_cols)
     bundle = bitstream.finalize_bundle(codec.fit_bundle(source(11, d=10), configs, np.random.default_rng(11)))
     x = source(12, n=rows, d=10)
-    blocks = max(1, rows // 4096)
+    blocks = entropy.lane_grid(rows)[0]
     x[[0, blocks - 1, rows - 1][: 3 if rows else 0]] *= 1e4
     return bundle, x
 
@@ -203,7 +203,7 @@ class TestOneLoopPerFile:
         assert hashlib.sha256(data).hexdigest() == self.PINNED[rows, scaling_cols]
         assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
         if rows:
-            blocks = max(1, rows // 4096)
+            blocks = entropy.lane_grid(rows)[0]
             latents = [
                 (coded, *model)
                 for sm, payload in zip(bundle.streams, payloads)

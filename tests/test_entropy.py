@@ -169,8 +169,10 @@ class TestRoundTrip:
     )
     def test_lane_rule_edges(self, rows, blocks):
         n = 3
-        lanes = entropy.lane_count(rows, n)
-        assert lanes == n * blocks
+        got_blocks, steps = entropy.lane_grid(rows)
+        assert got_blocks == blocks
+        assert blocks * (steps - 1) < rows <= blocks * steps  # the least steps that take every row
+        lanes = n * blocks
         rng = np.random.default_rng(rows)
         model = make_model(n, sigma=1.5)
         sched = quantizer.channel_schedule(0.5, 0.0, n)
@@ -208,7 +210,7 @@ class TestLatentsLoop:
             sched = quantizer.channel_schedule(0.5, 0.0, n)
             sym = quantizer.quantize(rng.normal(0.0, sigma, size=(rows, n)), sched)
             flat = sym.reshape(-1)
-            lanes = entropy.lane_count(rows, n)
+            lanes = n * entropy.lane_grid(rows)[0]
             # escapes on the first and last lane, and on the last symbol
             for k in (0, lanes - 1, flat.size - 1):
                 flat[k] = 100_000 + k

@@ -168,6 +168,12 @@ class TestFixedBases:
         m = builder(8)
         assert np.abs(m.T @ m - np.eye(8)).max() <= 1e-12
 
+    @pytest.mark.parametrize("builder", [linalg.dct_matrix, linalg.haar_matrix])
+    def test_leading_rows_built_alone(self, builder):
+        # a fixed-basis stream builds only the rank rows it keeps, bit for bit
+        for rows in (1, 3, 4, 5, 8):
+            assert np.array_equal(builder(8, rows), builder(8)[:rows])
+
     def test_haar_even_supported_odd_rejected(self):
         m = linalg.haar_matrix(6)
         assert np.abs(m.T @ m - np.eye(6)).max() <= 1e-12

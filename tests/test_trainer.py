@@ -1,9 +1,11 @@
 """Trainer tests: loss identities, gradients vs finite differences, Adam."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from shtc import codec, trainer
+from shtc import bitstream, codec, trainer
 from shtc.errors import ConfigError, InsufficientData
 from shtc.trainer import AdamState, TrainConfig
 
@@ -290,3 +292,51 @@ class TestTrain:
         assert np.isfinite(log_joint[-1]["loss"])
         # joint mode can only do better on the training objective
         assert log_joint[-1]["loss"] <= log_fixed[-1]["loss"] * 1.2
+
+
+class TestTrainedBytes:
+    """sha256 of a trained bundle's file and of its training log: a change to
+    the training path that moves any trained float shows here."""
+
+    # (default_configs keywords, TrainConfig keywords) -> (bundle file, log)
+    CASES = {
+        "shtc-full": ({}, {}),
+        "scaling_cols=2": ({"scaling_cols": 2}, {}),
+        "klt-trunc": ({"transform": "klt-trunc"}, {}),
+        "dct": ({"transform": "dct"}, {}),
+        "joint": ({}, {"joint": True, "refit_period": 15}),
+    }
+    PINNED = {
+        "shtc-full": (
+            "03b6e36279271a2ace0c4edce9aa082cf7122518c2186eeaf6032011f90c4a3c",
+            "d716485348c915f0aa950cc4cdb3dbaef3a2d6255408d575fd1ac5e2fd10c240",
+        ),
+        "scaling_cols=2": (
+            "3af7e4797fd1f3e2b99dfa74b17489d3b9fb4f6aac1e896aaecdacddeb76814c",
+            "28d68d1b1f44b129dd981e2a844ff8b02c44ea7ab3ea6ead2d5cbe521d5f623d",
+        ),
+        "klt-trunc": (
+            "116eccda95a69689d83ff653d1a43116fa9159cf7702c89210d3f13b1de38ca9",
+            "9bebdf436e2fc4cf1136fc98d8e5b0027ac1360c6ee9c925454a767cba980b3b",
+        ),
+        "dct": (
+            "1a916397a3375cee7c9b4f357a9b52bcc5a461a7b8c19777c11694aae367f3e2",
+            "f8f2422a041a359475a2b428b3a92d76f2c4bc2517dfaa13ed04f2dccb109a0b",
+        ),
+        "joint": (
+            "2b9ef10135a472523a3e66f1f5ccbf5d347add7ee89c17ee223e413c9ec6c58d",
+            "6685ca41cfc35c6cee0ce8eb15f8d80be5cacfe947b00a2ffa68f148b33048b1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_trained_bytes_pinned(self, case):
+        stream_kw, train_kw = self.CASES[case]
+        configs = codec.default_configs(8, rank=3, n_meas=3, n_layers=2, **stream_kw)
+        tc = TrainConfig(lam=0.01, iters=40, batch=16, seed=6, log_every=10, **train_kw)
+        bundle, log = trainer.train(toy_table(11), configs, tc)
+        got = (
+            hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest(),
+            hashlib.sha256(repr(log).encode()).hexdigest(),
+        )
+        assert got == self.PINNED[case]
