@@ -25,7 +25,7 @@ from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 3
+VERSION = 4
 
 _HEAD_FMT = "<4sHHI"
 _DIMS_FMT = "<8sBHHHHHHI"

@@ -263,19 +263,24 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import bench
+    from .errors import ConfigError
 
     cfg = load_config(args.config, _BENCH_KEYS) if args.config else {}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    methods = [str(m) for m in cfg.get("methods", [])] or (
+        [args.method] if args.method else list(bench.METHODS)
+    )
+    unknown = [m for m in methods if m not in bench.METHODS]
+    if unknown:
+        raise ConfigError(f"unknown bench method(s) {unknown}; choose from {list(bench.METHODS)}")
+    lambdas = cfg.get("lambdas", [])
+    if any(isinstance(v, str) for v in lambdas):
+        raise ConfigError(f"lambdas must be numbers, got {lambdas}")
+    lambdas = lambdas or ([args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS))
     if args.input:
         x = load_table(args.input)
     else:
         x = bench.synth_source(bench.SyntheticSpec(seed=seed, **_given(cfg, _SPEC_KEYS)))
-    methods = [str(m) for m in cfg.get("methods", [])] or (
-        [args.method] if args.method else list(bench.METHODS)
-    )
-    lambdas = [float(v) for v in cfg.get("lambdas", [])] or (
-        [args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS)
-    )
     rd_kw = _given(cfg, _RD_KEYS)
     curves = [bench.baseline_rd(x, method, lambdas, seed=seed, **rd_kw) for method in methods]
     rd_path = _out_path(args, "rd_curve.csv")

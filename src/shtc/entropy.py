@@ -9,8 +9,9 @@ entry and sent raw as 4-byte values after the coded words.
 The coder runs many rANS lanes side by side (Duda, arXiv:1311.2540; Giesen,
 arXiv:1402.3392): symbol k goes to lane ``k % lanes`` at step
 ``k // lanes``, and every numpy step advances all lanes at once. Lane states
-live in ``[2^31, 2^63)`` and renormalize by whole 32-bit words, so a lane
-moves at most one word per step. Byte layout: ``docs/format.md``.
+live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
+16-bit words, so a lane moves at most one word per step. Byte layout:
+``docs/format.md``.
 
 A numpy step costs more per call than per lane, so ``encode_latents`` and
 ``decode_latents`` code every latent of a file in one loop: all of them have
@@ -33,10 +34,11 @@ _HAVE_NUMBA = False  # read by the benchmark's environment record; no numba path
 
 _FREQ_BITS = 16
 _TOTAL = 1 << _FREQ_BITS
-_WORD_BITS = 32
-_STATE_BITS = 31
+_WORD_BITS = 16
+_STATE_BITS = 16
 _STATE_LOW = 1 << _STATE_BITS  # lane states stay in [_STATE_LOW, _STATE_LOW << _WORD_BITS)
 _LANE_ROWS = 4096  # rows per lane block; part of the format
+_BLOCK_LANES = 2  # lanes per channel in each lane block; part of the format
 _ESCAPE_BIAS = 1 << 31
 _ALPHABET_BOUND = 4096
 _SUPPORT_Z = 8.0
@@ -153,11 +155,11 @@ def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTable
 
 
 def lane_grid(rows: int) -> tuple[int, int]:
-    """The lane rule of a ``rows``-row latent: one lane per channel for each
-    whole block of ``_LANE_ROWS`` rows (at least one block), and the steps
-    that take every row. Returns ``(blocks, steps)``."""
-    blocks = max(1, rows // _LANE_ROWS)
-    return blocks, -(-rows // blocks)
+    """The lane rule of a ``rows``-row latent: ``_BLOCK_LANES`` lanes per
+    channel for each whole block of ``_LANE_ROWS`` rows (at least one block),
+    and the steps that take every row. Returns ``(lanes per channel, steps)``."""
+    width = _BLOCK_LANES * max(1, rows // _LANE_ROWS)
+    return width, -(-rows // width)
 
 
 def encode_latents(latents) -> list[bytes]:
@@ -182,8 +184,8 @@ def encode_latents(latents) -> list[bytes]:
         raise DimMismatch("latents of one file differ in row count")
     if rows == 0:
         return [b"" for _ in syms]
-    blocks, steps = lane_grid(rows)
-    widths = [blocks * sym.shape[1] for sym in syms]
+    width, steps = lane_grid(rows)
+    widths = [width * sym.shape[1] for sym in syms]
     # a partial last step is padded with freq 2^16, cum 0: an identity on the state
     freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
     cum = np.zeros(freq.shape, dtype=np.uint64)
@@ -207,7 +209,7 @@ def encode_latents(latents) -> list[bytes]:
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
-    words = np.empty(freq.shape, dtype=np.uint32)
+    words = np.empty(freq.shape, dtype=np.uint16)
     emitted = np.empty(freq.shape, dtype=bool)
     x = np.full(freq.shape[1], _STATE_LOW, dtype=np.uint64)
     q = np.empty_like(x)
@@ -225,8 +227,8 @@ def encode_latents(latents) -> list[bytes]:
     for lanes, raw in zip(widths, raws):
         cols = slice(a, a + lanes)
         coded.append(
-            x[cols].astype("<u8").tobytes()
-            + words[:, cols][emitted[:, cols]].astype("<u4").tobytes()
+            x[cols].astype("<u4").tobytes()
+            + words[:, cols][emitted[:, cols]].astype("<u2").tobytes()
             + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
         )
         a += lanes
@@ -238,24 +240,24 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     ``(data, model, sched)``, each latent coding ``rows`` rows.
 
     Each payload is checked against ``rows`` before anything of that size is
-    allocated: it must hold every lane's state, so a payload of B bytes
-    decodes to fewer than 1024 * B symbols.
+    allocated: it must hold every lane's 4-byte state, so a payload of B
+    bytes decodes to fewer than 1024 * B symbols.
     """
     if not rows:
         if any(data for data, *_ in latents):
             raise DecodeError("nonempty payload for zero rows")
         return [np.zeros((0, model.n), dtype=np.int64) for _, model, _ in latents]
-    blocks, steps = lane_grid(rows)
+    width, steps = lane_grid(rows)
     states, areas = [], []
     for data, model, _ in latents:
-        lanes = blocks * model.n
-        head = 8 * lanes
-        if len(data) < head or (len(data) - head) % 4:
+        lanes = width * model.n
+        head = 4 * lanes
+        if len(data) < head or (len(data) - head) % 2:
             raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
-        states.append(np.frombuffer(data, dtype="<u8", count=lanes))
-        areas.append(np.frombuffer(data, dtype="<u4", offset=head).astype(np.uint64))
+        states.append(np.frombuffer(data, dtype="<u4", count=lanes))
+        areas.append(np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64))
     x = np.concatenate(states).astype(np.uint64)
-    if np.any((x < _STATE_LOW) | (x >= _STATE_LOW << _WORD_BITS)):
+    if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
     tables = [build_tables(model, sched) for _, model, sched in latents]
     # One sorted search serves every latent: latent i's channels are numbered
@@ -273,7 +275,7 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     spans, chan_key, last_key = [], [], []
     a = 0
     for (_, model, _), c in zip(latents, first_chan):
-        lanes = blocks * model.n
+        lanes = width * model.n
         spans.append((a, a + lanes))
         keys = (c + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
         chan_key.append(keys)
@@ -310,13 +312,16 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
     out = []
-    for (_, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
+    for (data, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
         idx = (entries[:, a:b].reshape(-1)[: rows * model.n] - e0).reshape(rows, model.n) - t.start
         escaped = idx == t.size
-        if p + np.count_nonzero(escaped) != area.size:
+        n_escaped = np.count_nonzero(escaped)
+        # the words read leave exactly one u32, two u16, per escaped symbol
+        if p + 2 * n_escaped != area.size:
             raise DecodeError("payload length does not match decoded symbols")
         sym = idx + t.lo
-        raw = area[p:].astype(np.int64) - _ESCAPE_BIAS
+        raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped)
+        raw = raw.astype(np.int64) - _ESCAPE_BIAS
         chan = np.nonzero(escaped)[1]
         if np.any((raw >= t.lo[chan]) & (raw < t.lo[chan] + t.size[chan])):
             raise DecodeError("escaped symbol lies inside its table")

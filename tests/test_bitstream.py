@@ -110,10 +110,11 @@ class TestCorruption:
 
     def test_version_bump_rejected(self):
         # v1 files carry range-coded payloads, v2 files eigenvalues, a full
-        # basis and per-latent symbol counts; this reader reads v3
+        # basis and per-latent symbol counts, v3 files 64-bit lane states;
+        # this reader reads v4
         data, _ = bitstream.serialize(minimal_bundle())
-        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (3,)
-        for version in (1, 2, 4):
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (4,)
+        for version in (1, 2, 3, 5):
             head = struct.pack("<4sHHI", b"SHTC", version, 1, 0)
             patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
             with pytest.raises(VersionUnsupported):

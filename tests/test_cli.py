@@ -126,6 +126,31 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "line, flags",
+        [("methods = [foo]", []), ("methods = dct, foo", []), ("", ["--method", "foo"])],
+        ids=["config", "config-list", "flag"],
+    )
+    def test_unknown_bench_method_rejected_before_training(self, tmp_path, capsys, monkeypatch, line, flags):
+        from shtc import bench
+
+        def no_sweep(*args, **kw):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(bench, "synth_source", no_sweep)
+        monkeypatch.setattr(bench, "baseline_rd", no_sweep)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["bench", "--config", str(cfg), *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "foo" in err
+
+    def test_non_numeric_bench_lambdas_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("methods = dct\nlambdas = [a, b]\n")
+        assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["decode", "f", "--lambda", "1"],

@@ -147,12 +147,13 @@ class TestRoundTrip:
         assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
 
     def test_golden_bytes(self):
-        # 2 lane states (u64), no renormalized words, one escape (5000 + 2^31)
+        # 4 lane states (u32); one word, emitted where lane 3 codes the escape
+        # entry (freq 1) from L; one escape (5000 + 2^31)
         model = entropy.GaussianEntropyModel(mu=np.array([0.0, 0.5]), sigma=np.array([1.0, 2.0]))
         sched = quantizer.channel_schedule(0.5, 0.0, 2)
         sym = np.array([[0, 1], [-2, 5000], [3, -1]], dtype=np.int64)
         blob = entropy.encode_symbols(sym, model, sched)
-        assert blob.hex() == "f06f45683f0100004486988ec925390088130080"
+        assert blob.hex() == "6e8450007b7c71006c230800ffff0100000088130080"
         assert np.array_equal(entropy.decode_symbols(blob, 6, model, sched), sym)
 
     def test_deterministic(self):
@@ -165,25 +166,30 @@ class TestRoundTrip:
         )
 
     @pytest.mark.parametrize(
-        "rows, blocks", [(4095, 1), (4096, 1), (8191, 1), (8192, 2), (8193, 2), (12289, 3)]
+        "rows, blocks",
+        [(1, 1), (2, 1), (4095, 1), (4096, 1), (8191, 1), (8192, 2), (8193, 2), (12289, 3)],
     )
     def test_lane_rule_edges(self, rows, blocks):
+        # lanes = 2 * channels * blocks, blocks = max(1, rows div 4096)
         n = 3
-        got_blocks, steps = entropy.lane_grid(rows)
-        assert got_blocks == blocks
-        assert blocks * (steps - 1) < rows <= blocks * steps  # the least steps that take every row
-        lanes = n * blocks
+        width, steps = entropy.lane_grid(rows)
+        assert width == 2 * blocks
+        assert width * (steps - 1) < rows <= width * steps  # the least steps that take every row
+        assert steps <= 4096  # reached at 8191 rows
+        lanes = n * width
         rng = np.random.default_rng(rows)
         model = make_model(n, sigma=1.5)
         sched = quantizer.channel_schedule(0.5, 0.0, n)
         sym = quantizer.quantize(rng.normal(0.0, 1.5, size=(rows, n)), sched)
         flat = sym.reshape(-1)
         # escapes on the first and last lane of a step, and on the last symbol;
-        # at 8193 and 12289 rows that symbol is in a partial last step
-        for k in (0, lanes - 1, lanes, 2 * lanes - 1, flat.size - 1):
+        # at 1, 8193 and 12289 rows that symbol is in a partial last step, and
+        # at 1 and 2 rows there are no more symbols than lanes
+        escapes = {k for k in (0, lanes - 1, lanes, 2 * lanes - 1, flat.size - 1) if k < flat.size}
+        for k in escapes:
             flat[k] = 100_000 + k
         blob = entropy.encode_symbols(sym, model, sched)
-        assert len(blob) >= 8 * lanes + 4 * 5
+        assert len(blob) >= 4 * lanes + 4 * len(escapes)
         assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
 
     def test_corrupt_byte_detected_or_wrong(self):
@@ -211,8 +217,9 @@ class TestLatentsLoop:
             sym = quantizer.quantize(rng.normal(0.0, sigma, size=(rows, n)), sched)
             flat = sym.reshape(-1)
             lanes = n * entropy.lane_grid(rows)[0]
-            # escapes on the first and last lane, and on the last symbol
-            for k in (0, lanes - 1, flat.size - 1):
+            # escapes on the first and last lane, and on the last symbol; a
+            # 1-row latent has fewer symbols than lanes
+            for k in (0, min(lanes, flat.size) - 1, flat.size - 1):
                 flat[k] = 100_000 + k
             out.append((sym, model, sched))
         return out
@@ -250,7 +257,7 @@ class TestLatentsLoop:
         # a second latent cut short, or one word longer, fails on its own area
         latents = self.latents(300)
         coded = entropy.encode_latents(latents)
-        for forged in (coded[1][:-4], coded[1] + b"\x00" * 4):
+        for forged in (coded[1][:-2], coded[1] + b"\x00" * 2):
             items = [(data, model, sched) for data, (_, model, sched) in zip(coded, latents)]
             items[1] = (forged,) + items[1][1:]
             with pytest.raises(DecodeError):
@@ -258,6 +265,8 @@ class TestLatentsLoop:
 
 
 class TestHostilePayload:
+    """Each forgery reaches the one decoder check it names (``match``)."""
+
     @staticmethod
     def coded(rows=300, n=3, seed=12):
         rng = np.random.default_rng(seed)
@@ -271,28 +280,40 @@ class TestHostilePayload:
         blob, sym, model, sched = self.coded()
         forged = (2**32 - 1) // 3 * 3
         start = time.perf_counter()
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="does not fit"):
             entropy.decode_symbols(blob, forged, model, sched)
         assert time.perf_counter() - start < 1.0
 
     def test_words_not_whole_rejected(self):
+        # a word area of odd length holds no whole number of u16 words
         blob, sym, model, sched = self.coded()
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="does not fit"):
             entropy.decode_symbols(blob + b"\x00", sym.size, model, sched)
 
     def test_extra_word_rejected(self):
         blob, sym, model, sched = self.coded()
-        with pytest.raises(DecodeError):
-            entropy.decode_symbols(blob + b"\x00" * 4, sym.size, model, sched)
+        with pytest.raises(DecodeError, match="length does not match"):
+            entropy.decode_symbols(blob + b"\x00" * 2, sym.size, model, sched)
+
+    def test_truncated_words_rejected(self):
+        # without its escape and one word, a lane reads past the payload
+        blob, sym, model, sched = self.coded()
+        with pytest.raises(DecodeError, match="truncated"):
+            entropy.decode_symbols(blob[:-6], sym.size, model, sched)
 
     def test_state_below_range_rejected(self):
-        # a lane state c < L (the cum of symbol 0) plus the word 2^31 would
-        # decode symbol 0 and end at L: only the state range check refuses it
+        # One row of one channel runs on 2 lanes; lane 1 idles at L = 2^16.
+        # Lane 0 at c + 1 < L (c, f >= 2: the cum and freq of symbol 0) decodes
+        # symbol 0 to the state 1, and the word 0 takes it to L: the symbol,
+        # the word count and the end state all check, so only the state range
+        # check refuses it
         model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
         tables = entropy.build_tables(model, sched)
-        cum = int(tables.cum[tables.start[0] - tables.lo[0]])
-        forged = np.array([cum], dtype="<u8").tobytes() + np.array([2**31], dtype="<u4").tobytes()
-        with pytest.raises(DecodeError):
+        entry = tables.start[0] - tables.lo[0]
+        cum = int(tables.cum[entry])
+        assert tables.freq[entry] >= 2
+        forged = np.array([cum + 1, 2**16], dtype="<u4").tobytes() + np.array([0], dtype="<u2").tobytes()
+        with pytest.raises(DecodeError, match="out of range"):
             entropy.decode_symbols(forged, 1, model, sched)
 
     def test_lane_not_ending_at_initial_state_rejected(self):
@@ -300,15 +321,16 @@ class TestHostilePayload:
         # word count are unchanged, and the lane ends above L
         model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
         blob = entropy.encode_symbols(np.zeros((1, 1), dtype=np.int64), model, sched)
-        assert len(blob) == 8
-        forged = (np.frombuffer(blob, dtype="<u8") + np.uint64(2**16)).astype("<u8").tobytes()
-        with pytest.raises(DecodeError):
-            entropy.decode_symbols(forged, 1, model, sched)
+        states = np.frombuffer(blob, dtype="<u4").copy()
+        assert states.size == 2 and states[1] == 2**16  # lane 1 codes nothing
+        states[0] += 2**16
+        with pytest.raises(DecodeError, match="initial state"):
+            entropy.decode_symbols(states.tobytes(), 1, model, sched)
 
     def test_escape_inside_table_rejected(self):
         blob, sym, model, sched = self.coded()
         forged = blob[:-4] + np.array([2**31], dtype="<u4").tobytes()  # symbol 0
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="inside its table"):
             entropy.decode_symbols(forged, sym.size, model, sched)
 
     @settings(max_examples=200, deadline=None)
