@@ -56,5 +56,6 @@ def synthesize_base(theta_p: np.ndarray, model: KltModel) -> np.ndarray:
     theta_p = np.asarray(theta_p, dtype=np.float64)
     if theta_p.shape[-1] != model.rank:
         raise DimMismatch(f"expected last dim {model.rank}, got {theta_p.shape[-1]}")
-    return theta_p @ model.basis.T + model.mean
+    # contiguous for speed, as refinement.unfold_code's g_t
+    return theta_p @ np.ascontiguousarray(model.basis.T) + model.mean
 

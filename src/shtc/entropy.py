@@ -72,8 +72,9 @@ def bin_bits(x: np.ndarray, mu, sigma, steps):
     trainer's rate term, so both price a latent identically.
     """
     half = 0.5 * steps
-    z_hi = (x - mu + half) / sigma
-    z_lo = (x - mu - half) / sigma
+    dev = x - mu
+    z_hi = (dev + half) / sigma
+    z_lo = (dev - half) / sigma
     p = ndtr(z_hi) - ndtr(z_lo)
     return -np.log2(np.maximum(p, _PROB_FLOOR)), p, z_lo, z_hi
 

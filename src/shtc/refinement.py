@@ -10,6 +10,9 @@ threshold = softplus(b), which keeps both in range without projections).
 in buffers reused across blocks, so a block stays in cache. Layer 0 starts
 from beta = 0 (one matmul), and the soft threshold is computed as
 ``pre - clip(pre, -tau, tau)``: ``soft_threshold``'s values in fewer passes.
+That difference is nonzero exactly outside the dead zone |pre| <= tau, with
+the sign of pre, so a layer's output code is also its dead-zone mask and
+sign: the trainer's backward reads them there, not from ``pre``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def analyze_refine(r: np.ndarray, model: RefinementModel) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     if r.shape[-1] != model.dim:
         raise DimMismatch(f"expected last dim {model.dim}, got {r.shape[-1]}")
-    return r @ model.measure.T
+    return r @ np.ascontiguousarray(model.measure.T)  # see unfold_code's g_t
 
 
 def soft_threshold(z: np.ndarray, tau) -> np.ndarray:
@@ -159,11 +162,20 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
 
     If ``record`` is a list, each layer appends its input beta, its
     measurement residual and its pre-activation (the soft threshold's
-    argument) over all rows, which is what a hand-written backward pass
-    needs. The trainer's loss runs this same loop, so training
-    and decoding share one forward definition.
+    argument) over all rows. The trainer's backward reads the betas and
+    residuals, and takes layer k's dead zone and sign from beta k+1 (the
+    returned code for the last layer); ``pre`` is kept for inspection. The
+    trainer's loss runs this same loop, so training and decoding share one
+    forward definition.
     """
     g = model.measure @ model.dictionary
+    # A contiguous G^T: BLAS multiplies it faster than the transposed view,
+    # as it does for analyze_refine, base_layer.synthesize_base and the
+    # trainer's backward. The two give the same bits only at the shapes
+    # checked: with OpenBLAS, (n x 50) @ (50 x 15) agrees for n from 81 to
+    # 2099 and at 20000, but rounds differently at 80 rows or fewer, which
+    # includes a short last block.
+    g_t = np.ascontiguousarray(g.T)
     etas, taus = model.steps(), model.thresholds()
     n_layers, n_atoms = model.n_layers, model.n_atoms
     y2 = y.reshape(-1, model.n_meas)
@@ -189,7 +201,7 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
                 np.matmul(yb, g, out=pre)
                 pre *= etas[0]
             else:
-                np.matmul(beta, g.T, out=resid)
+                np.matmul(beta, g_t, out=resid)
                 resid -= yb
                 np.matmul(resid, g, out=pre)
                 pre *= etas[k]

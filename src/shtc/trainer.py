@@ -25,9 +25,10 @@ keeps in reverse. Its two costly parts run the codec's own forward helpers:
 the rate term ``entropy.bin_bits`` (backward ``_rate_grad``; a bin mass on
 the floor side of the clamp gets no gradient) and the unfolded-ISTA decoder
 ``refinement.unfold_code`` (backward ``_unfold_grad``; zero inside each
-soft-threshold dead zone). |x| has subgradient 0 at x = 0. The learnable
-parameters are named views into one flat vector, so gradient clipping and
-Adam are whole-vector updates.
+soft-threshold dead zone, which it reads from the next layer's code: the
+soft threshold is nonzero exactly outside it). |x| has subgradient 0 at
+x = 0. The learnable parameters are named views into one flat vector, so
+gradient clipping and Adam are whole-vector updates.
 """
 
 from __future__ import annotations
@@ -167,31 +168,37 @@ def _unfold_grad(g, y, model: RefinementModel, beta, layers):
 
     Walks the recorded layers in reverse. Subgradient: zero inside each
     soft-threshold dead zone (|pre| <= tau), for the pre-activation and the
-    threshold alike.
+    threshold alike. Layer k's dead zone and sign are read from the next
+    layer's code: ``beta_k+1 = pre - clip(pre, -tau, tau)`` is nonzero exactly
+    where |pre| > tau, with the sign of pre there, so s = sign(beta_k+1) is
+    the mask and the sign at once.
     """
     a, d = model.measure, model.dictionary
     gmat = a @ d
+    gmat_t = np.ascontiguousarray(gmat.T)  # see refinement.unfold_code's g_t
     etas = model.steps()
-    taus = model.thresholds()
     d_g = np.zeros_like(gmat)
     d_y = np.zeros_like(y)
     d_step = np.zeros_like(model.step_raw)
     d_thresh = np.zeros_like(model.thresh_raw)
     d_dict = g.T @ beta
     g_beta = g @ d
+    codes = [layer[0] for layer in layers[1:]] + [beta]
     for k in range(len(layers) - 1, -1, -1):
         # pre = beta_k - eta_k * (resid @ G),  resid = beta_k @ G.T - y
-        beta_k, resid, pre = layers[k]
-        g_pre = g_beta * (np.abs(pre) > taus[k])
-        d_thresh[k] = -(g_pre * np.sign(pre)).sum(axis=0) / (1.0 + np.exp(-model.thresh_raw[k]))
+        beta_k, resid, _ = layers[k]
+        s = np.sign(codes[k])
+        g_sign = g_beta * s
+        g_pre = g_sign * s
+        d_thresh[k] = -g_sign.sum(axis=0) / (1.0 + np.exp(-model.thresh_raw[k]))
         r_g = resid.T @ g_pre
         d_step[k] = -(r_g * gmat).sum(axis=0) * etas[k]
         d_g -= r_g * etas[k]
-        g_resid = -(g_pre * etas[k]) @ gmat.T
-        d_y -= g_resid
+        g_y = (g_pre * etas[k]) @ gmat_t  # at y; the gradient at resid is -g_y
+        d_y += g_y
         if k > 0:  # layer 0 starts from a constant zero code
-            d_g += g_resid.T @ beta_k
-            g_beta = g_pre + g_resid @ gmat
+            d_g -= g_y.T @ beta_k
+            g_beta = g_pre - g_y @ gmat
     return d_y, d_g @ d.T, d_dict + a.T @ d_g, d_step, d_thresh
 
 

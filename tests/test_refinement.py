@@ -194,8 +194,9 @@ def reference_unfold(y, model):
     return beta, layers
 
 
-# a 1-D vector, one row, and row counts on both sides of the 1024-row blocks
-BLOCK_CASES = [None, 1, 1023, 1024, 1025, 2049]
+# a 1-D vector, one row, and row counts on both sides of the block edges
+_B = refinement._BLOCK_ROWS
+BLOCK_CASES = [None, 1, _B - 1, _B, _B + 1, 2 * _B + 1]
 
 
 class TestBlockedLoop:

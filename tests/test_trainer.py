@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from shtc import bitstream, codec, trainer
+from shtc import bench, bitstream, codec, trainer
 from shtc.errors import ConfigError, InsufficientData
 from shtc.trainer import AdamState, TrainConfig
 
@@ -341,3 +341,18 @@ class TestTrainedBytes:
             hashlib.sha256(repr(log).encode()).hexdigest(),
         )
         assert got == self.PINNED[case]
+
+    def test_trained_bytes_default_architecture(self):
+        """The default architecture at full 256-row batches (dim 50, rank 15,
+        n_meas 15, 6 layers): the shapes of a real fit, where BLAS takes
+        other kernels than at the toy shapes above."""
+        x = bench.synth_source(bench.SyntheticSpec(n_rows=600, seed=3))
+        configs = codec.default_configs(50, rank=15, n_meas=15, n_layers=6)
+        tc = TrainConfig(lam=0.004, iters=20, batch=256, seed=6, log_every=5)
+        bundle, log = trainer.train(x, configs, tc)
+        assert hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest() == (
+            "f9e69f56cb650095ef5bcde6969ec3785e9def677e4ccb52820b244d366c2473"
+        )
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == (
+            "7b642f7c908fb4bf109f3aa511d41ef1e1f90b7d17918d2eda2a79f66b6a6631"
+        )

@@ -125,6 +125,35 @@ class TestUnfoldNode:
         grads = unfold_grads(self.weight, self.y, self.model)
         check_every_input(unfold_value(self.weight), grads, self.inputs())
 
+    def test_dead_zone_edges(self):
+        """The backward reads layer k's dead zone and sign from the next
+        layer's code: beta_k+1 != 0 exactly where |pre_k| > tau_k, with the
+        sign of pre_k there. One layer with A = D = I and step 1 has pre = y,
+        so entries can sit exactly on the edges +-tau, and at tau = 0."""
+        n = 5
+        thresh_raw = np.array([[np.log(np.expm1(0.25)), np.log(np.expm1(1.5)), -800.0, -800.0, 0.0]])
+        model = refinement.RefinementModel(np.eye(n), np.eye(n), np.zeros((1, n)), thresh_raw)
+        taus = model.thresholds()[0]
+        assert taus[2] == taus[3] == 0.0 and np.all(taus[[0, 1, 4]] > 0)
+        edge, above = taus, np.nextafter(taus, np.inf)
+        y = np.stack([edge, -edge, above, -above, 0.5 * edge, np.zeros(n), -np.zeros(n)])
+        y = np.concatenate([y, np.full((1, n), 5e-324), np.random.default_rng(4).normal(size=(4, n))])
+        layers = []
+        beta = refinement.unfold_code(y, model, record=layers)
+        ((_, _, pre),) = layers
+        assert np.array_equal(pre, y)
+        live = np.abs(pre) > taus
+        assert live.any() and not live.all()
+        assert np.array_equal(beta != 0, live)
+        assert np.array_equal(np.sign(beta[live]), np.sign(pre[live]))
+        # d y = g on live entries and zero on the edges and inside
+        weight = np.random.default_rng(5).normal(size=y.shape)
+        with np.errstate(over="ignore"):  # softplus'(-800) = 1 / (1 + exp(800)) = 0
+            d_y, _, _, _, d_thresh = unfold_grads(weight, y, model)
+            want = -(weight * np.sign(y) * live).sum(axis=0) / (1.0 + np.exp(-thresh_raw[0]))
+        assert np.array_equal(d_y, np.where(live, weight, 0.0))
+        np.testing.assert_allclose(d_thresh[0], want, rtol=1e-12, atol=0.0)
+
     def test_dead_zone_zero_gradient(self):
         # one layer whose every pre-activation sits inside the dead zone
         self.model.step_raw = self.model.step_raw[:1]
