@@ -23,9 +23,7 @@ _TRAIN_KEYS = {
     "iters": int,
     "batch": int,
     "seed": int,
-    "refit_period": int,
     "grad_clip": float,
-    "joint": bool,
     "log_every": int,
 }
 _STREAM_KEYS = {
@@ -56,12 +54,6 @@ _BENCH_KEYS = {**_SPEC_KEYS, **_RD_KEYS, "seed": int, "methods": list, "lambdas"
 
 def _parse_value(raw: str, kind):
     raw = raw.strip().strip('"').strip("'")
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if kind is list:
         items = [s.strip() for s in raw.strip("[]").split(",") if s.strip()]
         out = []

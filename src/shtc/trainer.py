@@ -9,15 +9,15 @@ with l1 terms as mean absolute error per element and rate terms as estimated
 bits per row. During training, quantization is replaced by additive uniform
 noise on both the rate and distortion paths (one shared draw per latent), so
 the learnable steps get distortion feedback too. The fitted basis is a
-constant during training; in joint mode (learnable table) it is refit every
-``refit_period`` iterations rather than differentiated through, since
+constant during training, not differentiated through, since
 eigendecomposition gradients are ill-conditioned near degenerate
-eigenvalues. A stream is analyzed by the codec's ``codec.split_base``, so
-training optimizes the transform the codec ships. Training ends in one
-finalization pass, ``_finalize``: the learned schedules and refinement
-weights are written back, each entropy model is fitted to the latents it
-will code, and ``bitstream.finalize_bundle`` returns the model a decoder
-reads back from the container.
+eigenvalues. The table is a constant too: training sees, and finalizes
+with, the rows ``shtc encode`` codes. A stream is analyzed by the codec's
+``codec.split_base``, so training optimizes the transform the codec ships.
+Training ends in one finalization pass, ``_finalize``: the learned schedules
+and refinement weights are written back, each entropy model is fitted to the
+latents it will code, and ``bitstream.finalize_bundle`` returns the model a
+decoder reads back from the container.
 
 The objective is one fixed function with one forward, ``loss``, and one
 hand-written backward, ``backward``, which walks the intermediates ``loss``
@@ -34,7 +34,7 @@ gradient clipping and Adam are whole-vector updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .refinement import RefinementModel
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _LN2 = float(np.log(2.0))
+_LR_DECAY = 0.05  # final lr fraction, exponential over the run
 
 
 @dataclass
@@ -57,11 +58,8 @@ class TrainConfig:
     iters: int = 3000
     batch: int = 256
     seed: int = 0
-    refit_period: int = 500
     grad_clip: float = 10.0
-    joint: bool = False
     log_every: int = 100
-    lr_decay: float = 0.05  # final lr fraction, exponential over the run
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -76,14 +74,10 @@ class TrainConfig:
             raise ConfigError("batch must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.refit_period < 0:
-            raise ConfigError("refit_period must be nonnegative")
         if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
             raise ConfigError("grad_clip must be finite and nonnegative")
         if self.log_every < 1:
             raise ConfigError("log_every must be at least 1")
-        if not 0 < self.lr_decay <= 1:
-            raise ConfigError("lr_decay must be in (0, 1]")
 
     @property
     def lambda_r(self) -> float:
@@ -126,10 +120,9 @@ def _refine_model(arrays: dict, key: str) -> RefinementModel:
     return RefinementModel(**{name: arrays[f"{key}.{name}"] for name in _REFINE_FIELDS})
 
 
-def make_params(bundle: CodecBundle, table: np.ndarray | None = None) -> Params:
-    """Learnable leaves: schedules, entropy parameters, refinement weights
-    (``{stream}.ref.{field}``, one per ``RefinementModel`` field), and in joint
-    mode the training table itself (``"table"``)."""
+def make_params(bundle: CodecBundle) -> Params:
+    """Learnable leaves: schedules, entropy parameters and refinement weights
+    (``{stream}.ref.{field}``, one per ``RefinementModel`` field)."""
     arrays = {}
     for sm in bundle.streams:
         p = sm.config.name
@@ -137,8 +130,6 @@ def make_params(bundle: CodecBundle, table: np.ndarray | None = None) -> Params:
         if sm.refine is not None:
             arrays.update({f"{p}.ref.{name}": getattr(sm.refine, name) for name in _REFINE_FIELDS})
             arrays.update(_latent_arrays(f"{p}.ref", sm.refine_sched, sm.refine_entropy))
-    if table is not None:
-        arrays["table"] = table
     return Params(arrays)
 
 
@@ -184,13 +175,17 @@ def _unfold_grad(g, y, model: RefinementModel, beta, layers):
     d_dict = g.T @ beta
     g_beta = g @ d
     codes = [layer[0] for layer in layers[1:]] + [beta]
+    # softplus'(t) = 1 / (1 + exp(-t)); exp overflows to inf below t = -709,
+    # which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        softplus_den = 1.0 + np.exp(-model.thresh_raw)
     for k in range(len(layers) - 1, -1, -1):
         # pre = beta_k - eta_k * (resid @ G),  resid = beta_k @ G.T - y
         beta_k, resid, _ = layers[k]
         s = np.sign(codes[k])
         g_sign = g_beta * s
         g_pre = g_sign * s
-        d_thresh[k] = -g_sign.sum(axis=0) / (1.0 + np.exp(-model.thresh_raw[k]))
+        d_thresh[k] = -g_sign.sum(axis=0) / softplus_den[k]
         r_g = resid.T @ g_pre
         d_step[k] = -(r_g * gmat).sum(axis=0) * etas[k]
         d_g -= r_g * etas[k]
@@ -272,7 +267,6 @@ class Forward:
     value: float
     streams: list
     weights: tuple  # of l1(f, f_hat), l1(r, r_hat), base bits, refinement bits
-    rows: np.ndarray | None  # the batch's rows of params["table"] (joint mode)
 
 
 def loss(
@@ -281,20 +275,13 @@ def loss(
     params: Params,
     config: TrainConfig,
     rng: np.random.Generator,
-    rows: np.ndarray | None = None,
 ) -> tuple[Forward, dict]:
-    """One forward pass; returns the loss with its intermediates and the
-    logged components.
-
-    ``batch`` holds the original rows (the distortion anchor). In joint mode
-    ``rows`` indexes the batch in ``params["table"]``, the learnable current
-    rows the transforms see.
-    """
+    """One forward pass over the rows ``batch``; returns the loss with its
+    intermediates and the logged components."""
     n_rows = batch.shape[0]
     if n_rows == 0:
         raise InsufficientData("empty batch")
     inv_rows = 1.0 / n_rows
-    current = batch if rows is None else params["table"][rows]
     streams = []
     total_abs = resid_abs = bits_base = bits_refine = 0.0
     total_elems = resid_elems = 0
@@ -302,7 +289,7 @@ def loss(
     for sm in bundle.streams:
         cfg = sm.config
         p = cfg.name
-        f = current[:, cfg.col_start : cfg.col_end]
+        f = batch[:, cfg.col_start : cfg.col_end]
         theta, r = split_base(f, sm.klt)
         s = _StreamPass(sm, _latent(theta, params, f"{p}.base", rng))
         bits_base += s.base.bits
@@ -322,7 +309,7 @@ def loss(
             resid_abs += np.abs(s.resid_err).sum()
             resid_elems += f.size
 
-        s.err = batch[:, cfg.col_start : cfg.col_end] - f_hat
+        s.err = f - f_hat
         total_abs += np.abs(s.err).sum()
         total_elems += f.size
         streams.append(s)
@@ -348,7 +335,7 @@ def loss(
         "l1_total": float(l1_total),
         "l1_residual": float(l1_resid),
     }
-    return Forward(float(value), streams, weights, rows), components
+    return Forward(float(value), streams, weights), components
 
 
 def backward(fwd: Forward, params: Params) -> np.ndarray:
@@ -356,14 +343,9 @@ def backward(fwd: Forward, params: Params) -> np.ndarray:
     grad = np.zeros_like(params.flat)
     grads = params.views(grad)
     w_l1, w_resid, w_base, w_refine = fwd.weights
-    g_batch = None if fwd.rows is None else np.zeros((len(fwd.rows), params["table"].shape[1]))
     for s in fwd.streams:
-        cfg = s.sm.config
-        p = cfg.name
-        v_m = s.sm.klt.basis
         g_f_hat = -w_l1 * np.sign(s.err)
-        g_theta = _latent_grad(s.base, g_f_hat @ v_m, w_base, grads)
-        g_r = 0.0  # at the truncation residual, joint mode only
+        _latent_grad(s.base, g_f_hat @ s.sm.klt.basis, w_base, grads)
         if s.refine is not None:
             model, beta, layers = s.unfold
             g_r_hat = g_f_hat - w_resid * np.sign(s.resid_err)
@@ -371,18 +353,11 @@ def backward(fwd: Forward, params: Params) -> np.ndarray:
                 g_r_hat, s.refine.x_hat, model, beta, layers
             )
             g_y = _latent_grad(s.refine, d_y, w_refine, grads)
-            g_model = _refine_model(grads, f"{p}.ref")
+            g_model = _refine_model(grads, f"{s.sm.config.name}.ref")
             g_model.measure += d_measure + g_y.T @ s.r  # y = r @ A.T
             g_model.dictionary += d_dict
             g_model.step_raw += d_step
             g_model.thresh_raw += d_thresh
-            if g_batch is not None:  # r = f - theta @ V.T - mean
-                g_r = w_resid * np.sign(s.resid_err) + g_y @ model.measure
-                g_theta = g_theta - g_r @ v_m
-        if g_batch is not None:  # theta = (f - mean) @ V
-            g_batch[:, cfg.col_start : cfg.col_end] = g_theta @ v_m.T + g_r
-    if g_batch is not None:
-        np.add.at(grads["table"], fwd.rows, g_batch)
     return grad
 
 
@@ -450,16 +425,6 @@ def _finalize(bundle: CodecBundle, params: Params, x: np.ndarray) -> CodecBundle
     return bitstream.finalize_bundle(CodecBundle(streams=streams))
 
 
-def _refit_bases(x: np.ndarray, bundle: CodecBundle) -> CodecBundle:
-    streams = []
-    for sm in bundle.streams:
-        cfg = sm.config
-        if cfg.stores_basis:
-            sm = replace(sm, klt=base_layer.fit_klt(x[:, cfg.col_start : cfg.col_end], cfg.rank))
-        streams.append(sm)
-    return CodecBundle(streams=streams)
-
-
 def train(
     x: np.ndarray,
     configs: list[StreamConfig],
@@ -478,31 +443,21 @@ def train(
     batch_size = min(config.batch, n)
     rng = np.random.default_rng(config.seed)
     bundle = fit_bundle(x, configs, rng)
-    params = make_params(bundle, x if config.joint else None)
+    params = make_params(bundle)
     state = AdamState()
     log: list[dict] = []
     for it in range(config.iters):
         idx = rng.integers(0, n, size=batch_size)
-        fwd, comps = loss(x[idx], bundle, params, config, rng, rows=idx if config.joint else None)
+        fwd, comps = loss(x[idx], bundle, params, config, rng)
         if not np.isfinite(fwd.value):
             raise Diverged(f"non-finite loss at iteration {it}: {comps}")
         grad = backward(fwd, params)
         grad_norm = clip_gradients(grad, config.grad_clip)
-        lr = config.lr * config.lr_decay ** (it / max(config.iters - 1, 1))
+        lr = config.lr * _LR_DECAY ** (it / max(config.iters - 1, 1))
         adam_step(params.flat, grad, state, lr)
         if (it + 1) % config.log_every == 0 or it == 0:
             comps["iter"] = it + 1
             comps["grad_norm"] = grad_norm
             comps["lr"] = lr
             log.append(comps)
-        if (
-            config.joint
-            and config.refit_period > 0
-            and (it + 1) % config.refit_period == 0
-            and it + 1 < config.iters
-        ):
-            bundle = _refit_bases(params["table"], bundle)
-    if config.joint:
-        x = params["table"]
-        bundle = _refit_bases(x, bundle)
     return _finalize(bundle, params, x), log

@@ -1,6 +1,8 @@
 """End-to-end CLI tests (in-process via main())."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 
@@ -60,12 +62,14 @@ class TestTableIo:
 
 
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    # joint and refit_period name a removed training mode: an old config must fail loudly
+    @pytest.mark.parametrize("key, value", [("bogus_key", "3"), ("joint", "true"), ("refit_period", "500")])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("lambda = 0.01\nbogus_key = 3\n")
+        cfg.write_text(f"lambda = 0.01\n{key} = {value}\n")
         code = cli.main(["fit", "missing.csv", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert "bogus_key" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -93,6 +97,14 @@ class TestConfigParsing:
             assert cli.main(["fit", str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 2, line
             assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "bundle.shtc").exists()
+
+    def test_config_keys_name_callee_parameters(self):
+        # a key its callee does not take would end a fit in a TypeError (exit 1)
+        from shtc.codec import default_configs
+        from shtc.trainer import TrainConfig
+
+        assert set(cli._TRAIN_KEYS) <= {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(cli._STREAM_KEYS) <= set(inspect.signature(default_configs).parameters)
 
     def test_unset_keys_keep_the_defaults_of_the_callee(self):
         from shtc.codec import default_configs

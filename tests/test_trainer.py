@@ -20,14 +20,14 @@ def toy_table(seed=0, n=64, d=8, rank=3, spikes=2):
     return x + 0.01 * rng.normal(size=(n, d))
 
 
-def toy_setup(seed=0, transform="shtc-full", scaling_cols=0, joint=False):
+def toy_setup(seed=0, transform="shtc-full", scaling_cols=0):
     x = toy_table(seed)
     configs = codec.default_configs(
         8, transform=transform, rank=3, n_meas=3, n_layers=2, scaling_cols=scaling_cols
     )
     rng = np.random.default_rng(seed)
     bundle = codec.fit_bundle(x, configs, rng)
-    params = trainer.make_params(bundle, x if joint else None)
+    params = trainer.make_params(bundle)
     tc = TrainConfig(lam=0.01, iters=10, batch=16, seed=seed)
     return x, bundle, params, tc
 
@@ -52,17 +52,15 @@ class TestConfig:
             {"batch": -5},
             {"log_every": 0},
             {"iters": -3},
-            {"refit_period": -1},
             *({"lr": v} for v in (-1.0, 0.0, nan, inf)),
             *({"grad_clip": v} for v in (-1.0, nan, inf)),
-            *({"lr_decay": v} for v in (0.0, -0.5, 1.5, nan)),
         ]
         for kw in bad:
             with pytest.raises(ConfigError):
                 TrainConfig(**kw)
 
     def test_edge_values_accepted(self):
-        TrainConfig(iters=0, batch=1, refit_period=0, grad_clip=0.0, log_every=1, lr_decay=1.0)
+        TrainConfig(iters=0, batch=1, grad_clip=0.0, log_every=1)
 
 
 class TestLoss:
@@ -98,7 +96,7 @@ class TestLoss:
         assert c1 == c2
 
 
-def _kink_margins(x, bundle, params, tc, rng_seed, rows=None):
+def _kink_margins(x, bundle, params, tc, rng_seed):
     """Smallest distance to any nondifferentiable point in the forward pass.
 
     Spies on the shared forward helpers the loss runs, through their modules:
@@ -128,7 +126,7 @@ def _kink_margins(x, bundle, params, tc, rng_seed, rows=None):
     refinement.unfold_code = unfold_spy
     entropy.bin_bits = bits_spy
     try:
-        fwd, _ = trainer.loss(x, bundle, params, tc, np.random.default_rng(rng_seed), rows=rows)
+        fwd, _ = trainer.loss(x, bundle, params, tc, np.random.default_rng(rng_seed))
     finally:
         refinement.unfold_code = orig_unfold
         entropy.bin_bits = orig_bits
@@ -139,12 +137,10 @@ def _kink_margins(x, bundle, params, tc, rng_seed, rows=None):
     return min(margins)
 
 
-# (toy_setup keywords, batch rows of the table); the joint batch repeats a
-# row, so the table gradient must add both of its copies
+# toy_setup keywords
 PIPELINE_CASES = {
-    "one-stream": ({}, None),
-    "two-streams": ({"scaling_cols": 2}, None),
-    "joint": ({"joint": True}, np.r_[np.arange(15), 3]),
+    "one-stream": {},
+    "two-streams": {"scaling_cols": 2},
 }
 
 
@@ -153,29 +149,26 @@ class TestFullPipelineGradients:
     def test_gradients_match_finite_differences(self, case):
         # noise-mode quantization keeps the pipeline differentiable a.e.;
         # probes landing near a kink are resampled
-        setup, rows = PIPELINE_CASES[case]
+        setup = PIPELINE_CASES[case]
         h = 1e-5
         checked = 0
         probe = 0
         while checked < 5 and probe < 25:
             probe += 1
             x, bundle, params, tc = toy_setup(seed=100 + probe, **setup)
-            batch = x[:16] if rows is None else x[rows]
-            if _kink_margins(batch, bundle, params, tc, probe, rows) < 1e-4:
+            batch = x[:16]
+            if _kink_margins(batch, bundle, params, tc, probe) < 1e-4:
                 continue
-            fwd, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe), rows=rows)
+            fwd, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))
             grads = params.views(trainer.backward(fwd, params))
 
             def value():
-                return trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe), rows=rows)[0].value
+                return trainer.loss(batch, bundle, params, tc, np.random.default_rng(probe))[0].value
 
             for name, p in params.items():
                 flat = p.reshape(-1)
                 gf = grads[name].reshape(-1)
                 idx = np.argsort(-np.abs(gf))[:3]  # largest entries per parameter
-                if name == "table":  # and the largest of the row the batch holds twice
-                    row = p.shape[1] * rows[-1]
-                    idx = np.r_[idx, row + np.argmax(np.abs(gf[row : row + p.shape[1]]))]
                 for i in idx:
                     orig = flat[i]
                     flat[i] = orig + h
@@ -265,9 +258,9 @@ class TestTrain:
         for key in ("loss", "bits_base", "bits_refine", "l1_total", "l1_residual", "grad_norm", "lr"):
             assert key in log[0]
         assert all(row["grad_norm"] > 0.0 for row in log)
-        # lr decays exponentially from lr at iteration 1 to lr * lr_decay at the last
+        # lr decays exponentially from lr at iteration 1 to lr * _LR_DECAY at the last
         assert log[0]["lr"] == pytest.approx(0.01)
-        assert log[0]["lr"] > log[1]["lr"] > log[2]["lr"] > 0.01 * 0.05
+        assert log[0]["lr"] > log[1]["lr"] > log[2]["lr"] > 0.01 * trainer._LR_DECAY
 
     def test_full_rank_stream_has_no_refinement(self):
         # rank == dim leaves a zero truncation residual; a refinement layer
@@ -282,30 +275,18 @@ class TestTrain:
         assert all(row["bits_refine"] == 0.0 for row in log)
         assert log[-1]["loss"] <= log[0]["loss"]
 
-    def test_joint_mode_runs_and_helps_distortion(self):
-        x = toy_table(10, n=128)
-        configs = codec.default_configs(8, transform="klt-trunc", rank=3)
-        fixed_tc = TrainConfig(lam=0.01, iters=150, batch=32, seed=3, refit_period=50)
-        joint_tc = TrainConfig(lam=0.01, iters=150, batch=32, seed=3, joint=True, refit_period=50)
-        b_fixed, log_fixed = trainer.train(x, configs, fixed_tc)
-        b_joint, log_joint = trainer.train(x, configs, joint_tc)
-        assert np.isfinite(log_joint[-1]["loss"])
-        # joint mode can only do better on the training objective
-        assert log_joint[-1]["loss"] <= log_fixed[-1]["loss"] * 1.2
-
 
 class TestTrainedBytes:
     """sha256 of a trained bundle's file and of its training log: a change to
     the training path that moves any trained float shows here (re-pinned at
     bitstream v4, where only the header's version and CRC changed)."""
 
-    # (default_configs keywords, TrainConfig keywords) -> (bundle file, log)
+    # default_configs keywords -> (bundle file, log)
     CASES = {
-        "shtc-full": ({}, {}),
-        "scaling_cols=2": ({"scaling_cols": 2}, {}),
-        "klt-trunc": ({"transform": "klt-trunc"}, {}),
-        "dct": ({"transform": "dct"}, {}),
-        "joint": ({}, {"joint": True, "refit_period": 15}),
+        "shtc-full": {},
+        "scaling_cols=2": {"scaling_cols": 2},
+        "klt-trunc": {"transform": "klt-trunc"},
+        "dct": {"transform": "dct"},
     }
     PINNED = {
         "shtc-full": (
@@ -324,17 +305,12 @@ class TestTrainedBytes:
             "9444bc01138fbde646f3ab37ce9f0f9e1cfc4821b02e3ad172a0078498595dd0",
             "f8f2422a041a359475a2b428b3a92d76f2c4bc2517dfaa13ed04f2dccb109a0b",
         ),
-        "joint": (
-            "16f90df893efa2f56d39b67b4e8df3ec3a8d42c087258efd301c1977cc7dedab",
-            "6685ca41cfc35c6cee0ce8eb15f8d80be5cacfe947b00a2ffa68f148b33048b1",
-        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_trained_bytes_pinned(self, case):
-        stream_kw, train_kw = self.CASES[case]
-        configs = codec.default_configs(8, rank=3, n_meas=3, n_layers=2, **stream_kw)
-        tc = TrainConfig(lam=0.01, iters=40, batch=16, seed=6, log_every=10, **train_kw)
+        configs = codec.default_configs(8, rank=3, n_meas=3, n_layers=2, **self.CASES[case])
+        tc = TrainConfig(lam=0.01, iters=40, batch=16, seed=6, log_every=10)
         bundle, log = trainer.train(toy_table(11), configs, tc)
         got = (
             hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest(),

@@ -148,8 +148,9 @@ class TestUnfoldNode:
         assert np.array_equal(np.sign(beta[live]), np.sign(pre[live]))
         # d y = g on live entries and zero on the edges and inside
         weight = np.random.default_rng(5).normal(size=y.shape)
-        with np.errstate(over="ignore"):  # softplus'(-800) = 1 / (1 + exp(800)) = 0
+        with np.errstate(over="raise"):
             d_y, _, _, _, d_thresh = unfold_grads(weight, y, model)
+        with np.errstate(over="ignore"):  # softplus'(-800) = 1 / (1 + exp(800)) = 0
             want = -(weight * np.sign(y) * live).sum(axis=0) / (1.0 + np.exp(-thresh_raw[0]))
         assert np.array_equal(d_y, np.where(live, weight, 0.0))
         np.testing.assert_allclose(d_thresh[0], want, rtol=1e-12, atol=0.0)
