@@ -12,13 +12,14 @@ Layout (all ints little-endian, floats 32-bit LE; full byte map in
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .base_layer import KltModel
-from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis
+from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis, check_tiling
 from .entropy import GaussianEntropyModel
 from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, DimMismatch, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
@@ -148,7 +149,7 @@ def _f32_reader(content: bytes):
     pos = [0]
 
     def take(shape) -> np.ndarray:
-        n = int(np.prod(shape))
+        n = shape if isinstance(shape, int) else math.prod(shape)
         if pos[0] + n > arr.size:
             raise DecodeError("model block too short")
         chunk = arr[pos[0] : pos[0] + n].reshape(shape)
@@ -235,6 +236,10 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
         payloads.append(StreamPayload(latents, rows))
     if rd.pos != len(rd.data):
         raise DecodeError("file has trailing bytes")
+    try:
+        check_tiling(sm.config for sm in streams)
+    except ConfigError as exc:
+        raise DecodeError(f"dims blocks: {exc}") from exc
     return CodecBundle(streams=streams), payloads
 
 

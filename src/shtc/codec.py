@@ -1,12 +1,19 @@
 """Stream configuration, codec bundle, and the deterministic encode/decode
 paths that tie the transforms, quantizer, and entropy coder together.
 
-A table is compressed as one or more column streams. Each stream has a base
-layer (fitted KLT or a fixed orthonormal basis, truncated to ``rank``
-coefficients) and, for the full hierarchy, a refinement layer coding the
-base-layer residual. A finalized bundle (``bitstream.finalize_bundle``) is
-the model a decoder reads back from the container, so encoder- and
-decoder-side reconstructions are bit-identical.
+A table is compressed as one or more column streams, which tile its columns
+in order. Each stream has a base layer (fitted KLT or a fixed orthonormal
+basis, truncated to ``rank`` coefficients) and, for the full hierarchy, a
+refinement layer coding the base-layer residual. A finalized bundle
+(``bitstream.finalize_bundle``) is the model a decoder reads back from the
+container, so encoder- and decoder-side reconstructions are bit-identical.
+
+A stream's analysis (``_stream_symbols``) runs over the whole table, since
+the coder codes every latent of a file in one loop. Its synthesis
+(``_reconstruct_stream``) runs one block of ``_BLOCK_ROWS`` rows at a time,
+from symbols to the block's slice of the output table, so its working memory
+does not grow with the row count. The encoder's reconstruction and the
+decoder's run the same blocks, hence agree bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ TRANSFORMS = ("none", "dct", "haar", "klt-trunc", "shtc-full")
 _STORED_BASIS = ("klt-trunc", "shtc-full")
 
 _U16 = 1 << 16  # the dims block stores columns, rank, n_meas, n_atoms and n_layers as u16
+
+_BLOCK_ROWS = 1024  # rows per synthesis block; not part of the format
 
 
 @dataclass
@@ -141,13 +150,27 @@ class StreamModel:
     refine_entropy: GaussianEntropyModel | None = None
 
 
+def check_tiling(configs) -> int:
+    """The streams' layout rule: stream 0 starts at column 0 and each later
+    stream at the previous one's ``col_end``, so the streams tile the table's
+    columns with no gap and no overlap. Returns the column count."""
+    end = 0
+    for cfg in configs:
+        if cfg.col_start != end:
+            raise ConfigError(f"stream {cfg.name!r} starts at column {cfg.col_start}, not {end}: "
+                              "streams must tile the columns in order")
+        end = cfg.col_end
+    return end
+
+
 @dataclass
 class CodecBundle:
     streams: list[StreamModel] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
-        return max(s.config.col_end for s in self.streams)
+        """The table's column count, which the streams tile (``check_tiling``)."""
+        return check_tiling(s.config for s in self.streams)
 
 
 def _fixed_basis(kind: str, dim: int, rank: int) -> np.ndarray:
@@ -203,7 +226,7 @@ def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> St
 
 def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Generator) -> CodecBundle:
     x = np.asarray(x, dtype=np.float64)
-    if configs and max(c.col_end for c in configs) != x.shape[1]:
+    if configs and check_tiling(configs) != x.shape[1]:
         raise DimMismatch("stream configs do not cover the table columns")
     return CodecBundle(streams=[fit_stream(x, c, rng) for c in configs])
 
@@ -233,13 +256,18 @@ def _stream_symbols(sm: StreamModel, xs: np.ndarray) -> list[np.ndarray]:
     return symbols
 
 
-def _reconstruct_stream(sm: StreamModel, sym_base: np.ndarray, sym_refine=None) -> np.ndarray:
-    theta_hat = quantizer.dequantize(sym_base, sm.base_sched)
-    f_base = base_layer.synthesize_base(theta_hat, sm.klt)
-    if sm.refine is None:
-        return f_base
-    y_hat = quantizer.dequantize(sym_refine, sm.refine_sched)
-    return f_base + refinement.unfold_synthesize(y_hat, sm.refine)
+def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym_base: np.ndarray, sym_refine=None) -> None:
+    """Write the stream's reconstruction from its symbols into ``out``, one
+    block of ``_BLOCK_ROWS`` rows at a time: dequantize, base synthesis, the
+    unfolded refinement, and their sum straight into the block's rows."""
+    for s in range(0, out.shape[0], _BLOCK_ROWS):
+        rows = slice(s, s + _BLOCK_ROWS)
+        f_base = base_layer.synthesize_base(quantizer.dequantize(sym_base[rows], sm.base_sched), sm.klt)
+        if sm.refine is None:
+            out[rows] = f_base
+        else:
+            y_hat = quantizer.dequantize(sym_refine[rows], sm.refine_sched)
+            np.add(f_base, refinement.unfold_synthesize(y_hat, sm.refine), out=out[rows])
 
 
 def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[list[StreamPayload], np.ndarray]:
@@ -249,12 +277,12 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[list[StreamPayload
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != bundle.dim:
         raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
-    recon = np.zeros_like(x)
+    recon = np.empty_like(x)  # the streams tile its columns
     symbols = []
     for sm in bundle.streams:
         cols = slice(sm.config.col_start, sm.config.col_end)
         syms = _stream_symbols(sm, x[:, cols])
-        recon[:, cols] = _reconstruct_stream(sm, *syms)
+        _reconstruct_stream(sm, recon[:, cols], *syms)
         symbols.append(syms)
     coded = iter(encode_latents([
         (sym, *model)
@@ -280,10 +308,10 @@ def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarr
         latents += [(data, *model) for data, model in zip(payload.latents, models)]
     rows = payloads[0].rows
     symbols = iter(decode_latents(rows, latents))
-    out = np.zeros((rows, bundle.dim))
+    out = np.empty((rows, bundle.dim))  # the streams tile its columns
     for sm in bundle.streams:
-        rec = _reconstruct_stream(sm, *(next(symbols) for _ in _latent_models(sm)))
+        rec = out[:, sm.config.col_start : sm.config.col_end]
+        _reconstruct_stream(sm, rec, *(next(symbols) for _ in _latent_models(sm)))
         if not np.isfinite(rec).all():
             raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")
-        out[:, sm.config.col_start : sm.config.col_end] = rec
     return out

@@ -16,8 +16,9 @@ live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
 A numpy step costs more per call than per lane, so ``encode_latents`` and
 ``decode_latents`` code every latent of a file in one loop: all of them have
 one row count, hence one step count, and each step advances the lanes of
-every latent. ``encode_symbols`` and ``decode_symbols`` are the one-latent
-case of the same loop.
+every latent. They build one frequency table over the channels of all
+latents, so one sorted search serves the whole file. ``encode_symbols`` and
+``decode_symbols`` are the one-latent case of the same loop.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ _ESCAPE_BIAS = 1 << 31
 _ALPHABET_BOUND = 4096
 _SUPPORT_Z = 8.0
 _PROB_FLOOR = 2.0**-40
+_ESCAPED = -(1 << 62)  # a decoded escape entry's value, outside every table and escape range
 
 
 @dataclass
@@ -106,16 +108,24 @@ class FreqTables:
     key: np.ndarray
 
 
-def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTables:
+def build_tables(
+    model: GaussianEntropyModel | list[GaussianEntropyModel], sched: QuantSchedule | list[QuantSchedule]
+) -> FreqTables:
     """Frequency tables over each channel's plausible symbol range plus escape.
 
-    A pure function of the (serialized) model parameters, so encoder and
-    decoder rebuild them identically.
+    ``model`` and ``sched`` are one latent's entropy model and step schedule,
+    or lists of them, one pair per latent: the tables then number the
+    channels of every latent in list order, so that one search serves a
+    whole file. A pure function of the (serialized) model parameters, so
+    encoder and decoder rebuild them identically.
     """
-    if sched.n != model.n:
+    models, scheds = (model, sched) if isinstance(model, list) else ([model], [sched])
+    if any(sc.n != m.n for m, sc in zip(models, scheds, strict=True)):
         raise DimMismatch("model/schedule channel counts disagree")
-    mu, sigma = model.mu, model.sigma
-    step = np.asarray(sched.steps, dtype=np.float64)
+    mu = np.concatenate([m.mu for m in models])
+    sigma = np.concatenate([m.sigma for m in models])
+    step = np.concatenate([np.asarray(sc.steps, dtype=np.float64) for sc in scheds])
+    n = mu.size
     lo = np.floor((mu - _SUPPORT_Z * sigma) / step)
     hi = np.ceil((mu + _SUPPORT_Z * sigma) / step)
     # the zero bin stays in-table even under model mismatch
@@ -123,8 +133,8 @@ def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTable
     hi = np.minimum(np.maximum(np.maximum(hi, 1), lo), _ALPHABET_BOUND).astype(np.int64)
     size = hi - lo + 1
     start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
-    first = start - np.arange(model.n)  # offset of each channel's first symbol
-    chan = np.repeat(np.arange(model.n), size)
+    first = start - np.arange(n)  # offset of each channel's first symbol
+    chan = np.repeat(np.arange(n), size)
     s = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float64)
     m_c, sig_c, step_c = mu[chan], sigma[chan], step[chan]
     m = chan.size
@@ -140,11 +150,11 @@ def build_tables(model: GaussianEntropyModel, sched: QuantSchedule) -> FreqTable
     # the deficit goes to the first most probable symbol of each channel
     peak = np.maximum.reduceat(p, first)
     freqs[np.minimum.reduceat(np.where(p == peak[chan], np.arange(m), m), first)] += deficit
-    freq = np.empty(m + model.n, dtype=np.int64)
+    freq = np.empty(m + n, dtype=np.int64)
     freq[np.arange(m) + chan] = freqs
     freq[start + size] = esc
     key = np.cumsum(freq) - freq
-    entry_chan = np.repeat(np.arange(model.n), size + 1)
+    entry_chan = np.repeat(np.arange(n), size + 1)
     return FreqTables(
         lo=lo,
         size=size,
@@ -185,28 +195,36 @@ def encode_latents(latents) -> list[bytes]:
         raise DimMismatch("latents of one file differ in row count")
     if rows == 0:
         return [b"" for _ in syms]
+    tables = build_tables([model for _, model, _ in latents], [sched for *_, sched in latents])
     width, steps = lane_grid(rows)
     widths = [width * sym.shape[1] for sym in syms]
     # a partial last step is padded with freq 2^16, cum 0: an identity on the state
     freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
     cum = np.zeros(freq.shape, dtype=np.uint64)
     raws = []
-    a = 0
-    for sym, (_, model, sched), lanes in zip(syms, latents, widths):
-        tables = build_tables(model, sched)
-        idx = sym - tables.lo
-        escaped = (idx < 0) | (idx >= tables.size)
+    a = c = 0
+    for sym, lanes in zip(syms, widths):
+        chans = slice(c, c + sym.shape[1])
+        size = tables.size[chans].astype(np.uint64)
+        # a symbol's index in its channel's table; below lo it wraps to above
+        # 2^63, so both out-of-table sides clip to the escape entry at size
+        entry = sym - tables.lo[chans]
+        index = entry.view(np.uint64)
+        np.minimum(index, size, out=index)
+        escaped = index == size
+        entry += tables.start[chans]
         raw = sym[escaped]
         if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
             raise Overflow("escaped symbol exceeds 32-bit signed range")
         raws.append(raw)
-        entry = (np.where(escaped, tables.size, idx) + tables.start).ravel()
+        entry = entry.ravel()
         head = (steps - 1) * lanes  # symbols before the last step
         for dst, src in ((freq, tables.freq), (cum, tables.cum)):
             cols = dst[:, a : a + lanes]
             cols[:-1] = src[entry[:head]].reshape(steps - 1, lanes)
             cols[-1, : entry.size - head] = src[entry[head:]]
         a += lanes
+        c += sym.shape[1]
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
@@ -214,10 +232,11 @@ def encode_latents(latents) -> list[bytes]:
     emitted = np.empty(freq.shape, dtype=bool)
     x = np.full(freq.shape[1], _STATE_LOW, dtype=np.uint64)
     q = np.empty_like(x)
+    word_bits = np.uint64(_WORD_BITS)
     for t in range(steps - 1, -1, -1):
-        out = np.greater_equal(x, limit[t], out=emitted[t])
+        emit = np.greater_equal(x, limit[t], out=emitted[t])
         words[t] = x  # the low word
-        x >>= out * np.uint64(_WORD_BITS)
+        np.right_shift(x, word_bits, out=x, where=emit)
         # x = (x // f) * 2^16 + x % f + c, computed as x + (x // f) * (2^16 - f) + c
         np.floor_divide(x, freq[t], out=q)
         q *= gap[t]
@@ -260,28 +279,25 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     x = np.concatenate(states).astype(np.uint64)
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
-    tables = [build_tables(model, sched) for _, model, sched in latents]
-    # One sorted search serves every latent: latent i's channels are numbered
-    # after those of the latents before it. A last, pad channel holds one
-    # entry of freq 2^16, cum 0 (an identity on the state): the lanes idle in
-    # a partial last step decode it, so every step runs on every lane.
-    first_chan = np.cumsum([0] + [model.n for _, model, _ in latents], dtype=np.uint64)
-    pad = first_chan[-1] << np.uint64(_FREQ_BITS)
-    key = np.concatenate(
-        [t.key + (c << np.uint64(_FREQ_BITS)) for t, c in zip(tables, first_chan)] + [[pad]]
-    )[1:]  # key[0] = 0 <= every slot: the search yields the entry itself
-    freq = np.concatenate([t.freq for t in tables] + [[_TOTAL]]).astype(np.uint64)
-    cum = np.concatenate([t.cum for t in tables] + [[0]]).astype(np.uint64)
-    first_entry = np.cumsum([0] + [t.freq.size for t in tables])
+    tables = build_tables([model for _, model, _ in latents], [sched for *_, sched in latents])
+    # One sorted search serves every latent: the tables number the channels
+    # of all latents in order. A last, pad channel holds one entry of freq
+    # 2^16, cum 0 (an identity on the state): the lanes idle in a partial
+    # last step decode it, so every step runs on every lane.
+    pad = np.uint64(tables.lo.size << _FREQ_BITS)
+    key = np.append(tables.key[1:], pad)  # key[0] = 0 <= every slot: the search yields the entry itself
+    freq = np.append(tables.freq, np.uint64(_TOTAL))
+    cum = np.append(tables.cum, np.uint64(0))
     spans, chan_key, last_key = [], [], []
-    a = 0
-    for (_, model, _), c in zip(latents, first_chan):
+    a = c = 0
+    for _, model, _ in latents:
         lanes = width * model.n
-        spans.append((a, a + lanes))
-        keys = (c + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
+        spans.append((a, a + lanes, c))
+        keys = (np.uint64(c) + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
         chan_key.append(keys)
         last_key.append(np.where(np.arange(lanes) < rows * model.n - (steps - 1) * lanes, keys, pad))
         a += lanes
+        c += model.n
     chan_key = np.concatenate(chan_key)
     step_keys = [chan_key] * (steps - 1) + [np.concatenate(last_key)]
     # numpy scalars: a Python int operand costs a conversion on every step
@@ -289,7 +305,7 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
     entries = np.empty((steps, x.size), dtype=np.intp)
     need = np.empty(x.size, dtype=bool)
-    lane_need = [need[a:b] for a, b in spans]
+    lane_need = [need[a:b] for a, b, _ in spans]
     pos = [0] * len(latents)
     for t, ck in enumerate(step_keys):
         slot = x & mask
@@ -312,19 +328,22 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
             x[need] = (x[need] << word_bits) | np.concatenate(words)
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
+    # each entry's symbol; an escape entry, and the pad entry that only idle
+    # lanes decode, hold _ESCAPED, outside every table
+    value = np.append(np.arange(tables.freq.size) - np.repeat(tables.start - tables.lo, tables.size + 1), _ESCAPED)
+    value[tables.start + tables.size] = _ESCAPED
     out = []
-    for (data, model, _), t, (a, b), area, p, e0 in zip(latents, tables, spans, areas, pos, first_entry):
-        idx = (entries[:, a:b].reshape(-1)[: rows * model.n] - e0).reshape(rows, model.n) - t.start
-        escaped = idx == t.size
+    for (data, model, _), (a, b, c), area, p in zip(latents, spans, areas, pos):
+        sym = value[entries[:, a:b]].reshape(-1)[: rows * model.n].reshape(rows, model.n)
+        escaped = sym == _ESCAPED
         n_escaped = np.count_nonzero(escaped)
         # the words read leave exactly one u32, two u16, per escaped symbol
         if p + 2 * n_escaped != area.size:
             raise DecodeError("payload length does not match decoded symbols")
-        sym = idx + t.lo
         raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped)
         raw = raw.astype(np.int64) - _ESCAPE_BIAS
-        chan = np.nonzero(escaped)[1]
-        if np.any((raw >= t.lo[chan]) & (raw < t.lo[chan] + t.size[chan])):
+        chan = c + np.nonzero(escaped)[1]
+        if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
             raise DecodeError("escaped symbol lies inside its table")
         sym[escaped] = raw
         out.append(sym)

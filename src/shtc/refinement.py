@@ -6,8 +6,10 @@ and threshold per channel per layer (stored in raw form: step = exp(a),
 threshold = softplus(b), which keeps both in range without projections).
 ``ista_solve`` is the plain fixed-parameter solver kept as an oracle.
 
-``unfold_code`` runs all layers on one block of ``_BLOCK_ROWS`` rows at a time,
-in buffers reused across blocks, so a block stays in cache. Layer 0 starts
+``unfold_code`` runs all layers on the rows it is given, in three work
+buffers reused across layers. It has no row loop of its own: the codec
+synthesizes a table one block of ``codec._BLOCK_ROWS`` rows at a time, and a
+training batch is one block, so its buffers stay in cache. Layer 0 starts
 from beta = 0 (one matmul), and the soft threshold is computed as
 ``pre - clip(pre, -tau, tau)``: ``soft_threshold``'s values in fewer passes.
 That difference is nonzero exactly outside the dead zone |pre| <= tau, with
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadThreshold, DimMismatch, StepTooLarge
-
-_BLOCK_ROWS = 1024
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -160,13 +160,14 @@ def unfold_synthesize(y: np.ndarray, model: RefinementModel) -> np.ndarray:
 def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = None) -> np.ndarray:
     """The unfolded layers without checks; returns the final code beta.
 
-    If ``record`` is a list, each layer appends its input beta, its
+    Every layer runs on all rows of ``y`` at once: callers that want bounded
+    working memory pass a block of rows (the codec's ``_reconstruct_stream``
+    does). If ``record`` is a list, each layer appends its input beta, its
     measurement residual and its pre-activation (the soft threshold's
-    argument) over all rows. The trainer's backward reads the betas and
-    residuals, and takes layer k's dead zone and sign from beta k+1 (the
-    returned code for the last layer); ``pre`` is kept for inspection. The
-    trainer's loss runs this same loop, so training and decoding share one
-    forward definition.
+    argument). The trainer's backward reads the betas and residuals, and
+    takes layer k's dead zone and sign from beta k+1 (the returned code for
+    the last layer); ``pre`` is kept for inspection. The trainer's loss runs
+    this same loop, so training and decoding share one forward definition.
     """
     g = model.measure @ model.dictionary
     # A contiguous G^T: BLAS multiplies it faster than the transposed view,
@@ -174,42 +175,30 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
     # trainer's backward. The two give the same bits only at the shapes
     # checked: with OpenBLAS, (n x 50) @ (50 x 15) agrees for n from 81 to
     # 2099 and at 20000, but rounds differently at 80 rows or fewer, which
-    # includes a short last block.
+    # includes a short last block of the codec's synthesis.
     g_t = np.ascontiguousarray(g.T)
     etas, taus = model.steps(), model.thresholds()
-    n_layers, n_atoms = model.n_layers, model.n_atoms
     y2 = y.reshape(-1, model.n_meas)
-    n = y2.shape[0]
-    out = np.empty((n, n_atoms))
-    if record is not None:
-        # layer 0 reads beta = 0 and resid = -y; the loop fills the rest
-        shape = (n, n_atoms)
-        layers = [(np.zeros(shape), -y2, np.empty(shape))]
-        layers += [(np.empty(shape), np.empty_like(y2), np.empty(shape)) for _ in range(1, n_layers)]
-        record += layers
-    rows = min(n, _BLOCK_ROWS)
-    resid_buf, pre_buf, clip_buf = (np.empty((rows, cols)) for cols in (model.n_meas, n_atoms, n_atoms))
-    for s in range(0, n, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, n)
-        yb, clip = y2[s:e], clip_buf[: e - s]
-        for k in range(n_layers):
-            if record is None:
-                beta, resid, pre = out[s:e], resid_buf[: e - s], pre_buf[: e - s]
-            else:
-                beta, resid, pre = (a[s:e] for a in layers[k])
-            if k == 0:  # beta = 0: pre = -eta * (-y @ G) = eta * (y @ G)
-                np.matmul(yb, g, out=pre)
-                pre *= etas[0]
-            else:
-                np.matmul(beta, g_t, out=resid)
-                resid -= yb
-                np.matmul(resid, g, out=pre)
-                pre *= etas[k]
-                np.subtract(beta, pre, out=pre)
-            nxt = out if record is None or k + 1 == n_layers else layers[k + 1][0]
-            np.minimum(np.maximum(pre, -taus[k], out=clip), taus[k], out=clip)
-            np.subtract(pre, clip, out=nxt[s:e])
-    return out.reshape(y.shape[:-1] + (n_atoms,))
+    shape = (y2.shape[0], model.n_atoms)
+    beta, resid, pre, clip = np.empty(shape), np.empty_like(y2), np.empty(shape), np.empty(shape)
+    for k in range(model.n_layers):
+        if k == 0:  # beta = 0: pre = -eta * (-y @ G) = eta * (y @ G)
+            np.matmul(y2, g, out=pre)
+            pre *= etas[0]
+        else:
+            np.matmul(beta, g_t, out=resid)
+            resid -= y2
+            np.matmul(resid, g, out=pre)
+            pre *= etas[k]
+            np.subtract(beta, pre, out=pre)
+        nxt = beta if record is None else np.empty(shape)
+        np.minimum(np.maximum(pre, -taus[k], out=clip), taus[k], out=clip)
+        np.subtract(pre, clip, out=nxt)
+        if record is not None:  # a recorded layer keeps its arrays; the next gets new ones
+            record.append((beta, resid, pre) if k else (np.zeros(shape), -y2, pre))
+            resid, pre = np.empty_like(y2), np.empty(shape)
+        beta = nxt
+    return beta.reshape(y.shape[:-1] + (model.n_atoms,))
 
 
 def param_count(model: RefinementModel) -> int:

@@ -303,6 +303,19 @@ class TestHostileDimsBlock:
         with pytest.raises(DecodeError):
             self.decode(forge_dims(self.data, **fields))
 
+    @pytest.mark.parametrize("cols", [(4, 8), (9, 13)], ids=["overlap", "gap"])
+    def test_streams_must_tile_the_columns(self, cols):
+        # a 12-column two-stream file whose second stream, dim kept, is forged
+        # to overlap the first or to leave column 8 uncovered
+        x = np.random.default_rng(4).normal(size=(300, 12))
+        configs = codec.default_configs(12, rank=3, n_meas=3, n_layers=2, scaling_cols=4)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(4)))
+        data = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+        assert codec.decode_table(*bitstream.deserialize(data)).shape == (300, 12)
+        forged = forge_dims(data, stream=1, col_start=cols[0], col_end=cols[1])
+        with pytest.raises(DecodeError, match="tile"):
+            bitstream.deserialize(forged)
+
     def test_forge_helper_keeps_a_valid_block(self):
         assert forge_dims(self.data) == self.data
 

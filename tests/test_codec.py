@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestConfigs:
         ):
             StreamConfig(**{"name": "x", "col_start": 0, "col_end": 8, "rank": 4, **fields})
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [[(0, 8), (4, 12)], [(0, 4), (8, 12)], [(4, 12)], [(4, 12), (0, 4)]],
+        ids=["overlap", "gap", "late-start", "out-of-order"],
+    )
+    def test_streams_must_tile_the_columns(self, ranges):
+        # stream 0 starts at column 0, each later stream at the previous col_end
+        configs = [StreamConfig(f"s{i}", a, b, transform="klt-trunc", rank=2) for i, (a, b) in enumerate(ranges)]
+        with pytest.raises(ConfigError, match="tile"):
+            codec.fit_bundle(source(1, d=12), configs, np.random.default_rng(1))
+
     def test_default_configs_reject_what_a_stream_rejects(self):
         # before these were ConfigErrors they failed later: an IndexError in
         # training, a ValueError, a struct.error at serialize, a BadSize
@@ -95,8 +107,9 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
     def test_file_round_trip_across_unfold_blocks(self, rows):
-        # the unfolded decoder runs in blocks of 1024 rows; every row count
-        # decodes from file to the encoder's reconstruction bit for bit
+        # a stream is synthesized in blocks of codec._BLOCK_ROWS = 1024 rows;
+        # every row count decodes from file to the encoder's reconstruction
+        # bit for bit
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3), configs, np.random.default_rng(3)))
         x = source(4, n=rows)
@@ -107,6 +120,38 @@ class TestEncodeDecode:
         base_only = dataclasses.replace(sm, refine=None, refine_sched=None, refine_entropy=None)
         base_recon = codec.encode_table(codec.CodecBundle([base_only]), x)[1]
         assert np.any(recon[-1] != base_recon[-1])  # the refinement reaches the last row
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    def test_two_stream_file_across_synthesis_blocks(self, rows):
+        # a shtc-full stream and a klt-trunc stream, each synthesized block by
+        # block into its own columns of one table
+        configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=2)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3, d=10), configs, np.random.default_rng(3)))
+        x = source(4, n=rows, d=10)
+        payloads, recon = codec.encode_table(bundle, x)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
+        assert np.array_equal(decoded, recon)
+
+    def test_synthesis_memory_does_not_grow_with_rows(self):
+        # _reconstruct_stream works one block at a time into the caller's
+        # table: its tracemalloc peak is that of a block at any row count
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(16384, 50)) @ rng.normal(size=(50, 50)) * 0.2
+        fitted = codec.fit_bundle(x[:4096], default_configs(50), np.random.default_rng(13))
+        sm = bitstream.finalize_bundle(fitted).streams[0]
+        assert sm.refine is not None
+        peaks = {}
+        for rows in (2048, 16384):
+            symbols = codec._stream_symbols(sm, x[:rows])
+            out = np.empty((rows, 50))
+            tracemalloc.start()
+            try:
+                codec._reconstruct_stream(sm, out, *symbols)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # less than one 1024-row block of float64 at dim 50 between them
+        assert abs(peaks[16384] - peaks[2048]) < 8 * 1024 * 50, peaks
 
     def test_two_stream_layout(self):
         x = source(2, d=10)

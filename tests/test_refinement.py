@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shtc import refinement
+from shtc import codec, refinement
 from shtc.errors import BadThreshold, DimMismatch, StepTooLarge
 from shtc.refinement import RefinementModel
 
@@ -194,8 +194,8 @@ def reference_unfold(y, model):
     return beta, layers
 
 
-# a 1-D vector, one row, and row counts on both sides of the block edges
-_B = refinement._BLOCK_ROWS
+# a 1-D vector, one row, and row counts on both sides of the codec's synthesis block edges
+_B = codec._BLOCK_ROWS
 BLOCK_CASES = [None, 1, _B - 1, _B, _B + 1, 2 * _B + 1]
 
 
