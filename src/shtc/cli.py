@@ -102,11 +102,9 @@ def load_table(path):
         raise DataError(f"no such input: {path}")
     if path.endswith(".csv"):
         try:
-            data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
+            data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
         except Exception as exc:
             raise DataError(f"cannot parse CSV {path}: {exc}") from exc
-        if data.ndim == 1:
-            data = data[None, :] if data.size else data.reshape(0, 0)
         if data.size == 0 or not np.isfinite(data).all():
             raise DataError(f"{path}: empty table or non-finite entries")
         return data
@@ -114,9 +112,12 @@ def load_table(path):
     if not os.path.exists(dims_path):
         raise DataError(f"raw input {path} needs a dims sidecar {dims_path}")
     try:
-        rows, cols = (int(t) for t in open(dims_path).read().split())
+        with open(dims_path) as f:
+            rows, cols = (int(t) for t in f.read().split())
     except Exception as exc:
         raise DataError(f"bad dims sidecar {dims_path}") from exc
+    if rows <= 0 or cols <= 0:
+        raise DataError(f"dims sidecar {dims_path} gives {rows} x {cols}; both must be positive")
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != rows * cols:
         raise DataError(f"{path}: expected {rows * cols} f32 values, found {raw.size}")

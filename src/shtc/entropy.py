@@ -16,9 +16,16 @@ live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
 A numpy step costs more per call than per lane, so ``encode_latents`` and
 ``decode_latents`` code every latent of a file in one loop: all of them have
 one row count, hence one step count, and each step advances the lanes of
-every latent. They build one frequency table over the channels of all
-latents, so one sorted search serves the whole file. ``encode_symbols`` and
+every latent. One frequency table spans the channels of all latents, so
+one sorted search serves the whole file. ``encode_symbols`` and
 ``decode_symbols`` are the one-latent case of the same loop.
+
+Tables are built in one place: ``_coder_state`` calls ``build_tables`` and
+derives from them the arrays both loops read (the padded search key and
+frequencies, the per-entry symbol values, each latent's slices). It keeps
+that state for the last set of models coded, keyed by the exact float64
+``mu``, ``sigma`` and ``steps`` bytes of every latent, so the files of one
+bundle build their tables once and a changed model never reuses them.
 """
 
 from __future__ import annotations
@@ -165,6 +172,69 @@ def build_tables(
     )
 
 
+@dataclass(frozen=True)
+class _CoderState:
+    """What both lane loops read of one set of models' tables, padded with
+    one last entry of freq 2^16, cum 0 (an identity on the state) that idle
+    lanes of a partial last step code. Its arrays are read-only.
+
+    ``key`` is the search key, shifted by one entry so that a sorted search
+    yields the entry itself; ``value`` maps an entry to its symbol, with
+    ``_ESCAPED`` at escape entries and the pad; ``latents`` holds each
+    latent's first channel and its channels' ``lo``, ``size`` (as uint64)
+    and ``start``.
+    """
+
+    tables: FreqTables
+    key: np.ndarray
+    freq: np.ndarray
+    cum: np.ndarray
+    value: np.ndarray
+    latents: tuple
+
+
+_coder_cache: tuple = (None, None)  # (content key, _CoderState) of the last models coded
+
+
+def _coder_state(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]) -> _CoderState:
+    """The coder state of ``models`` and ``scheds``, built on a miss of the
+    one-entry cache. The key is every byte ``build_tables`` reads, with the
+    length of each array, so equal keys mean equal tables. Threads that miss
+    together each build; the cache keeps whichever state was written last."""
+    global _coder_cache
+    params = [np.asarray(a, dtype=np.float64) for m, sc in zip(models, scheds) for a in (m.mu, m.sigma, sc.steps)]
+    key = (tuple(a.size for a in params), np.concatenate(params).tobytes())
+    cached_key, state = _coder_cache  # one read: a key never pairs with another key's state
+    if cached_key == key:
+        return state
+    tables = build_tables(models, scheds)  # the module global, so a rebinding of it sees the call
+    for a in vars(tables).values():
+        a.flags.writeable = False  # the views taken of it below are read-only too
+    pad = np.uint64(tables.lo.size << _FREQ_BITS)
+    value = np.append(np.arange(tables.freq.size) - np.repeat(tables.start - tables.lo, tables.size + 1), _ESCAPED)
+    value[tables.start + tables.size] = _ESCAPED
+    latents, c = [], 0
+    for m in models:
+        chans = slice(c, c + m.n)
+        latents.append((c, tables.lo[chans], _read_only(tables.size[chans].astype(np.uint64)), tables.start[chans]))
+        c += m.n
+    state = _CoderState(
+        tables=tables,
+        key=_read_only(np.append(tables.key[1:], pad)),  # key[0] = 0 <= every slot
+        freq=_read_only(np.append(tables.freq, np.uint64(_TOTAL))),
+        cum=_read_only(np.append(tables.cum, np.uint64(0))),
+        value=_read_only(value),
+        latents=tuple(latents),
+    )
+    _coder_cache = (key, state)
+    return state
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def lane_grid(rows: int) -> tuple[int, int]:
     """The lane rule of a ``rows``-row latent: ``_BLOCK_LANES`` lanes per
     channel for each whole block of ``_LANE_ROWS`` rows (at least one block),
@@ -195,36 +265,33 @@ def encode_latents(latents) -> list[bytes]:
         raise DimMismatch("latents of one file differ in row count")
     if rows == 0:
         return [b"" for _ in syms]
-    tables = build_tables([model for _, model, _ in latents], [sched for *_, sched in latents])
+    state = _coder_state([model for _, model, _ in latents], [sched for *_, sched in latents])
     width, steps = lane_grid(rows)
     widths = [width * sym.shape[1] for sym in syms]
     # a partial last step is padded with freq 2^16, cum 0: an identity on the state
     freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
     cum = np.zeros(freq.shape, dtype=np.uint64)
     raws = []
-    a = c = 0
-    for sym, lanes in zip(syms, widths):
-        chans = slice(c, c + sym.shape[1])
-        size = tables.size[chans].astype(np.uint64)
+    a = 0
+    for sym, lanes, (_, lo, size, start) in zip(syms, widths, state.latents):
         # a symbol's index in its channel's table; below lo it wraps to above
         # 2^63, so both out-of-table sides clip to the escape entry at size
-        entry = sym - tables.lo[chans]
+        entry = sym - lo
         index = entry.view(np.uint64)
         np.minimum(index, size, out=index)
         escaped = index == size
-        entry += tables.start[chans]
+        entry += start
         raw = sym[escaped]
         if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
             raise Overflow("escaped symbol exceeds 32-bit signed range")
         raws.append(raw)
         entry = entry.ravel()
         head = (steps - 1) * lanes  # symbols before the last step
-        for dst, src in ((freq, tables.freq), (cum, tables.cum)):
+        for dst, src in ((freq, state.freq), (cum, state.cum)):
             cols = dst[:, a : a + lanes]
             cols[:-1] = src[entry[:head]].reshape(steps - 1, lanes)
             cols[-1, : entry.size - head] = src[entry[head:]]
         a += lanes
-        c += sym.shape[1]
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
@@ -279,25 +346,21 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
     x = np.concatenate(states).astype(np.uint64)
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
-    tables = build_tables([model for _, model, _ in latents], [sched for *_, sched in latents])
+    state = _coder_state([model for _, model, _ in latents], [sched for *_, sched in latents])
     # One sorted search serves every latent: the tables number the channels
-    # of all latents in order. A last, pad channel holds one entry of freq
-    # 2^16, cum 0 (an identity on the state): the lanes idle in a partial
-    # last step decode it, so every step runs on every lane.
-    pad = np.uint64(tables.lo.size << _FREQ_BITS)
-    key = np.append(tables.key[1:], pad)  # key[0] = 0 <= every slot: the search yields the entry itself
-    freq = np.append(tables.freq, np.uint64(_TOTAL))
-    cum = np.append(tables.cum, np.uint64(0))
+    # of all latents in order. The lanes idle in a partial last step decode
+    # the pad entry, so every step runs on every lane.
+    key, freq, cum = state.key, state.freq, state.cum
+    pad = key[-1]  # the pad entry's key
     spans, chan_key, last_key = [], [], []
-    a = c = 0
-    for _, model, _ in latents:
+    a = 0
+    for (_, model, _), (c, *_) in zip(latents, state.latents):
         lanes = width * model.n
         spans.append((a, a + lanes, c))
         keys = (np.uint64(c) + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
         chan_key.append(keys)
         last_key.append(np.where(np.arange(lanes) < rows * model.n - (steps - 1) * lanes, keys, pad))
         a += lanes
-        c += model.n
     chan_key = np.concatenate(chan_key)
     step_keys = [chan_key] * (steps - 1) + [np.concatenate(last_key)]
     # numpy scalars: a Python int operand costs a conversion on every step
@@ -328,10 +391,7 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
             x[need] = (x[need] << word_bits) | np.concatenate(words)
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
-    # each entry's symbol; an escape entry, and the pad entry that only idle
-    # lanes decode, hold _ESCAPED, outside every table
-    value = np.append(np.arange(tables.freq.size) - np.repeat(tables.start - tables.lo, tables.size + 1), _ESCAPED)
-    value[tables.start + tables.size] = _ESCAPED
+    tables, value = state.tables, state.value
     out = []
     for (data, model, _), (a, b, c), area, p in zip(latents, spans, areas, pos):
         sym = value[entries[:, a:b]].reshape(-1)[: rows * model.n].reshape(rows, model.n)

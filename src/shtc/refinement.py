@@ -180,7 +180,9 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
     etas, taus = model.steps(), model.thresholds()
     y2 = y.reshape(-1, model.n_meas)
     shape = (y2.shape[0], model.n_atoms)
-    beta, resid, pre, clip = np.empty(shape), np.empty_like(y2), np.empty(shape), np.empty(shape)
+    # the first layer writes all of beta; with no layer, beta stays zero
+    beta = np.empty(shape) if model.n_layers else np.zeros(shape)
+    resid, pre, clip = np.empty_like(y2), np.empty(shape), np.empty(shape)
     for k in range(model.n_layers):
         if k == 0:  # beta = 0: pre = -eta * (-y @ G) = eta * (y @ G)
             np.matmul(y2, g, out=pre)

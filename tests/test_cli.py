@@ -52,6 +52,20 @@ class TestTableIo:
         (tmp_path / "t.f32.dims").write_text("3 4")
         assert np.array_equal(cli.load_table(str(path)), x)
 
+    @pytest.mark.parametrize("text, shape", [("c0\n1\n2\n3\n4\n", (4, 1)), ("c0,c1,c2\n1,2,3\n", (1, 3))])
+    def test_csv_of_one_column_or_one_row(self, tmp_path, text, shape):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert cli.load_table(str(path)).shape == shape
+
+    def test_non_positive_sidecar_dims_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "t.f32"
+        np.zeros(6, dtype="<f4").tofile(path)
+        (tmp_path / "t.f32.dims").write_text("-2 -3")  # their product matches the 6 values
+        code = cli.main(["encode", str(path), str(tmp_path / "bundle.shtc"), "--out", str(tmp_path)])
+        assert code == 3
+        assert "dims sidecar" in capsys.readouterr().err
+
     def test_missing_sidecar(self, tmp_path):
         from shtc.errors import DataError
 

@@ -294,3 +294,61 @@ class TestOneRowCount:
         data = bitstream.serialize(codec.CodecBundle([]))[0]
         with pytest.raises(DecodeError):
             codec.decode_table(*bitstream.deserialize(data))
+
+
+class TestCoderCache:
+    """The coder keeps the tables of the last models coded, keyed by their
+    content: a file of the same models builds nothing, and a file of other
+    models, also in the same objects, never reads stale tables."""
+
+    @staticmethod
+    def bundle(seed=21):
+        configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=4)
+        return bitstream.finalize_bundle(codec.fit_bundle(source(seed, d=10), configs, np.random.default_rng(seed)))
+
+    def test_model_changed_in_place_rebuilds(self, monkeypatch):
+        bundle, x = self.bundle(), source(22, n=200, d=10)
+        first = codec.encode_table(bundle, x)[0]
+        bundle.streams[0].base_entropy.sigma *= 3.0
+        second = codec.encode_table(bundle, x)[0]
+        assert second[0].latents != first[0].latents
+        monkeypatch.setattr(entropy, "_coder_cache", (None, None))  # a cold cache
+        assert second == codec.encode_table(bundle, x)[0]
+
+    def test_one_build_for_two_files(self, monkeypatch):
+        calls = []
+        build = entropy.build_tables
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(entropy, "build_tables", counted)
+        monkeypatch.setattr(entropy, "_coder_cache", (None, None))
+        bundle = self.bundle()
+        files = []
+        for seed in (23, 24):
+            x = source(seed, n=128, d=10)
+            payloads, recon = codec.encode_table(bundle, x)
+            files.append((bitstream.serialize(bundle, payloads)[0], recon))
+        for data, recon in files:  # each file parses to models of its own
+            assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
+        assert len(calls) == 1
+        other = self.bundle(27)
+        payloads, recon = codec.encode_table(other, source(23, n=128, d=10))
+        assert np.array_equal(codec.decode_table(other, payloads), recon)
+        assert len(calls) == 2  # a file of other models builds theirs
+
+    def test_hostile_file_between_good_files(self):
+        # the hostile file's model is read into the objects the good files
+        # use, so only the content of the model tells the files apart
+        bundle = self.bundle()
+        (good1, recon1), (good2, recon2) = (codec.encode_table(bundle, source(s, n=200, d=10)) for s in (25, 26))
+        assert np.array_equal(codec.decode_table(bundle, good1), recon1)
+        sigma = bundle.streams[0].base_entropy.sigma
+        kept = sigma.copy()
+        sigma *= 0.25
+        with pytest.raises(DecodeError):
+            codec.decode_table(bundle, good2)
+        sigma[:] = kept
+        assert np.array_equal(codec.decode_table(bundle, good2), recon2)

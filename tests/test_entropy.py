@@ -1,6 +1,8 @@
 """Entropy model and interleaved rANS coder tests."""
 
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -262,6 +264,87 @@ class TestLatentsLoop:
             items[1] = (forged,) + items[1][1:]
             with pytest.raises(DecodeError):
                 entropy.decode_latents(300, items)
+
+
+class TestCoderCache:
+    """Alternating the content of one set of model objects codes every file
+    as a cold cache does: the cache is keyed by content, not by object."""
+
+    @staticmethod
+    def content(seed, ns):
+        """One bundle's ``(mu, sigma, steps)`` for latents of ``ns`` channels."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for n in ns:
+            steps = rng.uniform(0.2, 2.0) * np.exp(rng.uniform(0.0, 0.2) * np.arange(n))
+            out.append((rng.normal(0.0, 2.0, n), rng.uniform(0.2, 3.0, n), steps))
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        ns=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        rows=st.integers(1, 40),
+        order=st.lists(st.integers(0, 1), min_size=2, max_size=6),
+    )
+    def test_alternating_bundles_match_cold_runs(self, seeds, ns, rows, order):
+        rng = np.random.default_rng(seeds[0] ^ seeds[1])
+        syms = [rng.integers(-6, 7, size=(rows, n)) for n in ns]
+        syms[0][0, 0] = 5000  # an escape
+        bundles = [self.content(seed, ns) for seed in seeds]
+        models = [make_model(n) for n in ns]
+        scheds = [quantizer.channel_schedule(1.0, 0.0, n) for n in ns]
+
+        def load(bundle):  # write a bundle into the one set of objects
+            for (mu, sigma, steps), model, sched in zip(bundle, models, scheds):
+                model.mu[:], model.sigma[:], sched.steps[:] = mu, sigma, steps
+
+        cold = []
+        for bundle in bundles:
+            load(bundle)
+            entropy._coder_cache = (None, None)
+            cold.append(entropy.encode_latents(list(zip(syms, models, scheds))))
+        for i in order:
+            load(bundles[i])
+            coded = entropy.encode_latents(list(zip(syms, models, scheds)))
+            assert coded == cold[i]
+            decoded = entropy.decode_latents(rows, list(zip(coded, models, scheds)))
+            assert all(np.array_equal(out, sym) for out, sym in zip(decoded, syms))
+
+    def test_threads_sharing_the_cache(self):
+        # threads coding two sets of models by turns each get their own
+        # set's bytes: a cache read never pairs one key with other tables
+        ns = [3, 2]
+        syms = [np.random.default_rng(n).integers(-6, 7, size=(64, n)) for n in ns]
+        bundles = []
+        for seed in (1, 2):
+            models, scheds = [], []
+            for (mu, sigma, steps), n in zip(self.content(seed, ns), ns):
+                models.append(entropy.GaussianEntropyModel(mu, sigma))
+                scheds.append(quantizer.channel_schedule(1.0, 0.0, n))
+                scheds[-1].steps = steps
+            bundles.append(list(zip(syms, models, scheds)))
+        expected = [entropy.encode_latents(latents) for latents in bundles]
+        wrong = []
+
+        def work(k):
+            for i in range(60):
+                j = (i + k) % 2
+                if entropy.encode_latents(bundles[j]) != expected[j]:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 class TestHostilePayload:

@@ -245,6 +245,13 @@ class TestParamCount:
         model = refinement.init_refinement(50, 15, 50, 0, np.random.default_rng(0))
         assert refinement.param_count(model) == 3250
 
+    def test_no_layers_decode_to_zero(self):
+        model = refinement.init_refinement(6, 3, 6, 0, np.random.default_rng(0))
+        y = np.random.default_rng(1).normal(size=(4, 3))
+        for decode in (refinement.unfold_code, refinement.unfold_synthesize):
+            np.full((4, 6), 7.0)  # a freed buffer that an unwritten output of this size would reuse
+            assert np.array_equal(decode(y, model), np.zeros((4, 6)))
+
 
 class TestSparsityPriorPaysOff:
     def test_trained_unfolding_beats_linear_decoder_of_same_budget(self):
