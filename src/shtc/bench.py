@@ -140,8 +140,8 @@ def rd_point(
         n_layers=n_layers, scaling_cols=scaling_cols,
     )
     bundle, _ = train(x, configs, TrainConfig(lam=lam, iters=iters, batch=batch, seed=seed))
-    payloads, recon = encode_table(bundle, x)
-    data, counts = serialize(bundle, payloads)
+    payload, recon = encode_table(bundle, x)
+    data, counts = serialize(bundle, payload)
     return RdPoint(
         lam=lam,
         bits=len(data) * 8.0,

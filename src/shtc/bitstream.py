@@ -1,12 +1,13 @@
 """Container format: transmitted models (the L(M) side of the description
-length) plus entropy-coded payloads (L(D|M)).
+length) plus the entropy-coded payload (L(D|M)).
 
 Layout (all ints little-endian, floats 32-bit LE; full byte map in
 ``docs/format.md``):
 
     header:  magic "SHTC" | version u16 | stream count u16 | rows u32
              | crc32 of the 12 preceding bytes
-    stream:  dims block, model block, payload block
+    stream:  dims block, model block
+    file:    header, stream*, payload block (the one coded latent)
     block:   content length u32 | content | crc32(content)
 """
 
@@ -19,14 +20,14 @@ import zlib
 import numpy as np
 
 from .base_layer import KltModel
-from .codec import CodecBundle, StreamConfig, StreamModel, StreamPayload, TRANSFORMS, _fixed_basis, check_tiling
+from .codec import CodecBundle, Payload, StreamConfig, StreamModel, TRANSFORMS, _fixed_basis, check_tiling
 from .entropy import GaussianEntropyModel
-from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, DimMismatch, VersionUnsupported
+from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 4
+VERSION = 5
 
 _HEAD_FMT = "<4sHHI"
 _DIMS_FMT = "<8sBHHHHHHI"
@@ -82,38 +83,25 @@ def _model_content(sm: StreamModel) -> bytes:
     return _f32_bytes(*parts)
 
 
-def _payload_content(payload: StreamPayload) -> bytes:
-    out = bytearray(struct.pack("<I", len(payload.latents)))
-    for data in payload.latents:
-        out += struct.pack("<I", len(data)) + data
-    return bytes(out)
-
-
-def serialize(bundle: CodecBundle, payloads: list[StreamPayload] | None = None) -> tuple[bytes, dict]:
+def serialize(bundle: CodecBundle, payload: Payload | None = None) -> tuple[bytes, dict]:
     """Serialize to bytes; returns (data, {"model_bytes", "payload_bytes"}).
-    Without payloads the file is bundle-only: 0 rows, no latents."""
-    if payloads is None:
-        payloads = [StreamPayload([], 0)] * len(bundle.streams)
-    if len(payloads) != len(bundle.streams):
-        raise DimMismatch("payload list does not match stream count")
-    rows = {p.rows for p in payloads} or {0}
-    if len(rows) > 1:
-        raise DimMismatch(f"the payloads of one file differ in row count: {sorted(rows)}")
-    head = struct.pack(_HEAD_FMT, MAGIC, VERSION, len(bundle.streams), rows.pop())
+    Without a payload the file is bundle-only: 0 rows, an empty payload."""
+    if payload is None:
+        payload = Payload(b"", 0)
+    head = struct.pack(_HEAD_FMT, MAGIC, VERSION, len(bundle.streams), payload.rows)
     out = bytearray(head + struct.pack("<I", zlib.crc32(head)))
     model_bytes = 0
-    payload_bytes = 0
-    for sm, payload in zip(bundle.streams, payloads):
+    for sm in bundle.streams:
         dims = _dims_content(sm)
         model = _model_content(sm)
         model_bytes += len(dims) + len(model)
-        payload_bytes += sum(map(len, payload.latents))
-        out += _block(dims) + _block(model) + _block(_payload_content(payload))
-    return bytes(out), {"model_bytes": model_bytes, "payload_bytes": payload_bytes}
+        out += _block(dims) + _block(model)
+    out += _block(payload.data)
+    return bytes(out), {"model_bytes": model_bytes, "payload_bytes": len(payload.data)}
 
 
-def write(bundle: CodecBundle, payloads: list[StreamPayload] | None, path) -> dict:
-    data, counts = serialize(bundle, payloads)
+def write(bundle: CodecBundle, payload: Payload | None, path) -> dict:
+    data, counts = serialize(bundle, payload)
     with open(path, "wb") as fh:
         fh.write(data)
     return counts
@@ -210,7 +198,7 @@ def finalize_bundle(bundle: CodecBundle) -> CodecBundle:
     return CodecBundle(streams=streams)
 
 
-def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
+def deserialize(data: bytes) -> tuple[CodecBundle, Payload]:
     rd = _Reader(data)
     head = rd.take(12)
     magic, version, n_streams, rows = struct.unpack(_HEAD_FMT, head)
@@ -221,57 +209,39 @@ def deserialize(data: bytes) -> tuple[CodecBundle, list[StreamPayload]]:
         raise ChecksumError("header crc mismatch")
     if version != VERSION:
         raise VersionUnsupported(f"version {version} unsupported (reader knows {VERSION})")
-    streams = []
-    payloads = []
-    for _ in range(n_streams):
-        streams.append(_read_stream(rd.block(), rd.block()))  # dims block, then model block
-        pay = _Reader(rd.block())
-        (n_latents,) = struct.unpack("<I", pay.take(4))
-        latents = []
-        for _ in range(n_latents):
-            (nbytes,) = struct.unpack("<I", pay.take(4))
-            latents.append(pay.take(nbytes))
-        if pay.pos != len(pay.data):
-            raise DecodeError("payload block has trailing bytes")
-        payloads.append(StreamPayload(latents, rows))
+    streams = [_read_stream(rd.block(), rd.block()) for _ in range(n_streams)]  # dims, then model block
+    payload = Payload(rd.block(), rows)
     if rd.pos != len(rd.data):
         raise DecodeError("file has trailing bytes")
     try:
         check_tiling(sm.config for sm in streams)
     except ConfigError as exc:
         raise DecodeError(f"dims blocks: {exc}") from exc
-    return CodecBundle(streams=streams), payloads
+    return CodecBundle(streams=streams), payload
 
 
-def read(path) -> tuple[CodecBundle, list[StreamPayload]]:
+def read(path) -> tuple[CodecBundle, Payload]:
     with open(path, "rb") as fh:
         return deserialize(fh.read())
 
 
 def mdl_report(path) -> dict:
-    """Per-stream and total description-length split, from a written file."""
+    """Model bytes per stream, payload bytes per file, and the container
+    overhead left over, from a written file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    bundle, payloads = deserialize(data)
-    rows = struct.unpack_from(_HEAD_FMT, data)[3]
-    per_stream = []
-    model_total = 0
-    payload_total = 0
-    for sm, payload in zip(bundle.streams, payloads):
-        m = len(_dims_content(sm)) + len(_model_content(sm))
-        p = sum(map(len, payload.latents))
-        per_stream.append(
-            {"stream": sm.config.name, "model_bytes": m, "payload_bytes": p}
-        )
-        model_total += m
-        payload_total += p
-    report = {
+    bundle, payload = deserialize(data)
+    per_stream = [
+        {"stream": sm.config.name, "model_bytes": len(_dims_content(sm)) + len(_model_content(sm))}
+        for sm in bundle.streams
+    ]
+    model_total = sum(s["model_bytes"] for s in per_stream)
+    return {
         "streams": per_stream,
         "model_bytes": model_total,
-        "payload_bytes": payload_total,
+        "payload_bytes": len(payload.data),
         "file_bytes": len(data),
-        "container_overhead": len(data) - model_total - payload_total,
-        "rows": rows,
-        "bits_per_row": (len(data) * 8.0 / rows) if rows else None,
+        "container_overhead": len(data) - model_total - len(payload.data),
+        "rows": payload.rows,
+        "bits_per_row": (len(data) * 8.0 / payload.rows) if payload.rows else None,
     }
-    return report

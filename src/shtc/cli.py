@@ -190,9 +190,9 @@ def cmd_encode(args) -> int:
 
     x = load_table(args.input)
     bundle, _ = bitstream.read(args.bundle)
-    payloads, _ = encode_table(bundle, x)
+    payload, _ = encode_table(bundle, x)
     out_path = _out_path(args, "encoded.shtc")
-    counts = bitstream.write(bundle, payloads, out_path)
+    counts = bitstream.write(bundle, payload, out_path)
     file_bytes = os.path.getsize(out_path)
     print(json.dumps({
         "encoded": out_path,
@@ -207,8 +207,8 @@ def cmd_decode(args) -> int:
     from . import bitstream
     from .codec import decode_table
 
-    bundle, payloads = bitstream.read(args.input)
-    x_hat = decode_table(bundle, payloads)
+    bundle, payload = bitstream.read(args.input)
+    x_hat = decode_table(bundle, payload)
     out_path = _out_path(args, "decoded.csv")
     save_table(out_path, x_hat)
     print(json.dumps({"decoded": out_path, "rows": int(x_hat.shape[0]), "cols": int(x_hat.shape[1])}))
@@ -234,8 +234,8 @@ def cmd_eval(args) -> int:
         from . import bitstream
         from .codec import decode_table
 
-        bundle, payloads = bitstream.read(args.decoded)
-        x_hat = decode_table(bundle, payloads)
+        bundle, payload = bitstream.read(args.decoded)
+        x_hat = decode_table(bundle, payload)
         mdl = bitstream.mdl_report(args.decoded)
         report["mdl"] = mdl
         report["bits_per_row"] = mdl["file_bytes"] * 8.0 / x.shape[0]
@@ -378,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_threads(args):
-    threads = os.environ.get("SHTC_THREADS")
-    count = int(threads) if threads else getattr(args, "threads", 1)
+    """Cap each BLAS pool at ``--threads``; a pool's variable already set in
+    the environment wins over the flag."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(count))
+        os.environ.setdefault(var, str(getattr(args, "threads", 1)))
 
 
 def main(argv=None) -> int:

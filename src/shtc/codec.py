@@ -8,8 +8,10 @@ refinement layer coding the base-layer residual. A finalized bundle
 (``bitstream.finalize_bundle``) is the model a decoder reads back from the
 container, so encoder- and decoder-side reconstructions are bit-identical.
 
-A stream's analysis (``_stream_symbols``) runs over the whole table, since
-the coder codes every latent of a file in one loop. Its synthesis
+A file's payload is one latent of every stream's channels: the streams in
+order, each with its base channels before its refinement channels. A
+stream's analysis (``_stream_symbols``) runs over the whole table, since the
+coder codes that latent in one loop. Its synthesis
 (``_reconstruct_stream``) runs one block of ``_BLOCK_ROWS`` rows at a time,
 from symbols to the block's slice of the output table, so its working memory
 does not grow with the row count. The encoder's reconstruction and the
@@ -232,10 +234,10 @@ def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Genera
 
 
 @dataclass
-class StreamPayload:
-    """Coded bytes of one stream's latents, each over the file's ``rows`` rows."""
+class Payload:
+    """A file's coded bytes: one latent of every stream's channels over ``rows`` rows."""
 
-    latents: list[bytes]
+    data: bytes
     rows: int
 
 
@@ -270,45 +272,30 @@ def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym_base: np.ndarray, 
             np.add(f_base, refinement.unfold_synthesize(y_hat, sm.refine), out=out[rows])
 
 
-def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[list[StreamPayload], np.ndarray]:
+def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarray]:
     """Quantize and entropy-code every stream; also return the decoder-side
-    reconstruction (computed from the coded symbols). Every latent of the
-    table is coded in one ``encode_latents`` loop."""
+    reconstruction (computed from the coded symbols)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != bundle.dim:
         raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
     recon = np.empty_like(x)  # the streams tile its columns
-    symbols = []
+    latents = []
     for sm in bundle.streams:
         cols = slice(sm.config.col_start, sm.config.col_end)
         syms = _stream_symbols(sm, x[:, cols])
         _reconstruct_stream(sm, recon[:, cols], *syms)
-        symbols.append(syms)
-    coded = iter(encode_latents([
-        (sym, *model)
-        for sm, syms in zip(bundle.streams, symbols)
-        for sym, model in zip(syms, _latent_models(sm))
-    ]))
-    payloads = [StreamPayload([next(coded) for _ in syms], x.shape[0]) for syms in symbols]
-    return payloads, recon
+        latents += [(sym, *model) for sym, model in zip(syms, _latent_models(sm))]
+    return Payload(encode_latents(latents), x.shape[0]), recon
 
 
-def decode_table(bundle: CodecBundle, payloads: list[StreamPayload]) -> np.ndarray:
-    """The table a file decodes to: its payloads share the file's one row
-    count, and every latent is decoded in one ``decode_latents`` loop."""
-    if len(payloads) != len(bundle.streams):
-        raise DimMismatch("payload count does not match stream count")
+def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
+    """The table a file decodes to; a file of 0 rows, bundle-only or not,
+    decodes to a (0, dim) table."""
     if not bundle.streams:
         raise DecodeError("no streams to decode")
-    latents = []
-    for sm, payload in zip(bundle.streams, payloads):
-        models = _latent_models(sm)
-        if len(payload.latents) != len(models):
-            raise DecodeError(f"stream {sm.config.name!r} carries {len(payload.latents)} coded latents")
-        latents += [(data, *model) for data, model in zip(payload.latents, models)]
-    rows = payloads[0].rows
-    symbols = iter(decode_latents(rows, latents))
-    out = np.empty((rows, bundle.dim))  # the streams tile its columns
+    models = [model for sm in bundle.streams for model in _latent_models(sm)]
+    symbols = iter(decode_latents(payload.rows, payload.data, models))
+    out = np.empty((payload.rows, bundle.dim))  # the streams tile its columns
     for sm in bundle.streams:
         rec = out[:, sm.config.col_start : sm.config.col_end]
         _reconstruct_stream(sm, rec, *(next(symbols) for _ in _latent_models(sm)))

@@ -13,19 +13,20 @@ live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
 16-bit words, so a lane moves at most one word per step. Byte layout:
 ``docs/format.md``.
 
-A numpy step costs more per call than per lane, so ``encode_latents`` and
-``decode_latents`` code every latent of a file in one loop: all of them have
-one row count, hence one step count, and each step advances the lanes of
-every latent. One frequency table spans the channels of all latents, so
-one sorted search serves the whole file. ``encode_symbols`` and
-``decode_symbols`` are the one-latent case of the same loop.
+A numpy step costs more per call than per lane, so a file is coded as one
+latent: ``encode_latents`` and ``decode_latents`` join the channels of every
+latent of the file (all of them have one row count) and run one lane loop
+over them, with one lane set, one word area and one escape area. One
+frequency table spans those channels, so one sorted search serves the whole
+file. ``encode_symbols`` and ``decode_symbols`` are the one-latent case of
+the same loop.
 
 Tables are built in one place: ``_coder_state`` calls ``build_tables`` and
 derives from them the arrays both loops read (the padded search key and
-frequencies, the per-entry symbol values, each latent's slices). It keeps
-that state for the last set of models coded, keyed by the exact float64
-``mu``, ``sigma`` and ``steps`` bytes of every latent, so the files of one
-bundle build their tables once and a changed model never reuses them.
+frequencies, the per-entry symbol values, each channel's table size). It
+keeps that state for the last set of models coded, keyed by the exact
+float64 ``mu``, ``sigma`` and ``steps`` bytes of every latent, so the files
+of one bundle build their tables once and a changed model never reuses them.
 """
 
 from __future__ import annotations
@@ -115,18 +116,14 @@ class FreqTables:
     key: np.ndarray
 
 
-def build_tables(
-    model: GaussianEntropyModel | list[GaussianEntropyModel], sched: QuantSchedule | list[QuantSchedule]
-) -> FreqTables:
+def build_tables(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]) -> FreqTables:
     """Frequency tables over each channel's plausible symbol range plus escape.
 
-    ``model`` and ``sched`` are one latent's entropy model and step schedule,
-    or lists of them, one pair per latent: the tables then number the
-    channels of every latent in list order, so that one search serves a
-    whole file. A pure function of the (serialized) model parameters, so
-    encoder and decoder rebuild them identically.
+    ``models`` and ``scheds`` hold one entropy model and step schedule per
+    latent; the tables number the channels of every latent in list order, so
+    that one search serves a whole file. A pure function of the (serialized)
+    model parameters, so encoder and decoder rebuild them identically.
     """
-    models, scheds = (model, sched) if isinstance(model, list) else ([model], [sched])
     if any(sc.n != m.n for m, sc in zip(models, scheds, strict=True)):
         raise DimMismatch("model/schedule channel counts disagree")
     mu = np.concatenate([m.mu for m in models])
@@ -180,9 +177,8 @@ class _CoderState:
 
     ``key`` is the search key, shifted by one entry so that a sorted search
     yields the entry itself; ``value`` maps an entry to its symbol, with
-    ``_ESCAPED`` at escape entries and the pad; ``latents`` holds each
-    latent's first channel and its channels' ``lo``, ``size`` (as uint64)
-    and ``start``.
+    ``_ESCAPED`` at escape entries and the pad; ``size`` is each channel's
+    symbol count as uint64, the index of its escape entry within its table.
     """
 
     tables: FreqTables
@@ -190,7 +186,7 @@ class _CoderState:
     freq: np.ndarray
     cum: np.ndarray
     value: np.ndarray
-    latents: tuple
+    size: np.ndarray
 
 
 _coder_cache: tuple = (None, None)  # (content key, _CoderState) of the last models coded
@@ -209,22 +205,17 @@ def _coder_state(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]
         return state
     tables = build_tables(models, scheds)  # the module global, so a rebinding of it sees the call
     for a in vars(tables).values():
-        a.flags.writeable = False  # the views taken of it below are read-only too
+        a.flags.writeable = False
     pad = np.uint64(tables.lo.size << _FREQ_BITS)
     value = np.append(np.arange(tables.freq.size) - np.repeat(tables.start - tables.lo, tables.size + 1), _ESCAPED)
     value[tables.start + tables.size] = _ESCAPED
-    latents, c = [], 0
-    for m in models:
-        chans = slice(c, c + m.n)
-        latents.append((c, tables.lo[chans], _read_only(tables.size[chans].astype(np.uint64)), tables.start[chans]))
-        c += m.n
     state = _CoderState(
         tables=tables,
         key=_read_only(np.append(tables.key[1:], pad)),  # key[0] = 0 <= every slot
         freq=_read_only(np.append(tables.freq, np.uint64(_TOTAL))),
         cum=_read_only(np.append(tables.cum, np.uint64(0))),
         value=_read_only(value),
-        latents=tuple(latents),
+        size=_read_only(tables.size.astype(np.uint64)),
     )
     _coder_cache = (key, state)
     return state
@@ -243,14 +234,40 @@ def lane_grid(rows: int) -> tuple[int, int]:
     return width, -(-rows // width)
 
 
-def encode_latents(latents) -> list[bytes]:
-    """Entropy-code every latent of a file in one lane loop.
+def _entries(state: _CoderState, syms: list[np.ndarray], padded_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table entry of each symbol of the one latent that joins ``syms``
+    by columns, as a (``padded_rows``, channels) array, and the escaped
+    symbols' values in symbol order. Rows past the symbols', in a partial
+    last step, take the pad entry: freq 2^16, cum 0, an identity on the state.
+    """
+    tables = state.tables
+    channels = tables.lo.size
+    entry = np.full((padded_rows, channels), state.freq.size - 1, dtype=np.int64)
+    found = []  # (symbol index, value) of each latent's escapes
+    c = 0
+    for sym in syms:
+        cols = slice(c, c + sym.shape[1])
+        e = entry[: sym.shape[0], cols]  # written in place: no copy of the symbols
+        # a symbol's index in its channel's table; below lo it wraps to above
+        # 2^63, so both out-of-table sides clip to the escape entry at size
+        np.subtract(sym, tables.lo[cols], out=e)
+        index = e.view(np.uint64)
+        np.minimum(index, state.size[cols], out=index)
+        r, k = np.nonzero(index == state.size[cols])
+        found.append((r * channels + c + k, sym[r, k]))
+        e += tables.start[cols]
+        c = cols.stop
+    at, raw = (np.concatenate(a) for a in zip(*found))
+    return entry, raw[np.argsort(at)]
+
+
+def encode_latents(latents) -> bytes:
+    """Entropy-code the latents of a file as one latent of all their channels.
 
     ``latents`` lists ``(symbols, model, sched)``; each symbol array has shape
-    (..., channels) and all of them share one row count, so they share one
-    step count. The loop advances the lanes of every latent together, but
-    each latent keeps its own lanes, words and escapes: its bytes are exactly
-    those of coding it alone (``docs/format.md``).
+    (..., channels), and all of them one row count. The one latent takes the
+    channels of every latent in list order (``docs/format.md``), so a single
+    latent codes to the bytes of :func:`encode_symbols`.
     """
     syms = []
     for symbols, model, _ in latents:
@@ -264,34 +281,16 @@ def encode_latents(latents) -> list[bytes]:
     if any(sym.shape[0] != rows for sym in syms):
         raise DimMismatch("latents of one file differ in row count")
     if rows == 0:
-        return [b"" for _ in syms]
+        return b""
     state = _coder_state([model for _, model, _ in latents], [sched for *_, sched in latents])
     width, steps = lane_grid(rows)
-    widths = [width * sym.shape[1] for sym in syms]
-    # a partial last step is padded with freq 2^16, cum 0: an identity on the state
-    freq = np.full((steps, sum(widths)), _TOTAL, dtype=np.uint64)
-    cum = np.zeros(freq.shape, dtype=np.uint64)
-    raws = []
-    a = 0
-    for sym, lanes, (_, lo, size, start) in zip(syms, widths, state.latents):
-        # a symbol's index in its channel's table; below lo it wraps to above
-        # 2^63, so both out-of-table sides clip to the escape entry at size
-        entry = sym - lo
-        index = entry.view(np.uint64)
-        np.minimum(index, size, out=index)
-        escaped = index == size
-        entry += start
-        raw = sym[escaped]
-        if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
-            raise Overflow("escaped symbol exceeds 32-bit signed range")
-        raws.append(raw)
-        entry = entry.ravel()
-        head = (steps - 1) * lanes  # symbols before the last step
-        for dst, src in ((freq, state.freq), (cum, state.cum)):
-            cols = dst[:, a : a + lanes]
-            cols[:-1] = src[entry[:head]].reshape(steps - 1, lanes)
-            cols[-1, : entry.size - head] = src[entry[head:]]
-        a += lanes
+    entry, raw = _entries(state, syms, steps * width)
+    if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
+        raise Overflow("escaped symbol exceeds 32-bit signed range")
+    # symbol k goes to lane k % lanes at step k // lanes
+    freq = state.freq[entry].reshape(steps, -1)
+    cum = state.cum[entry].reshape(steps, -1)
+    del entry
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
@@ -309,67 +308,51 @@ def encode_latents(latents) -> list[bytes]:
         q *= gap[t]
         x += q
         x += cum[t]
-    coded = []
-    a = 0
-    for lanes, raw in zip(widths, raws):
-        cols = slice(a, a + lanes)
-        coded.append(
-            x[cols].astype("<u4").tobytes()
-            + words[:, cols][emitted[:, cols]].astype("<u2").tobytes()
-            + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
-        )
-        a += lanes
-    return coded
+    return (
+        x.astype("<u4").tobytes()
+        + words[emitted].astype("<u2").tobytes()
+        + (raw + _ESCAPE_BIAS).astype("<u4").tobytes()
+    )
 
 
-def decode_latents(rows: int, latents) -> list[np.ndarray]:
-    """Inverse of :func:`encode_latents`: ``latents`` lists
-    ``(data, model, sched)``, each latent coding ``rows`` rows.
+def decode_latents(rows: int, data: bytes, models) -> list[np.ndarray]:
+    """Inverse of :func:`encode_latents`: the latents of ``rows`` rows that
+    ``data`` codes under ``models``, a list of ``(model, sched)``. Returns
+    each latent's columns of one (rows, channels) symbol array.
 
-    Each payload is checked against ``rows`` before anything of that size is
+    The payload is checked against ``rows`` before anything of that size is
     allocated: it must hold every lane's 4-byte state, so a payload of B
     bytes decodes to fewer than 1024 * B symbols.
     """
+    ends = np.cumsum([0] + [model.n for model, _ in models]).tolist()
+    channels = ends[-1]
     if not rows:
-        if any(data for data, *_ in latents):
+        if data:
             raise DecodeError("nonempty payload for zero rows")
-        return [np.zeros((0, model.n), dtype=np.int64) for _, model, _ in latents]
+        sym = np.zeros((0, channels), dtype=np.int64)
+        return [sym[:, a:b] for a, b in zip(ends, ends[1:])]
     width, steps = lane_grid(rows)
-    states, areas = [], []
-    for data, model, _ in latents:
-        lanes = width * model.n
-        head = 4 * lanes
-        if len(data) < head or (len(data) - head) % 2:
-            raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
-        states.append(np.frombuffer(data, dtype="<u4", count=lanes))
-        areas.append(np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64))
-    x = np.concatenate(states).astype(np.uint64)
+    lanes = width * channels
+    head = 4 * lanes
+    if len(data) < head or (len(data) - head) % 2:
+        raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
+    x = np.frombuffer(data, dtype="<u4", count=lanes).astype(np.uint64)
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
-    state = _coder_state([model for _, model, _ in latents], [sched for *_, sched in latents])
-    # One sorted search serves every latent: the tables number the channels
-    # of all latents in order. The lanes idle in a partial last step decode
-    # the pad entry, so every step runs on every lane.
+    area = np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64)
+    state = _coder_state([model for model, _ in models], [sched for _, sched in models])
+    # Lane l codes channel l % channels. The lanes idle in a partial last
+    # step decode the pad entry, so every step runs on every lane.
     key, freq, cum = state.key, state.freq, state.cum
-    pad = key[-1]  # the pad entry's key
-    spans, chan_key, last_key = [], [], []
-    a = 0
-    for (_, model, _), (c, *_) in zip(latents, state.latents):
-        lanes = width * model.n
-        spans.append((a, a + lanes, c))
-        keys = (np.uint64(c) + np.arange(lanes, dtype=np.uint64) % np.uint64(model.n)) << np.uint64(_FREQ_BITS)
-        chan_key.append(keys)
-        last_key.append(np.where(np.arange(lanes) < rows * model.n - (steps - 1) * lanes, keys, pad))
-        a += lanes
-    chan_key = np.concatenate(chan_key)
-    step_keys = [chan_key] * (steps - 1) + [np.concatenate(last_key)]
+    chan_key = (np.arange(lanes, dtype=np.uint64) % np.uint64(channels)) << np.uint64(_FREQ_BITS)
+    last_key = np.where(np.arange(lanes) < rows * channels - (steps - 1) * lanes, chan_key, key[-1])
+    step_keys = [chan_key] * (steps - 1) + [last_key]
     # numpy scalars: a Python int operand costs a conversion on every step
     mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
     freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
-    entries = np.empty((steps, x.size), dtype=np.intp)
-    need = np.empty(x.size, dtype=bool)
-    lane_need = [need[a:b] for a, b, _ in spans]
-    pos = [0] * len(latents)
+    entries = np.empty((steps, lanes), dtype=np.intp)
+    need = np.empty(lanes, dtype=bool)
+    pos = 0  # words read, in lane order within a step
     for t, ck in enumerate(step_keys):
         slot = x & mask
         e = entries[t] = key.searchsorted(ck | slot, side="right")
@@ -378,41 +361,32 @@ def decode_latents(rows: int, latents) -> list[np.ndarray]:
         x += slot
         x -= cum[e]
         np.less(x, low, out=need)
-        # each latent reads its next words from its own area, in lane order
-        words = []
-        for i, area in enumerate(areas):
-            k = np.count_nonzero(lane_need[i])
-            if k:
-                if pos[i] + k > area.size:
-                    raise DecodeError("entropy payload truncated")
-                words.append(area[pos[i] : pos[i] + k])
-                pos[i] += k
-        if words:
-            x[need] = (x[need] << word_bits) | np.concatenate(words)
+        k = np.count_nonzero(need)
+        if k:
+            if pos + k > area.size:
+                raise DecodeError("entropy payload truncated")
+            x[need] = (x[need] << word_bits) | area[pos : pos + k]
+            pos += k
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
-    tables, value = state.tables, state.value
-    out = []
-    for (data, model, _), (a, b, c), area, p in zip(latents, spans, areas, pos):
-        sym = value[entries[:, a:b]].reshape(-1)[: rows * model.n].reshape(rows, model.n)
-        escaped = sym == _ESCAPED
-        n_escaped = np.count_nonzero(escaped)
-        # the words read leave exactly one u32, two u16, per escaped symbol
-        if p + 2 * n_escaped != area.size:
-            raise DecodeError("payload length does not match decoded symbols")
-        raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped)
-        raw = raw.astype(np.int64) - _ESCAPE_BIAS
-        chan = c + np.nonzero(escaped)[1]
-        if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
-            raise DecodeError("escaped symbol lies inside its table")
-        sym[escaped] = raw
-        out.append(sym)
-    return out
+    sym = state.value[entries].reshape(-1)[: rows * channels].reshape(rows, channels)
+    escaped = sym == _ESCAPED
+    n_escaped = np.count_nonzero(escaped)
+    # the words read leave exactly one u32, two u16, per escaped symbol
+    if pos + 2 * n_escaped != area.size:
+        raise DecodeError("payload length does not match decoded symbols")
+    raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped).astype(np.int64) - _ESCAPE_BIAS
+    tables = state.tables
+    chan = np.nonzero(escaped)[1]
+    if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
+        raise DecodeError("escaped symbol lies inside its table")
+    sym[escaped] = raw
+    return [sym[:, a:b] for a, b in zip(ends, ends[1:])]
 
 
 def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> bytes:
     """Entropy-code one latent's integer symbols (shape (..., channels)), row-major."""
-    return encode_latents([(symbols, model, sched)])[0]
+    return encode_latents([(symbols, model, sched)])
 
 
 def decode_symbols(
@@ -422,4 +396,4 @@ def decode_symbols(
     rows, extra = divmod(count, model.n)
     if extra:
         raise DecodeError(f"symbol count {count} not a multiple of {model.n} channels")
-    return decode_latents(rows, [(data, model, sched)])[0]
+    return decode_latents(rows, data, [(model, sched)])[0]

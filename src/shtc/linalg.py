@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import AllZero, BadSize, InsufficientData, NotSymmetric
 
-MAX_EIG_SIZE = 512
-
 
 def covariance(x: np.ndarray) -> np.ndarray:
     """Unbiased sample covariance (divisor N-1) of the rows of ``x``."""
@@ -35,8 +33,6 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise BadSize("sym_eig expects a square matrix")
     n = s.shape[0]
-    if n > MAX_EIG_SIZE:
-        raise BadSize(f"sym_eig supports sizes up to {MAX_EIG_SIZE}, got {n}")
     scale = max(1.0, float(np.abs(s).max(initial=0.0)))
     if float(np.abs(s - s.T).max(initial=0.0)) > 1e-9 * scale:
         raise NotSymmetric("input is not symmetric within 1e-9")

@@ -37,10 +37,10 @@ def fitted_bundle(seed=0, n=200, d=6, transform="shtc-full"):
 
 class TestGoldenLayout:
     def test_minimal_bundle_byte_count(self):
-        # header 16 | dims block 8+25 | model block 8+8*4 | payload block 8+4
+        # header 16 | dims block 8+25 | model block 8+8*4 | empty payload block 8
         data, counts = bitstream.serialize(minimal_bundle())
         assert counts == {"model_bytes": 25 + 32, "payload_bytes": 0}
-        assert len(data) == 16 + (8 + 25) + (8 + 32) + (8 + 4) == 101
+        assert len(data) == 16 + (8 + 25) + (8 + 32) + 8 == 97
 
     def test_basis_cost_for_50_channels(self):
         rng = np.random.default_rng(1)
@@ -59,8 +59,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_bundle_round_trip_bit_exact(self, seed):
         bundle, x = fitted_bundle(seed)
-        payloads, recon = codec.encode_table(bundle, x)
-        data, _ = bitstream.serialize(bundle, payloads)
+        payload, recon = codec.encode_table(bundle, x)
+        data, _ = bitstream.serialize(bundle, payload)
         b2, p2 = bitstream.deserialize(data)
         data2, _ = bitstream.serialize(b2, p2)
         assert data == data2
@@ -70,8 +70,8 @@ class TestRoundTrip:
         bundle, _ = fitted_bundle(3)
         path = tmp_path / "b.shtc"
         counts = bitstream.write(bundle, None, path)
-        b2, payloads = bitstream.read(path)
-        assert all(p.latents == [] for p in payloads)
+        b2, payload = bitstream.read(path)
+        assert payload == codec.Payload(b"", 0)
         data1, _ = bitstream.serialize(bundle)
         data2, _ = bitstream.serialize(b2)
         assert data1 == data2
@@ -96,10 +96,10 @@ class TestRoundTrip:
 class TestCorruption:
     def test_payload_byte_flip_detected(self):
         bundle, x = fitted_bundle(4)
-        payloads, _ = codec.encode_table(bundle, x)
-        data, _ = bitstream.serialize(bundle, payloads)
+        payload, _ = codec.encode_table(bundle, x)
+        data, _ = bitstream.serialize(bundle, payload)
         corrupt = bytearray(data)
-        corrupt[-20] ^= 0xFF  # inside the last payload block
+        corrupt[-20] ^= 0xFF  # inside the payload block
         with pytest.raises(ChecksumError):
             bitstream.deserialize(bytes(corrupt))
 
@@ -110,11 +110,12 @@ class TestCorruption:
 
     def test_version_bump_rejected(self):
         # v1 files carry range-coded payloads, v2 files eigenvalues, a full
-        # basis and per-latent symbol counts, v3 files 64-bit lane states;
-        # this reader reads v4
+        # basis and per-latent symbol counts, v3 files 64-bit lane states, v4
+        # files a payload block per stream and a word area per latent; this
+        # reader reads v5
         data, _ = bitstream.serialize(minimal_bundle())
-        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (4,)
-        for version in (1, 2, 3, 5):
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (5,)
+        for version in (1, 2, 3, 4, 6):
             head = struct.pack("<4sHHI", b"SHTC", version, 1, 0)
             patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
             with pytest.raises(VersionUnsupported):
@@ -174,8 +175,8 @@ class TestHostileModelBlock:
 
     def setup_method(self):
         self.bundle, x = fitted_bundle(9)
-        payloads, _ = codec.encode_table(self.bundle, x)
-        self.data, _ = bitstream.serialize(self.bundle, payloads)
+        payload, _ = codec.encode_table(self.bundle, x)
+        self.data, _ = bitstream.serialize(self.bundle, payload)
         self.offsets = model_floats(self.bundle.streams[0])
 
     def decode(self, data):
@@ -234,8 +235,9 @@ def reseal_dims(data: bytes, content: bytes) -> bytes:
 
 
 def block_spans(data: bytes) -> list[tuple[int, int]]:
-    """(offset, length) of each block's content, in file order: dims, model
-    and payload of each stream. Stops at the first block that does not fit."""
+    """(offset, length) of each block's content, in file order: dims and
+    model of each stream, then the payload. Stops at the first block that
+    does not fit."""
     spans, at = [], 16
     while at + 8 <= len(data):
         (length,) = struct.unpack_from("<I", data, at)
@@ -261,7 +263,7 @@ def forge_dims(data: bytes, stream: int = 0, dim: int | None = None, **fields) -
     """Overwrite named fields of a stream's dims block (CRCs resealed), so
     only the dims checks can reject the file. A forged ``dim`` moves
     ``col_end``: the block states a stream's dim as ``col_end - col_start``."""
-    at, length = block_spans(data)[3 * stream]
+    at, length = block_spans(data)[2 * stream]
     values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[at : at + length])))
     values.update(fields)
     if dim is not None:
@@ -274,8 +276,8 @@ class TestHostileDimsBlock:
 
     def setup_method(self):
         self.bundle, x = fitted_bundle(9)  # dim 6, rank 3, 3 measurements
-        self.payloads, _ = codec.encode_table(self.bundle, x)
-        self.data, _ = bitstream.serialize(self.bundle, self.payloads)
+        self.payload, _ = codec.encode_table(self.bundle, x)
+        self.data, _ = bitstream.serialize(self.bundle, self.payload)
 
     def decode(self, data):
         codec.decode_table(*bitstream.deserialize(data))
@@ -330,7 +332,7 @@ class TestHostileDimsBlock:
         cfg = dataclasses.replace(sm.config)
         for key, value in config.items():
             setattr(cfg, key, value)
-        return bitstream.serialize(codec.CodecBundle([dataclasses.replace(sm, config=cfg)]), self.payloads)[0]
+        return bitstream.serialize(codec.CodecBundle([dataclasses.replace(sm, config=cfg)]), self.payload)[0]
 
     def test_refinement_without_measurements(self):
         # a self-consistent file whose refinement latent has no channels
@@ -462,18 +464,16 @@ class TestFileFuzz:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        stream=st.integers(0, 1),
-        latent=st.integers(0, 1),
+        field=st.one_of(st.integers(0, 17), st.integers(0, 2**16)),
         value=st.one_of(U32, st.tuples(st.integers(-64, 64))),
     )
-    def test_forged_latent_fields(self, streams, stream, latent, value):
+    def test_forged_latent_fields(self, streams, field, value):
+        # a u32 of the one coded latent: one of its lane states (2 per
+        # channel, 12 or 18 here), two of its words, or an escape
         data = bytearray(fuzz_file(streams))
-        at, _ = block_spans(data)[3 * (stream % streams) + 2]
-        (n_latents,) = struct.unpack_from("<I", data, at)
-        at += 4
-        for _ in range(latent % n_latents):
-            at += 4 + struct.unpack_from("<I", data, at)[0]
-        forge_u32(data, at, value)  # the latent's byte_len
+        at, length = block_spans(data)[-1]
+        assert length > 4 * 18
+        forge_u32(data, at + 4 * (field % (length // 4)), value)
         decode_or_decode_error(reseal(bytes(data)))
 
     @settings(max_examples=120, deadline=None)
@@ -497,12 +497,14 @@ class TestFileFuzz:
 class TestMdlReport:
     def test_split_accounts_for_file(self, tmp_path):
         bundle, x = fitted_bundle(5)
-        payloads, _ = codec.encode_table(bundle, x)
+        payload, _ = codec.encode_table(bundle, x)
         path = tmp_path / "f.shtc"
-        counts = bitstream.write(bundle, payloads, path)
+        counts = bitstream.write(bundle, payload, path)
         report = bitstream.mdl_report(path)
         assert report["model_bytes"] == counts["model_bytes"]
-        assert report["payload_bytes"] == counts["payload_bytes"]
+        assert report["payload_bytes"] == counts["payload_bytes"] == len(payload.data)
+        # header, then a framed dims and model block per stream, then one framed payload
+        assert report["container_overhead"] == 16 + 8 * (2 * len(bundle.streams) + 1)
         assert (
             report["model_bytes"] + report["payload_bytes"] + report["container_overhead"]
             == report["file_bytes"]
@@ -512,9 +514,9 @@ class TestMdlReport:
 
     def test_base_only_bundle_has_no_refinement_bytes(self, tmp_path):
         bundle, x = fitted_bundle(6, transform="klt-trunc")
-        payloads, _ = codec.encode_table(bundle, x)
+        payload, _ = codec.encode_table(bundle, x)
         path = tmp_path / "b.shtc"
-        bitstream.write(bundle, payloads, path)
+        bitstream.write(bundle, payload, path)
         report = bitstream.mdl_report(path)
         sm = bundle.streams[0]
         d, rank = sm.config.dim, sm.config.rank
@@ -523,9 +525,9 @@ class TestMdlReport:
 
     def test_stable_across_reads(self, tmp_path):
         bundle, x = fitted_bundle(7)
-        payloads, _ = codec.encode_table(bundle, x)
+        payload, _ = codec.encode_table(bundle, x)
         path = tmp_path / "s.shtc"
-        bitstream.write(bundle, payloads, path)
+        bitstream.write(bundle, payload, path)
         assert bitstream.mdl_report(path) == bitstream.mdl_report(path)
 
 

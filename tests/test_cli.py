@@ -75,6 +75,21 @@ class TestTableIo:
             cli.load_table(str(path))
 
 
+class TestThreads:
+    def test_a_set_variable_wins_over_the_flag(self, monkeypatch):
+        # --threads fills each BLAS variable the environment leaves unset; one
+        # already set keeps its value, and no other variable is read
+        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "")  # restored, or unset again, after the test
+            monkeypatch.delenv(var)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("SHTC_THREADS", "7")
+        cli._apply_threads(cli.build_parser().parse_args(["decode", "f.shtc", "--threads", "2"]))
+        assert [os.environ[v] for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")] == [
+            "2", "3", "2"
+        ]
+
+
 class TestConfigParsing:
     # joint and refit_period name a removed training mode: an old config must fail loudly
     @pytest.mark.parametrize("key, value", [("bogus_key", "3"), ("joint", "true"), ("refit_period", "500")])
@@ -273,16 +288,15 @@ class TestFitEncodeDecodeEval:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "decoded.csv").exists()
 
-    def test_latents_of_different_row_counts_is_data_error(self, tmp_path, capsys):
+    def test_payload_rows_differ_from_header_is_data_error(self, tmp_path, capsys):
         from shtc import bitstream, codec
 
         from .test_bitstream import fitted_bundle
 
         bundle, x = fitted_bundle(2)
-        base = codec.encode_table(bundle, x[:150])[0][0].latents[0]
-        refine = codec.encode_table(bundle, x[:50])[0][0].latents[1]
+        payload = codec.encode_table(bundle, x[:50])[0]
         path = tmp_path / "rows.shtc"
-        path.write_bytes(bitstream.serialize(bundle, [codec.StreamPayload([base, refine], 150)])[0])
+        path.write_bytes(bitstream.serialize(bundle, codec.Payload(payload.data, 150))[0])
         code = cli.main(["decode", str(path), "--out", str(tmp_path)])
         assert code == 3
         assert "data error" in capsys.readouterr().err
@@ -334,7 +348,12 @@ class TestBench:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("n_rows = 150\ndim = 6\nrank = 3\nsparsity = 1\niters = 20\nbatch = 32\n")
         out = str(tmp_path / "bench_out")
-        code, info = run(capsys, "bench", "--config", str(cfg), "--seed", "1", "--out", out)
+        # 20 iterations on 150 rows leave four curves with non-monotone rates
+        with pytest.warns(UserWarning, match="rates not strictly increasing") as caught:
+            code, info = run(capsys, "bench", "--config", str(cfg), "--seed", "1", "--out", out)
+        assert sorted(str(w.message) for w in caught) == [
+            f"{m}: rates not strictly increasing after sort" for m in ("haar", "klt-trunc", "none", "shtc-full")
+        ]
         assert code == 0
         rows = open(info["rd_curve"]).read().strip().splitlines()
         assert len(rows) == 1 + 5 * 4

@@ -101,8 +101,8 @@ class TestEncodeDecode:
         x = source(1)
         configs = default_configs(8, transform=transform, rank=4, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(1)))
-        payloads, recon = codec.encode_table(bundle, x)
-        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
+        payload, recon = codec.encode_table(bundle, x)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payload)[0]))
         assert np.array_equal(decoded, recon)
 
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
@@ -113,8 +113,8 @@ class TestEncodeDecode:
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3), configs, np.random.default_rng(3)))
         x = source(4, n=rows)
-        payloads, recon = codec.encode_table(bundle, x)
-        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
+        payload, recon = codec.encode_table(bundle, x)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payload)[0]))
         assert np.array_equal(decoded, recon)
         sm = bundle.streams[0]
         base_only = dataclasses.replace(sm, refine=None, refine_sched=None, refine_entropy=None)
@@ -128,8 +128,8 @@ class TestEncodeDecode:
         configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3, d=10), configs, np.random.default_rng(3)))
         x = source(4, n=rows, d=10)
-        payloads, recon = codec.encode_table(bundle, x)
-        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payloads)[0]))
+        payload, recon = codec.encode_table(bundle, x)
+        decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payload)[0]))
         assert np.array_equal(decoded, recon)
 
     def test_synthesis_memory_does_not_grow_with_rows(self):
@@ -154,14 +154,19 @@ class TestEncodeDecode:
         assert abs(peaks[16384] - peaks[2048]) < 8 * 1024 * 50, peaks
 
     def test_two_stream_layout(self):
+        # one latent of the channels of feat's base, feat's refinement and
+        # scale's base, in that order
         x = source(2, d=10)
         configs = default_configs(10, scaling_cols=4, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(2)))
-        payloads, recon = codec.encode_table(bundle, x)
-        assert len(payloads) == 2
-        assert len(payloads[0].latents) == 2  # base + refinement
-        assert len(payloads[1].latents) == 1  # base only
-        assert np.array_equal(codec.decode_table(bundle, payloads), recon)
+        payload, recon = codec.encode_table(bundle, x)
+        feat, scale = bundle.streams
+        latents = [(sym, *model) for sm, cols in ((feat, slice(0, 6)), (scale, slice(6, 10)))
+                   for sym, model in zip(codec._stream_symbols(sm, x[:, cols]), codec._latent_models(sm))]
+        assert [sym.shape[1] for sym, *_ in latents] == [3, 3, 4]
+        assert payload == codec.Payload(entropy.encode_latents(latents), 300)
+        assert len(payload.data) == sum(len(entropy.encode_symbols(*latent)) for latent in latents)
+        assert np.array_equal(codec.decode_table(bundle, payload), recon)
 
     def test_quantization_bounds_reconstruction(self):
         x = source(3)
@@ -180,14 +185,26 @@ class TestEncodeDecode:
             codec.encode_table(bundle, x[:, :5])
 
     def test_latent_count_must_match_stream(self):
-        # a bundle-only file, a missing refinement latent, an extra latent
+        # an empty payload, one coding the base latent only, and one coding an
+        # extra latent do not decode as the stream's base and refinement
         x = source(7)
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(7)))
-        latents = codec.encode_table(bundle, x)[0][0].latents
+        sm = bundle.streams[0]
+        latents = [(sym, *model) for sym, model in zip(codec._stream_symbols(sm, x), codec._latent_models(sm))]
+        assert codec.encode_table(bundle, x)[0].data == entropy.encode_latents(latents)
         for forged in ([], latents[:1], latents * 2):
-            with pytest.raises(DecodeError, match="coded latents"):
-                codec.decode_table(bundle, [codec.StreamPayload(forged, x.shape[0])])
+            with pytest.raises(DecodeError):
+                codec.decode_table(bundle, codec.Payload(entropy.encode_latents(forged), x.shape[0]))
+
+    @pytest.mark.parametrize("scaling_cols", [0, 4])
+    def test_zero_row_files_decode_to_empty_tables(self, scaling_cols):
+        # bundle-only or encoded, a file of 0 rows decodes to a (0, dim) table
+        configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=scaling_cols)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(source(7, d=10), configs, np.random.default_rng(7)))
+        encoded = bitstream.serialize(bundle, codec.encode_table(bundle, np.zeros((0, 10)))[0])[0]
+        assert encoded == bitstream.serialize(bundle)[0]
+        assert codec.decode_table(*bitstream.deserialize(encoded)).shape == (0, 10)
 
     def test_param_float_accounting(self):
         x = source(5, d=8)
@@ -225,70 +242,56 @@ def last_lane_row(rows):
 
 
 class TestOneLoopPerFile:
-    """A file's latents are coded in one lane loop, with the bytes of coding
-    each latent alone: sha256 of files whose latents are those made when every
-    latent had its own loop (re-pinned at bitstream v4, whose lanes changed the
-    latent bytes but not the decoded symbols)."""
+    """A file's latents are coded as one latent in one lane loop: sha256 of
+    files at the lane edges (re-pinned at bitstream v5, whose one latent
+    decodes to the symbols and reconstructions of v4's latents, with a
+    payload as long as theirs together)."""
 
     PINNED = {
-        (0, 0): "f37ba85887dc683683a15964dc8822e094aae191845d8b49beb5257e338792e3",
-        (1, 0): "418f5e3a3f5e1af42911563ca1a5529362cfd32270bc980085f43da0955559a8",
-        (4095, 0): "86352b0b8a9a8e19c1c4eba91734bb9b260de46cd4a5169a39955260f3ffc2fd",
-        (4096, 0): "ef245527c71cebfb0b6d05e9dc12bffd54b0f9e69d63e2c140be37334da8ab4a",
-        (8193, 0): "3ec2bcfac484fdef34d527a7f6bb21105ae0276f9f25a04b6f6c297d1bae32cd",
-        (12289, 0): "f2e5da07786c1912e0ef64d9b7956b7396e3c39139823861f747dab4ee3d15a1",
-        (0, 4): "19ab605dd87093d433b8d1f775ca81ee18f5d3e8c6a94840aeb6a515ec84e5f3",
-        (1, 4): "1c72d889c141d35f50db7edf68fd8d3e45af6d816b5178bfcc9145c3f05cc270",
-        (4095, 4): "ec3a10b0011296b87f48da7fe18018dd1e462f19160790e95962210259cdd2be",
-        (4096, 4): "4fe64f6a16ea454ec4e367cd5c9a0e29728f40451b76193028156b7c8569c13a",
-        (8193, 4): "191b3678d8ab1ab6188f3c86bb88a095dbd21a6bc3dc983fb60e1524a54793d6",
-        (12289, 4): "36f1c9b5f3c384f88c7b2b8f088b67b980e6ccf2670705e82ee4af1403276e9a",
+        (0, 0): "82d886f16ffe3d6036effc4aa00ffe08c0531a41af7e31724435a4b806c1f1f1",
+        (1, 0): "13f403f8c8616f84e616d7f4890bb6ce91f02854b47556cafbd9deb688c7478f",
+        (4095, 0): "984d0182798a5ebbed6357a2c2906916414b1251070afa8820826a8f16c67991",
+        (4096, 0): "ba92b3d43d9a6b80ff5451be37e6503b86416fae22f99551d35480ebd3be76a6",
+        (8193, 0): "743da63e2ebe66f3ec74fdbd90ea916a85cab29f5179004938b7020407f985ed",
+        (12289, 0): "cd92b6aa27586c51406eeac6ddb615689946979a1d2a16817ebc8135331b8cd8",
+        (0, 4): "51457f24f262198dcddbf66db72edcded89ec65a2d75c46789d725669223394f",
+        (1, 4): "e850b3882b662a238110d2cad6d730cc284475928d0c4a239a448600e53401e6",
+        (4095, 4): "97c7c2336c6e9a61c680bc31cd85dbb1413cb98d725110f2ceeeb4529487560c",
+        (4096, 4): "f69c01aa05b1dd68950029d637b1d236033582e27bb6045e3d494cc6556fedf0",
+        (8193, 4): "7e49b214538c13a75f3f8891256687e30b21575d1b284785a8de7a1fd076e167",
+        (12289, 4): "213c540fb3322c814d417b61558496bad1b385610ffd1f7b3d8e8caf4fb0d008",
     }
 
     @pytest.mark.parametrize("scaling_cols", [0, 4])
     @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 8193, 12289])
     def test_file_bytes_pinned(self, rows, scaling_cols):
         bundle, x = lane_edge_table(rows, scaling_cols)
-        payloads, recon = codec.encode_table(bundle, x)
-        data = bitstream.serialize(bundle, payloads)[0]
+        payload, recon = codec.encode_table(bundle, x)
+        data = bitstream.serialize(bundle, payload)[0]
         assert hashlib.sha256(data).hexdigest() == self.PINNED[rows, scaling_cols]
         assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
         if rows:
-            latents = [
-                (coded, *model)
-                for sm, payload in zip(bundle.streams, payloads)
-                for coded, model in zip(payload.latents, codec._latent_models(sm))
-            ]
-            for (_, model, sched), sym in zip(latents, entropy.decode_latents(rows, latents)):
-                tables = entropy.build_tables(model, sched)
+            models = [model for sm in bundle.streams for model in codec._latent_models(sm)]
+            for (model, sched), sym in zip(models, entropy.decode_latents(rows, payload.data, models)):
+                tables = entropy.build_tables([model], [sched])
                 escaped = (sym < tables.lo) | (sym >= tables.lo + tables.size)
                 assert escaped[0, 0] and escaped[last_lane_row(rows), -1] and escaped[-1, -1]
 
 
 class TestOneRowCount:
     """A file states one row count, in its header (``docs/format.md``): a
-    latent coded over other rows does not decode."""
-
-    def test_refinement_rows_differ_from_base(self):
-        configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
-        bundle = bitstream.finalize_bundle(codec.fit_bundle(source(8), configs, np.random.default_rng(8)))
-        base = codec.encode_table(bundle, source(9, n=300))[0][0].latents[0]
-        refine = codec.encode_table(bundle, source(9, n=100))[0][0].latents[1]
-        data = bitstream.serialize(bundle, [codec.StreamPayload([base, refine], 300)])[0]
-        with pytest.raises(DecodeError):
-            codec.decode_table(*bitstream.deserialize(data))
+    payload coded over other rows does not decode."""
 
     def test_streams_rows_differ(self):
+        # a two-stream payload of 100 rows in a file that claims 300
         configs = default_configs(10, scaling_cols=4, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(source(8, d=10), configs, np.random.default_rng(8)))
-        feat = codec.encode_table(bundle, source(9, n=300, d=10))[0][0]
-        scale = codec.encode_table(bundle, source(9, n=100, d=10))[0][1]
-        with pytest.raises(DimMismatch, match="row count"):
-            bitstream.serialize(bundle, [feat, scale])
-        scale.rows = feat.rows  # the file claims 300 rows for the 100-row latent
-        data = bitstream.serialize(bundle, [feat, scale])[0]
-        with pytest.raises(DecodeError):
-            codec.decode_table(*bitstream.deserialize(data))
+        payload, recon = codec.encode_table(bundle, source(9, n=100, d=10))
+        assert np.array_equal(codec.decode_table(bundle, payload), recon)
+        for rows in (99, 101, 300):
+            data = bitstream.serialize(bundle, codec.Payload(payload.data, rows))[0]
+            with pytest.raises(DecodeError):
+                codec.decode_table(*bitstream.deserialize(data))
 
     def test_no_streams(self):
         data = bitstream.serialize(codec.CodecBundle([]))[0]
@@ -311,7 +314,7 @@ class TestCoderCache:
         first = codec.encode_table(bundle, x)[0]
         bundle.streams[0].base_entropy.sigma *= 3.0
         second = codec.encode_table(bundle, x)[0]
-        assert second[0].latents != first[0].latents
+        assert second.data != first.data
         monkeypatch.setattr(entropy, "_coder_cache", (None, None))  # a cold cache
         assert second == codec.encode_table(bundle, x)[0]
 
@@ -329,14 +332,14 @@ class TestCoderCache:
         files = []
         for seed in (23, 24):
             x = source(seed, n=128, d=10)
-            payloads, recon = codec.encode_table(bundle, x)
-            files.append((bitstream.serialize(bundle, payloads)[0], recon))
+            payload, recon = codec.encode_table(bundle, x)
+            files.append((bitstream.serialize(bundle, payload)[0], recon))
         for data, recon in files:  # each file parses to models of its own
             assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
         assert len(calls) == 1
         other = self.bundle(27)
-        payloads, recon = codec.encode_table(other, source(23, n=128, d=10))
-        assert np.array_equal(codec.decode_table(other, payloads), recon)
+        payload, recon = codec.encode_table(other, source(23, n=128, d=10))
+        assert np.array_equal(codec.decode_table(other, payload), recon)
         assert len(calls) == 2  # a file of other models builds theirs
 
     def test_hostile_file_between_good_files(self):

@@ -96,7 +96,7 @@ class TestTables:
                 mu=rng.normal(size=n) * 3, sigma=np.exp(rng.normal(size=n) * 1.5)
             )
             sched = quantizer.channel_schedule(float(rng.uniform(0.05, 2.0)), 0.1, n)
-            tables = entropy.build_tables(model, sched)
+            tables = entropy.build_tables([model], [sched])
             for j in range(n):
                 lo, freqs = channel_table_reference(model.mu[j], model.sigma[j], sched.steps[j])
                 a, b = tables.start[j], tables.start[j] + tables.size[j] + 1
@@ -206,8 +206,9 @@ class TestRoundTrip:
 
 
 class TestLatentsLoop:
-    """``encode_latents`` / ``decode_latents`` code several latents of one row
-    count in one loop; each keeps its own lanes, words and escapes."""
+    """``encode_latents`` / ``decode_latents`` code the latents of one row
+    count as one latent of all their channels: one lane set, one word area
+    and one escape area."""
 
     @staticmethod
     def latents(rows):
@@ -226,44 +227,76 @@ class TestLatentsLoop:
             out.append((sym, model, sched))
         return out
 
+    @staticmethod
+    def models(latents):
+        return [(model, sched) for _, model, sched in latents]
+
     @pytest.mark.parametrize("rows", [1, 4095, 4096, 8193, 12289])
     def test_round_trip_with_the_bytes_of_each_latent_alone(self, rows):
+        # the lane of channel j and row residue r codes the symbols of the
+        # lane of the same channel and residue in j's latent coded alone: the
+        # payload is as long as the latents alone together, and its lane
+        # states are theirs
         latents = self.latents(rows)
         coded = entropy.encode_latents(latents)
-        assert coded == [entropy.encode_symbols(*latent) for latent in latents]
-        decoded = entropy.decode_latents(
-            rows, [(data, model, sched) for data, (_, model, sched) in zip(coded, latents)]
-        )
+        alone = [entropy.encode_symbols(*latent) for latent in latents]
+        assert len(coded) == sum(map(len, alone))
+        width, channels = entropy.lane_grid(rows)[0], sum(model.n for _, model, _ in latents)
+        states = np.frombuffer(coded, dtype="<u4", count=width * channels).reshape(width, channels)
+        c = 0
+        for data, (_, model, _) in zip(alone, latents):
+            own = np.frombuffer(data, dtype="<u4", count=width * model.n).reshape(width, model.n)
+            assert np.array_equal(states[:, c : c + model.n], own)
+            c += model.n
+        decoded = entropy.decode_latents(rows, coded, self.models(latents))
         for out, (sym, _, _) in zip(decoded, latents):
             assert np.array_equal(out, sym)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(0, 40),
+        ns=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        spread=st.integers(1, 10_000),
+    )
+    def test_random_latents_against_the_one_latent_api(self, seed, rows, ns, spread):
+        rng = np.random.default_rng(seed)
+        latents = []
+        for n in ns:
+            model = entropy.GaussianEntropyModel(mu=rng.normal(size=n), sigma=np.exp(rng.normal(size=n)))
+            sched = quantizer.channel_schedule(float(rng.uniform(0.2, 2.0)), 0.1, n)
+            latents.append((rng.integers(-spread, spread, size=(rows, n)), model, sched))
+        coded = entropy.encode_latents(latents)
+        assert len(coded) == sum(len(entropy.encode_symbols(*latent)) for latent in latents)
+        decoded = entropy.decode_latents(rows, coded, self.models(latents))
+        assert [out.shape for out in decoded] == [(rows, n) for n in ns]
+        assert all(np.array_equal(out, sym) for out, (sym, _, _) in zip(decoded, latents))
 
     def test_empty(self):
         latents = [(np.zeros((0, n), dtype=np.int64), make_model(n), quantizer.channel_schedule(1.0, 0.0, n))
                    for n in (2, 3)]
-        assert entropy.encode_latents(latents) == [b"", b""]
-        decoded = entropy.decode_latents(0, [(b"", model, sched) for _, model, sched in latents])
+        assert entropy.encode_latents(latents) == b""
+        decoded = entropy.decode_latents(0, b"", self.models(latents))
         assert [out.shape for out in decoded] == [(0, 2), (0, 3)]
 
     def test_row_counts_must_agree(self):
-        # the encoder refuses latents of two row counts; a latent coded over
+        # the encoder refuses latents of two row counts; a payload coded over
         # fewer rows than the decoder is given does not decode
         latents = self.latents(40)
         short = (latents[1][0][:20],) + latents[1][1:]
         with pytest.raises(DimMismatch):
             entropy.encode_latents([latents[0], short])
-        coded = entropy.encode_latents(latents[:1]) + entropy.encode_latents([short])
+        coded = entropy.encode_latents([(sym[:20], model, sched) for sym, model, sched in latents])
         with pytest.raises(DecodeError):
-            entropy.decode_latents(40, [(coded[0], *latents[0][1:]), (coded[1], *short[1:])])
+            entropy.decode_latents(40, coded, self.models(latents))
 
     def test_each_latent_checked(self):
-        # a second latent cut short, or one word longer, fails on its own area
+        # the one payload of every latent, cut short or one word longer, fails
         latents = self.latents(300)
         coded = entropy.encode_latents(latents)
-        for forged in (coded[1][:-2], coded[1] + b"\x00" * 2):
-            items = [(data, model, sched) for data, (_, model, sched) in zip(coded, latents)]
-            items[1] = (forged,) + items[1][1:]
+        for forged in (coded[:-2], coded + b"\x00" * 2):
             with pytest.raises(DecodeError):
-                entropy.decode_latents(300, items)
+                entropy.decode_latents(300, forged, self.models(latents))
 
 
 class TestCoderCache:
@@ -308,7 +341,7 @@ class TestCoderCache:
             load(bundles[i])
             coded = entropy.encode_latents(list(zip(syms, models, scheds)))
             assert coded == cold[i]
-            decoded = entropy.decode_latents(rows, list(zip(coded, models, scheds)))
+            decoded = entropy.decode_latents(rows, coded, list(zip(models, scheds)))
             assert all(np.array_equal(out, sym) for out, sym in zip(decoded, syms))
 
     def test_threads_sharing_the_cache(self):
@@ -391,7 +424,7 @@ class TestHostilePayload:
         # the word count and the end state all check, so only the state range
         # check refuses it
         model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
-        tables = entropy.build_tables(model, sched)
+        tables = entropy.build_tables([model], [sched])
         entry = tables.start[0] - tables.lo[0]
         cum = int(tables.cum[entry])
         assert tables.freq[entry] >= 2
@@ -409,6 +442,11 @@ class TestHostilePayload:
         states[0] += 2**16
         with pytest.raises(DecodeError, match="initial state"):
             entropy.decode_symbols(states.tobytes(), 1, model, sched)
+
+    def test_payload_for_zero_rows_rejected(self):
+        model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
+        with pytest.raises(DecodeError, match="zero rows"):
+            entropy.decode_symbols(b"\x00\x00", 0, model, sched)
 
     def test_escape_inside_table_rejected(self):
         blob, sym, model, sched = self.coded()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shtc import linalg
+from shtc import base_layer, linalg
 from shtc.errors import AllZero, BadSize, InsufficientData, NotSymmetric
 
 
@@ -65,9 +65,13 @@ class TestSymEig:
         with pytest.raises(NotSymmetric):
             linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_oversize_rejected(self):
-        with pytest.raises(BadSize):
-            linalg.sym_eig(np.eye(513))
+    def test_600_column_klt_is_orthonormal(self):
+        # a stream may have up to 65535 columns: the KLT of a 600-column
+        # table has no size cap below that
+        x = np.random.default_rng(600).normal(size=(700, 600))
+        klt = base_layer.fit_klt(x, 600)
+        assert klt.basis.shape == (600, 600)
+        assert np.abs(klt.basis.T @ klt.basis - np.eye(600)).max() < 1e-10
 
     @pytest.mark.parametrize("n", [4, 16, 64, 128])
     def test_reconstruction_random(self, n):

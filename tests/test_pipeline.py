@@ -25,7 +25,7 @@ def trained_small():
 class TestRateEstimateFidelity:
     def test_payload_within_5pct_plus_64_bytes_of_estimate(self, trained_small):
         x, bundle, _ = trained_small
-        payloads, _ = codec.encode_table(bundle, x)
+        payload, _ = codec.encode_table(bundle, x)
         sm = bundle.streams[0]
         theta = analyze_base(x, sm.klt)
         sym_b = quantizer.quantize(theta, sm.base_sched)
@@ -36,7 +36,7 @@ class TestRateEstimateFidelity:
         est_bits += entropy.rate_bits(
             quantizer.dequantize(sym_y, sm.refine_sched), sm.refine_entropy, sm.refine_sched
         )
-        actual_bytes = sum(map(len, payloads[0].latents))
+        actual_bytes = len(payload.data)
         assert actual_bytes <= est_bits / 8.0 * 1.05 + 64.0
 
     def test_loss_components_nonnegative_in_log(self, trained_small):
@@ -55,8 +55,8 @@ class TestLambdaDirection:
         for lam in (0.002, 0.004, 0.008, 0.015):
             configs = codec.default_configs(10, transform="klt-trunc", rank=4)
             bundle, _ = trainer.train(x, configs, TrainConfig(lam=lam, iters=400, batch=128, seed=31))
-            payloads, _ = codec.encode_table(bundle, x)
-            data, _ = bitstream.serialize(bundle, payloads)
+            payload, _ = codec.encode_table(bundle, x)
+            data, _ = bitstream.serialize(bundle, payload)
             bits.append(len(data) * 8)
         assert all(b2 <= b1 for b1, b2 in zip(bits, bits[1:])), bits
 
@@ -77,8 +77,8 @@ class TestTwoStreamLayout:
         assert configs[0].rank == 15 and configs[0].n_meas == 15
         assert configs[1].rank == 6 and not configs[1].has_refinement
         bundle, _ = trainer.train(x, configs, TrainConfig(lam=0.008, iters=300, batch=128, seed=41))
-        payloads, recon = codec.encode_table(bundle, x)
-        data, counts = bitstream.serialize(bundle, payloads)
+        payload, recon = codec.encode_table(bundle, x)
+        data, counts = bitstream.serialize(bundle, payload)
         b2, p2 = bitstream.deserialize(data)
         assert np.array_equal(codec.decode_table(b2, p2), recon)
         # scaling stream spends far fewer model bytes (no basis-50, no refinement)

@@ -222,10 +222,10 @@ class TestTrain:
         x += 1e-9 * np.random.default_rng(0).normal(size=x.shape)  # covariance needs spread
         configs = codec.default_configs(4, transform="klt-trunc", rank=4)
         bundle, log = trainer.train(x, configs, TrainConfig(lam=0.01, iters=500, batch=32, seed=0))
-        payloads, recon = codec.encode_table(bundle, x)
+        payload, recon = codec.encode_table(bundle, x)
         from shtc.bitstream import serialize
 
-        _, counts = serialize(bundle, payloads)
+        _, counts = serialize(bundle, payload)
         assert counts["payload_bytes"] * 8.0 / x.shape[0] < 1.0
         assert np.abs(x - recon).mean() < 1e-3
 
@@ -279,7 +279,8 @@ class TestTrain:
 class TestTrainedBytes:
     """sha256 of a trained bundle's file and of its training log: a change to
     the training path that moves any trained float shows here (re-pinned at
-    bitstream v4, where only the header's version and CRC changed)."""
+    bitstream v5, where only the header's version and CRC and the payload
+    framing changed: the v4 files, reframed, hash to these)."""
 
     # default_configs keywords -> (bundle file, log)
     CASES = {
@@ -290,19 +291,19 @@ class TestTrainedBytes:
     }
     PINNED = {
         "shtc-full": (
-            "27a29c19eca92cc13e45cb5644918418ee169cc5a04a6186b12b318c5761f081",
+            "a931bc63baf110d98129b375ed2b1936ebfccf9f19dd79fb4176d3b21c70e075",
             "d716485348c915f0aa950cc4cdb3dbaef3a2d6255408d575fd1ac5e2fd10c240",
         ),
         "scaling_cols=2": (
-            "0f74677045b002bd3699bfdc526462c1e27e559714683a3b51533304e85a188f",
+            "abbf3367d68a816182d4cfec58134a7249985c5262526d418bda554ff37228b1",
             "28d68d1b1f44b129dd981e2a844ff8b02c44ea7ab3ea6ead2d5cbe521d5f623d",
         ),
         "klt-trunc": (
-            "26b2759ff64abbcf66c396c91ff99ff7440f068155c7a9ffaa5a9259be8cd5ec",
+            "f03a1b3a6c26cccb784d14f999675a54f2c0ea0d30582ff0f1ff16118c3bae84",
             "9bebdf436e2fc4cf1136fc98d8e5b0027ac1360c6ee9c925454a767cba980b3b",
         ),
         "dct": (
-            "9444bc01138fbde646f3ab37ce9f0f9e1cfc4821b02e3ad172a0078498595dd0",
+            "376247164d54d5c2c350800db4923d1eb68cc0ee7d8e923188a8aeb000823883",
             "f8f2422a041a359475a2b428b3a92d76f2c4bc2517dfaa13ed04f2dccb109a0b",
         ),
     }
@@ -327,7 +328,7 @@ class TestTrainedBytes:
         tc = TrainConfig(lam=0.004, iters=20, batch=256, seed=6, log_every=5)
         bundle, log = trainer.train(x, configs, tc)
         assert hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest() == (
-            "f9e69f56cb650095ef5bcde6969ec3785e9def677e4ccb52820b244d366c2473"
+            "6ee0fbc7acfbf164dba08ddcfd2e43f50f2b2ef5af4902deb81dfd2d5aa6eefb"
         )
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
             "7b642f7c908fb4bf109f3aa511d41ef1e1f90b7d17918d2eda2a79f66b6a6631"
