@@ -132,13 +132,9 @@ def rd_point(
     rank: int | None = None,
     n_meas: int = 15,
     n_layers: int = 6,
-    scaling_cols: int = 0,
 ) -> RdPoint:
     """Train one operating point and measure it from the actual bitstream."""
-    configs = default_configs(
-        x.shape[1], transform=transform, rank=rank, n_meas=n_meas,
-        n_layers=n_layers, scaling_cols=scaling_cols,
-    )
+    configs = default_configs(x.shape[1], transform=transform, rank=rank, n_meas=n_meas, n_layers=n_layers)
     bundle, _ = train(x, configs, TrainConfig(lam=lam, iters=iters, batch=batch, seed=seed))
     payload, recon = encode_table(bundle, x)
     data, counts = serialize(bundle, payload)
@@ -163,18 +159,13 @@ def baseline_rd(
     rank: int | None = None,
     n_meas: int = 15,
     n_layers: int = 6,
-    scaling_cols: int = 0,
 ) -> RdCurve:
     """One trained-and-encoded run per lambda; failed points skip with a warning."""
     points = []
     for lam in lambdas:
         try:
-            points.append(
-                rd_point(
-                    x, transform, lam, seed=seed, iters=iters, batch=batch,
-                    rank=rank, n_meas=n_meas, n_layers=n_layers, scaling_cols=scaling_cols,
-                )
-            )
+            points.append(rd_point(x, transform, lam, seed=seed, iters=iters, batch=batch,
+                                   rank=rank, n_meas=n_meas, n_layers=n_layers))
         except CodecError as exc:
             warnings.warn(f"{transform} @ lambda={lam} failed: {exc}")
     curve = RdCurve(method=transform, points=points)

@@ -316,9 +316,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _thread_count(raw: str) -> int:
+    """``--threads``: a positive count, since OpenBLAS reads 0 or less as no cap."""
+    count = int(raw)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1)
 
 
 def _add_run_flags(parser):

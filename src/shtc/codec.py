@@ -8,10 +8,11 @@ refinement layer coding the base-layer residual. A finalized bundle
 (``bitstream.finalize_bundle``) is the model a decoder reads back from the
 container, so encoder- and decoder-side reconstructions are bit-identical.
 
-A file's payload is one latent of every stream's channels: the streams in
-order, each with its base channels before its refinement channels. A
-stream's analysis (``_stream_symbols``) runs over the whole table, since the
-coder codes that latent in one loop. Its synthesis
+A file's payload is one latent of every stream's channels, coded under one
+entropy model (``_file_model``): the streams in order, each with its base
+channels before its refinement channels. A stream's analysis
+(``_stream_symbols``) runs over the whole table into the stream's columns of
+one symbol table, since the coder codes that table in one loop. Its synthesis
 (``_reconstruct_stream``) runs one block of ``_BLOCK_ROWS`` rows at a time,
 from symbols to the block's slice of the output table, so its working memory
 does not grow with the row count. The encoder's reconstruction and the
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import base_layer, linalg, quantizer, refinement
+from . import base_layer, entropy, linalg, quantizer, refinement
 from .base_layer import KltModel
-from .entropy import GaussianEntropyModel, decode_latents, encode_latents
+from .entropy import GaussianEntropyModel
 from .entropy import decode_symbols, encode_symbols  # read by the benchmark's tracer; no codec path calls them
 from .errors import ConfigError, DecodeError, DimMismatch
 from .quantizer import QuantSchedule, channel_schedule
@@ -241,34 +242,48 @@ class Payload:
     rows: int
 
 
-def _latent_models(sm: StreamModel) -> list[tuple[GaussianEntropyModel, QuantSchedule]]:
-    """Entropy model and step schedule of each coded latent: base, then refinement."""
-    models = [(sm.base_entropy, sm.base_sched)]
-    if sm.refine is not None:
-        models.append((sm.refine_entropy, sm.refine_sched))
-    return models
+def _file_model(bundle: CodecBundle) -> tuple[GaussianEntropyModel, np.ndarray, list[slice]]:
+    """The file's one latent: its entropy model, its quantizer steps and each
+    stream's columns of it. The channels are the streams' in order, each
+    stream's base channels before its refinement channels."""
+    latents, spans, end = [], [], 0
+    for sm in bundle.streams:
+        own = [(sm.base_entropy, sm.base_sched)]
+        if sm.refine is not None:
+            own.append((sm.refine_entropy, sm.refine_sched))
+        latents += own
+        width = sum(sched.n for _, sched in own)
+        spans.append(slice(end, end + width))
+        end += width
+    models, scheds = zip(*latents)
+    model = GaussianEntropyModel(mu=np.concatenate([m.mu for m in models]),
+                                 sigma=np.concatenate([m.sigma for m in models]))
+    return model, np.concatenate([sched.steps for sched in scheds]), spans
 
 
-def _stream_symbols(sm: StreamModel, xs: np.ndarray) -> list[np.ndarray]:
-    """Quantized latents of one stream, in the order of :func:`_latent_models`."""
+def _stream_symbols(sm: StreamModel, xs: np.ndarray, out: np.ndarray) -> None:
+    """Quantize the stream's latents into ``out``, its columns of the file's
+    symbol table: the base channels, then the refinement channels."""
     theta, r = split_base(xs, sm.klt)
-    symbols = [quantizer.quantize(theta, sm.base_sched)]
+    k = sm.base_sched.n
+    out[:, :k] = quantizer.quantize(theta, sm.base_sched)
     if sm.refine is not None:
-        symbols.append(quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched))
-    return symbols
+        out[:, k:] = quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched)
 
 
-def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym_base: np.ndarray, sym_refine=None) -> None:
-    """Write the stream's reconstruction from its symbols into ``out``, one
-    block of ``_BLOCK_ROWS`` rows at a time: dequantize, base synthesis, the
-    unfolded refinement, and their sum straight into the block's rows."""
+def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray) -> None:
+    """Write the stream's reconstruction from ``sym``, its columns of the
+    file's symbol table, into ``out``, one block of ``_BLOCK_ROWS`` rows at a
+    time: dequantize, base synthesis, the unfolded refinement, and their sum
+    straight into the block's rows."""
+    k = sm.base_sched.n
     for s in range(0, out.shape[0], _BLOCK_ROWS):
         rows = slice(s, s + _BLOCK_ROWS)
-        f_base = base_layer.synthesize_base(quantizer.dequantize(sym_base[rows], sm.base_sched), sm.klt)
+        f_base = base_layer.synthesize_base(quantizer.dequantize(sym[rows, :k], sm.base_sched), sm.klt)
         if sm.refine is None:
             out[rows] = f_base
         else:
-            y_hat = quantizer.dequantize(sym_refine[rows], sm.refine_sched)
+            y_hat = quantizer.dequantize(sym[rows, k:], sm.refine_sched)
             np.add(f_base, refinement.unfold_synthesize(y_hat, sm.refine), out=out[rows])
 
 
@@ -278,14 +293,14 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarra
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != bundle.dim:
         raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
+    model, steps, spans = _file_model(bundle)
+    sym = np.empty((x.shape[0], steps.size), dtype=np.int64)
     recon = np.empty_like(x)  # the streams tile its columns
-    latents = []
-    for sm in bundle.streams:
+    for sm, span in zip(bundle.streams, spans):
         cols = slice(sm.config.col_start, sm.config.col_end)
-        syms = _stream_symbols(sm, x[:, cols])
-        _reconstruct_stream(sm, recon[:, cols], *syms)
-        latents += [(sym, *model) for sym, model in zip(syms, _latent_models(sm))]
-    return Payload(encode_latents(latents), x.shape[0]), recon
+        _stream_symbols(sm, x[:, cols], sym[:, span])
+        _reconstruct_stream(sm, recon[:, cols], sym[:, span])
+    return Payload(entropy.encode(sym, model, steps), x.shape[0]), recon
 
 
 def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
@@ -293,12 +308,12 @@ def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
     decodes to a (0, dim) table."""
     if not bundle.streams:
         raise DecodeError("no streams to decode")
-    models = [model for sm in bundle.streams for model in _latent_models(sm)]
-    symbols = iter(decode_latents(payload.rows, payload.data, models))
+    model, steps, spans = _file_model(bundle)
+    sym = entropy.decode(payload.rows, payload.data, model, steps)
     out = np.empty((payload.rows, bundle.dim))  # the streams tile its columns
-    for sm in bundle.streams:
+    for sm, span in zip(bundle.streams, spans):
         rec = out[:, sm.config.col_start : sm.config.col_end]
-        _reconstruct_stream(sm, rec, *(next(symbols) for _ in _latent_models(sm)))
+        _reconstruct_stream(sm, rec, sym[:, span])
         if not np.isfinite(rec).all():
             raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")
     return out

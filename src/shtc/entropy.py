@@ -14,19 +14,17 @@ live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
 ``docs/format.md``.
 
 A numpy step costs more per call than per lane, so a file is coded as one
-latent: ``encode_latents`` and ``decode_latents`` join the channels of every
-latent of the file (all of them have one row count) and run one lane loop
-over them, with one lane set, one word area and one escape area. One
-frequency table spans those channels, so one sorted search serves the whole
-file. ``encode_symbols`` and ``decode_symbols`` are the one-latent case of
-the same loop.
+latent of all its channels (``codec`` joins its streams' latents):
+``encode`` and ``decode`` run one lane loop over a (rows, channels) symbol
+table under one entropy model, with one lane set, one word area and one
+escape area. One frequency table spans those channels, so one sorted search
+serves the whole file. ``encode_symbols`` and ``decode_symbols`` take a
+quantizer schedule in place of its steps.
 
-Tables are built in one place: ``_coder_state`` calls ``build_tables`` and
-derives from them the arrays both loops read (the padded search key and
-frequencies, the per-entry symbol values, each channel's table size). It
-keeps that state for the last set of models coded, keyed by the exact
-float64 ``mu``, ``sigma`` and ``steps`` bytes of every latent, so the files
-of one bundle build their tables once and a changed model never reuses them.
+Tables are built in one place: ``build_tables`` returns every array both
+loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
+by the exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of
+one bundle build their tables once and a changed model never reuses them.
 """
 
 from __future__ import annotations
@@ -97,15 +95,20 @@ def rate_bits(x_hat: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedu
     return float(np.sum(bin_bits(x, model.mu, model.sigma, sched.steps)[0]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreqTables:
-    """Every channel's 16-bit frequency table, concatenated.
+    """Every channel's 16-bit frequency table, concatenated, as the read-only
+    arrays both lane loops read.
 
     Channel j owns the entries ``start[j] .. start[j] + size[j]``: symbols
-    ``lo[j] .. lo[j] + size[j] - 1``, then its escape entry. ``key`` is the
-    running total of all frequencies before an entry; each channel sums to
-    exactly 2^16, so ``key = (channel << 16) + cum`` and one sorted search
-    over ``key`` maps a channel's slot to its entry.
+    ``lo[j] .. lo[j] + size[j] - 1``, then its escape entry. One pad entry of
+    freq 2^16, cum 0 (an identity on the state) follows the last channel;
+    idle lanes of a partial last step code it. ``key[e]`` is the running
+    total of all frequencies through entry ``e``. Each channel sums to
+    exactly 2^16, so a sorted search of ``(channel << 16) + slot`` yields the
+    channel's entry for that slot, and one of ``key[-1] + slot`` the pad.
+    ``value`` maps an entry to its symbol, with ``_ESCAPED`` at escape
+    entries and the pad.
     """
 
     lo: np.ndarray
@@ -114,21 +117,19 @@ class FreqTables:
     freq: np.ndarray
     cum: np.ndarray
     key: np.ndarray
+    value: np.ndarray
 
 
-def build_tables(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]) -> FreqTables:
-    """Frequency tables over each channel's plausible symbol range plus escape.
-
-    ``models`` and ``scheds`` hold one entropy model and step schedule per
-    latent; the tables number the channels of every latent in list order, so
-    that one search serves a whole file. A pure function of the (serialized)
-    model parameters, so encoder and decoder rebuild them identically.
+def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
+    """Frequency tables over each channel's plausible symbol range plus
+    escape, for ``model`` quantized with ``steps``. A pure function of the
+    (serialized) model parameters, so encoder and decoder rebuild them
+    identically.
     """
-    if any(sc.n != m.n for m, sc in zip(models, scheds, strict=True)):
+    mu, sigma = model.mu, model.sigma
+    step = np.asarray(steps, dtype=np.float64)
+    if step.shape != mu.shape:
         raise DimMismatch("model/schedule channel counts disagree")
-    mu = np.concatenate([m.mu for m in models])
-    sigma = np.concatenate([m.sigma for m in models])
-    step = np.concatenate([np.asarray(sc.steps, dtype=np.float64) for sc in scheds])
     n = mu.size
     lo = np.floor((mu - _SUPPORT_Z * sigma) / step)
     hi = np.ceil((mu + _SUPPORT_Z * sigma) / step)
@@ -154,76 +155,45 @@ def build_tables(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]
     # the deficit goes to the first most probable symbol of each channel
     peak = np.maximum.reduceat(p, first)
     freqs[np.minimum.reduceat(np.where(p == peak[chan], np.arange(m), m), first)] += deficit
-    freq = np.empty(m + n, dtype=np.int64)
+    freq = np.empty(m + n + 1, dtype=np.int64)
     freq[np.arange(m) + chan] = freqs
     freq[start + size] = esc
-    key = np.cumsum(freq) - freq
-    entry_chan = np.repeat(np.arange(n), size + 1)
-    return FreqTables(
+    freq[-1] = _TOTAL  # the pad
+    key = np.cumsum(freq[:-1])
+    cum = np.append(key - freq[:-1] - (np.repeat(np.arange(n), size + 1) << _FREQ_BITS), 0)
+    value = np.append(np.arange(m + n) - np.repeat(start - lo, size + 1), _ESCAPED)
+    value[start + size] = _ESCAPED
+    tables = FreqTables(
         lo=lo,
         size=size,
         start=start,
         freq=freq.astype(np.uint64),
-        cum=(key - (entry_chan << _FREQ_BITS)).astype(np.uint64),
+        cum=cum.astype(np.uint64),
         key=key.astype(np.uint64),
+        value=value,
     )
-
-
-@dataclass(frozen=True)
-class _CoderState:
-    """What both lane loops read of one set of models' tables, padded with
-    one last entry of freq 2^16, cum 0 (an identity on the state) that idle
-    lanes of a partial last step code. Its arrays are read-only.
-
-    ``key`` is the search key, shifted by one entry so that a sorted search
-    yields the entry itself; ``value`` maps an entry to its symbol, with
-    ``_ESCAPED`` at escape entries and the pad; ``size`` is each channel's
-    symbol count as uint64, the index of its escape entry within its table.
-    """
-
-    tables: FreqTables
-    key: np.ndarray
-    freq: np.ndarray
-    cum: np.ndarray
-    value: np.ndarray
-    size: np.ndarray
-
-
-_coder_cache: tuple = (None, None)  # (content key, _CoderState) of the last models coded
-
-
-def _coder_state(models: list[GaussianEntropyModel], scheds: list[QuantSchedule]) -> _CoderState:
-    """The coder state of ``models`` and ``scheds``, built on a miss of the
-    one-entry cache. The key is every byte ``build_tables`` reads, with the
-    length of each array, so equal keys mean equal tables. Threads that miss
-    together each build; the cache keeps whichever state was written last."""
-    global _coder_cache
-    params = [np.asarray(a, dtype=np.float64) for m, sc in zip(models, scheds) for a in (m.mu, m.sigma, sc.steps)]
-    key = (tuple(a.size for a in params), np.concatenate(params).tobytes())
-    cached_key, state = _coder_cache  # one read: a key never pairs with another key's state
-    if cached_key == key:
-        return state
-    tables = build_tables(models, scheds)  # the module global, so a rebinding of it sees the call
     for a in vars(tables).values():
         a.flags.writeable = False
-    pad = np.uint64(tables.lo.size << _FREQ_BITS)
-    value = np.append(np.arange(tables.freq.size) - np.repeat(tables.start - tables.lo, tables.size + 1), _ESCAPED)
-    value[tables.start + tables.size] = _ESCAPED
-    state = _CoderState(
-        tables=tables,
-        key=_read_only(np.append(tables.key[1:], pad)),  # key[0] = 0 <= every slot
-        freq=_read_only(np.append(tables.freq, np.uint64(_TOTAL))),
-        cum=_read_only(np.append(tables.cum, np.uint64(0))),
-        value=_read_only(value),
-        size=_read_only(tables.size.astype(np.uint64)),
-    )
-    _coder_cache = (key, state)
-    return state
+    return tables
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+_coder_cache: tuple = (None, None)  # (content key, FreqTables) of the last model coded
+
+
+def _coder_state(model: GaussianEntropyModel, steps) -> FreqTables:
+    """The tables of ``model`` and ``steps``, built on a miss of the one-entry
+    cache. The key is every byte ``build_tables`` reads, with the length of
+    each array, so equal keys mean equal tables. Threads that miss together
+    each build; the cache keeps whichever tables were written last."""
+    global _coder_cache
+    params = [np.asarray(a, dtype=np.float64) for a in (model.mu, model.sigma, steps)]
+    key = (tuple(a.size for a in params), np.concatenate(params).tobytes())
+    cached_key, tables = _coder_cache  # one read: a key never pairs with another key's tables
+    if cached_key == key:
+        return tables
+    tables = build_tables(model, steps)  # the module global, so a rebinding of it sees the call
+    _coder_cache = (key, tables)
+    return tables
 
 
 def lane_grid(rows: int) -> tuple[int, int]:
@@ -234,63 +204,34 @@ def lane_grid(rows: int) -> tuple[int, int]:
     return width, -(-rows // width)
 
 
-def _entries(state: _CoderState, syms: list[np.ndarray], padded_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table entry of each symbol of the one latent that joins ``syms``
-    by columns, as a (``padded_rows``, channels) array, and the escaped
-    symbols' values in symbol order. Rows past the symbols', in a partial
-    last step, take the pad entry: freq 2^16, cum 0, an identity on the state.
-    """
-    tables = state.tables
-    channels = tables.lo.size
-    entry = np.full((padded_rows, channels), state.freq.size - 1, dtype=np.int64)
-    found = []  # (symbol index, value) of each latent's escapes
-    c = 0
-    for sym in syms:
-        cols = slice(c, c + sym.shape[1])
-        e = entry[: sym.shape[0], cols]  # written in place: no copy of the symbols
-        # a symbol's index in its channel's table; below lo it wraps to above
-        # 2^63, so both out-of-table sides clip to the escape entry at size
-        np.subtract(sym, tables.lo[cols], out=e)
-        index = e.view(np.uint64)
-        np.minimum(index, state.size[cols], out=index)
-        r, k = np.nonzero(index == state.size[cols])
-        found.append((r * channels + c + k, sym[r, k]))
-        e += tables.start[cols]
-        c = cols.stop
-    at, raw = (np.concatenate(a) for a in zip(*found))
-    return entry, raw[np.argsort(at)]
-
-
-def encode_latents(latents) -> bytes:
-    """Entropy-code the latents of a file as one latent of all their channels.
-
-    ``latents`` lists ``(symbols, model, sched)``; each symbol array has shape
-    (..., channels), and all of them one row count. The one latent takes the
-    channels of every latent in list order (``docs/format.md``), so a single
-    latent codes to the bytes of :func:`encode_symbols`.
-    """
-    syms = []
-    for symbols, model, _ in latents:
-        sym = np.asarray(symbols, dtype=np.int64)
-        n = model.n
-        rows = sym.size // n if n else 0
-        if rows * n != sym.size:
-            raise DimMismatch(f"symbols not divisible into {n} channels")
-        syms.append(sym.reshape(rows, n))
-    rows = syms[0].shape[0] if syms else 0
-    if any(sym.shape[0] != rows for sym in syms):
-        raise DimMismatch("latents of one file differ in row count")
+def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
+    """Entropy-code a (rows, channels) table of integer symbols as one latent
+    under ``model``, whose channels are quantized with ``steps``."""
+    sym = np.asarray(symbols, dtype=np.int64)
+    if sym.ndim != 2 or sym.shape[1] != model.n:
+        raise DimMismatch(f"symbols of shape {sym.shape} are not a table of {model.n} channels")
+    rows = sym.shape[0]
     if rows == 0:
         return b""
-    state = _coder_state([model for _, model, _ in latents], [sched for *_, sched in latents])
-    width, steps = lane_grid(rows)
-    entry, raw = _entries(state, syms, steps * width)
+    tables = _coder_state(model, steps)
+    width, n_steps = lane_grid(rows)
+    # each symbol's table entry; rows past the symbols', in a partial last
+    # step, take the pad entry
+    entry = np.full((n_steps * width, model.n), tables.freq.size - 1, dtype=np.int64)
+    e = entry[:rows]
+    # a symbol's index in its channel's table; below lo it wraps to above
+    # 2^63, so both out-of-table sides clip to the escape entry at size
+    np.subtract(sym, tables.lo, out=e)
+    index, size = e.view(np.uint64), tables.size.view(np.uint64)
+    np.minimum(index, size, out=index)
+    raw = sym[index == size]  # row-major, so in symbol order
+    e += tables.start
     if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
         raise Overflow("escaped symbol exceeds 32-bit signed range")
     # symbol k goes to lane k % lanes at step k // lanes
-    freq = state.freq[entry].reshape(steps, -1)
-    cum = state.cum[entry].reshape(steps, -1)
-    del entry
+    freq = tables.freq[entry].reshape(n_steps, -1)
+    cum = tables.cum[entry].reshape(n_steps, -1)
+    del entry, e
     # a state at or above this emits its low word before coding the symbol
     limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
     gap = _TOTAL - freq
@@ -299,7 +240,7 @@ def encode_latents(latents) -> bytes:
     x = np.full(freq.shape[1], _STATE_LOW, dtype=np.uint64)
     q = np.empty_like(x)
     word_bits = np.uint64(_WORD_BITS)
-    for t in range(steps - 1, -1, -1):
+    for t in range(n_steps - 1, -1, -1):
         emit = np.greater_equal(x, limit[t], out=emitted[t])
         words[t] = x  # the low word
         np.right_shift(x, word_bits, out=x, where=emit)
@@ -315,23 +256,20 @@ def encode_latents(latents) -> bytes:
     )
 
 
-def decode_latents(rows: int, data: bytes, models) -> list[np.ndarray]:
-    """Inverse of :func:`encode_latents`: the latents of ``rows`` rows that
-    ``data`` codes under ``models``, a list of ``(model, sched)``. Returns
-    each latent's columns of one (rows, channels) symbol array.
+def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.ndarray:
+    """Inverse of :func:`encode`: the (rows, channels) symbol table that
+    ``data`` codes under ``model`` and ``steps``.
 
     The payload is checked against ``rows`` before anything of that size is
     allocated: it must hold every lane's 4-byte state, so a payload of B
     bytes decodes to fewer than 1024 * B symbols.
     """
-    ends = np.cumsum([0] + [model.n for model, _ in models]).tolist()
-    channels = ends[-1]
+    channels = model.n
     if not rows:
         if data:
             raise DecodeError("nonempty payload for zero rows")
-        sym = np.zeros((0, channels), dtype=np.int64)
-        return [sym[:, a:b] for a, b in zip(ends, ends[1:])]
-    width, steps = lane_grid(rows)
+        return np.zeros((0, channels), dtype=np.int64)
+    width, n_steps = lane_grid(rows)
     lanes = width * channels
     head = 4 * lanes
     if len(data) < head or (len(data) - head) % 2:
@@ -340,17 +278,17 @@ def decode_latents(rows: int, data: bytes, models) -> list[np.ndarray]:
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
     area = np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64)
-    state = _coder_state([model for model, _ in models], [sched for _, sched in models])
+    tables = _coder_state(model, steps)
     # Lane l codes channel l % channels. The lanes idle in a partial last
     # step decode the pad entry, so every step runs on every lane.
-    key, freq, cum = state.key, state.freq, state.cum
+    key, freq, cum = tables.key, tables.freq, tables.cum
     chan_key = (np.arange(lanes, dtype=np.uint64) % np.uint64(channels)) << np.uint64(_FREQ_BITS)
-    last_key = np.where(np.arange(lanes) < rows * channels - (steps - 1) * lanes, chan_key, key[-1])
-    step_keys = [chan_key] * (steps - 1) + [last_key]
+    last_key = np.where(np.arange(lanes) < rows * channels - (n_steps - 1) * lanes, chan_key, key[-1])
+    step_keys = [chan_key] * (n_steps - 1) + [last_key]
     # numpy scalars: a Python int operand costs a conversion on every step
     mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
     freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
-    entries = np.empty((steps, lanes), dtype=np.intp)
+    entries = np.empty((n_steps, lanes), dtype=np.intp)
     need = np.empty(lanes, dtype=bool)
     pos = 0  # words read, in lane order within a step
     for t, ck in enumerate(step_keys):
@@ -369,24 +307,23 @@ def decode_latents(rows: int, data: bytes, models) -> list[np.ndarray]:
             pos += k
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
-    sym = state.value[entries].reshape(-1)[: rows * channels].reshape(rows, channels)
+    sym = tables.value[entries].reshape(-1)[: rows * channels].reshape(rows, channels)
     escaped = sym == _ESCAPED
     n_escaped = np.count_nonzero(escaped)
     # the words read leave exactly one u32, two u16, per escaped symbol
     if pos + 2 * n_escaped != area.size:
         raise DecodeError("payload length does not match decoded symbols")
     raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped).astype(np.int64) - _ESCAPE_BIAS
-    tables = state.tables
     chan = np.nonzero(escaped)[1]
     if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
         raise DecodeError("escaped symbol lies inside its table")
     sym[escaped] = raw
-    return [sym[:, a:b] for a, b in zip(ends, ends[1:])]
+    return sym
 
 
 def encode_symbols(symbols: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> bytes:
-    """Entropy-code one latent's integer symbols (shape (..., channels)), row-major."""
-    return encode_latents([(symbols, model, sched)])
+    """:func:`encode` of one latent's (rows, channels) symbols under its schedule."""
+    return encode(symbols, model, sched.steps)
 
 
 def decode_symbols(
@@ -396,4 +333,4 @@ def decode_symbols(
     rows, extra = divmod(count, model.n)
     if extra:
         raise DecodeError(f"symbol count {count} not a multiple of {model.n} channels")
-    return decode_latents(rows, data, [(model, sched)])[0]
+    return decode(rows, data, model, sched.steps)

@@ -45,8 +45,8 @@ def quantize(x: np.ndarray, sched: QuantSchedule) -> np.ndarray:
     if x.shape[-1] != sched.n:
         raise DimMismatch(f"expected last dim {sched.n}, got {x.shape[-1]}")
     sym = round_half_away(x / sched.steps)
-    if np.any(np.abs(sym) > _SYMBOL_LIMIT):
-        raise Overflow("quantized symbol exceeds 32-bit signed range")
+    if not np.all(np.abs(sym) <= _SYMBOL_LIMIT):  # NaN fails every comparison
+        raise Overflow("quantized symbol is not finite or exceeds 32-bit signed range")
     return sym.astype(np.int64)
 
 

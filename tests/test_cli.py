@@ -90,6 +90,18 @@ class TestThreads:
         ]
 
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_fewer_than_one_thread_rejected(self, monkeypatch, capsys, count):
+        # OpenBLAS reads a thread count below 1 as no cap: the parser refuses
+        # it before any variable is written
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "f.shtc", "--threads", count])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 class TestConfigParsing:
     # joint and refit_period name a removed training mode: an old config must fail loudly
     @pytest.mark.parametrize("key, value", [("bogus_key", "3"), ("joint", "true"), ("refit_period", "500")])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shtc import bitstream, codec, entropy
+from shtc import bitstream, codec, entropy, quantizer, refinement
 from shtc.codec import StreamConfig, default_configs
 from shtc.errors import ConfigError, DecodeError, DimMismatch
 
@@ -142,11 +142,12 @@ class TestEncodeDecode:
         assert sm.refine is not None
         peaks = {}
         for rows in (2048, 16384):
-            symbols = codec._stream_symbols(sm, x[:rows])
+            sym = np.empty((rows, sm.base_sched.n + sm.refine_sched.n), dtype=np.int64)
+            codec._stream_symbols(sm, x[:rows], sym)
             out = np.empty((rows, 50))
             tracemalloc.start()
             try:
-                codec._reconstruct_stream(sm, out, *symbols)
+                codec._reconstruct_stream(sm, out, sym)
                 peaks[rows] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -161,10 +162,21 @@ class TestEncodeDecode:
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(2)))
         payload, recon = codec.encode_table(bundle, x)
         feat, scale = bundle.streams
-        latents = [(sym, *model) for sm, cols in ((feat, slice(0, 6)), (scale, slice(6, 10)))
-                   for sym, model in zip(codec._stream_symbols(sm, x[:, cols]), codec._latent_models(sm))]
+        theta, r = codec.split_base(x[:, :6], feat.klt)
+        latents = [
+            (theta, feat.base_entropy, feat.base_sched),
+            (refinement.analyze_refine(r, feat.refine), feat.refine_entropy, feat.refine_sched),
+            (codec.split_base(x[:, 6:], scale.klt)[0], scale.base_entropy, scale.base_sched),
+        ]
+        latents = [(quantizer.quantize(v, sched), model, sched) for v, model, sched in latents]
         assert [sym.shape[1] for sym, *_ in latents] == [3, 3, 4]
-        assert payload == codec.Payload(entropy.encode_latents(latents), 300)
+        model, steps, spans = codec._file_model(bundle)
+        assert spans == [slice(0, 6), slice(6, 10)]
+        assert np.array_equal(model.mu, np.concatenate([m.mu for _, m, _ in latents]))
+        assert np.array_equal(model.sigma, np.concatenate([m.sigma for _, m, _ in latents]))
+        assert np.array_equal(steps, np.concatenate([sched.steps for *_, sched in latents]))
+        sym = np.hstack([sym for sym, *_ in latents])
+        assert payload == codec.Payload(entropy.encode(sym, model, steps), 300)
         assert len(payload.data) == sum(len(entropy.encode_symbols(*latent)) for latent in latents)
         assert np.array_equal(codec.decode_table(bundle, payload), recon)
 
@@ -191,11 +203,19 @@ class TestEncodeDecode:
         configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(7)))
         sm = bundle.streams[0]
-        latents = [(sym, *model) for sym, model in zip(codec._stream_symbols(sm, x), codec._latent_models(sm))]
-        assert codec.encode_table(bundle, x)[0].data == entropy.encode_latents(latents)
-        for forged in ([], latents[:1], latents * 2):
+        model, steps, _ = codec._file_model(bundle)
+        sym = np.empty((x.shape[0], steps.size), dtype=np.int64)
+        codec._stream_symbols(sm, x, sym)
+        assert codec.encode_table(bundle, x)[0].data == entropy.encode(sym, model, steps)
+        twice = entropy.GaussianEntropyModel(np.tile(model.mu, 2), np.tile(model.sigma, 2))
+        forgeries = (
+            b"",
+            entropy.encode_symbols(sym[:, :3], sm.base_entropy, sm.base_sched),
+            entropy.encode(np.hstack([sym, sym]), twice, np.tile(steps, 2)),
+        )
+        for forged in forgeries:
             with pytest.raises(DecodeError):
-                codec.decode_table(bundle, codec.Payload(entropy.encode_latents(forged), x.shape[0]))
+                codec.decode_table(bundle, codec.Payload(forged, x.shape[0]))
 
     @pytest.mark.parametrize("scaling_cols", [0, 4])
     def test_zero_row_files_decode_to_empty_tables(self, scaling_cols):
@@ -271,11 +291,14 @@ class TestOneLoopPerFile:
         assert hashlib.sha256(data).hexdigest() == self.PINNED[rows, scaling_cols]
         assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
         if rows:
-            models = [model for sm in bundle.streams for model in codec._latent_models(sm)]
-            for (model, sched), sym in zip(models, entropy.decode_latents(rows, payload.data, models)):
-                tables = entropy.build_tables([model], [sched])
-                escaped = (sym < tables.lo) | (sym >= tables.lo + tables.size)
-                assert escaped[0, 0] and escaped[last_lane_row(rows), -1] and escaped[-1, -1]
+            model, steps, _ = codec._file_model(bundle)
+            sym = entropy.decode(rows, payload.data, model, steps)
+            tables = entropy.build_tables(model, steps)
+            escaped = (sym < tables.lo) | (sym >= tables.lo + tables.size)
+            scheds = [sched for sm in bundle.streams for sched in (sm.base_sched, sm.refine_sched) if sched is not None]
+            ends = np.cumsum([sched.n for sched in scheds])
+            for a, b in zip([0, *ends[:-1]], ends):  # each latent's columns
+                assert escaped[0, a] and escaped[last_lane_row(rows), b - 1] and escaped[-1, b - 1]
 
 
 class TestOneRowCount:

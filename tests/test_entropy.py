@@ -96,7 +96,7 @@ class TestTables:
                 mu=rng.normal(size=n) * 3, sigma=np.exp(rng.normal(size=n) * 1.5)
             )
             sched = quantizer.channel_schedule(float(rng.uniform(0.05, 2.0)), 0.1, n)
-            tables = entropy.build_tables([model], [sched])
+            tables = entropy.build_tables(model, sched.steps)
             for j in range(n):
                 lo, freqs = channel_table_reference(model.mu[j], model.sigma[j], sched.steps[j])
                 a, b = tables.start[j], tables.start[j] + tables.size[j] + 1
@@ -105,6 +105,29 @@ class TestTables:
                 assert ours.sum() == 65536 and ours.min() >= 1
                 assert np.abs(ours - freqs).max() <= 1
                 assert np.array_equal(tables.cum[a:b], np.cumsum(ours) - ours)
+
+    def test_pad_entry_search_key_and_values(self):
+        # after the last channel, a pad entry (freq 2^16, cum 0) that the
+        # search of key[-1] + slot yields; each channel's search key runs to
+        # (channel + 1) << 16 at its escape entry
+        model = entropy.GaussianEntropyModel(mu=np.array([0.0, 3.0, -1.0]), sigma=np.array([1.0, 0.5, 4.0]))
+        tables = entropy.build_tables(model, np.array([0.5, 0.25, 1.0]))
+        assert all(not a.flags.writeable for a in vars(tables).values())
+        assert (tables.freq[-1], tables.cum[-1], tables.value[-1]) == (65536, 0, entropy._ESCAPED)
+        assert np.array_equal(tables.key, np.cumsum(tables.freq[:-1]))
+        escape = tables.start + tables.size
+        assert np.array_equal(tables.key[escape], (np.arange(3) + 1) << 16)
+        assert np.all(tables.value[escape] == entropy._ESCAPED)
+        slots = np.arange(0, 1 << 16, 97, dtype=np.uint64)
+        for j in range(3):
+            assert np.array_equal(tables.value[tables.start[j] : escape[j]], tables.lo[j] + np.arange(tables.size[j]))
+            e = tables.key.searchsorted((np.uint64(j) << np.uint64(16)) | slots, side="right")
+            assert np.all((tables.cum[e] <= slots) & (slots < tables.cum[e] + tables.freq[e]))
+        assert np.all(tables.key.searchsorted(tables.key[-1] + slots, side="right") == tables.freq.size - 1)
+
+    def test_steps_must_match_model(self):
+        with pytest.raises(DimMismatch):
+            entropy.build_tables(make_model(3), np.ones(2))
 
 
 class TestRoundTrip:
@@ -205,10 +228,21 @@ class TestRoundTrip:
             entropy.decode_symbols(blob[: len(blob) // 2], sym.size, model, sched)
 
 
+def joined(latents):
+    """The one latent of ``(symbols, model, sched)`` latents of one row count:
+    their symbols side by side, one model and one steps array of all their
+    channels."""
+    syms, models, scheds = zip(*latents)
+    model = entropy.GaussianEntropyModel(
+        mu=np.concatenate([m.mu for m in models]), sigma=np.concatenate([m.sigma for m in models])
+    )
+    return np.hstack(syms), model, np.concatenate([sc.steps for sc in scheds])
+
+
 class TestLatentsLoop:
-    """``encode_latents`` / ``decode_latents`` code the latents of one row
-    count as one latent of all their channels: one lane set, one word area
-    and one escape area."""
+    """``encode`` / ``decode`` code a file's one latent, the channels of all
+    its streams' latents side by side: one lane set, one word area and one
+    escape area."""
 
     @staticmethod
     def latents(rows):
@@ -227,10 +261,6 @@ class TestLatentsLoop:
             out.append((sym, model, sched))
         return out
 
-    @staticmethod
-    def models(latents):
-        return [(model, sched) for _, model, sched in latents]
-
     @pytest.mark.parametrize("rows", [1, 4095, 4096, 8193, 12289])
     def test_round_trip_with_the_bytes_of_each_latent_alone(self, rows):
         # the lane of channel j and row residue r codes the symbols of the
@@ -238,132 +268,127 @@ class TestLatentsLoop:
         # payload is as long as the latents alone together, and its lane
         # states are theirs
         latents = self.latents(rows)
-        coded = entropy.encode_latents(latents)
+        sym, model, steps = joined(latents)
+        coded = entropy.encode(sym, model, steps)
         alone = [entropy.encode_symbols(*latent) for latent in latents]
         assert len(coded) == sum(map(len, alone))
-        width, channels = entropy.lane_grid(rows)[0], sum(model.n for _, model, _ in latents)
-        states = np.frombuffer(coded, dtype="<u4", count=width * channels).reshape(width, channels)
+        width = entropy.lane_grid(rows)[0]
+        states = np.frombuffer(coded, dtype="<u4", count=width * model.n).reshape(width, model.n)
         c = 0
-        for data, (_, model, _) in zip(alone, latents):
-            own = np.frombuffer(data, dtype="<u4", count=width * model.n).reshape(width, model.n)
-            assert np.array_equal(states[:, c : c + model.n], own)
-            c += model.n
-        decoded = entropy.decode_latents(rows, coded, self.models(latents))
-        for out, (sym, _, _) in zip(decoded, latents):
-            assert np.array_equal(out, sym)
+        for data, (_, own_model, _) in zip(alone, latents):
+            own = np.frombuffer(data, dtype="<u4", count=width * own_model.n).reshape(width, own_model.n)
+            assert np.array_equal(states[:, c : c + own_model.n], own)
+            c += own_model.n
+        assert np.array_equal(entropy.decode(rows, coded, model, steps), sym)
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         rows=st.integers(0, 40),
-        ns=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        n=st.integers(1, 12),
         spread=st.integers(1, 10_000),
+        escapes=st.lists(st.integers(0, 479), max_size=4),
     )
-    def test_random_latents_against_the_one_latent_api(self, seed, rows, ns, spread):
+    def test_random_latents_against_the_one_latent_api(self, seed, rows, n, spread, escapes):
+        # any table of 1 to 12 channels and 0 to 40 rows, with escapes beyond
+        # every table and up to the 32-bit limits, decodes to itself; the
+        # schedule wrappers code the same bytes
         rng = np.random.default_rng(seed)
-        latents = []
-        for n in ns:
-            model = entropy.GaussianEntropyModel(mu=rng.normal(size=n), sigma=np.exp(rng.normal(size=n)))
-            sched = quantizer.channel_schedule(float(rng.uniform(0.2, 2.0)), 0.1, n)
-            latents.append((rng.integers(-spread, spread, size=(rows, n)), model, sched))
-        coded = entropy.encode_latents(latents)
-        assert len(coded) == sum(len(entropy.encode_symbols(*latent)) for latent in latents)
-        decoded = entropy.decode_latents(rows, coded, self.models(latents))
-        assert [out.shape for out in decoded] == [(rows, n) for n in ns]
-        assert all(np.array_equal(out, sym) for out, (sym, _, _) in zip(decoded, latents))
+        model = entropy.GaussianEntropyModel(mu=rng.normal(size=n), sigma=np.exp(rng.normal(size=n)))
+        sched = quantizer.channel_schedule(float(rng.uniform(0.2, 2.0)), 0.1, n)
+        sym = rng.integers(-spread, spread, size=(rows, n))
+        flat = sym.reshape(-1)
+        for i, k in enumerate(escapes):
+            if k < flat.size:
+                flat[k] = (5000 + k, -(2**31), 2**31 - 1, -5000 - k)[i]
+        coded = entropy.encode(sym, model, sched.steps)
+        assert coded == entropy.encode_symbols(sym, model, sched)
+        decoded = entropy.decode(rows, coded, model, sched.steps)
+        assert decoded.shape == (rows, n) and np.array_equal(decoded, sym)
 
     def test_empty(self):
-        latents = [(np.zeros((0, n), dtype=np.int64), make_model(n), quantizer.channel_schedule(1.0, 0.0, n))
-                   for n in (2, 3)]
-        assert entropy.encode_latents(latents) == b""
-        decoded = entropy.decode_latents(0, b"", self.models(latents))
-        assert [out.shape for out in decoded] == [(0, 2), (0, 3)]
+        model = make_model(5)
+        steps = quantizer.channel_schedule(1.0, 0.0, 5).steps
+        assert entropy.encode(np.zeros((0, 5), dtype=np.int64), model, steps) == b""
+        assert entropy.decode(0, b"", model, steps).shape == (0, 5)
 
     def test_row_counts_must_agree(self):
-        # the encoder refuses latents of two row counts; a payload coded over
-        # fewer rows than the decoder is given does not decode
-        latents = self.latents(40)
-        short = (latents[1][0][:20],) + latents[1][1:]
-        with pytest.raises(DimMismatch):
-            entropy.encode_latents([latents[0], short])
-        coded = entropy.encode_latents([(sym[:20], model, sched) for sym, model, sched in latents])
+        # the encoder refuses a table of other channels than the model's, or
+        # not a table; a payload coded over fewer rows than the decoder is
+        # given does not decode
+        sym, model, steps = joined(self.latents(40))
+        for bad in (sym[:, :-1], sym.reshape(-1), sym[None]):
+            with pytest.raises(DimMismatch):
+                entropy.encode(bad, model, steps)
+        coded = entropy.encode(sym[:20], model, steps)
         with pytest.raises(DecodeError):
-            entropy.decode_latents(40, coded, self.models(latents))
+            entropy.decode(40, coded, model, steps)
 
     def test_each_latent_checked(self):
         # the one payload of every latent, cut short or one word longer, fails
-        latents = self.latents(300)
-        coded = entropy.encode_latents(latents)
+        sym, model, steps = joined(self.latents(300))
+        coded = entropy.encode(sym, model, steps)
         for forged in (coded[:-2], coded + b"\x00" * 2):
             with pytest.raises(DecodeError):
-                entropy.decode_latents(300, forged, self.models(latents))
+                entropy.decode(300, forged, model, steps)
 
 
 class TestCoderCache:
-    """Alternating the content of one set of model objects codes every file
-    as a cold cache does: the cache is keyed by content, not by object."""
+    """Alternating the content of one model object and one steps array codes
+    every file as a cold cache does: the cache is keyed by content, not by
+    object."""
 
     @staticmethod
-    def content(seed, ns):
-        """One bundle's ``(mu, sigma, steps)`` for latents of ``ns`` channels."""
+    def content(seed, n):
+        """One model's ``(mu, sigma, steps)`` over ``n`` channels."""
         rng = np.random.default_rng(seed)
-        out = []
-        for n in ns:
-            steps = rng.uniform(0.2, 2.0) * np.exp(rng.uniform(0.0, 0.2) * np.arange(n))
-            out.append((rng.normal(0.0, 2.0, n), rng.uniform(0.2, 3.0, n), steps))
-        return out
+        steps = rng.uniform(0.2, 2.0) * np.exp(rng.uniform(0.0, 0.2) * np.arange(n))
+        return rng.normal(0.0, 2.0, n), rng.uniform(0.2, 3.0, n), steps
 
     @settings(max_examples=40, deadline=None)
     @given(
         seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-        ns=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        n=st.integers(1, 12),
         rows=st.integers(1, 40),
         order=st.lists(st.integers(0, 1), min_size=2, max_size=6),
     )
-    def test_alternating_bundles_match_cold_runs(self, seeds, ns, rows, order):
+    def test_alternating_bundles_match_cold_runs(self, seeds, n, rows, order):
         rng = np.random.default_rng(seeds[0] ^ seeds[1])
-        syms = [rng.integers(-6, 7, size=(rows, n)) for n in ns]
-        syms[0][0, 0] = 5000  # an escape
-        bundles = [self.content(seed, ns) for seed in seeds]
-        models = [make_model(n) for n in ns]
-        scheds = [quantizer.channel_schedule(1.0, 0.0, n) for n in ns]
+        sym = rng.integers(-6, 7, size=(rows, n))
+        sym[0, 0] = 5000  # an escape
+        bundles = [self.content(seed, n) for seed in seeds]
+        model, steps = make_model(n), np.ones(n)
 
-        def load(bundle):  # write a bundle into the one set of objects
-            for (mu, sigma, steps), model, sched in zip(bundle, models, scheds):
-                model.mu[:], model.sigma[:], sched.steps[:] = mu, sigma, steps
+        def load(bundle):  # write a bundle into the one model and steps
+            model.mu[:], model.sigma[:], steps[:] = bundle
 
         cold = []
         for bundle in bundles:
             load(bundle)
             entropy._coder_cache = (None, None)
-            cold.append(entropy.encode_latents(list(zip(syms, models, scheds))))
+            cold.append(entropy.encode(sym, model, steps))
         for i in order:
             load(bundles[i])
-            coded = entropy.encode_latents(list(zip(syms, models, scheds)))
+            coded = entropy.encode(sym, model, steps)
             assert coded == cold[i]
-            decoded = entropy.decode_latents(rows, coded, list(zip(models, scheds)))
-            assert all(np.array_equal(out, sym) for out, sym in zip(decoded, syms))
+            assert np.array_equal(entropy.decode(rows, coded, model, steps), sym)
 
     def test_threads_sharing_the_cache(self):
-        # threads coding two sets of models by turns each get their own
-        # set's bytes: a cache read never pairs one key with other tables
-        ns = [3, 2]
-        syms = [np.random.default_rng(n).integers(-6, 7, size=(64, n)) for n in ns]
+        # threads coding two models by turns each get their own model's
+        # bytes: a cache read never pairs one key with other tables
+        n = 5
+        sym = np.random.default_rng(n).integers(-6, 7, size=(64, n))
         bundles = []
         for seed in (1, 2):
-            models, scheds = [], []
-            for (mu, sigma, steps), n in zip(self.content(seed, ns), ns):
-                models.append(entropy.GaussianEntropyModel(mu, sigma))
-                scheds.append(quantizer.channel_schedule(1.0, 0.0, n))
-                scheds[-1].steps = steps
-            bundles.append(list(zip(syms, models, scheds)))
-        expected = [entropy.encode_latents(latents) for latents in bundles]
+            mu, sigma, steps = self.content(seed, n)
+            bundles.append((entropy.GaussianEntropyModel(mu, sigma), steps))
+        expected = [entropy.encode(sym, *bundle) for bundle in bundles]
         wrong = []
 
         def work(k):
             for i in range(60):
                 j = (i + k) % 2
-                if entropy.encode_latents(bundles[j]) != expected[j]:
+                if entropy.encode(sym, *bundles[j]) != expected[j]:
                     wrong.append((k, i))
 
         interval = sys.getswitchinterval()
@@ -424,7 +449,7 @@ class TestHostilePayload:
         # the word count and the end state all check, so only the state range
         # check refuses it
         model, sched = make_model(1), quantizer.channel_schedule(0.5, 0.0, 1)
-        tables = entropy.build_tables([model], [sched])
+        tables = entropy.build_tables(model, sched.steps)
         entry = tables.start[0] - tables.lo[0]
         cum = int(tables.cum[entry])
         assert tables.freq[entry] >= 2

@@ -1,5 +1,7 @@
 """Quantizer and channel-schedule tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,16 @@ class TestQuantize:
         sched = quantizer.channel_schedule(1e-9, 0.0, 1)
         with pytest.raises(Overflow):
             quantizer.quantize(np.array([1e10]), sched)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_without_a_cast_warning(self, bad):
+        # NaN fails every comparison, so the check must be one NaN fails; a
+        # NaN let through casts to int64 min with a RuntimeWarning
+        sched = quantizer.channel_schedule(1.0, 0.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                quantizer.quantize(np.array([[bad, 2.0, 1.0]]), sched)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
