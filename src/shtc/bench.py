@@ -17,12 +17,16 @@ import numpy as np
 
 from . import base_layer, linalg
 from .bitstream import serialize
-from .codec import default_configs, encode_table
+from .codec import TRANSFORMS, default_configs, encode_table
 from .errors import CodecError, ConfigError, NoOverlap
 from .trainer import TrainConfig, train
 
 DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)
-METHODS = ("none", "dct", "haar", "klt-trunc", "shtc-full")
+METHODS = TRANSFORMS
+
+# rd_point settings: those of the training run, then those of the streams
+_TRAIN_SETTINGS = ("iters", "batch")
+_STREAM_SETTINGS = ("rank", "n_meas", "n_layers")
 
 
 @dataclass
@@ -122,20 +126,20 @@ def distortion_db(x: np.ndarray, recon: np.ndarray) -> float:
     return -20.0 * np.log10(max(rmse, 1e-12) / max(rng_val, 1e-12))
 
 
-def rd_point(
-    x: np.ndarray,
-    transform: str,
-    lam: float,
-    seed: int = 0,
-    iters: int = 3000,
-    batch: int = 256,
-    rank: int | None = None,
-    n_meas: int = 15,
-    n_layers: int = 6,
-) -> RdPoint:
-    """Train one operating point and measure it from the actual bitstream."""
-    configs = default_configs(x.shape[1], transform=transform, rank=rank, n_meas=n_meas, n_layers=n_layers)
-    bundle, _ = train(x, configs, TrainConfig(lam=lam, iters=iters, batch=batch, seed=seed))
+def rd_point(x: np.ndarray, transform: str, lam: float, seed: int = 0, **settings) -> RdPoint:
+    """Train one operating point and measure it from the actual bitstream.
+
+    ``settings`` may set ``iters`` and ``batch`` of the ``TrainConfig`` and
+    ``rank``, ``n_meas`` and ``n_layers`` of ``default_configs``; a setting
+    not given keeps its default there.
+    """
+    unknown = set(settings).difference(_TRAIN_SETTINGS, _STREAM_SETTINGS)
+    if unknown:
+        raise TypeError(f"unknown rd_point settings {sorted(unknown)}")
+    train_kw = {k: settings[k] for k in _TRAIN_SETTINGS if k in settings}
+    stream_kw = {k: settings[k] for k in _STREAM_SETTINGS if k in settings}
+    configs = default_configs(x.shape[1], transform=transform, **stream_kw)
+    bundle, _ = train(x, configs, TrainConfig(lam=lam, seed=seed, **train_kw))
     payload, recon = encode_table(bundle, x)
     data, counts = serialize(bundle, payload)
     return RdPoint(
@@ -149,23 +153,13 @@ def rd_point(
     )
 
 
-def baseline_rd(
-    x: np.ndarray,
-    transform: str,
-    lambdas=DEFAULT_LAMBDAS,
-    seed: int = 0,
-    iters: int = 3000,
-    batch: int = 256,
-    rank: int | None = None,
-    n_meas: int = 15,
-    n_layers: int = 6,
-) -> RdCurve:
-    """One trained-and-encoded run per lambda; failed points skip with a warning."""
+def baseline_rd(x: np.ndarray, transform: str, lambdas=DEFAULT_LAMBDAS, seed: int = 0, **settings) -> RdCurve:
+    """One trained-and-encoded run per lambda, each with ``rd_point``'s
+    ``settings``; failed points skip with a warning."""
     points = []
     for lam in lambdas:
         try:
-            points.append(rd_point(x, transform, lam, seed=seed, iters=iters, batch=batch,
-                                   rank=rank, n_meas=n_meas, n_layers=n_layers))
+            points.append(rd_point(x, transform, lam, seed=seed, **settings))
         except CodecError as exc:
             warnings.warn(f"{transform} @ lambda={lam} failed: {exc}")
     curve = RdCurve(method=transform, points=points)

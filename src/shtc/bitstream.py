@@ -4,11 +4,12 @@ length) plus the entropy-coded payload (L(D|M)).
 Layout (all ints little-endian, floats 32-bit LE; full byte map in
 ``docs/format.md``):
 
+    file:    header | (dims | model floats)* | payload | crc32 of all before it
     header:  magic "SHTC" | version u16 | stream count u16 | rows u32
-             | crc32 of the 12 preceding bytes
-    stream:  dims block, model block
-    file:    header, stream*, payload block (the one coded latent)
-    block:   content length u32 | content | crc32(content)
+    dims:    23 bytes (``_DIMS_FMT``), which size the model floats after them
+    payload: the one coded latent: every byte between the last model and the CRC
+
+A file sends no length that a reader can compute from other fields.
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ import zlib
 import numpy as np
 
 from .base_layer import KltModel
-from .codec import CodecBundle, Payload, StreamConfig, StreamModel, TRANSFORMS, _fixed_basis, check_tiling
+from .codec import CodecBundle, Payload, StreamConfig, StreamModel, TRANSFORMS, _fixed_basis
 from .entropy import GaussianEntropyModel
 from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 5
+VERSION = 6
 
 _HEAD_FMT = "<4sHHI"
-_DIMS_FMT = "<8sBHHHHHHI"
+_HEAD_SIZE = struct.calcsize(_HEAD_FMT)
+_DIMS_FMT = "<8sBHHHHHI"  # name, transform, dim, rank, n_meas, n_atoms, n_layers, refinement floats
+_DIMS_SIZE = struct.calcsize(_DIMS_FMT)
 
 
 def _f32_bytes(*arrays) -> bytes:
@@ -40,10 +43,6 @@ def _f32_bytes(*arrays) -> bytes:
     return bytes(out)
 
 
-def _block(content: bytes) -> bytes:
-    return struct.pack("<I", len(content)) + content + struct.pack("<I", zlib.crc32(content))
-
-
 def _dims_content(sm: StreamModel) -> bytes:
     cfg = sm.config
     refine_floats = param_count(sm.refine) if sm.refine is not None else 0
@@ -51,8 +50,7 @@ def _dims_content(sm: StreamModel) -> bytes:
         _DIMS_FMT,
         cfg.name.encode("ascii"),
         TRANSFORMS.index(cfg.transform),
-        cfg.col_start,
-        cfg.col_end,
+        cfg.dim,
         cfg.rank,
         cfg.n_meas,
         cfg.atoms,
@@ -88,15 +86,12 @@ def serialize(bundle: CodecBundle, payload: Payload | None = None) -> tuple[byte
     Without a payload the file is bundle-only: 0 rows, an empty payload."""
     if payload is None:
         payload = Payload(b"", 0)
-    head = struct.pack(_HEAD_FMT, MAGIC, VERSION, len(bundle.streams), payload.rows)
-    out = bytearray(head + struct.pack("<I", zlib.crc32(head)))
-    model_bytes = 0
+    out = bytearray(struct.pack(_HEAD_FMT, MAGIC, VERSION, len(bundle.streams), payload.rows))
     for sm in bundle.streams:
-        dims = _dims_content(sm)
-        model = _model_content(sm)
-        model_bytes += len(dims) + len(model)
-        out += _block(dims) + _block(model)
-    out += _block(payload.data)
+        out += _dims_content(sm) + _model_content(sm)
+    model_bytes = len(out) - _HEAD_SIZE
+    out += payload.data
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out), {"model_bytes": model_bytes, "payload_bytes": len(payload.data)}
 
 
@@ -108,115 +103,102 @@ def write(bundle: CodecBundle, payload: Payload | None, path) -> dict:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """A cursor over a file's bytes before its CRC."""
 
-    def take(self, n: int) -> bytes:
+    def __init__(self, data, pos: int = 0):
+        self.data = data
+        self.pos = pos
+
+    def take(self, n: int):
         if self.pos + n > len(self.data):
             raise DecodeError("truncated file")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
-    def block(self) -> bytes:
-        (length,) = struct.unpack("<I", self.take(4))
-        content = self.take(length)
-        (crc,) = struct.unpack("<I", self.take(4))
-        if zlib.crc32(content) != crc:
-            raise ChecksumError("block crc mismatch")
-        return content
+    def floats(self, *shapes) -> list[np.ndarray]:
+        """The next float32s as one float64 array per shape, converted and
+        checked finite in one pass."""
+        sizes = [shape if isinstance(shape, int) else math.prod(shape) for shape in shapes]
+        arr = np.frombuffer(self.take(4 * sum(sizes)), dtype="<f4").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise DecodeError("model holds a non-finite float")
+        out, at = [], 0
+        for shape, n in zip(shapes, sizes):
+            out.append(arr[at : at + n].reshape(shape))
+            at += n
+        return out
 
 
-def _f32_reader(content: bytes):
-    if len(content) % 4:
-        raise DecodeError("model block is not a whole number of floats")
-    arr = np.frombuffer(content, dtype="<f4").astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise DecodeError("model block holds a non-finite float")
-    pos = [0]
-
-    def take(shape) -> np.ndarray:
-        n = shape if isinstance(shape, int) else math.prod(shape)
-        if pos[0] + n > arr.size:
-            raise DecodeError("model block too short")
-        chunk = arr[pos[0] : pos[0] + n].reshape(shape)
-        pos[0] += n
-        return chunk.copy()
-
-    return take, lambda: pos[0] == arr.size
-
-
-def _latent_model(take, n: int) -> tuple[QuantSchedule, GaussianEntropyModel]:
-    """One latent's step schedule and entropy model; every step and sigma must be positive."""
-    (qs, alpha), mu, sigma = take(2), take(n), take(n)
+def _latent_model(qa, mu, sigma) -> tuple[QuantSchedule, GaussianEntropyModel]:
+    """One latent's step schedule (``qa`` = q_s, alpha) and entropy model;
+    every step and sigma must be positive."""
+    qs, alpha = qa
     if not (qs > 0 and np.all(sigma > 0)):
-        raise DecodeError("model block holds a step or an entropy sigma that is not positive")
-    sched = channel_schedule(float(qs), float(alpha), n)
+        raise DecodeError("model holds a step or an entropy sigma that is not positive")
+    sched = channel_schedule(float(qs), float(alpha), mu.size)
     if not np.all(np.isfinite(sched.steps) & (sched.steps > 0)):
         raise DecodeError("channel step schedule leaves the float range")
     return sched, GaussianEntropyModel(mu=mu, sigma=sigma)
 
 
-def _read_stream(dims: bytes, model: bytes) -> StreamModel:
-    """One stream's config and transmitted model from its dims and model block
-    contents. The only parser of both: ``deserialize`` reads files with it and
-    ``finalize_bundle`` reads back what the writer makes of a fitted model."""
-    if len(dims) != struct.calcsize(_DIMS_FMT):
-        raise DecodeError("dims block has the wrong length")
-    name, kind, cs, ce, rank, n_meas, n_atoms, n_layers, ref_floats = struct.unpack(_DIMS_FMT, dims)
+def _read_stream(rd: _Reader) -> StreamModel:
+    """One stream's config and transmitted model at ``rd``: its dims, then
+    the model floats they size. The only parser of both: ``deserialize``
+    reads files with it and ``finalize_bundle`` reads back what the writer
+    makes of a fitted model."""
+    fields = struct.unpack(_DIMS_FMT, rd.take(_DIMS_SIZE))
+    name, kind, dim, rank, n_meas, n_atoms, n_layers, ref_floats = fields
     name = name.rstrip(b"\x00")
     if not name.isascii():
         raise DecodeError("stream name is not ascii")
     if kind >= len(TRANSFORMS):
         raise DecodeError(f"unknown transform kind {kind}")
     try:
-        cfg = StreamConfig(name.decode("ascii"), cs, ce, TRANSFORMS[kind], rank, n_meas, n_atoms, n_layers)
+        cfg = StreamConfig(name.decode("ascii"), dim, TRANSFORMS[kind], rank, n_meas, n_atoms, n_layers)
     except ConfigError as exc:
-        raise DecodeError(f"dims block: {exc}") from exc
-    dim = cfg.dim
-    take, exhausted = _f32_reader(model)
-    mean = take(dim)
-    basis = take((dim, rank)) if cfg.stores_basis else _fixed_basis(cfg.transform, dim, rank)
-    sm = StreamModel(cfg, KltModel(mean=mean, basis=basis), *_latent_model(take, rank))
+        raise DecodeError(f"stream dims: {exc}") from exc
+    basis = [(dim, rank)] if cfg.stores_basis else []
+    mean, *basis, qa, mu, sigma = rd.floats(dim, *basis, 2, rank, rank)
+    klt = KltModel(mean=mean, basis=basis[0] if basis else _fixed_basis(cfg.transform, dim, rank))
+    sm = StreamModel(cfg, klt, *_latent_model(qa, mu, sigma))
     if cfg.has_refinement:  # a shtc-full stream below full rank
-        shapes = ((n_meas, dim), (dim, cfg.atoms), (n_layers, cfg.atoms), (n_layers, cfg.atoms))
-        sm.refine = RefinementModel(*(take(shape) for shape in shapes))
-        if param_count(sm.refine) != ref_floats:
-            raise DecodeError("declared refinement parameter count mismatch")
-        sm.refine_sched, sm.refine_entropy = _latent_model(take, n_meas)
-    if not exhausted():
-        raise DecodeError("model block has trailing floats")
+        atoms = cfg.atoms
+        *parts, qa, mu, sigma = rd.floats((n_meas, dim), (dim, atoms), (n_layers, atoms), (n_layers, atoms),
+                                          2, n_meas, n_meas)
+        sm.refine = RefinementModel(*parts)
+        sm.refine_sched, sm.refine_entropy = _latent_model(qa, mu, sigma)
+    if (param_count(sm.refine) if sm.refine is not None else 0) != ref_floats:
+        raise DecodeError("declared refinement parameter count mismatch")
     return sm
 
 
 def finalize_bundle(bundle: CodecBundle) -> CodecBundle:
-    """The bundle a decoder reads back: each stream written as its dims and
-    model blocks and parsed by ``deserialize``'s own reader, so the in-process
-    reconstruction matches a decode from file bit-exactly."""
-    streams = [_read_stream(_dims_content(sm), _model_content(sm)) for sm in bundle.streams]
-    return CodecBundle(streams=streams)
+    """The bundle a decoder reads back: ``bundle``'s bundle-only file, parsed
+    by ``deserialize``, so the in-process reconstruction matches a decode from
+    file bit-exactly. The reader must consume exactly what the writer wrote:
+    a model with more floats than its dims size leaves bytes after the model
+    of a 0-row file, and one with fewer truncates the file."""
+    return deserialize(serialize(bundle)[0])[0]
 
 
 def deserialize(data: bytes) -> tuple[CodecBundle, Payload]:
-    rd = _Reader(data)
-    head = rd.take(12)
-    magic, version, n_streams, rows = struct.unpack(_HEAD_FMT, head)
-    (crc,) = struct.unpack("<I", rd.take(4))
+    """The bundle and payload of a file. Magic, then version, then the CRC:
+    a file of another version is ``VersionUnsupported`` whatever its layout."""
+    if len(data) < _HEAD_SIZE + 4:
+        raise DecodeError("truncated file")
+    magic, version, n_streams, rows = struct.unpack_from(_HEAD_FMT, data)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
-    if zlib.crc32(head) != crc:
-        raise ChecksumError("header crc mismatch")
     if version != VERSION:
         raise VersionUnsupported(f"version {version} unsupported (reader knows {VERSION})")
-    streams = [_read_stream(rd.block(), rd.block()) for _ in range(n_streams)]  # dims, then model block
-    payload = Payload(rd.block(), rows)
-    if rd.pos != len(rd.data):
-        raise DecodeError("file has trailing bytes")
-    try:
-        check_tiling(sm.config for sm in streams)
-    except ConfigError as exc:
-        raise DecodeError(f"dims blocks: {exc}") from exc
+    rd = _Reader(memoryview(data)[:-4], _HEAD_SIZE)
+    if zlib.crc32(rd.data) != struct.unpack_from("<I", data, len(data) - 4)[0]:
+        raise ChecksumError("file crc mismatch")
+    streams = [_read_stream(rd) for _ in range(n_streams)]
+    payload = Payload(bytes(rd.data[rd.pos :]), rows)
+    if not rows and payload.data:
+        raise DecodeError("a file of 0 rows has bytes after its model")
     return CodecBundle(streams=streams), payload
 
 
@@ -227,7 +209,8 @@ def read(path) -> tuple[CodecBundle, Payload]:
 
 def mdl_report(path) -> dict:
     """Model bytes per stream, payload bytes per file, and the container
-    overhead left over, from a written file."""
+    overhead left over, from a written file. The overhead is a constant 16
+    bytes: the 12-byte header and the 4-byte CRC."""
     with open(path, "rb") as fh:
         data = fh.read()
     bundle, payload = deserialize(data)

@@ -1,7 +1,8 @@
 """Command-line surface: fit, encode, decode, eval, bench, image-metric, report.
 
 Thread-count env vars are applied before numpy is imported, so the heavy
-modules are imported lazily inside the command handlers. Exit codes: 0 ok,
+modules are imported lazily inside the command handlers; a ``main`` call in a
+process that has already loaded numpy leaves them alone. Exit codes: 0 ok,
 2 config error, 3 data error (any other codec error), 4 training divergence.
 """
 
@@ -396,7 +397,8 @@ def main(argv=None) -> int:
     from .errors import CodecError, ConfigError, Diverged
 
     args = build_parser().parse_args(argv)
-    _apply_threads(args)
+    if "numpy" not in sys.modules:  # BLAS sizes its pools when numpy loads: later writes only leak
+        _apply_threads(args)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,10 +1,11 @@
 """Stream configuration, codec bundle, and the deterministic encode/decode
 paths that tie the transforms, quantizer, and entropy coder together.
 
-A table is compressed as one or more column streams, which tile its columns
-in order. Each stream has a base layer (fitted KLT or a fixed orthonormal
-basis, truncated to ``rank`` coefficients) and, for the full hierarchy, a
-refinement layer coding the base-layer residual. A finalized bundle
+A table is compressed as one or more column streams, laid side by side in
+order (``side_by_side``): a stream states only its width, ``dim``, and takes
+the next ``dim`` columns. Each stream has a base layer (fitted KLT or a fixed
+orthonormal basis, truncated to ``rank`` coefficients) and, for the full
+hierarchy, a refinement layer coding the base-layer residual. A finalized bundle
 (``bitstream.finalize_bundle``) is the model a decoder reads back from the
 container, so encoder- and decoder-side reconstructions are bit-identical.
 
@@ -38,18 +39,18 @@ TRANSFORMS = ("none", "dct", "haar", "klt-trunc", "shtc-full")
 # Transform kinds whose basis must be transmitted (data-dependent).
 _STORED_BASIS = ("klt-trunc", "shtc-full")
 
-_U16 = 1 << 16  # the dims block stores columns, rank, n_meas, n_atoms and n_layers as u16
+_U16 = 1 << 16  # a file's dims store dim, rank, n_meas, n_atoms and n_layers as u16
 
 _BLOCK_ROWS = 1024  # rows per synthesis block; not part of the format
 
 
 @dataclass
 class StreamConfig:
-    """One column range of the table and how to transform it."""
+    """One stream: its width, the next ``dim`` columns of the table, and how
+    to transform them."""
 
     name: str
-    col_start: int
-    col_end: int
+    dim: int
     transform: str = "shtc-full"
     rank: int = 15
     n_meas: int = 15
@@ -58,26 +59,20 @@ class StreamConfig:
 
     def __post_init__(self):
         """The one definition of a valid stream: a configuration and a file's
-        dims block (``bitstream._read_stream``) both pass through it."""
+        dims (``bitstream._read_stream``) both pass through it."""
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {self.transform!r}")
         if not self.name.isascii() or len(self.name) > 8:
             raise ConfigError("stream name must be ascii, at most 8 chars")
-        for key in ("col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers"):
+        for key in ("dim", "rank", "n_meas", "n_atoms", "n_layers"):
             if not 0 <= getattr(self, key) < _U16:
                 raise ConfigError(f"{key} = {getattr(self, key)} does not fit a u16")
-        if self.col_end <= self.col_start:
-            raise ConfigError(f"empty column range [{self.col_start}, {self.col_end})")
         if not 1 <= self.rank <= self.dim:
             raise ConfigError(f"rank {self.rank} outside [1, {self.dim}]")
         if self.n_meas < 1 or self.n_layers < 1:
             raise ConfigError(f"n_meas {self.n_meas} and n_layers {self.n_layers} must be at least 1")
         if self.transform == "haar" and self.dim > 1 and self.dim % 2:
             raise ConfigError(f"haar needs an even size, got dim {self.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.col_end - self.col_start
 
     @property
     def has_refinement(self) -> bool:
@@ -112,31 +107,12 @@ def default_configs(
     if feat_dim < 1:
         raise ConfigError("scaling_cols leaves no feature columns")
     if rank is None:
-        rank = feat_dim if transform in ("none", "dct", "haar") else min(15, feat_dim)
+        rank = min(15, feat_dim) if transform in _STORED_BASIS else feat_dim
     rank = min(rank, feat_dim)
     n_meas = min(n_meas, feat_dim)
-    configs = [
-        StreamConfig(
-            name="feat",
-            col_start=0,
-            col_end=feat_dim,
-            transform=transform,
-            rank=rank,
-            n_meas=n_meas,
-            n_atoms=n_atoms,
-            n_layers=n_layers,
-        )
-    ]
+    configs = [StreamConfig("feat", feat_dim, transform, rank, n_meas, n_atoms, n_layers)]
     if scaling_cols:
-        configs.append(
-            StreamConfig(
-                name="scale",
-                col_start=feat_dim,
-                col_end=dim,
-                transform="klt-trunc",
-                rank=scaling_cols,
-            )
-        )
+        configs.append(StreamConfig("scale", scaling_cols, "klt-trunc", rank=scaling_cols))
     return configs
 
 
@@ -153,17 +129,15 @@ class StreamModel:
     refine_entropy: GaussianEntropyModel | None = None
 
 
-def check_tiling(configs) -> int:
-    """The streams' layout rule: stream 0 starts at column 0 and each later
-    stream at the previous one's ``col_end``, so the streams tile the table's
-    columns with no gap and no overlap. Returns the column count."""
-    end = 0
-    for cfg in configs:
-        if cfg.col_start != end:
-            raise ConfigError(f"stream {cfg.name!r} starts at column {cfg.col_start}, not {end}: "
-                              "streams must tile the columns in order")
-        end = cfg.col_end
-    return end
+def side_by_side(widths) -> list[slice]:
+    """Consecutive ranges of the given widths from 0, in order: the streams'
+    columns of the table (``CodecBundle.columns``), or their columns of the
+    file's symbol table (``_file_model``)."""
+    slices, end = [], 0
+    for width in widths:
+        slices.append(slice(end, end + width))
+        end += width
+    return slices
 
 
 @dataclass
@@ -172,8 +146,13 @@ class CodecBundle:
 
     @property
     def dim(self) -> int:
-        """The table's column count, which the streams tile (``check_tiling``)."""
-        return check_tiling(s.config for s in self.streams)
+        """The table's column count: the streams' widths summed."""
+        return sum(s.config.dim for s in self.streams)
+
+    @property
+    def columns(self) -> list[slice]:
+        """Each stream's columns of the table."""
+        return side_by_side(s.config.dim for s in self.streams)
 
 
 def _fixed_basis(kind: str, dim: int, rank: int) -> np.ndarray:
@@ -210,8 +189,8 @@ def _initial_latent(values: np.ndarray) -> tuple[QuantSchedule, GaussianEntropyM
     return sched, GaussianEntropyModel(mu=np.zeros(sd.size), sigma=sd)
 
 
-def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> StreamModel:
-    xs = x[:, cfg.col_start : cfg.col_end]
+def fit_stream(xs: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> StreamModel:
+    """A stream's initial model, fitted to ``xs``, its columns of the table."""
     if cfg.stores_basis:
         klt = base_layer.fit_klt(xs, cfg.rank)
     else:
@@ -228,10 +207,16 @@ def fit_stream(x: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> St
 
 
 def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Generator) -> CodecBundle:
+    """The initial bundle of ``configs`` over ``x``. Stream names must differ:
+    the trainer keys each stream's parameters by its name."""
     x = np.asarray(x, dtype=np.float64)
-    if configs and check_tiling(configs) != x.shape[1]:
-        raise DimMismatch("stream configs do not cover the table columns")
-    return CodecBundle(streams=[fit_stream(x, c, rng) for c in configs])
+    names = [c.name for c in configs]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"stream names must differ, got {names}")
+    if configs and sum(c.dim for c in configs) != x.shape[1]:
+        raise DimMismatch("stream widths do not sum to the table's columns")
+    cols = side_by_side(c.dim for c in configs)
+    return CodecBundle(streams=[fit_stream(x[:, col], c, rng) for c, col in zip(configs, cols)])
 
 
 @dataclass
@@ -246,19 +231,17 @@ def _file_model(bundle: CodecBundle) -> tuple[GaussianEntropyModel, np.ndarray, 
     """The file's one latent: its entropy model, its quantizer steps and each
     stream's columns of it. The channels are the streams' in order, each
     stream's base channels before its refinement channels."""
-    latents, spans, end = [], [], 0
+    latents, widths = [], []
     for sm in bundle.streams:
         own = [(sm.base_entropy, sm.base_sched)]
         if sm.refine is not None:
             own.append((sm.refine_entropy, sm.refine_sched))
         latents += own
-        width = sum(sched.n for _, sched in own)
-        spans.append(slice(end, end + width))
-        end += width
+        widths.append(sum(sched.n for _, sched in own))
     models, scheds = zip(*latents)
     model = GaussianEntropyModel(mu=np.concatenate([m.mu for m in models]),
                                  sigma=np.concatenate([m.sigma for m in models]))
-    return model, np.concatenate([sched.steps for sched in scheds]), spans
+    return model, np.concatenate([sched.steps for sched in scheds]), side_by_side(widths)
 
 
 def _stream_symbols(sm: StreamModel, xs: np.ndarray, out: np.ndarray) -> None:
@@ -295,9 +278,8 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarra
         raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
     model, steps, spans = _file_model(bundle)
     sym = np.empty((x.shape[0], steps.size), dtype=np.int64)
-    recon = np.empty_like(x)  # the streams tile its columns
-    for sm, span in zip(bundle.streams, spans):
-        cols = slice(sm.config.col_start, sm.config.col_end)
+    recon = np.empty_like(x)
+    for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
         _stream_symbols(sm, x[:, cols], sym[:, span])
         _reconstruct_stream(sm, recon[:, cols], sym[:, span])
     return Payload(entropy.encode(sym, model, steps), x.shape[0]), recon
@@ -310,9 +292,9 @@ def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
         raise DecodeError("no streams to decode")
     model, steps, spans = _file_model(bundle)
     sym = entropy.decode(payload.rows, payload.data, model, steps)
-    out = np.empty((payload.rows, bundle.dim))  # the streams tile its columns
-    for sm, span in zip(bundle.streams, spans):
-        rec = out[:, sm.config.col_start : sm.config.col_end]
+    out = np.empty((payload.rows, bundle.dim))
+    for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
+        rec = out[:, cols]
         _reconstruct_stream(sm, rec, sym[:, span])
         if not np.isfinite(rec).all():
             raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")

@@ -46,7 +46,7 @@ class DecodeError(CodecError):
 
 
 class ChecksumError(DecodeError):
-    """Block CRC does not match its contents."""
+    """The file's CRC does not match its bytes."""
 
 
 class BadMagic(DecodeError):

@@ -286,10 +286,9 @@ def loss(
     total_abs = resid_abs = bits_base = bits_refine = 0.0
     total_elems = resid_elems = 0
 
-    for sm in bundle.streams:
-        cfg = sm.config
-        p = cfg.name
-        f = batch[:, cfg.col_start : cfg.col_end]
+    for sm, cols in zip(bundle.streams, bundle.columns):
+        p = sm.config.name
+        f = batch[:, cols]
         theta, r = split_base(f, sm.klt)
         s = _StreamPass(sm, _latent(theta, params, f"{p}.base", rng))
         bits_base += s.base.bits
@@ -412,10 +411,10 @@ def _fit_entropy(values: np.ndarray) -> GaussianEntropyModel:
 def _finalize(bundle: CodecBundle, params: Params, x: np.ndarray) -> CodecBundle:
     """The trained bundle, each entropy model fitted to the latents of ``x``."""
     streams = []
-    for sm in bundle.streams:
+    for sm, cols in zip(bundle.streams, bundle.columns):
         cfg = sm.config
         p = cfg.name
-        theta, r = split_base(x[:, cfg.col_start : cfg.col_end], sm.klt)
+        theta, r = split_base(x[:, cols], sm.klt)
         new = StreamModel(cfg, sm.klt, _schedule(params, f"{p}.base", cfg.rank), _fit_entropy(theta))
         if sm.refine is not None:
             new.refine = _refine_model(params, f"{p}.ref")

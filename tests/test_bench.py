@@ -9,6 +9,7 @@ import pytest
 from shtc import base_layer, bench, linalg
 from shtc.bench import RdCurve, RdPoint, SyntheticSpec, bd_rate, synth_source
 from shtc.errors import NoOverlap
+from shtc.trainer import TrainConfig
 
 
 def curve_from(rates, dists, method="m"):
@@ -164,6 +165,25 @@ class TestRdPlumbing:
         p = bench.rd_point(x, "klt-trunc", 0.01, seed=0, iters=60, batch=64, rank=3)
         assert p.bits == pytest.approx((p.model_bytes + p.payload_bytes) * 8, abs=2000)
         assert p.bits > 0 and np.isfinite(p.distortion_db)
+
+    def test_rd_point_passes_only_the_settings_it_is_given(self, monkeypatch):
+        # a setting not given keeps the default of TrainConfig or default_configs
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def train(x, configs, tc):
+            seen.append(tc)
+            raise Stop
+
+        monkeypatch.setattr(bench, "default_configs", lambda dim, **kw: seen.append(kw) or [])
+        monkeypatch.setattr(bench, "train", train)
+        with pytest.raises(Stop):
+            bench.rd_point(np.zeros((4, 6)), "dct", 0.01, seed=3, iters=40, n_layers=2)
+        assert seen == [{"transform": "dct", "n_layers": 2}, TrainConfig(lam=0.01, seed=3, iters=40)]
+        with pytest.raises(TypeError, match="n_atoms"):
+            bench.rd_point(np.zeros((4, 6)), "dct", 0.01, n_atoms=4)
 
     def test_curve_has_grid_points_and_csvs(self, tmp_path):
         x = synth_source(SyntheticSpec(n_rows=300, dim=6, rank=3, sparsity=1, seed=12))

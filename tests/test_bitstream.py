@@ -23,7 +23,7 @@ from shtc.quantizer import channel_schedule
 def minimal_bundle():
     """D=2, rank 1, no refinement: the golden-size fixture."""
     x = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.7], [0.2, 0.1]])
-    configs = [StreamConfig(name="feat", col_start=0, col_end=2, transform="klt-trunc", rank=1)]
+    configs = [StreamConfig(name="feat", dim=2, transform="klt-trunc", rank=1)]
     bundle = codec.fit_bundle(x, configs, np.random.default_rng(0))
     return bitstream.finalize_bundle(bundle)
 
@@ -37,15 +37,15 @@ def fitted_bundle(seed=0, n=200, d=6, transform="shtc-full"):
 
 class TestGoldenLayout:
     def test_minimal_bundle_byte_count(self):
-        # header 16 | dims block 8+25 | model block 8+8*4 | empty payload block 8
+        # header 12 | dims 23 | model 8 floats | empty payload | crc 4
         data, counts = bitstream.serialize(minimal_bundle())
-        assert counts == {"model_bytes": 25 + 32, "payload_bytes": 0}
-        assert len(data) == 16 + (8 + 25) + (8 + 32) + 8 == 97
+        assert counts == {"model_bytes": 23 + 32, "payload_bytes": 0}
+        assert len(data) == 12 + 23 + 32 + 4 == 71
 
     def test_basis_cost_for_50_channels(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 50))
-        configs = [StreamConfig(name="feat", col_start=0, col_end=50, transform="klt-trunc", rank=15)]
+        configs = [StreamConfig(name="feat", dim=50, transform="klt-trunc", rank=15)]
         bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
         # mean, the 15 retained basis columns, schedule, entropy model
         assert len(bitstream._model_content(bundle.streams[0])) == 4 * (50 + 50 * 15 + 2 + 2 * 15)
@@ -93,13 +93,50 @@ class TestRoundTrip:
             assert bitstream.serialize(b2)[0] == data
 
 
+LAYOUT = st.lists(
+    st.tuples(st.integers(1, 6), st.sampled_from(codec.TRANSFORMS), st.floats(0, 1)), min_size=1, max_size=3
+)
+
+
+class TestAnyLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(layout=LAYOUT, rows=st.integers(0, 40), seed=st.integers(0, 2**16))
+    def test_round_trip_and_length(self, layout, rows, seed):
+        # 1-3 streams of any width and transform side by side: the file is
+        # the 16 bytes of header and CRC, each stream's 23 bytes of dims and
+        # its model floats, and the payload; nothing else
+        configs = [
+            StreamConfig(f"s{i}", 2 * dim if kind == "haar" else dim, transform=kind,
+                         rank=max(1, round(frac * dim)), n_meas=2, n_layers=2)
+            for i, (dim, kind, frac) in enumerate(layout)
+        ]
+        width = sum(cfg.dim for cfg in configs)
+        rng = np.random.default_rng(seed)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(rng.normal(size=(30, width)), configs, rng))
+        payload, recon = codec.encode_table(bundle, rng.normal(size=(rows, width)))
+        data, counts = bitstream.serialize(bundle, payload)
+        models = sum(23 + len(bitstream._model_content(sm)) for sm in bundle.streams)
+        assert len(data) == 16 + models + len(payload.data)
+        assert counts == {"model_bytes": models, "payload_bytes": len(payload.data)}
+        b2, p2 = bitstream.deserialize(data)
+        assert p2 == payload and bitstream.serialize(b2, p2)[0] == data
+        assert np.array_equal(codec.decode_table(b2, p2), recon)
+
+
+# A version-5 file of ``minimal_bundle``, as the last v5 writer wrote it.
+V5_FILE = bytes.fromhex(
+    "5348544305000100000000000872e788190000006665617400000000030000020001000f00020006000000000029b3c3"
+    "de200000009a99d93e6666e63ef19226bfeb64423f6dc51b3e000000000000000030cf013fff11030d0000000000000000"
+)
+
+
 class TestCorruption:
     def test_payload_byte_flip_detected(self):
         bundle, x = fitted_bundle(4)
         payload, _ = codec.encode_table(bundle, x)
         data, _ = bitstream.serialize(bundle, payload)
         corrupt = bytearray(data)
-        corrupt[-20] ^= 0xFF  # inside the payload block
+        corrupt[-20] ^= 0xFF  # inside the payload
         with pytest.raises(ChecksumError):
             bitstream.deserialize(bytes(corrupt))
 
@@ -111,15 +148,19 @@ class TestCorruption:
     def test_version_bump_rejected(self):
         # v1 files carry range-coded payloads, v2 files eigenvalues, a full
         # basis and per-latent symbol counts, v3 files 64-bit lane states, v4
-        # files a payload block per stream and a word area per latent; this
-        # reader reads v5
+        # files a payload block per stream and a word area per latent, v5
+        # files stream column ranges, lengths and a CRC per block; this reader
+        # reads v6. The version is read before the CRC, which covers other
+        # bytes in other versions
         data, _ = bitstream.serialize(minimal_bundle())
-        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (5,)
-        for version in (1, 2, 3, 4, 6):
-            head = struct.pack("<4sHHI", b"SHTC", version, 1, 0)
-            patched = head + struct.pack("<I", zlib.crc32(head)) + data[16:]
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (6,)
+        for version in (1, 2, 3, 4, 5, 7):
             with pytest.raises(VersionUnsupported):
-                bitstream.deserialize(patched)
+                bitstream.deserialize(data[:4] + struct.pack("<H", version) + data[6:])
+
+    def test_v5_file_rejected(self):
+        with pytest.raises(VersionUnsupported, match="version 5"):
+            bitstream.deserialize(V5_FILE)
 
     def test_forged_rows_rejected_before_allocation(self):
         data = bytearray(fuzz_file(1))
@@ -135,14 +176,41 @@ class TestCorruption:
         with pytest.raises(DecodeError):
             bitstream.deserialize(data[:-3])
 
+    def test_shorter_than_the_container(self):
+        # a file holds at least its 12-byte header and 4-byte CRC
+        data, _ = bitstream.serialize(minimal_bundle())
+        for n in range(16):
+            with pytest.raises(DecodeError):
+                bitstream.deserialize(data[:n])
+
     def test_trailing_garbage_rejected(self):
         data, _ = bitstream.serialize(minimal_bundle())
-        with pytest.raises(DecodeError):
+        with pytest.raises(ChecksumError):
             bitstream.deserialize(data + b"\x00")
+
+    @pytest.mark.parametrize("extra", [1, 2, 4])
+    def test_bytes_after_a_zero_row_model_rejected(self, extra):
+        # a file of 0 rows has an empty payload: bytes after its model, CRC
+        # resealed, fail in deserialize
+        data, _ = bitstream.serialize(fitted_bundle(4)[0])
+        with pytest.raises(DecodeError, match="0 rows"):
+            bitstream.deserialize(reseal(data[:-4] + bytes(extra) + data[-4:]))
+
+    @pytest.mark.parametrize("extra", [1, 2, 4])
+    def test_bytes_after_a_payload_rejected(self, extra):
+        # in a file with rows, trailing bytes are payload bytes, and the coder
+        # requires its words and escapes to fill the payload exactly
+        bundle, x = fitted_bundle(4)
+        data, _ = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])
+        forged = reseal(data[:-4] + bytes(extra) + data[-4:])
+        b2, payload = bitstream.deserialize(forged)
+        assert len(payload.data) == len(bitstream.deserialize(data)[1].data) + extra
+        with pytest.raises(DecodeError, match="payload"):
+            codec.decode_table(b2, payload)
 
 
 def model_floats(sm):
-    """Offset and length of each named section of a stream's model block, in
+    """Offset and length of each named section of a stream's model floats, in
     floats (the order of ``docs/format.md``)."""
     d, rank, n_meas, atoms, layers = (
         sm.config.dim, sm.config.rank, sm.config.n_meas, sm.config.atoms, sm.config.n_layers
@@ -158,19 +226,31 @@ def model_floats(sm):
     return offsets
 
 
+def reseal(data: bytes) -> bytes:
+    """Recompute the file's CRC over all but its last 4 bytes, so a forged
+    byte reaches the parser behind the checksum."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4])) if len(data) >= 4 else data
+
+
+def offsets(bundle) -> list[int]:
+    """Where each stream's dims start in a file of ``bundle``, then where its
+    payload starts: from the lengths the writer gives dims and model floats."""
+    at = [bitstream._HEAD_SIZE]
+    for sm in bundle.streams:
+        at.append(at[-1] + len(bitstream._dims_content(sm)) + len(bitstream._model_content(sm)))
+    return at
+
+
 def forge_model_float(data: bytes, index: int, value: float) -> bytes:
-    """Overwrite float ``index`` of the first stream's model block and reseal
-    the block's CRC, so only the model checks can reject the file."""
-    (dims_len,) = struct.unpack_from("<I", data, 16)
-    at = 16 + 4 + dims_len + 4
-    (length,) = struct.unpack_from("<I", data, at)
-    content = bytearray(data[at + 4 : at + 4 + length])
-    struct.pack_into("<f", content, 4 * index, value)
-    return data[: at + 4] + bytes(content) + struct.pack("<I", zlib.crc32(content)) + data[at + 8 + length :]
+    """Overwrite float ``index`` of the first stream's model and reseal the
+    file's CRC, so only the model checks can reject the file."""
+    out = bytearray(data)
+    struct.pack_into("<f", out, bitstream._HEAD_SIZE + bitstream._DIMS_SIZE + 4 * index, value)
+    return reseal(bytes(out))
 
 
 class TestHostileModelBlock:
-    """Every float of the model block is checked before a model is built:
+    """Every model float is checked before a model is built:
     a forged value ends as ``DecodeError``, never as another exception."""
 
     def setup_method(self):
@@ -224,55 +304,19 @@ class TestHostileModelBlock:
         assert np.array_equal(b2.streams[0].refine_entropy.sigma[1:], sm.refine_entropy.sigma[1:])
 
 
-DIMS_FIELDS = ("name", "kind", "col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers", "ref_floats")
+DIMS_FIELDS = ("name", "kind", "dim", "rank", "n_meas", "n_atoms", "n_layers", "ref_floats")
 
 
-def reseal_dims(data: bytes, content: bytes) -> bytes:
-    """Replace the first stream's dims block content and reseal its CRC."""
-    (length,) = struct.unpack_from("<I", data, 16)
-    block = struct.pack("<I", len(content)) + content + struct.pack("<I", zlib.crc32(content))
-    return data[:16] + block + data[24 + length :]
-
-
-def block_spans(data: bytes) -> list[tuple[int, int]]:
-    """(offset, length) of each block's content, in file order: dims and
-    model of each stream, then the payload. Stops at the first block that
-    does not fit."""
-    spans, at = [], 16
-    while at + 8 <= len(data):
-        (length,) = struct.unpack_from("<I", data, at)
-        if at + 8 + length > len(data):
-            break
-        spans.append((at + 4, length))
-        at += 8 + length
-    return spans
-
-
-def reseal(data: bytes) -> bytes:
-    """Recompute the header CRC and the CRC of every block that fits, so a
-    forged byte reaches the parser behind the checksums."""
-    out = bytearray(data)
-    if len(out) >= 16:
-        struct.pack_into("<I", out, 12, zlib.crc32(out[:12]))
-    for at, length in block_spans(out):
-        struct.pack_into("<I", out, at + length, zlib.crc32(out[at : at + length]))
-    return bytes(out)
-
-
-def forge_dims(data: bytes, stream: int = 0, dim: int | None = None, **fields) -> bytes:
-    """Overwrite named fields of a stream's dims block (CRCs resealed), so
-    only the dims checks can reject the file. A forged ``dim`` moves
-    ``col_end``: the block states a stream's dim as ``col_end - col_start``."""
-    at, length = block_spans(data)[2 * stream]
-    values = dict(zip(DIMS_FIELDS, struct.unpack(bitstream._DIMS_FMT, data[at : at + length])))
+def forge_dims(data: bytes, at: int = bitstream._HEAD_SIZE, **fields) -> bytes:
+    """Overwrite named fields of the dims at ``at`` (by default the first
+    stream's) and reseal the CRC, so only the dims checks can reject the file."""
+    values = dict(zip(DIMS_FIELDS, struct.unpack_from(bitstream._DIMS_FMT, data, at)))
     values.update(fields)
-    if dim is not None:
-        values["col_end"] = values["col_start"] + dim
-    return reseal(data[:at] + struct.pack(bitstream._DIMS_FMT, *values.values()) + data[at + length :])
+    return reseal(data[:at] + struct.pack(bitstream._DIMS_FMT, *values.values()) + data[at + bitstream._DIMS_SIZE :])
 
 
 class TestHostileDimsBlock:
-    """A forged dims block ends as ``DecodeError``, never as another exception."""
+    """Forged dims end as ``DecodeError``, never as another exception."""
 
     def setup_method(self):
         self.bundle, x = fitted_bundle(9)  # dim 6, rank 3, 3 measurements
@@ -290,14 +334,14 @@ class TestHostileDimsBlock:
             {"name": b"f\xe9at"},
             {"rank": 0},
             {"rank": 7},
-            {"col_end": 0},
-            {"col_start": 6},
-            {"col_end": 7},
+            {"dim": 0},
             {"dim": 5},
             {"dim": 7},
             {"n_meas": 0},
             {"n_layers": 0},
             {"kind": 3},  # klt-trunc, the refinement section kept
+            {"ref_floats": 0},
+            {"ref_floats": 2**32 - 1},
         ],
         ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
     )
@@ -305,26 +349,31 @@ class TestHostileDimsBlock:
         with pytest.raises(DecodeError):
             self.decode(forge_dims(self.data, **fields))
 
-    @pytest.mark.parametrize("cols", [(4, 8), (9, 13)], ids=["overlap", "gap"])
-    def test_streams_must_tile_the_columns(self, cols):
-        # a 12-column two-stream file whose second stream, dim kept, is forged
-        # to overlap the first or to leave column 8 uncovered
-        x = np.random.default_rng(4).normal(size=(300, 12))
-        configs = codec.default_configs(12, rank=3, n_meas=3, n_layers=2, scaling_cols=4)
-        bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, np.random.default_rng(4)))
-        data = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
-        assert codec.decode_table(*bitstream.deserialize(data)).shape == (300, 12)
-        forged = forge_dims(data, stream=1, col_start=cols[0], col_end=cols[1])
-        with pytest.raises(DecodeError, match="tile"):
-            bitstream.deserialize(forged)
-
     def test_forge_helper_keeps_a_valid_block(self):
         assert forge_dims(self.data) == self.data
 
     def test_short_block(self):
-        (length,) = struct.unpack_from("<I", self.data, 16)
-        with pytest.raises(DecodeError):
-            self.decode(reseal_dims(self.data, self.data[20 : 20 + length - 2]))
+        # a file that ends inside its first stream's dims, CRC resealed
+        with pytest.raises(DecodeError, match="truncated"):
+            self.decode(reseal(self.data[: bitstream._HEAD_SIZE + bitstream._DIMS_SIZE - 2] + bytes(4)))
+
+    @pytest.mark.parametrize("rank, error", [(2, "0 rows"), (4, "truncated")])
+    def test_finalize_reads_what_was_written(self, rank, error):
+        # a rank-3 model under dims of another rank: the reader takes fewer
+        # floats than were written, or more
+        bundle, _ = fitted_bundle(9, transform="klt-trunc")
+        sm = bundle.streams[0]
+        forged = dataclasses.replace(sm, config=dataclasses.replace(sm.config, rank=rank))
+        with pytest.raises(DecodeError, match=error):
+            bitstream.finalize_bundle(codec.CodecBundle([forged]))
+
+    def test_base_only_stream_declares_no_refinement_floats(self):
+        # dims of a klt-trunc stream that declare refinement floats it has not
+        bundle, x = fitted_bundle(9, transform="klt-trunc")
+        data = bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+        assert codec.decode_table(*bitstream.deserialize(forge_dims(data, ref_floats=0))).shape == x.shape
+        with pytest.raises(DecodeError, match="parameter count"):
+            bitstream.deserialize(forge_dims(data, ref_floats=1))
 
     def forged_file(self, sm, **config):
         """An encoded file whose stream is ``sm`` with ``config`` fields set
@@ -359,7 +408,7 @@ class TestHostileDimsBlock:
 
     def test_refinement_without_atoms(self):
         # a self-consistent file whose dictionary has no atoms (0 atoms reads
-        # as dim atoms, so the model block is too short for it)
+        # as dim atoms, so the model floats run short of it)
         sm = self.bundle.streams[0]
         r = sm.refine
         no_atoms = dataclasses.replace(
@@ -371,14 +420,18 @@ class TestHostileDimsBlock:
 
 
 @functools.cache
-def fuzz_file(streams: int) -> bytes:
-    """An encoded 120-row file: one shtc-full stream, or that plus a base-only
-    scaling stream."""
+def fuzz_bundle(streams: int) -> tuple[codec.CodecBundle, bytes]:
+    """A bundle and its encoded 120-row file: one shtc-full stream, or that
+    plus a base-only scaling stream."""
     rng = np.random.default_rng(21)
     x = rng.normal(size=(120, 9)) @ rng.normal(size=(9, 9))
     configs = default_configs(9, rank=3, n_meas=3, n_layers=2, scaling_cols=3 * (streams - 1))
     bundle = bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng))
-    return bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+    return bundle, bitstream.serialize(bundle, codec.encode_table(bundle, x)[0])[0]
+
+
+def fuzz_file(streams: int) -> bytes:
+    return fuzz_bundle(streams)[1]
 
 
 def forge_u32(data: bytearray, at: int, value):
@@ -401,13 +454,14 @@ def decode_or_decode_error(data: bytes):
 class TestHostileBlockShapes:
     """Cases the file fuzz below found: each raised outside ``DecodeError``."""
 
-    def test_model_block_not_whole_floats(self):
-        data = fuzz_file(1)
-        at, length = block_spans(data)[1]
-        content = data[at : at + length - 1]
-        forged = data[: at - 4] + struct.pack("<I", len(content)) + content + bytes(4) + data[at + length + 4 :]
-        with pytest.raises(DecodeError, match="whole number of floats"):
-            bitstream.deserialize(reseal(forged))
+    @pytest.mark.parametrize("field", ["n_meas", "n_layers", "n_atoms"])
+    def test_model_past_the_end_of_the_file(self, field):
+        # dims that size more model floats than the file holds: the reader
+        # stops at the CRC before it converts or allocates them
+        bundle, _ = fuzz_bundle(1)
+        data = bitstream.serialize(bundle)[0]
+        with pytest.raises(DecodeError, match="truncated"):
+            bitstream.deserialize(forge_dims(data, **{field: 2**16 - 1}))
 
     def test_haar_stream_of_odd_dim(self):
         with pytest.raises(DecodeError, match="even size"):
@@ -417,7 +471,7 @@ class TestHostileBlockShapes:
         # a 16 KB bundle-only file of one dct stream: the reader builds the
         # rank columns the stream keeps (8 * dim * rank bytes), not dim x dim
         dim, rank = 2000, 1000
-        cfg = StreamConfig("feat", 0, dim, transform="dct", rank=rank)
+        cfg = StreamConfig("feat", dim, transform="dct", rank=rank)
         klt = KltModel(mean=np.zeros(dim), basis=np.zeros((dim, rank)))  # the writer sends no dct basis
         entropy = GaussianEntropyModel(np.zeros(rank), np.ones(rank))
         sm = codec.StreamModel(cfg, klt, channel_schedule(1.0, 0.0, rank), entropy)
@@ -439,7 +493,7 @@ DIMS_VALUES = {
     "kind": st.integers(0, 255),
     "ref_floats": U32,
     **{f: st.one_of(st.integers(0, 16), st.integers(0, 2**16 - 1))
-       for f in ("col_start", "col_end", "rank", "n_meas", "n_atoms", "n_layers")},
+       for f in ("dim", "rank", "n_meas", "n_atoms", "n_layers")},
 }
 
 
@@ -470,8 +524,10 @@ class TestFileFuzz:
     def test_forged_latent_fields(self, streams, field, value):
         # a u32 of the one coded latent: one of its lane states (2 per
         # channel, 12 or 18 here), two of its words, or an escape
-        data = bytearray(fuzz_file(streams))
-        at, length = block_spans(data)[-1]
+        bundle, data = fuzz_bundle(streams)
+        data = bytearray(data)
+        at = offsets(bundle)[-1]
+        length = len(data) - 4 - at
         assert length > 4 * 18
         forge_u32(data, at + 4 * (field % (length // 4)), value)
         decode_or_decode_error(reseal(bytes(data)))
@@ -486,7 +542,8 @@ class TestFileFuzz:
     @settings(max_examples=120, deadline=None)
     @given(stream=st.integers(0, 1), fields=st.fixed_dictionaries({}, optional=DIMS_VALUES).filter(bool))
     def test_forged_dims_fields(self, streams, stream, fields):
-        decode_or_decode_error(forge_dims(fuzz_file(streams), stream % streams, **fields))
+        bundle, data = fuzz_bundle(streams)
+        decode_or_decode_error(forge_dims(data, offsets(bundle)[stream % streams], **fields))
 
     def test_unforged_file_decodes(self, streams):
         data = fuzz_file(streams)
@@ -503,8 +560,8 @@ class TestMdlReport:
         report = bitstream.mdl_report(path)
         assert report["model_bytes"] == counts["model_bytes"]
         assert report["payload_bytes"] == counts["payload_bytes"] == len(payload.data)
-        # header, then a framed dims and model block per stream, then one framed payload
-        assert report["container_overhead"] == 16 + 8 * (2 * len(bundle.streams) + 1)
+        # the 12-byte header and the 4-byte CRC
+        assert report["container_overhead"] == 16
         assert (
             report["model_bytes"] + report["payload_bytes"] + report["container_overhead"]
             == report["file_bytes"]
@@ -520,7 +577,7 @@ class TestMdlReport:
         report = bitstream.mdl_report(path)
         sm = bundle.streams[0]
         d, rank = sm.config.dim, sm.config.rank
-        expected_model = 25 + 4 * (d + d * rank + 2 + 2 * rank)
+        expected_model = 23 + 4 * (d + d * rank + 2 + 2 * rank)
         assert report["streams"][0]["model_bytes"] == expected_model
 
     def test_stable_across_reads(self, tmp_path):

@@ -5,6 +5,8 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,29 @@ class TestThreads:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_an_in_process_main_leaves_the_variables_alone(self, monkeypatch, tmp_path):
+        # numpy is loaded, so BLAS has sized its pools: --threads would only
+        # leak into the calls and tests after this one
+        assert "numpy" in sys.modules
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert cli.main(["decode", str(tmp_path / "missing.shtc"), "--threads", "2", "--out", str(tmp_path)]) == 3
+        assert os.environ["OMP_NUM_THREADS"] == "5"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
+
+    def test_the_entry_point_applies_the_flag(self, tmp_path):
+        # a fresh process, as the shtc script starts one: main runs before numpy loads
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        script = ("import os, sys; from shtc.cli import main; main(sys.argv[1:]); "
+                  "print(*(os.environ[v] for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        out = subprocess.run(
+            [sys.executable, "-c", script, "decode", str(tmp_path / "missing.shtc"), "--threads", "2",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["2", "2", "2"]
 
 
 class TestConfigParsing:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shtc import bitstream, codec, entropy, quantizer, refinement
+from shtc import bitstream, codec, entropy, quantizer, refinement, trainer
 from shtc.codec import StreamConfig, default_configs
 from shtc.errors import ConfigError, DecodeError, DimMismatch
 
@@ -20,11 +20,11 @@ def source(seed=0, n=300, d=8):
 class TestConfigs:
     def test_unknown_transform(self):
         with pytest.raises(ConfigError):
-            StreamConfig(name="x", col_start=0, col_end=4, transform="wavelet")
+            StreamConfig(name="x", dim=4, transform="wavelet")
 
     def test_rank_bounds(self):
         with pytest.raises(ConfigError):
-            StreamConfig(name="x", col_start=0, col_end=4, rank=5)
+            StreamConfig(name="x", dim=4, rank=5)
 
     def test_default_rank_by_transform(self):
         full = default_configs(50)[0]
@@ -36,8 +36,8 @@ class TestConfigs:
         configs = default_configs(56, scaling_cols=6)
         assert len(configs) == 2
         feat, scale = configs
-        assert (feat.col_start, feat.col_end) == (0, 50)
-        assert (scale.col_start, scale.col_end) == (50, 56)
+        assert (feat.dim, scale.dim) == (50, 6)
+        assert codec.side_by_side([feat.dim, scale.dim]) == [slice(0, 50), slice(50, 56)]
         assert scale.transform == "klt-trunc" and scale.rank == 6
         assert not scale.has_refinement
 
@@ -54,36 +54,47 @@ class TestConfigs:
             {"n_atoms": -1},
             {"n_atoms": 70000},
             {"n_layers": 2**16},
-            {"col_start": -1},
-            {"col_end": 2**16},
-            {"transform": "haar", "col_end": 7},
+            {"dim": -1},
+            {"dim": 0},
+            {"dim": 2**16},
+            {"transform": "haar", "dim": 7},
         ],
         ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()),
     )
     def test_invalid_stream_rejected(self, fields):
         with pytest.raises(ConfigError):
-            StreamConfig(**{"name": "x", "col_start": 0, "col_end": 8, "rank": 4, **fields})
+            StreamConfig(**{"name": "x", "dim": 8, "rank": 4, **fields})
 
     def test_edge_values_accepted(self):
         for fields in (
             {"n_meas": 1, "n_layers": 1, "n_atoms": 0},
             {"n_atoms": 2**16 - 1, "n_layers": 2**16 - 1, "n_meas": 2**16 - 1},
-            {"col_start": 2**16 - 9, "col_end": 2**16 - 1},
+            {"dim": 2**16 - 1},
             {"transform": "haar"},
-            {"transform": "haar", "col_end": 1, "rank": 1},
+            {"transform": "haar", "dim": 1, "rank": 1},
         ):
-            StreamConfig(**{"name": "x", "col_start": 0, "col_end": 8, "rank": 4, **fields})
+            StreamConfig(**{"name": "x", "dim": 8, "rank": 4, **fields})
 
-    @pytest.mark.parametrize(
-        "ranges",
-        [[(0, 8), (4, 12)], [(0, 4), (8, 12)], [(4, 12)], [(4, 12), (0, 4)]],
-        ids=["overlap", "gap", "late-start", "out-of-order"],
-    )
-    def test_streams_must_tile_the_columns(self, ranges):
-        # stream 0 starts at column 0, each later stream at the previous col_end
-        configs = [StreamConfig(f"s{i}", a, b, transform="klt-trunc", rank=2) for i, (a, b) in enumerate(ranges)]
-        with pytest.raises(ConfigError, match="tile"):
+    @pytest.mark.parametrize("ranks", [(2, 2), (2, 3)], ids=["equal-ranks", "unequal-ranks"])
+    def test_duplicate_stream_names_rejected(self, ranks):
+        # the trainer keys each stream's parameters by its name: at equal
+        # ranks two "s" streams would train one shared schedule, at unequal
+        # ranks the fit would fail in a numpy broadcast
+        configs = [StreamConfig("s", 6, transform="shtc-full", rank=r, n_meas=2, n_layers=2) for r in ranks]
+        with pytest.raises(ConfigError, match="names must differ"):
             codec.fit_bundle(source(1, d=12), configs, np.random.default_rng(1))
+        with pytest.raises(ConfigError, match="names must differ"):
+            trainer.train(source(1, d=12), configs, trainer.TrainConfig(iters=2, batch=16))
+
+    def test_streams_lie_side_by_side(self):
+        # a stream states only its width: stream i takes the dim columns
+        # after the streams before it
+        configs = [StreamConfig(f"s{i}", d, transform="klt-trunc", rank=1) for i, d in enumerate((3, 1, 4))]
+        bundle = codec.fit_bundle(source(1, d=8), configs, np.random.default_rng(1))
+        assert bundle.dim == 8
+        assert bundle.columns == [slice(0, 3), slice(3, 4), slice(4, 8)]
+        with pytest.raises(DimMismatch):
+            codec.fit_bundle(source(1, d=9), configs, np.random.default_rng(1))
 
     def test_default_configs_reject_what_a_stream_rejects(self):
         # before these were ConfigErrors they failed later: an IndexError in
@@ -263,23 +274,23 @@ def last_lane_row(rows):
 
 class TestOneLoopPerFile:
     """A file's latents are coded as one latent in one lane loop: sha256 of
-    files at the lane edges (re-pinned at bitstream v5, whose one latent
-    decodes to the symbols and reconstructions of v4's latents, with a
-    payload as long as theirs together)."""
+    files at the lane edges (re-pinned at bitstream v6, whose files hold the
+    v5 files' payload bytes and model floats, 8 + 18 bytes per stream
+    shorter, and decode to the same tables)."""
 
     PINNED = {
-        (0, 0): "82d886f16ffe3d6036effc4aa00ffe08c0531a41af7e31724435a4b806c1f1f1",
-        (1, 0): "13f403f8c8616f84e616d7f4890bb6ce91f02854b47556cafbd9deb688c7478f",
-        (4095, 0): "984d0182798a5ebbed6357a2c2906916414b1251070afa8820826a8f16c67991",
-        (4096, 0): "ba92b3d43d9a6b80ff5451be37e6503b86416fae22f99551d35480ebd3be76a6",
-        (8193, 0): "743da63e2ebe66f3ec74fdbd90ea916a85cab29f5179004938b7020407f985ed",
-        (12289, 0): "cd92b6aa27586c51406eeac6ddb615689946979a1d2a16817ebc8135331b8cd8",
-        (0, 4): "51457f24f262198dcddbf66db72edcded89ec65a2d75c46789d725669223394f",
-        (1, 4): "e850b3882b662a238110d2cad6d730cc284475928d0c4a239a448600e53401e6",
-        (4095, 4): "97c7c2336c6e9a61c680bc31cd85dbb1413cb98d725110f2ceeeb4529487560c",
-        (4096, 4): "f69c01aa05b1dd68950029d637b1d236033582e27bb6045e3d494cc6556fedf0",
-        (8193, 4): "7e49b214538c13a75f3f8891256687e30b21575d1b284785a8de7a1fd076e167",
-        (12289, 4): "213c540fb3322c814d417b61558496bad1b385610ffd1f7b3d8e8caf4fb0d008",
+        (0, 0): "ff78ab20031288075669b563ba8b6cc3c48156de5faebdb136d9b079db6d85af",
+        (1, 0): "df8e2dbc400f4f468dc72bb508f05e544d9db0036c8d46cdf406303291d761cf",
+        (4095, 0): "f3b0c81f1fc29d619860a82525e9155503d301f3b484efb009beda83c2786d45",
+        (4096, 0): "77fa404aff783db33873de72a2c46daee2b01b351519e79dab48d3c2233bfbe6",
+        (8193, 0): "e7c0158b0508684c66e3cf36d9b6662af1bbe3ba946cd8e16f204b8687b92e8f",
+        (12289, 0): "86c4a957c575e93d7c7d94ab7f52d0eaf84af74452ce2b3a9db71f8f7b26464a",
+        (0, 4): "2a5466610b5c5a5c0edfff681d29d513b8abb05ed894f83dcaa958c34de8c0e4",
+        (1, 4): "7b9f02c14e54e92a74e6a0346820091cab4058e2e40b23e614a544dd3d13b210",
+        (4095, 4): "57e43cfc33aa99bc0c3dc9ff6b01fc1997df767ff734727ba83b60406fec93d8",
+        (4096, 4): "974691968905aed80624ef3a13a7d8005910be2ed69516c805d3583f78728c8c",
+        (8193, 4): "96a5a7f8a69b42dd053744ece05f195a5237ef04797c5cb5ee95bc1eb536d58b",
+        (12289, 4): "37a78a773d4c195a77305b5c3cd20004205d15e9b2b3e1f9659ea6ac4f5b9825",
     }
 
     @pytest.mark.parametrize("scaling_cols", [0, 4])
