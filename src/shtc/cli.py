@@ -106,23 +106,24 @@ def load_table(path):
             data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
         except Exception as exc:
             raise DataError(f"cannot parse CSV {path}: {exc}") from exc
-        if data.size == 0 or not np.isfinite(data).all():
-            raise DataError(f"{path}: empty table or non-finite entries")
-        return data
-    dims_path = path + ".dims"
-    if not os.path.exists(dims_path):
-        raise DataError(f"raw input {path} needs a dims sidecar {dims_path}")
-    try:
-        with open(dims_path) as f:
-            rows, cols = (int(t) for t in f.read().split())
-    except Exception as exc:
-        raise DataError(f"bad dims sidecar {dims_path}") from exc
-    if rows <= 0 or cols <= 0:
-        raise DataError(f"dims sidecar {dims_path} gives {rows} x {cols}; both must be positive")
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != rows * cols:
-        raise DataError(f"{path}: expected {rows * cols} f32 values, found {raw.size}")
-    return raw.reshape(rows, cols).astype(np.float64)
+    else:
+        dims_path = path + ".dims"
+        if not os.path.exists(dims_path):
+            raise DataError(f"raw input {path} needs a dims sidecar {dims_path}")
+        try:
+            with open(dims_path) as f:
+                rows, cols = (int(t) for t in f.read().split())
+        except Exception as exc:
+            raise DataError(f"bad dims sidecar {dims_path}") from exc
+        if rows <= 0 or cols <= 0:
+            raise DataError(f"dims sidecar {dims_path} gives {rows} x {cols}; both must be positive")
+        raw = np.fromfile(path, dtype="<f4")
+        if raw.size != rows * cols:
+            raise DataError(f"{path}: expected {rows * cols} f32 values, found {raw.size}")
+        data = raw.reshape(rows, cols).astype(np.float64)
+    if data.size == 0 or not np.isfinite(data).all():
+        raise DataError(f"{path}: empty table or non-finite entries")
+    return data
 
 
 def save_table(path, x):

@@ -11,13 +11,14 @@ container, so encoder- and decoder-side reconstructions are bit-identical.
 
 A file's payload is one latent of every stream's channels, coded under one
 entropy model (``_file_model``): the streams in order, each with its base
-channels before its refinement channels. A stream's analysis
-(``_stream_symbols``) runs over the whole table into the stream's columns of
-one symbol table, since the coder codes that table in one loop. Its synthesis
-(``_reconstruct_stream``) runs one block of ``_BLOCK_ROWS`` rows at a time,
-from symbols to the block's slice of the output table, so its working memory
-does not grow with the row count. The encoder's reconstruction and the
-decoder's run the same blocks, hence agree bit for bit.
+channels before its refinement channels. Both directions walk each stream
+one block of ``_BLOCK_ROWS`` rows at a time (``_row_blocks``), so their
+working memory does not grow with the row count. The encoder analyses a
+block (``_stream_symbols``) into that block's rows of the stream's columns
+of one symbol table, which the coder codes in one loop, then synthesizes the
+block from those symbols (``_reconstruct_stream``) into its slice of the
+reconstruction. The decoder synthesizes the same blocks from the decoded
+symbols, so the encoder's reconstruction and the decoder's agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import base_layer, entropy, linalg, quantizer, refinement
 from .base_layer import KltModel
 from .entropy import GaussianEntropyModel
 from .entropy import decode_symbols, encode_symbols  # read by the benchmark's tracer; no codec path calls them
-from .errors import ConfigError, DecodeError, DimMismatch
+from .errors import ConfigError, DataError, DecodeError, DimMismatch
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel
 
@@ -41,7 +42,7 @@ _STORED_BASIS = ("klt-trunc", "shtc-full")
 
 _U16 = 1 << 16  # a file's dims store dim, rank, n_meas, n_atoms and n_layers as u16
 
-_BLOCK_ROWS = 1024  # rows per synthesis block; not part of the format
+_BLOCK_ROWS = 1024  # rows per analysis and synthesis block; not part of the format
 
 
 @dataclass
@@ -210,6 +211,8 @@ def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Genera
     """The initial bundle of ``configs`` over ``x``. Stream names must differ:
     the trainer keys each stream's parameters by its name."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DataError("table has non-finite entries")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"stream names must differ, got {names}")
@@ -254,14 +257,18 @@ def _stream_symbols(sm: StreamModel, xs: np.ndarray, out: np.ndarray) -> None:
         out[:, k:] = quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """The blocks of ``_BLOCK_ROWS`` rows, in order, that cover ``n`` rows."""
+    return [slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS)]
+
+
 def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray) -> None:
     """Write the stream's reconstruction from ``sym``, its columns of the
     file's symbol table, into ``out``, one block of ``_BLOCK_ROWS`` rows at a
     time: dequantize, base synthesis, the unfolded refinement, and their sum
     straight into the block's rows."""
     k = sm.base_sched.n
-    for s in range(0, out.shape[0], _BLOCK_ROWS):
-        rows = slice(s, s + _BLOCK_ROWS)
+    for rows in _row_blocks(out.shape[0]):
         f_base = base_layer.synthesize_base(quantizer.dequantize(sym[rows, :k], sm.base_sched), sm.klt)
         if sm.refine is None:
             out[rows] = f_base
@@ -272,16 +279,19 @@ def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray) -> No
 
 def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarray]:
     """Quantize and entropy-code every stream; also return the decoder-side
-    reconstruction (computed from the coded symbols)."""
+    reconstruction (computed from the coded symbols). Each block of rows of
+    a stream is analysed and then synthesized from its symbols while they are
+    in cache; the coder codes the whole symbol table in one loop."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != bundle.dim:
-        raise DimMismatch(f"table has {x.shape[1]} columns, bundle expects {bundle.dim}")
+    if x.ndim != 2 or x.shape[1] != bundle.dim:
+        raise DimMismatch(f"table of shape {x.shape} is not one of {bundle.dim} columns")
     model, steps, spans = _file_model(bundle)
     sym = np.empty((x.shape[0], steps.size), dtype=np.int64)
     recon = np.empty_like(x)
     for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
-        _stream_symbols(sm, x[:, cols], sym[:, span])
-        _reconstruct_stream(sm, recon[:, cols], sym[:, span])
+        for rows in _row_blocks(x.shape[0]):
+            _stream_symbols(sm, x[rows, cols], sym[rows, span])
+            _reconstruct_stream(sm, recon[rows, cols], sym[rows, span])
     return Payload(entropy.encode(sym, model, steps), x.shape[0]), recon
 
 

@@ -25,6 +25,11 @@ Tables are built in one place: ``build_tables`` returns every array both
 loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
 by the exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of
 one bundle build their tables once and a changed model never reuses them.
+
+The encoder holds each symbol's table entry, word slot and emit flag (11
+bytes), but gathers the lanes' frequencies and cumulative counts for only
+``_CHUNK`` steps at a time, from the last chunk to the first, so those per-step
+tables never span the whole file.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ _ALPHABET_BOUND = 4096
 _SUPPORT_Z = 8.0
 _PROB_FLOOR = 2.0**-40
 _ESCAPED = -(1 << 62)  # a decoded escape entry's value, outside every table and escape range
+_CHUNK = 256  # encoder steps whose tables are gathered at once; not part of the format
 
 
 @dataclass
@@ -229,26 +235,31 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
     if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
         raise Overflow("escaped symbol exceeds 32-bit signed range")
     # symbol k goes to lane k % lanes at step k // lanes
-    freq = tables.freq[entry].reshape(n_steps, -1)
-    cum = tables.cum[entry].reshape(n_steps, -1)
-    del entry, e
-    # a state at or above this emits its low word before coding the symbol
-    limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
-    gap = _TOTAL - freq
-    words = np.empty(freq.shape, dtype=np.uint16)
-    emitted = np.empty(freq.shape, dtype=bool)
-    x = np.full(freq.shape[1], _STATE_LOW, dtype=np.uint64)
+    entry = entry.reshape(n_steps, -1)
+    words = np.empty(entry.shape, dtype=np.uint16)
+    emitted = np.empty(entry.shape, dtype=bool)
+    x = np.full(entry.shape[1], _STATE_LOW, dtype=np.uint64)
     q = np.empty_like(x)
     word_bits = np.uint64(_WORD_BITS)
-    for t in range(n_steps - 1, -1, -1):
-        emit = np.greater_equal(x, limit[t], out=emitted[t])
-        words[t] = x  # the low word
-        np.right_shift(x, word_bits, out=x, where=emit)
-        # x = (x // f) * 2^16 + x % f + c, computed as x + (x // f) * (2^16 - f) + c
-        np.floor_divide(x, freq[t], out=q)
-        q *= gap[t]
-        x += q
-        x += cum[t]
+    # rANS codes backwards, so the chunks of _CHUNK steps run from last to
+    # first, each gathering only its own steps' freq and cum
+    for c in reversed(range(0, n_steps, _CHUNK)):
+        chunk = slice(c, c + _CHUNK)
+        freq, cum = tables.freq[entry[chunk]], tables.cum[entry[chunk]]
+        # a state at or above this emits its low word before coding the symbol
+        limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
+        gap = _TOTAL - freq
+        chunk_words, chunk_emitted = words[chunk], emitted[chunk]
+        for t in range(freq.shape[0] - 1, -1, -1):
+            emit = np.greater_equal(x, limit[t], out=chunk_emitted[t])
+            chunk_words[t] = x  # the low word
+            np.right_shift(x, word_bits, out=x, where=emit)
+            # x = (x // f) * 2^16 + x % f + c, computed as x + (x // f) * (2^16 - f) + c
+            np.floor_divide(x, freq[t], out=q)
+            q *= gap[t]
+            x += q
+            x += cum[t]
+    del entry  # before the payload's copies of the words are made
     return (
         x.astype("<u4").tobytes()
         + words[emitted].astype("<u2").tobytes()

@@ -68,6 +68,19 @@ class TestTableIo:
         assert code == 3
         assert "dims sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_table_exits_3(self, tmp_path, capsys, bad):
+        # as a CSV does: a NaN or inf in a raw table is a data error, not a
+        # LinAlgError in the fit
+        x = np.random.default_rng(0).normal(size=(200, 8))
+        x[17, 3] = bad
+        path = tmp_path / "t.f32"
+        x.astype("<f4").tofile(path)
+        (tmp_path / "t.f32.dims").write_text("200 8")
+        code = cli.main(["fit", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_sidecar(self, tmp_path):
         from shtc.errors import DataError
 

@@ -9,7 +9,7 @@ import pytest
 
 from shtc import bitstream, codec, entropy, quantizer, refinement, trainer
 from shtc.codec import StreamConfig, default_configs
-from shtc.errors import ConfigError, DecodeError, DimMismatch
+from shtc.errors import ConfigError, DataError, DecodeError, DimMismatch
 
 
 def source(seed=0, n=300, d=8):
@@ -86,6 +86,17 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="names must differ"):
             trainer.train(source(1, d=12), configs, trainer.TrainConfig(iters=2, batch=16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, bad):
+        # fit_bundle and the trainer that calls it reject the table before
+        # the eigensolver sees it
+        x = source(1)
+        x[5, 2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            codec.fit_bundle(x, default_configs(8), np.random.default_rng(1))
+        with pytest.raises(DataError, match="non-finite"):
+            trainer.train(x, default_configs(8), trainer.TrainConfig(iters=2, batch=16))
+
     def test_streams_lie_side_by_side(self):
         # a stream states only its width: stream i takes the dim columns
         # after the streams before it
@@ -143,6 +154,26 @@ class TestEncodeDecode:
         decoded = codec.decode_table(*bitstream.deserialize(bitstream.serialize(bundle, payload)[0]))
         assert np.array_equal(decoded, recon)
 
+    ANALYSIS_PINNED = {
+        80: "30142f7cd6cc305f54ff6441774b745b8d5c478fee9418facc1677de1cb89cdf",
+        81: "735b0d09a533072ecb2c5505d250863466b8dc145ffd33a1081c6dbb242243f5",
+        1025: "28104d6fbf24dbef312664e99863e32ebb6333b93b083f511414097975b9fccf",
+        1104: "82920bd1a45d9c384e0b27450758ac0bb3f874b6d8782b3c401dd99354110239",
+        2049: "8de0d7e86093d1ed61f8b02edf2d3abd57a935276e86119e6558ffc19c1f4856",
+    }
+
+    @pytest.mark.parametrize("rows", [80, 81, 1025, 1104, 2049])
+    def test_two_stream_bytes_across_analysis_blocks(self, rows):
+        # each stream is analysed in blocks of codec._BLOCK_ROWS rows, down to
+        # a last block of 1 or 80 rows; the files keep the bytes (sha256) that
+        # a whole-table analysis gave, and decode to the encoder's table
+        configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=2)
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(source(3, d=10), configs, np.random.default_rng(3)))
+        payload, recon = codec.encode_table(bundle, source(5, n=rows, d=10))
+        data = bitstream.serialize(bundle, payload)[0]
+        assert hashlib.sha256(data).hexdigest() == self.ANALYSIS_PINNED[rows]
+        assert np.array_equal(codec.decode_table(*bitstream.deserialize(data)), recon)
+
     def test_synthesis_memory_does_not_grow_with_rows(self):
         # _reconstruct_stream works one block at a time into the caller's
         # table: its tracemalloc peak is that of a block at any row count
@@ -164,6 +195,33 @@ class TestEncodeDecode:
                 tracemalloc.stop()
         # less than one 1024-row block of float64 at dim 50 between them
         assert abs(peaks[16384] - peaks[2048]) < 8 * 1024 * 50, peaks
+
+    def test_encoder_memory_grows_only_with_its_outputs(self):
+        """Between 2048 and 16384 rows at dim 50, the tracemalloc peak of
+        ``encode_table`` grows by at most its outputs' growth (the float64
+        reconstruction and the int64 symbol table) plus 16 bytes per symbol
+        added: the coder's int64 entry table (8), its u16 words (2) and bool
+        emit flags (1), and the u64 freq, cum, limit and gap of one chunk of
+        ``entropy._CHUNK`` = 256 steps, which at 8192 rows or more is at most
+        an eighth of the steps (32 / 8 = 4). The analysis and synthesis run
+        in blocks of rows, so they add nothing that grows with the table."""
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(16384, 50)) @ rng.normal(size=(50, 50)) * 0.2
+        bundle = bitstream.finalize_bundle(codec.fit_bundle(x[:4096], default_configs(50), np.random.default_rng(13)))
+        channels = codec._file_model(bundle)[1].size
+        assert channels == 30 and entropy._CHUNK == 256
+        peaks = {}
+        for rows in (2048, 16384):
+            codec.encode_table(bundle, x[:rows])  # the coder's tables are cached before tracing
+            tracemalloc.start()
+            try:
+                codec.encode_table(bundle, x[:rows])
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        added = 16384 - 2048
+        outputs = 8 * added * (50 + channels)
+        assert peaks[16384] - peaks[2048] <= outputs + 16 * added * channels, peaks
 
     def test_two_stream_layout(self):
         # one latent of the channels of feat's base, feat's refinement and
@@ -206,6 +264,15 @@ class TestEncodeDecode:
         bundle = codec.fit_bundle(x, configs, np.random.default_rng(4))
         with pytest.raises(DimMismatch):
             codec.encode_table(bundle, x[:, :5])
+
+    def test_table_must_be_2d(self):
+        # a row and a flat table have no column count; a (rows, 8, 1) stack
+        # has the bundle's 8 in its second axis but is no table
+        x = source(4)
+        bundle = codec.fit_bundle(x, default_configs(8, transform="klt-trunc"), np.random.default_rng(4))
+        for bad in (x[0], x.reshape(-1), x[:, :, None]):
+            with pytest.raises(DimMismatch):
+                codec.encode_table(bundle, bad)
 
     def test_latent_count_must_match_stream(self):
         # an empty payload, one coding the base latent only, and one coding an

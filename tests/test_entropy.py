@@ -1,5 +1,6 @@
 """Entropy model and interleaved rANS coder tests."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -226,6 +227,34 @@ class TestRoundTrip:
         blob = entropy.encode_symbols(sym, model, sched)
         with pytest.raises(DecodeError):
             entropy.decode_symbols(blob[: len(blob) // 2], sym.size, model, sched)
+
+
+class TestStepChunks:
+    """The encoder gathers its tables one chunk of ``_CHUNK`` steps at a time,
+    last chunk first. Payloads whose step counts straddle a chunk edge keep
+    the bytes (sha256) that the whole-table gather gave, and decode back."""
+
+    PINNED = {
+        255: "86d16141876d8cbd6b12fee9eab9cd9e72225fe193be5ac7aa81f07f9566d0f0",
+        256: "580be1fc8df6cc162e977cb44b746a8740cf8700635af9cd826ae234e844acee",
+        257: "51fc6cb7896450ff3a1fcb007f9a2644323bc335d6960796bad9c9d2287f9c74",
+        513: "a26663cba5838851f7e7b057bfcaa1a6687fafd56b97fa037c20309bb695cb7f",
+    }
+
+    @pytest.mark.parametrize("n_steps", [255, 256, 257, 513])
+    def test_bytes_pinned_across_chunk_edges(self, n_steps):
+        assert entropy._CHUNK == 256
+        n = 3
+        rows = 2 * n_steps - 1  # 2 lanes per channel below 4096 rows: a partial last step
+        assert entropy.lane_grid(rows) == (2, n_steps)
+        rng = np.random.default_rng(n_steps)
+        model = entropy.GaussianEntropyModel(mu=0.3 * rng.normal(size=n), sigma=np.exp(0.5 * rng.normal(size=n)))
+        steps = np.array([0.5, 0.75, 1.0])
+        sym = np.floor(rng.normal(0.0, 2.0, size=(rows, n)) / steps + 0.5).astype(np.int64)
+        sym[0, 0], sym[rows // 2, 1], sym[-1, -1] = 5000, -7000, 6000  # escapes
+        blob = entropy.encode(sym, model, steps)
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED[n_steps]
+        assert np.array_equal(entropy.decode(rows, blob, model, steps), sym)
 
 
 def joined(latents):
