@@ -19,6 +19,13 @@ of one symbol table, which the coder codes in one loop, then synthesizes the
 block from those symbols (``_reconstruct_stream``) into its slice of the
 reconstruction. The decoder synthesizes the same blocks from the decoded
 symbols, so the encoder's reconstruction and the decoder's agree bit for bit.
+
+Reconstruction is not part of the bytes. The base layer is synthesized in
+float64 and the refinement in float32, whose rounding is orders of magnitude
+below the coding error, and the float32 residual is added into the float64
+table. A block that is not finite is refused in that shared loop: the
+encoder raises ``Overflow`` before it codes a payload, and the decoder
+raises ``DecodeError``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from . import base_layer, entropy, linalg, quantizer, refinement
 from .base_layer import KltModel
 from .entropy import GaussianEntropyModel
 from .entropy import decode_symbols, encode_symbols  # read by the benchmark's tracer; no codec path calls them
-from .errors import ConfigError, DataError, DecodeError, DimMismatch
+from .errors import ConfigError, DataError, DecodeError, DimMismatch, Overflow
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel
 
@@ -262,19 +269,27 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS)]
 
 
-def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray) -> None:
+def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray, refuse=DecodeError) -> None:
     """Write the stream's reconstruction from ``sym``, its columns of the
     file's symbol table, into ``out``, one block of ``_BLOCK_ROWS`` rows at a
     time: dequantize, base synthesis, the unfolded refinement, and their sum
-    straight into the block's rows."""
+    straight into the block's rows. The base layer runs in float64 and the
+    refinement in float32, from symbols dequantized straight to float32. A
+    block that is not finite raises ``refuse``, the caller's error; numpy
+    warns of nothing on the way, since the block is refused."""
     k = sm.base_sched.n
-    for rows in _row_blocks(out.shape[0]):
-        f_base = base_layer.synthesize_base(quantizer.dequantize(sym[rows, :k], sm.base_sched), sm.klt)
-        if sm.refine is None:
-            out[rows] = f_base
-        else:
-            y_hat = quantizer.dequantize(sym[rows, k:], sm.refine_sched)
-            np.add(f_base, refinement.unfold_synthesize(y_hat, sm.refine), out=out[rows])
+    if sm.refine is not None:
+        refine_steps = sm.refine_sched.steps.astype(np.float32)
+    with np.errstate(all="ignore"):
+        for rows in _row_blocks(out.shape[0]):
+            f_base = base_layer.synthesize_base(quantizer.dequantize(sym[rows, :k], sm.base_sched), sm.klt)
+            if sm.refine is None:
+                out[rows] = f_base
+            else:
+                y_hat = np.multiply(sym[rows, k:], refine_steps, dtype=np.float32)
+                np.add(f_base, refinement.unfold_synthesize(y_hat, sm.refine), out=out[rows])
+            if not np.isfinite(out[rows]).all():
+                raise refuse(f"stream {sm.config.name!r} decodes to non-finite values")
 
 
 def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarray]:
@@ -291,7 +306,7 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarra
     for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
         for rows in _row_blocks(x.shape[0]):
             _stream_symbols(sm, x[rows, cols], sym[rows, span])
-            _reconstruct_stream(sm, recon[rows, cols], sym[rows, span])
+            _reconstruct_stream(sm, recon[rows, cols], sym[rows, span], refuse=Overflow)
     return Payload(entropy.encode(sym, model, steps), x.shape[0]), recon
 
 
@@ -304,8 +319,5 @@ def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
     sym = entropy.decode(payload.rows, payload.data, model, steps)
     out = np.empty((payload.rows, bundle.dim))
     for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
-        rec = out[:, cols]
-        _reconstruct_stream(sm, rec, sym[:, span])
-        if not np.isfinite(rec).all():
-            raise DecodeError(f"stream {sm.config.name!r} decodes to non-finite values")
+        _reconstruct_stream(sm, out[:, cols], sym[:, span])
     return out

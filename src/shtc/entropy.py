@@ -26,8 +26,8 @@ loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
 by the exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of
 one bundle build their tables once and a changed model never reuses them.
 
-The encoder holds each symbol's table entry, word slot and emit flag (11
-bytes), but gathers the lanes' frequencies and cumulative counts for only
+The encoder holds each symbol's int32 table entry, word slot and emit flag
+(7 bytes), but gathers the lanes' frequencies and cumulative counts for only
 ``_CHUNK`` steps at a time, from the last chunk to the first, so those per-step
 tables never span the whole file.
 """
@@ -219,21 +219,22 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
     rows = sym.shape[0]
     if rows == 0:
         return b""
+    if sym.min() < -_ESCAPE_BIAS or sym.max() >= _ESCAPE_BIAS:
+        raise Overflow("symbol exceeds 32-bit signed range")
     tables = _coder_state(model, steps)
     width, n_steps = lane_grid(rows)
     # each symbol's table entry; rows past the symbols', in a partial last
     # step, take the pad entry
-    entry = np.full((n_steps * width, model.n), tables.freq.size - 1, dtype=np.int64)
+    entry = np.full((n_steps * width, model.n), tables.freq.size - 1, dtype=np.int32)
     e = entry[:rows]
-    # a symbol's index in its channel's table; below lo it wraps to above
-    # 2^63, so both out-of-table sides clip to the escape entry at size
+    # a symbol's index in its channel's table, wrapped to 32 bits: above the
+    # table it is below 2^31 + 4096, below it negative, so as a u32 both
+    # out-of-table sides are at least 2^31 and clip to the escape entry at size
     np.subtract(sym, tables.lo, out=e)
-    index, size = e.view(np.uint64), tables.size.view(np.uint64)
+    index, size = e.view(np.uint32), tables.size.astype(np.uint32)
     np.minimum(index, size, out=index)
     raw = sym[index == size]  # row-major, so in symbol order
-    e += tables.start
-    if np.any((raw < -_ESCAPE_BIAS) | (raw >= _ESCAPE_BIAS)):
-        raise Overflow("escaped symbol exceeds 32-bit signed range")
+    e += tables.start.astype(np.int32)
     # symbol k goes to lane k % lanes at step k // lanes
     entry = entry.reshape(n_steps, -1)
     words = np.empty(entry.shape, dtype=np.uint16)
@@ -245,9 +246,12 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
     # first, each gathering only its own steps' freq and cum
     for c in reversed(range(0, n_steps, _CHUNK)):
         chunk = slice(c, c + _CHUNK)
-        freq, cum = tables.freq[entry[chunk]], tables.cum[entry[chunk]]
+        # one cast of the chunk's entries to intp, which a gather by int32
+        # would make once per table; limit then takes over its buffer
+        at = entry[chunk].astype(np.intp)
+        freq, cum = tables.freq[at], tables.cum[at]
         # a state at or above this emits its low word before coding the symbol
-        limit = freq << (_STATE_BITS - _FREQ_BITS + _WORD_BITS)
+        limit = np.left_shift(freq, _STATE_BITS - _FREQ_BITS + _WORD_BITS, out=at.view(np.uint64))
         gap = _TOTAL - freq
         chunk_words, chunk_emitted = words[chunk], emitted[chunk]
         for t in range(freq.shape[0] - 1, -1, -1):
@@ -259,7 +263,8 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
             q *= gap[t]
             x += q
             x += cum[t]
-    del entry  # before the payload's copies of the words are made
+        del freq, cum, limit, gap  # before the next chunk's are made
+    del entry, e  # before the payload's copies of the words are made
     return (
         x.astype("<u4").tobytes()
         + words[emitted].astype("<u2").tobytes()

@@ -30,7 +30,8 @@ class StepTooLarge(CodecError):
 
 
 class Overflow(CodecError):
-    """Quantized symbol exceeds the 32-bit signed range."""
+    """A quantized symbol exceeds the 32-bit signed range, or a table's
+    reconstruction is not finite."""
 
 
 class BadStep(CodecError):

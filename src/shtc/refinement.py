@@ -15,6 +15,11 @@ from beta = 0 (one matmul), and the soft threshold is computed as
 That difference is nonzero exactly outside the dead zone |pre| <= tau, with
 the sign of pre, so a layer's output code is also its dead-zone mask and
 sign: the trainer's backward reads them there, not from ``pre``.
+
+The layers compute in the precision of their input. The codec passes float32
+measurements, so a table's refinement is synthesized in float32, at about
+half the cost of float64. The trainer passes float64, so the trained bytes do
+not depend on the codec's precision.
 """
 
 from __future__ import annotations
@@ -145,20 +150,32 @@ def ista_solve(
     return beta
 
 
+def _working(y) -> np.ndarray:
+    """``y`` as an array of the unfolded layers' working precision: float32
+    stays float32, and any other input becomes float64."""
+    y = np.asarray(y)
+    return y if y.dtype == np.float32 else y.astype(np.float64, copy=False)
+
+
 def unfold_synthesize(y: np.ndarray, model: RefinementModel) -> np.ndarray:
     """Decode measurements through the unfolded layers; returns D beta.
 
-    Accepts (n_meas,) vectors or (N, n_meas) tables. beta starts at zero, so
-    zero measurements decode to an exactly zero residual.
+    Accepts (n_meas,) vectors or (N, n_meas) tables, and computes in their
+    precision (``_working``). beta starts at zero, so zero measurements
+    decode to an exactly zero residual.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _working(y)
     if y.shape[-1] != model.n_meas:
         raise DimMismatch(f"expected last dim {model.n_meas}, got {y.shape[-1]}")
-    return unfold_code(y, model) @ model.dictionary.T
+    return unfold_code(y, model) @ model.dictionary.T.astype(y.dtype, copy=False)
 
 
 def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = None) -> np.ndarray:
     """The unfolded layers without checks; returns the final code beta.
+
+    Runs in the precision of ``y`` (``_working``): G, its transpose, the
+    steps and the thresholds are cast to it once per call, so no float64
+    operand promotes a float32 layer.
 
     Every layer runs on all rows of ``y`` at once: callers that want bounded
     working memory pass a block of rows (the codec's ``_reconstruct_stream``
@@ -169,20 +186,24 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
     the last layer); ``pre`` is kept for inspection. The trainer's loss runs
     this same loop, so training and decoding share one forward definition.
     """
-    g = model.measure @ model.dictionary
+    y = _working(y)
+    dt = y.dtype
+    g = (model.measure @ model.dictionary).astype(dt, copy=False)
     # A contiguous G^T: BLAS multiplies it faster than the transposed view,
     # as it does for analyze_refine, base_layer.synthesize_base and the
     # trainer's backward. The two give the same bits only at the shapes
     # checked: with OpenBLAS, (n x 50) @ (50 x 15) agrees for n from 81 to
-    # 2099 and at 20000, but rounds differently at 80 rows or fewer, which
-    # includes a short last block of the codec's synthesis.
+    # 2199 and at 4096 and 20000, in float64 and float32 alike, but rounds
+    # differently at 80 rows or fewer, which includes a short last block of
+    # the codec's synthesis.
     g_t = np.ascontiguousarray(g.T)
-    etas, taus = model.steps(), model.thresholds()
+    etas = model.steps().astype(dt, copy=False)
+    taus = model.thresholds().astype(dt, copy=False)
     y2 = y.reshape(-1, model.n_meas)
     shape = (y2.shape[0], model.n_atoms)
     # the first layer writes all of beta; with no layer, beta stays zero
-    beta = np.empty(shape) if model.n_layers else np.zeros(shape)
-    resid, pre, clip = np.empty_like(y2), np.empty(shape), np.empty(shape)
+    beta = np.empty(shape, dt) if model.n_layers else np.zeros(shape, dt)
+    resid, pre, clip = np.empty_like(y2), np.empty(shape, dt), np.empty(shape, dt)
     for k in range(model.n_layers):
         if k == 0:  # beta = 0: pre = -eta * (-y @ G) = eta * (y @ G)
             np.matmul(y2, g, out=pre)
@@ -193,12 +214,12 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
             np.matmul(resid, g, out=pre)
             pre *= etas[k]
             np.subtract(beta, pre, out=pre)
-        nxt = beta if record is None else np.empty(shape)
+        nxt = beta if record is None else np.empty(shape, dt)
         np.minimum(np.maximum(pre, -taus[k], out=clip), taus[k], out=clip)
         np.subtract(pre, clip, out=nxt)
         if record is not None:  # a recorded layer keeps its arrays; the next gets new ones
-            record.append((beta, resid, pre) if k else (np.zeros(shape), -y2, pre))
-            resid, pre = np.empty_like(y2), np.empty(shape)
+            record.append((beta, resid, pre) if k else (np.zeros(shape, dt), -y2, pre))
+            resid, pre = np.empty_like(y2), np.empty(shape, dt)
         beta = nxt
     return beta.reshape(y.shape[:-1] + (model.n_atoms,))
 

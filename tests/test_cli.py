@@ -323,6 +323,29 @@ class TestFitEncodeDecodeEval:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "decoded.csv").exists()
 
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_overflowing_synthesis_is_data_error(self, tmp_path, capsys, command):
+        # a refinement step of exp(800) makes every reconstruction non-finite:
+        # the encoder writes no file for it, and the decoder refuses a file of it
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle
+        from .test_codec import overflowing
+
+        bundle, x = fitted_bundle(2)
+        forged = overflowing(bundle, 800.0)
+        if command == "encode":
+            table = tmp_path / "table.csv"
+            cli.save_table(table, x)
+            bitstream.write(forged, None, tmp_path / "bundle.shtc")
+            argv = ["encode", str(table), str(tmp_path / "bundle.shtc")]
+        else:
+            bitstream.write(forged, codec.encode_table(bundle, x)[0], tmp_path / "forged.shtc")
+            argv = ["decode", str(tmp_path / "forged.shtc")]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+        assert "decodes to non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "encoded.shtc").exists() and not (tmp_path / "decoded.csv").exists()
+
     @pytest.mark.parametrize("fields", [{"kind": 9}, {"rank": 0}, {"dim": 5}], ids=["kind", "rank", "dim"])
     def test_hostile_dims_block_is_data_error(self, tmp_path, capsys, fields):
         from shtc import bitstream, codec

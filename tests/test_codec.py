@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from shtc import bitstream, codec, entropy, quantizer, refinement, trainer
+from shtc import base_layer, bench, bitstream, codec, entropy, quantizer, refinement, trainer
 from shtc.codec import StreamConfig, default_configs
-from shtc.errors import ConfigError, DataError, DecodeError, DimMismatch
+from shtc.errors import CodecError, ConfigError, DataError, DecodeError, DimMismatch
 
 
 def source(seed=0, n=300, d=8):
@@ -199,11 +200,12 @@ class TestEncodeDecode:
     def test_encoder_memory_grows_only_with_its_outputs(self):
         """Between 2048 and 16384 rows at dim 50, the tracemalloc peak of
         ``encode_table`` grows by at most its outputs' growth (the float64
-        reconstruction and the int64 symbol table) plus 16 bytes per symbol
-        added: the coder's int64 entry table (8), its u16 words (2) and bool
+        reconstruction and the int64 symbol table) plus 11 bytes per symbol
+        added: the coder's int32 entry table (4), its u16 words (2) and bool
         emit flags (1), and the u64 freq, cum, limit and gap of one chunk of
         ``entropy._CHUNK`` = 256 steps, which at 8192 rows or more is at most
-        an eighth of the steps (32 / 8 = 4). The analysis and synthesis run
+        an eighth of the steps (32 / 8 = 4). The bool escape mask (1) is
+        freed before the chunks are gathered. The analysis and synthesis run
         in blocks of rows, so they add nothing that grows with the table."""
         rng = np.random.default_rng(13)
         x = rng.normal(size=(16384, 50)) @ rng.normal(size=(50, 50)) * 0.2
@@ -221,7 +223,7 @@ class TestEncodeDecode:
                 tracemalloc.stop()
         added = 16384 - 2048
         outputs = 8 * added * (50 + channels)
-        assert peaks[16384] - peaks[2048] <= outputs + 16 * added * channels, peaks
+        assert peaks[16384] - peaks[2048] <= outputs + 11 * added * channels, peaks
 
     def test_two_stream_layout(self):
         # one latent of the channels of feat's base, feat's refinement and
@@ -456,3 +458,88 @@ class TestCoderCache:
             codec.decode_table(bundle, good2)
         sigma[:] = kept
         assert np.array_equal(codec.decode_table(bundle, good2), recon2)
+
+
+def overflowing(bundle, step_raw):
+    """A copy of ``bundle`` whose first refinement layer steps by exp(step_raw)."""
+    forged = bitstream.deserialize(bitstream.serialize(bundle)[0])[0]
+    forged.streams[0].refine.step_raw[0] = step_raw
+    return forged
+
+
+# exp overflows binary64 above 709.8 and binary32 above 88.7: at 100 the
+# steps are finite in float64 but not in the float32 synthesis
+OVERFLOW_STEPS = [800.0, 100.0]
+
+
+class TestNonFiniteReconstruction:
+    """A model whose synthesis overflows is refused in the one block loop
+    that both directions run: the encoder before any payload exists, the
+    decoder when it reads the file. numpy warns of nothing on the way."""
+
+    def setup_method(self):
+        configs = default_configs(8, rank=3, n_meas=3, n_layers=2)
+        self.x = source(3)
+        self.bundle = bitstream.finalize_bundle(codec.fit_bundle(self.x, configs, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("step_raw", OVERFLOW_STEPS)
+    def test_encoder_refuses(self, step_raw, monkeypatch):
+        forged = overflowing(self.bundle, step_raw)
+        coded = []
+        monkeypatch.setattr(entropy, "encode", lambda *args: coded.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError, match="stream 'feat' decodes to non-finite values") as info:
+                codec.encode_table(forged, self.x)
+        assert not isinstance(info.value, DecodeError) and not coded  # no payload was coded
+
+    @pytest.mark.parametrize("step_raw", OVERFLOW_STEPS)
+    def test_decoder_refuses(self, step_raw):
+        payload, _ = codec.encode_table(self.bundle, self.x)
+        data = bitstream.serialize(overflowing(self.bundle, step_raw), payload)[0]
+        bundle, payload = bitstream.deserialize(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecodeError, match="stream 'feat' decodes to non-finite values"):
+                codec.decode_table(bundle, payload)
+
+
+class TestFloat32Synthesis:
+    """The refinement is synthesized in float32 from symbols dequantized to
+    float32, and added into the float64 table; the base layer stays float64.
+    Reconstruction is not part of the bytes, which do not change."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        x = bench.synth_source(bench.SyntheticSpec(seed=1))  # fit-std's seed-1 table
+        config = trainer.TrainConfig(lam=0.004, iters=300, seed=0)
+        return trainer.train(x, default_configs(x.shape[1]), config)[0], x
+
+    def test_synthesis_runs_in_float32(self, trained, monkeypatch):
+        bundle, x = trained
+        seen = []
+        real_synthesize = refinement.unfold_synthesize
+
+        def spy(y, model):
+            out = real_synthesize(y, model)
+            seen.append((y.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(refinement, "unfold_synthesize", spy)
+        payload, recon = codec.encode_table(bundle, x)
+        assert recon.dtype == codec.decode_table(bundle, payload).dtype == np.float64
+        assert seen == [(np.float32, np.float32)] * (2 * len(codec._row_blocks(x.shape[0])))
+
+    def test_close_to_float64_synthesis(self, trained):
+        bundle, x = trained
+        payload, recon = codec.encode_table(bundle, x)
+        sm = bundle.streams[0]
+        model, steps, _ = codec._file_model(bundle)
+        sym = entropy.decode(x.shape[0], payload.data, model, steps)
+        k = sm.base_sched.n
+        f_base = base_layer.synthesize_base(quantizer.dequantize(sym[:, :k], sm.base_sched), sm.klt)
+        y_hat = quantizer.dequantize(sym[:, k:], sm.refine_sched)
+        assert y_hat.dtype == np.float64 and np.any(y_hat)
+        want = f_base + refinement.unfold_synthesize(y_hat, sm.refine)
+        assert np.abs(recon - want).max() <= 1e-5 * (x.max() - x.min())
+        assert abs(bench.distortion_db(x, recon) - bench.distortion_db(x, want)) <= 1e-6

@@ -1,5 +1,7 @@
 """Refinement layer tests: ISTA oracle, unfolding equivalence, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,11 +182,12 @@ class TestUnfold:
 
 def reference_unfold(y, model):
     """The unfolded layers from their definition, one whole-input layer at a
-    time: beta_0 = 0, pre_k = beta_k - eta_k G^T (G beta_k - y), beta_k+1 =
-    soft(pre_k, tau_k). Returns the code and each layer's (beta, resid, pre)."""
-    g = model.measure @ model.dictionary
-    etas, taus = model.steps(), model.thresholds()
-    beta = np.zeros(y.shape[:-1] + (model.n_atoms,))
+    time, in the precision of ``y``: beta_0 = 0, pre_k = beta_k - eta_k G^T
+    (G beta_k - y), beta_k+1 = soft(pre_k, tau_k). Returns the code and each
+    layer's (beta, resid, pre)."""
+    g = (model.measure @ model.dictionary).astype(y.dtype)
+    etas, taus = model.steps().astype(y.dtype), model.thresholds().astype(y.dtype)
+    beta = np.zeros(y.shape[:-1] + (model.n_atoms,), y.dtype)
     layers = []
     for k in range(model.n_layers):
         resid = beta @ g.T - y
@@ -199,16 +202,27 @@ _B = codec._BLOCK_ROWS
 BLOCK_CASES = [None, 1, _B - 1, _B, _B + 1, 2 * _B + 1]
 
 
+def blocked_model():
+    """A 12-dim, 5-measurement, 4-layer model with per-channel steps and
+    thresholds, whose layers have live and dead-zone entries."""
+    rng = np.random.default_rng(11)
+    model = refinement.init_refinement(12, 5, 12, 4, rng, step_init=0.6, thresh_init=0.3)
+    model.step_raw += 0.1 * rng.normal(size=model.step_raw.shape)
+    model.thresh_raw += 0.1 * rng.normal(size=model.thresh_raw.shape)
+    return model
+
+
+def block_measurements(rows):
+    rng = np.random.default_rng(rows or 0)
+    return rng.normal(size=(5,) if rows is None else (rows, 5))
+
+
 class TestBlockedLoop:
     def setup_method(self):
-        rng = np.random.default_rng(11)
-        self.model = refinement.init_refinement(12, 5, 12, 4, rng, step_init=0.6, thresh_init=0.3)
-        self.model.step_raw += 0.1 * rng.normal(size=self.model.step_raw.shape)
-        self.model.thresh_raw += 0.1 * rng.normal(size=self.model.thresh_raw.shape)
+        self.model = blocked_model()
 
     def measurements(self, rows):
-        rng = np.random.default_rng(rows or 0)
-        return rng.normal(size=(5,) if rows is None else (rows, 5))
+        return block_measurements(rows)
 
     @pytest.mark.parametrize("rows", BLOCK_CASES)
     def test_synthesis_matches_reference_loop(self, rows):
@@ -234,6 +248,54 @@ class TestBlockedLoop:
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+class TestWorkingPrecision:
+    """The unfolded layers compute in the precision of their input: float32
+    measurements (the codec's synthesis) stay float32 through every layer,
+    and any other input runs in float64."""
+
+    # sha256 of the float64 output on blocked_model(), taken when the layers
+    # ran in float64 only
+    PINNED_F64 = {
+        None: "0efa9b0da8317c46b2ff24ab4be33677c6a9a949a955fdd732e542ff5faa0a44",
+        1: "70606f4194d097480101e6653008c8306ba7aa6f82c442bdb8c7beb90564cbdd",
+        _B - 1: "ca8d95397683b3f9a4d27dd4654c0c48afd95a4bb1afa3d1466a681f942a0bd9",
+        _B: "f6591b1b58101395ebbab64cddc360c3f4cbb8727deb6b93dda39191c040d84c",
+        _B + 1: "3a9ffdd7f23857785c1b4e64f5369022a602a65c4ba4a9c4d720adf364bf9bbb",
+        2 * _B + 1: "d9461505997bbd0c7ee84ce73d9adf0ec69c7d9d8ae46f446769250494c1eb5d",
+    }
+
+    @pytest.mark.parametrize("rows", BLOCK_CASES)
+    def test_float64_values_unchanged(self, rows):
+        got = refinement.unfold_synthesize(block_measurements(rows), blocked_model())
+        assert got.dtype == np.float64
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_F64[rows]
+
+    @pytest.mark.parametrize("rows", BLOCK_CASES)
+    def test_float32_stays_float32(self, rows):
+        # no float64 parameter or scalar promotes a layer's arrays (NEP 50)
+        model = blocked_model()
+        y = block_measurements(rows).astype(np.float32)
+        got = refinement.unfold_synthesize(y, model)
+        assert got.dtype == np.float32 and got.shape == y.shape[:-1] + (12,)
+        layers = []
+        beta = refinement.unfold_code(y, model, record=layers)
+        assert [a.dtype for layer in layers for a in layer] == [np.float32] * (3 * model.n_layers)
+        # bit for bit the definition with float32 operands: a step or
+        # threshold left in float64 rounds a layer through float64 and shows
+        # here (at these shapes OpenBLAS multiplies G^T's view and copy alike)
+        assert np.array_equal(beta, reference_unfold(y, model)[0])
+        want = refinement.unfold_synthesize(y.astype(np.float64), model)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_other_input_runs_in_float64(self, dtype):
+        model = blocked_model()
+        y = (4 * block_measurements(9)).astype(dtype)
+        got = refinement.unfold_synthesize(y, model)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, refinement.unfold_synthesize(y.astype(np.float64), model))
 
 
 class TestParamCount:
