@@ -1,4 +1,10 @@
-"""Base-layer transform: fitted KLT with top-M coefficient truncation."""
+"""Base-layer transform: fitted KLT with top-M coefficient truncation.
+
+The model is float64, as fitted. ``analyze_base`` and ``synthesize_base``
+compute in the precision of their input (``linalg.working``): the mean and
+basis are cast to it once per call. The codec passes float64; the trainer
+passes float32 batches.
+"""
 
 from __future__ import annotations
 
@@ -43,19 +49,22 @@ def fit_klt(x: np.ndarray, rank: int) -> KltModel:
 def analyze_base(f: np.ndarray, model: KltModel) -> np.ndarray:
     """Project onto the retained basis: V^T (f - m).
 
-    Accepts a single vector (D,) or a table (N, D).
+    Accepts a single vector (D,) or a table (N, D), and computes in its
+    precision (``linalg.working``).
     """
-    f = np.asarray(f, dtype=np.float64)
+    f = linalg.working(f)
     if f.shape[-1] != model.dim:
         raise DimMismatch(f"expected last dim {model.dim}, got {f.shape[-1]}")
-    return (f - model.mean) @ model.basis
+    return (f - model.mean.astype(f.dtype, copy=False)) @ model.basis.astype(f.dtype, copy=False)
 
 
 def synthesize_base(theta_p: np.ndarray, model: KltModel) -> np.ndarray:
-    """Reconstruct from retained coefficients: V theta + m."""
-    theta_p = np.asarray(theta_p, dtype=np.float64)
+    """Reconstruct from retained coefficients: V theta + m, in the precision
+    of ``theta_p`` (``linalg.working``)."""
+    theta_p = linalg.working(theta_p)
+    dt = theta_p.dtype
     if theta_p.shape[-1] != model.rank:
         raise DimMismatch(f"expected last dim {model.rank}, got {theta_p.shape[-1]}")
     # contiguous for speed, as refinement.unfold_code's g_t
-    return theta_p @ np.ascontiguousarray(model.basis.T) + model.mean
+    return theta_p @ np.ascontiguousarray(model.basis.T, dtype=dt) + model.mean.astype(dt, copy=False)
 

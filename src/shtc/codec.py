@@ -49,6 +49,8 @@ _STORED_BASIS = ("klt-trunc", "shtc-full")
 
 _U16 = 1 << 16  # a file's dims store dim, rank, n_meas, n_atoms and n_layers as u16
 
+_F32_MAX = float(np.finfo(np.float32).max)  # largest table entry a bundle can be fitted to
+
 _BLOCK_ROWS = 1024  # rows per analysis and synthesis block; not part of the format
 
 
@@ -216,10 +218,14 @@ def fit_stream(xs: np.ndarray, cfg: StreamConfig, rng: np.random.Generator) -> S
 
 def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Generator) -> CodecBundle:
     """The initial bundle of ``configs`` over ``x``. Stream names must differ:
-    the trainer keys each stream's parameters by its name."""
+    the trainer keys each stream's parameters by its name. Every entry must
+    be finite and within binary32's range: the trainer computes in float32,
+    and the file stores each stream's mean in binary32."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise DataError("table has non-finite entries")
+    if np.abs(x).max(initial=0.0) > _F32_MAX:
+        raise DataError(f"table has entries beyond binary32's range (magnitude above {_F32_MAX:.7g})")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"stream names must differ, got {names}")

@@ -1,7 +1,9 @@
 """Dense matrix/vector kernels and statistical report helpers.
 
 Everything here is pure: float64 in, float64 out, no hidden state. Matrices
-are plain ``np.ndarray`` (2-D, row-major), vectors are 1-D arrays.
+are plain ``np.ndarray`` (2-D, row-major), vectors are 1-D arrays. The one
+exception is ``working``, the precision rule of the transforms that follow
+their input's precision.
 """
 
 from __future__ import annotations
@@ -9,6 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllZero, BadSize, InsufficientData, NotSymmetric
+
+
+def working(a) -> np.ndarray:
+    """``a`` as an array of a transform's working precision: float32 stays
+    float32, and any other input becomes float64. The base and refinement
+    transforms cast their weights to it once per call."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 def covariance(x: np.ndarray) -> np.ndarray:

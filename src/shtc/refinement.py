@@ -16,18 +16,23 @@ That difference is nonzero exactly outside the dead zone |pre| <= tau, with
 the sign of pre, so a layer's output code is also its dead-zone mask and
 sign: the trainer's backward reads them there, not from ``pre``.
 
-The layers compute in the precision of their input. The codec passes float32
-measurements, so a table's refinement is synthesized in float32, at about
-half the cost of float64. The trainer passes float64, so the trained bytes do
-not depend on the codec's precision.
+The analysis and the layers compute in the precision of their input
+(``linalg.working``): each call casts the weights it reads to it once. The
+codec analyses in float64 and passes the layers float32 measurements, so a
+table's refinement is synthesized in float32, at about half the cost of
+float64. The trainer passes float32 residuals and float32 copies of its
+float64 master weights, so training runs these same layers in float32 (see
+``trainer``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import BadThreshold, DimMismatch, StepTooLarge
 
 
@@ -92,8 +97,12 @@ def init_refinement(
         d = np.eye(dim) + 0.01 * rng.normal(size=(dim, n_atoms))
     else:
         d = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, n_atoms))
-    # softplus(b) = thresh_init  =>  b = log(expm1(thresh_init))
-    b0 = float(np.log(np.expm1(thresh_init)))
+    # softplus(b) = thresh_init  =>  b = log(expm1(thresh_init)), which is
+    # thresh_init + log(-expm1(-thresh_init)) where expm1 overflows (above ~709.8)
+    with np.errstate(over="ignore"):
+        b0 = float(np.log(np.expm1(thresh_init)))
+    if math.isinf(b0):
+        b0 = thresh_init + math.log(-math.expm1(-thresh_init))
     return RefinementModel(
         measure=a,
         dictionary=d,
@@ -103,11 +112,12 @@ def init_refinement(
 
 
 def analyze_refine(r: np.ndarray, model: RefinementModel) -> np.ndarray:
-    """Linear measurements y = A r. Accepts (D,) vectors or (N, D) tables."""
-    r = np.asarray(r, dtype=np.float64)
+    """Linear measurements y = A r. Accepts (D,) vectors or (N, D) tables,
+    and computes in their precision (``linalg.working``)."""
+    r = linalg.working(r)
     if r.shape[-1] != model.dim:
         raise DimMismatch(f"expected last dim {model.dim}, got {r.shape[-1]}")
-    return r @ np.ascontiguousarray(model.measure.T)  # see unfold_code's g_t
+    return r @ np.ascontiguousarray(model.measure.T, dtype=r.dtype)  # see unfold_code's g_t
 
 
 def soft_threshold(z: np.ndarray, tau) -> np.ndarray:
@@ -150,21 +160,14 @@ def ista_solve(
     return beta
 
 
-def _working(y) -> np.ndarray:
-    """``y`` as an array of the unfolded layers' working precision: float32
-    stays float32, and any other input becomes float64."""
-    y = np.asarray(y)
-    return y if y.dtype == np.float32 else y.astype(np.float64, copy=False)
-
-
 def unfold_synthesize(y: np.ndarray, model: RefinementModel) -> np.ndarray:
     """Decode measurements through the unfolded layers; returns D beta.
 
     Accepts (n_meas,) vectors or (N, n_meas) tables, and computes in their
-    precision (``_working``). beta starts at zero, so zero measurements
+    precision (``linalg.working``). beta starts at zero, so zero measurements
     decode to an exactly zero residual.
     """
-    y = _working(y)
+    y = linalg.working(y)
     if y.shape[-1] != model.n_meas:
         raise DimMismatch(f"expected last dim {model.n_meas}, got {y.shape[-1]}")
     return unfold_code(y, model) @ model.dictionary.T.astype(y.dtype, copy=False)
@@ -173,7 +176,7 @@ def unfold_synthesize(y: np.ndarray, model: RefinementModel) -> np.ndarray:
 def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = None) -> np.ndarray:
     """The unfolded layers without checks; returns the final code beta.
 
-    Runs in the precision of ``y`` (``_working``): G, its transpose, the
+    Runs in the precision of ``y`` (``linalg.working``): G, its transpose, the
     steps and the thresholds are cast to it once per call, so no float64
     operand promotes a float32 layer.
 
@@ -186,7 +189,7 @@ def unfold_code(y: np.ndarray, model: RefinementModel, record: list | None = Non
     the last layer); ``pre`` is kept for inspection. The trainer's loss runs
     this same loop, so training and decoding share one forward definition.
     """
-    y = _working(y)
+    y = linalg.working(y)
     dt = y.dtype
     g = (model.measure @ model.dictionary).astype(dt, copy=False)
     # A contiguous G^T: BLAS multiplies it faster than the transposed view,

@@ -84,6 +84,25 @@ class TestAnalyzeSynthesize:
         with pytest.raises(DimMismatch):
             base_layer.synthesize_base(np.zeros(3), model)
 
+    def test_float32_stays_float32(self, correlated_table):
+        # the float64 model is cast to the input's precision, so a float32
+        # table (a training batch) is analysed and synthesized in float32
+        model = base_layer.fit_klt(correlated_table, 4)
+        f = correlated_table[:300]
+        theta = base_layer.analyze_base(f.astype(np.float32), model)
+        back = base_layer.synthesize_base(theta, model)
+        assert theta.dtype == back.dtype == np.float32
+        scale = np.abs(f).max()
+        np.testing.assert_allclose(theta, base_layer.analyze_base(f, model), rtol=0.0, atol=1e-5 * scale)
+        np.testing.assert_allclose(back, base_layer.synthesize_base(theta.astype(np.float64), model),
+                                   rtol=0.0, atol=1e-5 * scale)
+
+    def test_other_input_runs_in_float64(self, correlated_table):
+        model = base_layer.fit_klt(correlated_table, 4)
+        f = np.rint(correlated_table[:10]).astype(np.int64)
+        assert np.array_equal(base_layer.analyze_base(f, model), base_layer.analyze_base(f.astype(np.float64), model))
+        assert base_layer.synthesize_base(np.zeros((2, 4), np.float16), model).dtype == np.float64
+
 
 class TestResidual:
     """The truncation residual, as ``codec.split_base`` defines it for the

@@ -81,6 +81,16 @@ class TestTableIo:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_table_beyond_binary32_exits_3(self, tmp_path, capsys):
+        x = np.random.default_rng(0).normal(size=(200, 8))
+        x[17, 3] = 1e39
+        path = tmp_path / "t.csv"
+        cli.save_table(str(path), x)
+        code = cli.main(["fit", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "binary32" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.shtc").exists()
+
     def test_missing_sidecar(self, tmp_path):
         from shtc.errors import DataError
 

@@ -87,6 +87,19 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="names must differ"):
             trainer.train(source(1, d=12), configs, trainer.TrainConfig(iters=2, batch=16))
 
+    @pytest.mark.parametrize("big", [1e39, -1e39, 1e300])
+    def test_table_beyond_binary32_rejected(self, big):
+        # the trainer computes in float32: an entry it cannot hold is a data
+        # error up front, not a failed fit
+        x = source(1)
+        x[5, 2] = big
+        with pytest.raises(DataError, match="binary32"):
+            codec.fit_bundle(x, default_configs(8), np.random.default_rng(1))
+        with pytest.raises(DataError, match="binary32"):
+            trainer.train(x, default_configs(8), trainer.TrainConfig(iters=2, batch=16))
+        x[5, 2] = -float(np.finfo(np.float32).max)  # the largest magnitude it holds
+        codec.fit_bundle(x, default_configs(8), np.random.default_rng(1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_table_rejected(self, bad):
         # fit_bundle and the trainer that calls it reject the table before

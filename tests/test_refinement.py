@@ -298,6 +298,24 @@ class TestWorkingPrecision:
         assert np.array_equal(got, refinement.unfold_synthesize(y.astype(np.float64), model))
 
 
+class TestInitialThreshold:
+    """``init_refinement`` inverts the softplus for any finite threshold."""
+
+    @pytest.mark.parametrize("tau", [0.05, 5.0, 700.0])
+    def test_where_expm1_is_finite_the_plain_inverse(self, tau):
+        model = refinement.init_refinement(4, 2, 4, 3, np.random.default_rng(0), thresh_init=tau)
+        assert np.all(model.thresh_raw == np.log(np.expm1(tau)))
+
+    @pytest.mark.parametrize("tau", [709.78, 710.0, 1e4, 1e30, 1e300])
+    def test_large_thresholds_stay_finite(self, tau):
+        # expm1 overflows above ~709.78; the truncation residual of a table
+        # with a spread above ~1420 asks for such a threshold
+        with np.errstate(all="raise"):
+            model = refinement.init_refinement(4, 2, 4, 3, np.random.default_rng(0), thresh_init=tau)
+        assert np.all(np.isfinite(model.thresh_raw))
+        np.testing.assert_allclose(model.thresholds(), tau, rtol=1e-15)
+
+
 class TestParamCount:
     def test_default_arithmetic(self):
         model = refinement.init_refinement(50, 15, 50, 6, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Trainer tests: loss identities, gradients vs finite differences, Adam."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,105 @@ class TestFullPipelineGradients:
         assert checked == 5
 
 
+def precision_case(name):
+    """(table, batch rows, bundle, config) of a precision check: the toy
+    two-stream bundle, or the default architecture at full 256-row batches."""
+    if name == "toy":
+        x = toy_table(5)
+        configs = codec.default_configs(8, rank=3, n_meas=3, n_layers=2, scaling_cols=2)
+        return x, 16, codec.fit_bundle(x, configs, np.random.default_rng(5)), TrainConfig(lam=0.01)
+    x = bench.synth_source(bench.SyntheticSpec(n_rows=600, seed=3))
+    bundle = codec.fit_bundle(x, codec.default_configs(50), np.random.default_rng(3))
+    return x, 256, bundle, TrainConfig(lam=0.004)
+
+
+class _Recording(np.ndarray):
+    """A gradient view that records the dtype of everything added into it."""
+
+    added: list = []
+
+    def __iadd__(self, other):
+        _Recording.added.append(np.asarray(other).dtype)
+        return super().__iadd__(other)
+
+
+class TestPrecision:
+    """``loss`` and ``backward`` compute in the precision of their batch;
+    the gradient they return is float64 either way."""
+
+    # (loss value, sha256 of the gradient) of a float64 batch, taken when
+    # the trainer ran in float64 only
+    PINNED_F64 = {
+        "toy": (0.31728050913375244, "d578f7583946089a4a060a2effe129235b8a54b00f297ccc8136af8efe041143"),
+        "default": (0.3871564123032754, "d065299b2089984c91f312c91927a6e63849db4c6489fa9db296ec8f6b92970a"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_F64))
+    def test_float64_batch_unchanged(self, case):
+        x, rows, bundle, tc = precision_case(case)
+        batch = x[:rows]
+        params = trainer.make_params(bundle)
+        fwd, _ = trainer.loss(batch, bundle, params, tc, np.random.default_rng(7))
+        grad = trainer.backward(fwd, params)
+        assert grad.dtype == np.float64
+        assert (fwd.value, hashlib.sha256(grad.tobytes()).hexdigest()) == self.PINNED_F64[case]
+
+    @pytest.mark.parametrize("case", list(PINNED_F64))
+    def test_float32_batch_stays_float32(self, case, monkeypatch):
+        # no float64 constant, index vector or draw promotes a float32 pass
+        # (NEP 50): every intermediate of the shared helpers and every piece
+        # added into the float64 gradient is float32
+        from shtc import entropy, refinement
+
+        x, rows, bundle, tc = precision_case(case)
+        batch = x[:rows]
+        params = trainer.make_params(bundle)
+        seen = []
+
+        def spy(module, name, arrays_of):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = orig(*args, **kwargs)
+                seen.extend((name, a.dtype) for a in arrays_of(args, kwargs, out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(entropy, "bin_bits", lambda args, kw, out: [*args[:1], *out])
+        spy(trainer, "_rate_grad", lambda args, kw, out: out)
+        spy(refinement, "unfold_code",
+            lambda args, kw, out: [args[0], out, *(a for layer in kw["record"] for a in layer)])
+        spy(trainer, "_unfold_grad", lambda args, kw, out: out)
+        fwd, _ = trainer.loss(batch.astype(np.float32), bundle, params, tc, np.random.default_rng(7))
+
+        plain_views = params.views
+        monkeypatch.setattr(params, "views", lambda flat: {
+            k: v.view(_Recording) for k, v in plain_views(flat).items()})
+        _Recording.added = []
+        grad = trainer.backward(fwd, params)
+
+        assert {name for name, _ in seen} == {"bin_bits", "_rate_grad", "unfold_code", "_unfold_grad"}
+        assert [(n, d) for n, d in seen if d != np.float32] == []
+        assert len(_Recording.added) >= len(params) and set(_Recording.added) == {np.dtype(np.float32)}
+        assert grad.dtype == np.float64
+
+    def test_float32_close_to_float64(self):
+        # the same params, batch and draws: float32 rounding moves the loss
+        # by under 1e-5 relative and the gradient by under 1e-2 of its norm
+        x, rows, bundle, tc = precision_case("default")
+        params = trainer.make_params(bundle)
+        for seed in range(5):
+            batch = x[np.random.default_rng(seed).integers(0, x.shape[0], rows)]
+            out = {}
+            for dt in (np.float64, np.float32):
+                fwd, _ = trainer.loss(batch.astype(dt), bundle, params, tc, np.random.default_rng(seed))
+                out[dt] = fwd.value, trainer.backward(fwd, params)
+            (v64, g64), (v32, g32) = out[np.float64], out[np.float32]
+            assert abs(v32 - v64) <= 1e-5 * abs(v64)
+            assert np.linalg.norm(g32 - g64) <= 1e-2 * np.linalg.norm(g64)
+
+
 class TestAdam:
     def test_bias_corrected_first_step(self):
         w = np.array([1.0])
@@ -262,6 +362,20 @@ class TestTrain:
         assert log[0]["lr"] == pytest.approx(0.01)
         assert log[0]["lr"] > log[1]["lr"] > log[2]["lr"] > 0.01 * trainer._LR_DECAY
 
+    @pytest.mark.parametrize("scale", [1e4, 1e30])
+    def test_large_valued_table_round_trips(self, scale):
+        # a residual spread above ~1420 once overflowed the initial threshold
+        # (expm1) into a non-finite model; float32 training holds up to 1e38
+        x = np.random.default_rng(0).normal(0.0, scale, size=(400, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle, _ = trainer.train(x, codec.default_configs(20), TrainConfig(iters=30))
+            payload, recon = codec.encode_table(bundle, x)
+            back_bundle, back_payload = bitstream.deserialize(bitstream.serialize(bundle, payload)[0])
+            assert np.array_equal(codec.decode_table(back_bundle, back_payload), recon)
+        assert bundle.streams[0].refine is not None
+        assert np.abs(x - recon).mean() < 0.5 * scale
+
     def test_full_rank_stream_has_no_refinement(self):
         # rank == dim leaves a zero truncation residual; a refinement layer
         # would only drive its latents under the probability floor (40 bits each)
@@ -278,9 +392,10 @@ class TestTrain:
 
 class TestTrainedBytes:
     """sha256 of a trained bundle's file and of its training log: a change to
-    the training path that moves any trained float shows here (re-pinned at
-    bitstream v6, where only the container changed: the v5 files, reframed,
-    are these bytes, and the logs did not move)."""
+    the training path that moves any trained float shows here. Re-pinned
+    when training moved to float32 batches: every log moved, and so did the
+    files of the two refinement cases; the klt-trunc and dct files kept
+    their bytes, since their learned schedules round to the same binary32."""
 
     # default_configs keywords -> (bundle file, log)
     CASES = {
@@ -291,20 +406,20 @@ class TestTrainedBytes:
     }
     PINNED = {
         "shtc-full": (
-            "de006f83efce8c349905d58caf7ec0c116d44c27024e1c3d5f0f0fdd5d49109c",
-            "d716485348c915f0aa950cc4cdb3dbaef3a2d6255408d575fd1ac5e2fd10c240",
+            "af2b52df14590a790d334a92d3348c6d8902c65e356603282d08936d84052047",
+            "dc5e2aac7a2d76a4457e6e713c65c847b098ff8daf1ccfa069ff7e463e033617",
         ),
         "scaling_cols=2": (
-            "3d5e2a0dc520ff24ed7f7f3afb31603eb4b8bd4e3ff4318a5c2248cab7203daa",
-            "28d68d1b1f44b129dd981e2a844ff8b02c44ea7ab3ea6ead2d5cbe521d5f623d",
+            "239c36ad91d38e1c59f0ab2abdfb7df521b3cb3d7b96b41efbf6520ff3db9b78",
+            "bd85dbee71f090e4dc726f0b381f2e9afff92cd3e465ba74056beac6b828b8aa",
         ),
         "klt-trunc": (
             "a98c88f77ea2a27ff844dfa6546501ce0ad4a5144ff26fa938004100caa5dc35",
-            "9bebdf436e2fc4cf1136fc98d8e5b0027ac1360c6ee9c925454a767cba980b3b",
+            "47c164534e50eaba44d23fa19e4dd23d66f3d2c5537e05ff3e07613a607e41d1",
         ),
         "dct": (
             "b786101b55822a9ae49bf987a3f68a3d101725a20a4af6ce592be54fe1404345",
-            "f8f2422a041a359475a2b428b3a92d76f2c4bc2517dfaa13ed04f2dccb109a0b",
+            "de2a92e94f249835a1bc929a380b0bd9940f91bd265023d1fb4d0f92c7c68279",
         ),
     }
 
@@ -328,8 +443,8 @@ class TestTrainedBytes:
         tc = TrainConfig(lam=0.004, iters=20, batch=256, seed=6, log_every=5)
         bundle, log = trainer.train(x, configs, tc)
         assert hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest() == (
-            "90afff21376235981140b1565bd0291b757667e6f9a558d27c2f17726fa8c160"
+            "23a9a694fec415961673cc857a7efdb502946cc2ec842d0cc41b9a1a46e06d58"
         )
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
-            "7b642f7c908fb4bf109f3aa511d41ef1e1f90b7d17918d2eda2a79f66b6a6631"
+            "27e9e4c35ce38a9d8f697f223803972427f72998dc3b583f0231e4ad9e6fead0"
         )
