@@ -18,7 +18,7 @@ import numpy as np
 from . import base_layer, linalg
 from .bitstream import serialize
 from .codec import TRANSFORMS, default_configs, encode_table
-from .errors import CodecError, ConfigError, NoOverlap
+from .errors import ConfigError, Diverged, NoOverlap, Overflow
 from .trainer import TrainConfig, train
 
 DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)
@@ -94,7 +94,6 @@ class RdPoint:
     bits: float
     distortion_db: float
     l1: float
-    rmse: float
     model_bytes: int
     payload_bytes: int
 
@@ -119,11 +118,23 @@ class RdCurve:
         return np.array([p.distortion_db for p in self.points])
 
 
-def distortion_db(x: np.ndarray, recon: np.ndarray) -> float:
-    """PSNR-like dB scale: -20 log10(rmse / value range of x)."""
-    rmse = float(np.sqrt(np.mean((x - recon) ** 2)))
+def distortion(x: np.ndarray, recon: np.ndarray) -> dict:
+    """The distortion of ``recon``: mean absolute error ``l1``, ``rmse``, and
+    ``distortion_db``, a PSNR-like dB scale: -20 log10(rmse / value range of x)."""
+    err = x - recon
+    l1 = float(np.abs(err, out=err).mean())  # in place: one table-sized array at a time
+    rmse = float(np.sqrt(np.mean(np.square(err, out=err))))
     rng_val = float(x.max() - x.min())
-    return -20.0 * np.log10(max(rmse, 1e-12) / max(rng_val, 1e-12))
+    return {
+        "l1": l1,
+        "rmse": rmse,
+        "distortion_db": -20.0 * np.log10(max(rmse, 1e-12) / max(rng_val, 1e-12)),
+    }
+
+
+def distortion_db(x: np.ndarray, recon: np.ndarray) -> float:
+    """The dB scale of ``distortion``."""
+    return distortion(x, recon)["distortion_db"]
 
 
 def rd_point(x: np.ndarray, transform: str, lam: float, seed: int = 0, **settings) -> RdPoint:
@@ -142,25 +153,19 @@ def rd_point(x: np.ndarray, transform: str, lam: float, seed: int = 0, **setting
     bundle, _ = train(x, configs, TrainConfig(lam=lam, seed=seed, **train_kw))
     payload, recon = encode_table(bundle, x)
     data, counts = serialize(bundle, payload)
-    return RdPoint(
-        lam=lam,
-        bits=len(data) * 8.0,
-        distortion_db=distortion_db(x, recon),
-        l1=float(np.abs(x - recon).mean()),
-        rmse=float(np.sqrt(np.mean((x - recon) ** 2))),
-        model_bytes=counts["model_bytes"],
-        payload_bytes=counts["payload_bytes"],
-    )
+    d = distortion(x, recon)
+    return RdPoint(lam=lam, bits=len(data) * 8.0, distortion_db=d["distortion_db"], l1=d["l1"], **counts)
 
 
 def baseline_rd(x: np.ndarray, transform: str, lambdas=DEFAULT_LAMBDAS, seed: int = 0, **settings) -> RdCurve:
     """One trained-and-encoded run per lambda, each with ``rd_point``'s
-    ``settings``; failed points skip with a warning."""
+    ``settings``. A point whose training diverges or whose symbols overflow
+    skips with a warning; any other error, a bad setting among them, raises."""
     points = []
     for lam in lambdas:
         try:
             points.append(rd_point(x, transform, lam, seed=seed, **settings))
-        except CodecError as exc:
+        except (Diverged, Overflow) as exc:
             warnings.warn(f"{transform} @ lambda={lam} failed: {exc}")
     curve = RdCurve(method=transform, points=points)
     _pareto_check(curve)

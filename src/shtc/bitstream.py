@@ -207,24 +207,23 @@ def read(path) -> tuple[CodecBundle, Payload]:
         return deserialize(fh.read())
 
 
-def mdl_report(path) -> dict:
-    """Model bytes per stream, payload bytes per file, and the container
-    overhead left over, from a written file. The overhead is a constant 16
-    bytes: the 12-byte header and the 4-byte CRC."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    bundle, payload = deserialize(data)
+def mdl_report(bundle: CodecBundle, payload: Payload) -> dict:
+    """The description-length split of the file ``serialize(bundle, payload)``
+    makes, from the parsed file alone: model bytes per stream, payload bytes,
+    and the container overhead, a constant 16 bytes."""
     per_stream = [
         {"stream": sm.config.name, "model_bytes": len(_dims_content(sm)) + len(_model_content(sm))}
         for sm in bundle.streams
     ]
     model_total = sum(s["model_bytes"] for s in per_stream)
+    overhead = _HEAD_SIZE + 4  # the header and the CRC
+    file_bytes = overhead + model_total + len(payload.data)
     return {
         "streams": per_stream,
         "model_bytes": model_total,
         "payload_bytes": len(payload.data),
-        "file_bytes": len(data),
-        "container_overhead": len(data) - model_total - len(payload.data),
+        "file_bytes": file_bytes,
+        "container_overhead": overhead,
         "rows": payload.rows,
-        "bits_per_row": (len(data) * 8.0 / payload.rows) if payload.rows else None,
+        "bits_per_row": (file_bytes * 8.0 / payload.rows) if payload.rows else None,
     }

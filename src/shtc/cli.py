@@ -50,21 +50,18 @@ _SPEC_KEYS = {
     "basis": str,
 }
 _RD_KEYS = {"iters": int, "batch": int, "n_meas": int, "n_layers": int}
-_BENCH_KEYS = {**_SPEC_KEYS, **_RD_KEYS, "seed": int, "methods": list, "lambdas": list}
 
 
-def _parse_value(raw: str, kind):
-    raw = raw.strip().strip('"').strip("'")
-    if kind is list:
-        items = [s.strip() for s in raw.strip("[]").split(",") if s.strip()]
-        out = []
-        for item in items:
-            try:
-                out.append(float(item))
-            except ValueError:
-                out.append(item)
-        return out
-    return kind(raw)
+def _list_of(kind):
+    """The parser of a ``[a, b]`` or ``a, b`` list of ``kind``."""
+
+    def parse(raw: str) -> list:
+        return [kind(item.strip()) for item in raw.strip("[]").split(",") if item.strip()]
+
+    return parse
+
+
+_BENCH_KEYS = {**_SPEC_KEYS, **_RD_KEYS, "seed": int, "methods": _list_of(str), "lambdas": _list_of(float)}
 
 
 def load_config(path, allowed: dict) -> dict:
@@ -87,7 +84,7 @@ def load_config(path, allowed: dict) -> dict:
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(raw, allowed[key])
+            values[key] = allowed[key](raw.strip('"').strip("'"))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -174,14 +171,12 @@ def cmd_fit(args) -> int:
     bundle_path = _out_path(args, "bundle.shtc")
     counts = bitstream.write(bundle, None, bundle_path)
     log_path = _out_path(args, "train_log.csv")
+    rows = [{"iter": row["iter"], **row} for row in log]  # iter first, the rest in log order
     with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("iter,loss,bits_base,bits_refine,l1_total,l1_residual,grad_norm,lr\n")
-        for row in log:
-            fh.write(
-                f"{row['iter']},{row['loss']:.10g},{row['bits_base']:.10g},"
-                f"{row['bits_refine']:.10g},{row['l1_total']:.10g},{row['l1_residual']:.10g},"
-                f"{row['grad_norm']:.10g},{row['lr']:.10g}\n"
-            )
+        if rows:
+            fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n")
     print(json.dumps({"bundle": bundle_path, "train_log": log_path, **counts}))
     return 0
 
@@ -194,14 +189,10 @@ def cmd_encode(args) -> int:
     bundle, _ = bitstream.read(args.bundle)
     payload, _ = encode_table(bundle, x)
     out_path = _out_path(args, "encoded.shtc")
-    counts = bitstream.write(bundle, payload, out_path)
-    file_bytes = os.path.getsize(out_path)
-    print(json.dumps({
-        "encoded": out_path,
-        **counts,
-        "file_bytes": file_bytes,
-        "bits_per_row": file_bytes * 8.0 / x.shape[0],
-    }))
+    bitstream.write(bundle, payload, out_path)
+    mdl = bitstream.mdl_report(bundle, payload)
+    keys = ("model_bytes", "payload_bytes", "file_bytes", "bits_per_row")
+    print(json.dumps({"encoded": out_path, **{k: mdl[k] for k in keys}}))
     return 0
 
 
@@ -218,16 +209,17 @@ def cmd_decode(args) -> int:
 
 
 def _is_bitstream(path) -> bool:
+    from .bitstream import MAGIC
+
     try:
         with open(path, "rb") as fh:
-            return fh.read(4) == b"SHTC"
+            return fh.read(len(MAGIC)) == MAGIC
     except OSError:
         return False
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
+    from .bench import distortion
     from .errors import DimMismatch
 
     x = load_table(args.original)
@@ -238,20 +230,13 @@ def cmd_eval(args) -> int:
 
         bundle, payload = bitstream.read(args.decoded)
         x_hat = decode_table(bundle, payload)
-        mdl = bitstream.mdl_report(args.decoded)
-        report["mdl"] = mdl
-        report["bits_per_row"] = mdl["file_bytes"] * 8.0 / x.shape[0]
+        report["mdl"] = mdl = bitstream.mdl_report(bundle, payload)
+        report["bits_per_row"] = mdl["bits_per_row"]
     else:
         x_hat = load_table(args.decoded)
     if x.shape != x_hat.shape:
         raise DimMismatch(f"table shapes differ: {x.shape} vs {x_hat.shape}")
-    from .bench import distortion_db
-
-    report.update({
-        "l1": float(np.abs(x - x_hat).mean()),
-        "rmse": float(np.sqrt(np.mean((x - x_hat) ** 2))),
-        "distortion_db": distortion_db(x, x_hat),
-    })
+    report.update(distortion(x, x_hat))
     print(json.dumps(report))
     return 0
 
@@ -262,16 +247,11 @@ def cmd_bench(args) -> int:
 
     cfg = load_config(args.config, _BENCH_KEYS) if args.config else {}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    methods = [str(m) for m in cfg.get("methods", [])] or (
-        [args.method] if args.method else list(bench.METHODS)
-    )
+    methods = cfg.get("methods") or ([args.method] if args.method else list(bench.METHODS))
     unknown = [m for m in methods if m not in bench.METHODS]
     if unknown:
         raise ConfigError(f"unknown bench method(s) {unknown}; choose from {list(bench.METHODS)}")
-    lambdas = cfg.get("lambdas", [])
-    if any(isinstance(v, str) for v in lambdas):
-        raise ConfigError(f"lambdas must be numbers, got {lambdas}")
-    lambdas = lambdas or ([args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS))
+    lambdas = cfg.get("lambdas") or ([args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS))
     if args.input:
         x = load_table(args.input)
     else:
@@ -313,7 +293,7 @@ def cmd_report(args) -> int:
     if args.bitstream:
         from . import bitstream
 
-        out["mdl"] = bitstream.mdl_report(args.bitstream)
+        out["mdl"] = bitstream.mdl_report(*bitstream.read(args.bitstream))
     print(json.dumps(out))
     return 0
 

@@ -60,6 +60,8 @@ from .refinement import RefinementModel
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)  # Python floats do not promote float32
 _LN2 = float(np.log(2.0))
 _LR_DECAY = 0.05  # final lr fraction, exponential over the run
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -394,25 +396,18 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-):
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """In-place Adam update of the vector ``theta``, with bias correction."""
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.t += 1
-    b1, b2 = betas
+    b1, b2 = _ADAM_BETAS
     m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    theta -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + eps)
+    theta -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + _ADAM_EPS)
 
 
 def _schedule(params: Params, key: str, n: int):

@@ -8,13 +8,13 @@ import pytest
 
 from shtc import base_layer, bench, linalg
 from shtc.bench import RdCurve, RdPoint, SyntheticSpec, bd_rate, synth_source
-from shtc.errors import NoOverlap
+from shtc.errors import ConfigError, NoOverlap
 from shtc.trainer import TrainConfig
 
 
 def curve_from(rates, dists, method="m"):
     points = [
-        RdPoint(lam=0.0, bits=r, distortion_db=d, l1=0.0, rmse=0.0, model_bytes=0, payload_bytes=0)
+        RdPoint(lam=0.0, bits=r, distortion_db=d, l1=0.0, model_bytes=0, payload_bytes=0)
         for r, d in zip(rates, dists)
     ]
     return RdCurve(method=method, points=points)
@@ -150,8 +150,8 @@ class TestParetoWarning:
         import warnings as warnings_mod
 
         pts = [
-            RdPoint(lam=0.002, bits=2e5, distortion_db=35.0, l1=0, rmse=0, model_bytes=0, payload_bytes=0),
-            RdPoint(lam=0.004, bits=3e5, distortion_db=30.0, l1=0, rmse=0, model_bytes=0, payload_bytes=0),
+            RdPoint(lam=0.002, bits=2e5, distortion_db=35.0, l1=0, model_bytes=0, payload_bytes=0),
+            RdPoint(lam=0.004, bits=3e5, distortion_db=30.0, l1=0, model_bytes=0, payload_bytes=0),
         ]
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
@@ -184,6 +184,13 @@ class TestRdPlumbing:
         assert seen == [{"transform": "dct", "n_layers": 2}, TrainConfig(lam=0.01, seed=3, iters=40)]
         with pytest.raises(TypeError, match="n_atoms"):
             bench.rd_point(np.zeros((4, 6)), "dct", 0.01, n_atoms=4)
+
+    @pytest.mark.parametrize("method, lambdas", [("foo", (0.004,)), ("dct", (0.004, -0.01))], ids=["method", "lambda"])
+    def test_a_bad_setting_fails_the_sweep(self, method, lambdas):
+        # a bad setting is no point's own failure: it raises, not warns and skips
+        x = synth_source(SyntheticSpec(n_rows=100, dim=6, rank=3, sparsity=1, seed=12))
+        with pytest.raises(ConfigError):
+            bench.baseline_rd(x, method, lambdas, seed=0, iters=5, batch=16)
 
     def test_curve_has_grid_points_and_csvs(self, tmp_path):
         x = synth_source(SyntheticSpec(n_rows=300, dim=6, rank=3, sparsity=1, seed=12))

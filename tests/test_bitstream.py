@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import struct
 import time
 import tracemalloc
@@ -551,30 +552,52 @@ class TestFileFuzz:
         assert codec.decode_table(*bitstream.deserialize(data)).shape == (120, 9)
 
 
+def layout_bundle(streams: int):
+    """A bundle of the first ``streams`` of a fixed-basis, a stored-basis and a
+    refined stream, and its 80-row table."""
+    configs = [
+        StreamConfig(name="fixed", dim=4, transform="dct", rank=3),
+        StreamConfig(name="stored", dim=3, transform="klt-trunc", rank=2),
+        StreamConfig(name="refined", dim=5, transform="shtc-full", rank=2, n_meas=2, n_layers=2),
+    ][:streams]
+    d = sum(cfg.dim for cfg in configs)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(80, d)) @ rng.normal(size=(d, d))
+    return bitstream.finalize_bundle(codec.fit_bundle(x, configs, rng)), x
+
+
 class TestMdlReport:
     def test_split_accounts_for_file(self, tmp_path):
-        bundle, x = fitted_bundle(5)
-        payload, _ = codec.encode_table(bundle, x)
-        path = tmp_path / "f.shtc"
-        counts = bitstream.write(bundle, payload, path)
-        report = bitstream.mdl_report(path)
-        assert report["model_bytes"] == counts["model_bytes"]
-        assert report["payload_bytes"] == counts["payload_bytes"] == len(payload.data)
-        # the 12-byte header and the 4-byte CRC
-        assert report["container_overhead"] == 16
-        assert (
-            report["model_bytes"] + report["payload_bytes"] + report["container_overhead"]
-            == report["file_bytes"]
-        )
-        assert report["rows"] == x.shape[0]
-        assert report["bits_per_row"] == pytest.approx(report["file_bytes"] * 8 / x.shape[0])
+        for streams, rows in itertools.product((1, 2, 3), (False, True)):
+            bundle, x = layout_bundle(streams)
+            payload = codec.encode_table(bundle, x)[0] if rows else codec.Payload(b"", 0)
+            path = tmp_path / f"{streams}-{rows}.shtc"
+            counts = bitstream.write(bundle, payload, path)
+            report = bitstream.mdl_report(*bitstream.read(path))
+            assert report == bitstream.mdl_report(bundle, payload)
+            assert [s["stream"] for s in report["streams"]] == ["fixed", "stored", "refined"][:streams]
+            assert sum(s["model_bytes"] for s in report["streams"]) == report["model_bytes"]
+            assert report["model_bytes"] == counts["model_bytes"]
+            assert report["payload_bytes"] == counts["payload_bytes"] == len(payload.data)
+            # the 12-byte header and the 4-byte CRC
+            assert report["container_overhead"] == 16
+            assert (
+                report["model_bytes"] + report["payload_bytes"] + report["container_overhead"]
+                == report["file_bytes"]
+                == path.stat().st_size
+            )
+            assert report["rows"] == payload.rows == (x.shape[0] if rows else 0)
+            if rows:
+                assert report["bits_per_row"] == pytest.approx(report["file_bytes"] * 8 / x.shape[0])
+            else:
+                assert report["bits_per_row"] is None
 
     def test_base_only_bundle_has_no_refinement_bytes(self, tmp_path):
         bundle, x = fitted_bundle(6, transform="klt-trunc")
         payload, _ = codec.encode_table(bundle, x)
         path = tmp_path / "b.shtc"
         bitstream.write(bundle, payload, path)
-        report = bitstream.mdl_report(path)
+        report = bitstream.mdl_report(*bitstream.read(path))
         sm = bundle.streams[0]
         d, rank = sm.config.dim, sm.config.rank
         expected_model = 23 + 4 * (d + d * rank + 2 + 2 * rank)
@@ -585,7 +608,7 @@ class TestMdlReport:
         payload, _ = codec.encode_table(bundle, x)
         path = tmp_path / "s.shtc"
         bitstream.write(bundle, payload, path)
-        assert bitstream.mdl_report(path) == bitstream.mdl_report(path)
+        assert bitstream.mdl_report(*bitstream.read(path)) == bitstream.mdl_report(*bitstream.read(path))
 
 
 class TestParamAccounting:

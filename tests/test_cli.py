@@ -245,6 +245,13 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and "foo" in err
 
+    def test_bad_bench_stream_setting_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n_rows = 100\ndim = 6\nrank = 3\nsparsity = 1\nn_layers = 0\n")
+        assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "n_layers" in capsys.readouterr().err
+        assert not (tmp_path / "rd_curve.csv").exists()
+
     def test_non_numeric_bench_lambdas_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("methods = dct\nlambdas = [a, b]\n")
@@ -299,6 +306,22 @@ class TestFitEncodeDecodeEval:
         assert code == 0
         assert ev["l1"] == pytest.approx(np.abs(x - decoded).mean(), rel=1e-6)
         assert "mdl" in ev and ev["bits_per_row"] > 0
+
+    def test_eval_parses_a_bitstream_once(self, tmp_path, capsys, monkeypatch):
+        from shtc import bitstream, codec
+
+        from .test_bitstream import fitted_bundle
+
+        bundle, x = fitted_bundle(2)
+        table, path = tmp_path / "t.csv", tmp_path / "f.shtc"
+        cli.save_table(table, x)
+        bitstream.write(bundle, codec.encode_table(bundle, x)[0], path)
+        calls = []
+        deserialize = bitstream.deserialize
+        monkeypatch.setattr(bitstream, "deserialize", lambda data: calls.append(1) or deserialize(data))
+        code, ev = run(capsys, "eval", str(table), str(path), "--out", str(tmp_path))
+        assert code == 0 and ev["mdl"]["file_bytes"] == path.stat().st_size
+        assert len(calls) == 1
 
     def test_eval_identical_tables(self, tmp_path, capsys, table_csv):
         table_path, _ = table_csv
