@@ -20,15 +20,16 @@ import zlib
 
 import numpy as np
 
+from . import entropy
 from .base_layer import KltModel
-from .codec import CodecBundle, Payload, StreamConfig, StreamModel, TRANSFORMS, _fixed_basis
+from .codec import CodecBundle, Payload, StreamConfig, StreamModel, TRANSFORMS, _file_model, _fixed_basis
 from .entropy import GaussianEntropyModel
 from .errors import BadMagic, ChecksumError, ConfigError, DecodeError, VersionUnsupported
 from .quantizer import QuantSchedule, channel_schedule
 from .refinement import RefinementModel, param_count
 
 MAGIC = b"SHTC"
-VERSION = 6
+VERSION = 7
 
 _HEAD_FMT = "<4sHHI"
 _HEAD_SIZE = struct.calcsize(_HEAD_FMT)
@@ -210,7 +211,9 @@ def read(path) -> tuple[CodecBundle, Payload]:
 def mdl_report(bundle: CodecBundle, payload: Payload) -> dict:
     """The description-length split of the file ``serialize(bundle, payload)``
     makes, from the parsed file alone: model bytes per stream, payload bytes,
-    and the container overhead, a constant 16 bytes."""
+    and the container overhead, a constant 16 bytes. Also the payload's lane
+    layout: the coded channels (the symbols one row codes: channel pairs and
+    channels coded alone) and the lanes, 0 for a payload of 0 rows."""
     per_stream = [
         {"stream": sm.config.name, "model_bytes": len(_dims_content(sm)) + len(_model_content(sm))}
         for sm in bundle.streams
@@ -218,6 +221,12 @@ def mdl_report(bundle: CodecBundle, payload: Payload) -> dict:
     model_total = sum(s["model_bytes"] for s in per_stream)
     overhead = _HEAD_SIZE + 4  # the header and the CRC
     file_bytes = overhead + model_total + len(payload.data)
+    coded = lanes = 0
+    if bundle.streams:
+        model, steps, _ = _file_model(bundle)
+        coded = entropy.pairing(model, steps).size
+        if payload.rows:
+            lanes = coded * entropy.lane_grid(payload.rows, coded < model.n)[0]
     return {
         "streams": per_stream,
         "model_bytes": model_total,
@@ -226,4 +235,6 @@ def mdl_report(bundle: CodecBundle, payload: Payload) -> dict:
         "container_overhead": overhead,
         "rows": payload.rows,
         "bits_per_row": (file_bytes * 8.0 / payload.rows) if payload.rows else None,
+        "coded_channels": coded,
+        "lanes": lanes,
     }

@@ -52,11 +52,17 @@ _SPEC_KEYS = {
 _RD_KEYS = {"iters": int, "batch": int, "n_meas": int, "n_layers": int}
 
 
+def _unquote(raw: str) -> str:
+    """``raw`` without the double or single quotes around it."""
+    return raw.strip('"').strip("'")
+
+
 def _list_of(kind):
-    """The parser of a ``[a, b]`` or ``a, b`` list of ``kind``."""
+    """The parser of a ``[a, b]`` or ``a, b`` list of ``kind``; each item may
+    be quoted, as a single value may."""
 
     def parse(raw: str) -> list:
-        return [kind(item.strip()) for item in raw.strip("[]").split(",") if item.strip()]
+        return [kind(_unquote(item.strip())) for item in raw.strip("[]").split(",") if item.strip()]
 
     return parse
 
@@ -84,7 +90,7 @@ def load_config(path, allowed: dict) -> dict:
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = allowed[key](raw.strip('"').strip("'"))
+            values[key] = allowed[key](_unquote(raw))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -191,7 +197,7 @@ def cmd_encode(args) -> int:
     out_path = _out_path(args, "encoded.shtc")
     bitstream.write(bundle, payload, out_path)
     mdl = bitstream.mdl_report(bundle, payload)
-    keys = ("model_bytes", "payload_bytes", "file_bytes", "bits_per_row")
+    keys = ("model_bytes", "payload_bytes", "file_bytes", "bits_per_row", "coded_channels", "lanes")
     print(json.dumps({"encoded": out_path, **{k: mdl[k] for k in keys}}))
     return 0
 

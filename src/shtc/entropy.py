@@ -6,34 +6,45 @@ bin. The coder consumes the same Gaussian bin probabilities, quantized to
 estimate closely. Symbols outside a +/-4096 alphabet are coded as an escape
 entry and sent raw as 4-byte values after the coded words.
 
+Adjacent channels with small tables are coded as one symbol (alphabet
+extension; Cover & Thomas, *Elements of Information Theory*, 5.4): in
+channel order, channel j pairs with j + 1 when their symbol counts multiply
+to at most ``_PAIR_ENTRIES``, and the pair codes under the product of their
+tables. A *coded channel* is a pair or a channel coded alone; a row of the
+fitted 50-column tables codes 17 symbols for its 30 channels. A pair
+escapes when either member is outside its table, and both raw values go to
+the escape area.
+
 The coder runs many rANS lanes side by side (Duda, arXiv:1311.2540; Giesen,
-arXiv:1402.3392): symbol k goes to lane ``k % lanes`` at step
+arXiv:1402.3392): coded symbol k goes to lane ``k % lanes`` at step
 ``k // lanes``, and every numpy step advances all lanes at once. Lane states
 live in ``[2^16, 2^32)``, so each costs 4 bytes, and renormalize by whole
 16-bit words, so a lane moves at most one word per step. Byte layout:
 ``docs/format.md``.
 
 A numpy step costs more per call than per lane, so a file is coded as one
-latent of all its channels (``codec`` joins its streams' latents):
-``encode`` and ``decode`` run one lane loop over a (rows, channels) symbol
-table under one entropy model, with one lane set, one word area and one
-escape area. One frequency table spans those channels, so one sorted search
-serves the whole file. ``encode_symbols`` and ``decode_symbols`` take a
-quantizer schedule in place of its steps.
+latent of all its channels (``codec`` joins its streams' latents), and a
+pair halves the steps of its two channels without adding lanes: ``encode``
+and ``decode`` run one lane loop over a (rows, channels) symbol table under
+one entropy model, with one lane set, one word area and one escape area.
+One frequency table spans the coded channels, so one sorted search serves
+the whole file. ``encode_symbols`` and ``decode_symbols`` take a quantizer
+schedule in place of its steps.
 
 Tables are built in one place: ``build_tables`` returns every array both
 loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
 by the exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of
 one bundle build their tables once and a changed model never reuses them.
 
-The encoder holds each symbol's int32 table entry, word slot and emit flag
-(7 bytes), but gathers the lanes' frequencies and cumulative counts for only
-``_CHUNK`` steps at a time, from the last chunk to the first, so those per-step
-tables never span the whole file.
+The encoder holds each coded symbol's int32 table entry, word slot and emit
+flag (7 bytes), but gathers the lanes' frequencies and cumulative counts for
+only ``_CHUNK`` steps at a time, from the last chunk to the first, so those
+per-step tables never span the whole file.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +61,11 @@ _WORD_BITS = 16
 _STATE_BITS = 16
 _STATE_LOW = 1 << _STATE_BITS  # lane states stay in [_STATE_LOW, _STATE_LOW << _WORD_BITS)
 _LANE_ROWS = 4096  # rows per lane block; part of the format
-_BLOCK_LANES = 2  # lanes per channel in each lane block; part of the format
+_BLOCK_LANES = 2  # lanes per coded channel in each lane block, 4 in a latent with a pair; part of the format
+_PAIR_ENTRIES = 1024  # the most symbol entries of a pair's product table; part of the format
+# the encoder's index of an out-of-table symbol: above every table's entry
+# count, and times a pair's largest weight (1024 div 3 = 341) plus itself below 2^24
+_OUTSIDE = 1 << 14
 _ESCAPE_BIAS = 1 << 31
 _ALPHABET_BOUND = 4096
 _SUPPORT_Z = 8.0
@@ -101,25 +116,66 @@ def rate_bits(x_hat: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedu
     return float(np.sum(bin_bits(x, model.mu, model.sigma, sched.steps)[0]))
 
 
+def _support(mu, sigma, step) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel's table support: its lowest symbol and its symbol count.
+    The support spans 8 sigma either side of ``mu``, always holds [-1, 1],
+    and is clipped to +/-4096."""
+    lo = np.floor((mu - _SUPPORT_Z * sigma) / step)
+    hi = np.ceil((mu + _SUPPORT_Z * sigma) / step)
+    # the zero bin stays in-table even under model mismatch
+    lo = np.clip(np.minimum(lo, -1), -_ALPHABET_BOUND, _ALPHABET_BOUND).astype(np.int64)
+    hi = np.minimum(np.maximum(np.maximum(hi, 1), lo), _ALPHABET_BOUND).astype(np.int64)
+    return lo, hi - lo + 1
+
+
+def _pair_leads(size) -> np.ndarray:
+    """The first channel of each coded channel, for channels of ``size``
+    symbols each: in channel order, channel j pairs with j + 1 when
+    ``size[j] * size[j + 1] <= _PAIR_ENTRIES``, and is coded alone otherwise."""
+    leads, j = [], 0
+    while j < len(size):
+        leads.append(j)
+        j += 2 if j + 1 < len(size) and size[j] * size[j + 1] <= _PAIR_ENTRIES else 1
+    return np.array(leads, dtype=np.int64)
+
+
+def pairing(model: GaussianEntropyModel, steps) -> np.ndarray:
+    """The first channel of each coded channel of ``model`` and ``steps``:
+    one per symbol a row codes, for its pairs and its channels coded alone."""
+    return _pair_leads(_support(model.mu, model.sigma, np.asarray(steps, dtype=np.float64))[1])
+
+
 @dataclass(frozen=True)
 class FreqTables:
-    """Every channel's 16-bit frequency table, concatenated, as the read-only
-    arrays both lane loops read.
+    """Every coded channel's 16-bit frequency table, concatenated, as the
+    read-only arrays both lane loops read.
 
-    Channel j owns the entries ``start[j] .. start[j] + size[j]``: symbols
-    ``lo[j] .. lo[j] + size[j] - 1``, then its escape entry. One pad entry of
-    freq 2^16, cum 0 (an identity on the state) follows the last channel;
-    idle lanes of a partial last step code it. ``key[e]`` is the running
-    total of all frequencies through entry ``e``. Each channel sums to
-    exactly 2^16, so a sorted search of ``(channel << 16) + slot`` yields the
-    channel's entry for that slot, and one of ``key[-1] + slot`` the pad.
-    ``value`` maps an entry to its symbol, with ``_ESCAPED`` at escape
-    entries and the pad.
+    Channel j's table holds symbols ``lo[j] .. lo[j] + size[j] - 1``; it is
+    member ``member[j]`` (0 or 1) of coded channel ``coded[j]``. Coded channel
+    c owns the entries ``start[c] .. start[c] + entries[c]``: its symbols,
+    then its escape entry. A pair's symbols are the pairs of its members'
+    symbols, first member major: in-table symbols with table indices ``i``
+    and ``k`` are entry ``start + i * size[second] + k``: the (channels,
+    coded channels) matrix ``weight`` maps each row of members' indices to
+    their coded symbols' offsets.
+
+    One pad entry of freq 2^16, cum 0 (an identity on the state) follows the
+    last coded channel; idle lanes of a partial last step code it. ``key[e]``
+    is the running total of all frequencies through entry ``e``. Each coded
+    channel sums to exactly 2^16, so a sorted search of ``(c << 16) + slot``
+    yields coded channel c's entry for that slot, and one of
+    ``key[-1] + slot`` the pad. ``value[e, m]`` is the symbol of member m at
+    entry ``e``, with ``_ESCAPED`` at escape entries, the pad, and the
+    missing second member of a channel coded alone.
     """
 
     lo: np.ndarray
     size: np.ndarray
+    coded: np.ndarray
+    member: np.ndarray
+    weight: np.ndarray
     start: np.ndarray
+    entries: np.ndarray
     freq: np.ndarray
     cum: np.ndarray
     key: np.ndarray
@@ -127,7 +183,7 @@ class FreqTables:
 
 
 def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
-    """Frequency tables over each channel's plausible symbol range plus
+    """Frequency tables of each coded channel's plausible symbols plus
     escape, for ``model`` quantized with ``steps``. A pure function of the
     (serialized) model parameters, so encoder and decoder rebuild them
     identically.
@@ -137,15 +193,12 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     if step.shape != mu.shape:
         raise DimMismatch("model/schedule channel counts disagree")
     n = mu.size
-    lo = np.floor((mu - _SUPPORT_Z * sigma) / step)
-    hi = np.ceil((mu + _SUPPORT_Z * sigma) / step)
-    # the zero bin stays in-table even under model mismatch
-    lo = np.clip(np.minimum(lo, -1), -_ALPHABET_BOUND, _ALPHABET_BOUND).astype(np.int64)
-    hi = np.minimum(np.maximum(np.maximum(hi, 1), lo), _ALPHABET_BOUND).astype(np.int64)
-    size = hi - lo + 1
-    start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
-    first = start - np.arange(n)  # offset of each channel's first symbol
+    lo, size = _support(mu, sigma, step)
+    lead = _pair_leads(size)
+    members = np.diff(lead, append=n)  # per coded channel
+    # every channel's symbol masses, concatenated
     chan = np.repeat(np.arange(n), size)
+    first = np.concatenate(([0], np.cumsum(size)[:-1]))
     s = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float64)
     m_c, sig_c, step_c = mu[chan], sigma[chan], step[chan]
     m = chan.size
@@ -153,30 +206,47 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
         (s * step_c + 0.5 * step_c - m_c) / sig_c,
         (s * step_c - 0.5 * step_c - m_c) / sig_c,
     )))
-    p = np.maximum(cdf[:m] - cdf[m:], 0.0)
-    budget = _TOTAL - (size + 1)
-    freqs = np.floor(p * budget[chan]).astype(np.int64) + 1
-    esc = np.floor(np.maximum(0.0, 1.0 - np.add.reduceat(p, first)) * budget).astype(np.int64) + 1
-    deficit = _TOTAL - np.add.reduceat(freqs, first) - esc
-    # the deficit goes to the first most probable symbol of each channel
-    peak = np.maximum.reduceat(p, first)
-    freqs[np.minimum.reduceat(np.where(p == peak[chan], np.arange(m), m), first)] += deficit
-    freq = np.empty(m + n + 1, dtype=np.int64)
-    freq[np.arange(m) + chan] = freqs
-    freq[start + size] = esc
-    freq[-1] = _TOTAL  # the pad
+    mass = np.split(np.maximum(cdf[:m] - cdf[m:], 0.0), first[1:])
+    freqs, values = [], []
+    for a, w in zip(lead, members):
+        symbols = lo[a] + np.arange(size[a])
+        if w == 2:  # first member major
+            p = np.multiply.outer(mass[a], mass[a + 1]).reshape(-1)
+            second = lo[a + 1] + np.arange(size[a + 1])
+            value = np.stack((np.repeat(symbols, second.size), np.tile(second, symbols.size)), 1)
+        else:
+            p = mass[a]
+            value = np.stack((symbols, np.full(symbols.size, _ESCAPED)), 1)
+        budget = _TOTAL - (p.size + 1)
+        freq = np.floor(p * budget).astype(np.int64) + 1
+        # the escape mass is 1 minus the correctly rounded sum of the masses
+        esc = math.floor(max(0.0, 1.0 - math.fsum(p)) * budget) + 1
+        # the deficit goes to the first most probable entry
+        freq[np.argmax(p)] += _TOTAL - int(freq.sum()) - esc
+        freqs += [freq, [esc]]
+        values += [value, [[_ESCAPED, _ESCAPED]]]
+    freq = np.concatenate(freqs + [[_TOTAL]])  # and the pad
+    entries = np.array([f.size for f in freqs[::2]], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(entries + 1)[:-1]))
     key = np.cumsum(freq[:-1])
-    cum = np.append(key - freq[:-1] - (np.repeat(np.arange(n), size + 1) << _FREQ_BITS), 0)
-    value = np.append(np.arange(m + n) - np.repeat(start - lo, size + 1), _ESCAPED)
-    value[start + size] = _ESCAPED
+    cum = np.append(key - freq[:-1] - (np.repeat(np.arange(lead.size), entries + 1) << _FREQ_BITS), 0)
+    coded = np.repeat(np.arange(lead.size), members)
+    weight = np.zeros((n, lead.size), dtype=np.float32)
+    weight[np.arange(n), coded] = 1
+    pair = np.flatnonzero(members == 2)
+    weight[lead[pair], pair] = size[lead[pair] + 1]
     tables = FreqTables(
         lo=lo,
         size=size,
+        coded=coded,
+        member=np.arange(n) - lead[coded],
+        weight=weight,
         start=start,
+        entries=entries,
         freq=freq.astype(np.uint64),
         cum=cum.astype(np.uint64),
         key=key.astype(np.uint64),
-        value=value,
+        value=np.concatenate(values + [[[_ESCAPED, _ESCAPED]]]).astype(np.int64),
     )
     for a in vars(tables).values():
         a.flags.writeable = False
@@ -202,11 +272,12 @@ def _coder_state(model: GaussianEntropyModel, steps) -> FreqTables:
     return tables
 
 
-def lane_grid(rows: int) -> tuple[int, int]:
-    """The lane rule of a ``rows``-row latent: ``_BLOCK_LANES`` lanes per
-    channel for each whole block of ``_LANE_ROWS`` rows (at least one block),
-    and the steps that take every row. Returns ``(lanes per channel, steps)``."""
-    width = _BLOCK_LANES * max(1, rows // _LANE_ROWS)
+def lane_grid(rows: int, paired: bool) -> tuple[int, int]:
+    """The lane rule of a ``rows``-row latent: for each whole block of
+    ``_LANE_ROWS`` rows (at least one block), ``_BLOCK_LANES`` lanes per coded
+    channel, twice that when a coded channel is a pair; and the steps that
+    take every row. Returns ``(lanes per coded channel, steps)``."""
+    width = _BLOCK_LANES * (2 if paired else 1) * max(1, rows // _LANE_ROWS)
     return width, -(-rows // width)
 
 
@@ -222,20 +293,28 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
     if sym.min() < -_ESCAPE_BIAS or sym.max() >= _ESCAPE_BIAS:
         raise Overflow("symbol exceeds 32-bit signed range")
     tables = _coder_state(model, steps)
-    width, n_steps = lane_grid(rows)
-    # each symbol's table entry; rows past the symbols', in a partial last
-    # step, take the pad entry
-    entry = np.full((n_steps * width, model.n), tables.freq.size - 1, dtype=np.int32)
-    e = entry[:rows]
-    # a symbol's index in its channel's table, wrapped to 32 bits: above the
-    # table it is below 2^31 + 4096, below it negative, so as a u32 both
-    # out-of-table sides are at least 2^31 and clip to the escape entry at size
-    np.subtract(sym, tables.lo, out=e)
-    index, size = e.view(np.uint32), tables.size.astype(np.uint32)
-    np.minimum(index, size, out=index)
-    raw = sym[index == size]  # row-major, so in symbol order
-    e += tables.start.astype(np.int32)
-    # symbol k goes to lane k % lanes at step k // lanes
+    coded = tables.start.size
+    width, n_steps = lane_grid(rows, coded < model.n)
+    # each coded symbol's table entry; rows past the symbols', in a partial
+    # last step, take the pad entry
+    entry = np.full((n_steps * width, coded), tables.freq.size - 1, dtype=np.int32)
+    # A symbol's index in its channel's table, in float32: negative below the
+    # table, at least its size above it (rounding keeps the order). An
+    # out-of-table index becomes _OUTSIDE, so the offset of its coded symbol
+    # (``tables.weight``: a pair's first index times the second's size, plus
+    # the second index) passes the table's end and clips to the escape entry.
+    # Every term and partial sum is an integer below 2^24, exact in float32.
+    index = np.empty(sym.shape, dtype=np.float32)
+    np.subtract(sym, tables.lo, out=index, casting="unsafe")
+    np.copyto(index, _OUTSIDE, where=(index < 0) | (index >= tables.size))
+    offset = index @ tables.weight
+    del index
+    np.minimum(offset, tables.entries, out=offset)
+    escaped = offset == tables.entries
+    raw = sym[escaped[:, tables.coded]]  # every member of an escaped coded symbol, in symbol order
+    np.add(offset, tables.start, out=entry[:rows], casting="unsafe")
+    del offset, escaped
+    # coded symbol k goes to lane k % lanes at step k // lanes
     entry = entry.reshape(n_steps, -1)
     words = np.empty(entry.shape, dtype=np.uint16)
     emitted = np.empty(entry.shape, dtype=bool)
@@ -264,7 +343,7 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
             x += q
             x += cum[t]
         del freq, cum, limit, gap  # before the next chunk's are made
-    del entry, e  # before the payload's copies of the words are made
+    del entry  # before the payload's copies of the words are made
     return (
         x.astype("<u4").tobytes()
         + words[emitted].astype("<u2").tobytes()
@@ -285,8 +364,10 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
         if data:
             raise DecodeError("nonempty payload for zero rows")
         return np.zeros((0, channels), dtype=np.int64)
-    width, n_steps = lane_grid(rows)
-    lanes = width * channels
+    tables = _coder_state(model, steps)
+    coded = tables.start.size
+    width, n_steps = lane_grid(rows, coded < channels)
+    lanes = width * coded
     head = 4 * lanes
     if len(data) < head or (len(data) - head) % 2:
         raise DecodeError(f"payload of {len(data)} bytes does not fit {lanes} lane states and words")
@@ -294,12 +375,11 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
     area = np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64)
-    tables = _coder_state(model, steps)
-    # Lane l codes channel l % channels. The lanes idle in a partial last
+    # Lane l codes coded channel l % coded. The lanes idle in a partial last
     # step decode the pad entry, so every step runs on every lane.
     key, freq, cum = tables.key, tables.freq, tables.cum
-    chan_key = (np.arange(lanes, dtype=np.uint64) % np.uint64(channels)) << np.uint64(_FREQ_BITS)
-    last_key = np.where(np.arange(lanes) < rows * channels - (n_steps - 1) * lanes, chan_key, key[-1])
+    chan_key = (np.arange(lanes, dtype=np.uint64) % np.uint64(coded)) << np.uint64(_FREQ_BITS)
+    last_key = np.where(np.arange(lanes) < rows * coded - (n_steps - 1) * lanes, chan_key, key[-1])
     step_keys = [chan_key] * (n_steps - 1) + [last_key]
     # numpy scalars: a Python int operand costs a conversion on every step
     mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
@@ -323,17 +403,25 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
             pos += k
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
-    sym = tables.value[entries].reshape(-1)[: rows * channels].reshape(rows, channels)
-    escaped = sym == _ESCAPED
+    # each channel reads its coded channel's entry; member m of entry e is
+    # value[e, m], at 2e + m of the flat values
+    at = entries.reshape(-1)[: rows * coded].reshape(rows, coded).repeat(np.bincount(tables.coded), axis=1)
+    at *= 2
+    at += tables.member
+    sym = tables.value.reshape(-1)[at]
+    escaped = sym == _ESCAPED  # every member of an escaped coded symbol
     n_escaped = np.count_nonzero(escaped)
-    # the words read leave exactly one u32, two u16, per escaped symbol
+    # the words read leave exactly one u32, two u16, per escaped member
     if pos + 2 * n_escaped != area.size:
         raise DecodeError("payload length does not match decoded symbols")
-    raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped).astype(np.int64) - _ESCAPE_BIAS
-    chan = np.nonzero(escaped)[1]
-    if np.any((raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])):
-        raise DecodeError("escaped symbol lies inside its table")
-    sym[escaped] = raw
+    if n_escaped:
+        raw = np.frombuffer(data, dtype="<u4", offset=len(data) - 4 * n_escaped).astype(np.int64) - _ESCAPE_BIAS
+        chan = np.nonzero(escaped)[1]
+        inside = (raw >= tables.lo[chan]) & (raw < tables.lo[chan] + tables.size[chan])
+        # an escaped coded symbol's raw values are consecutive, first member first
+        if np.logical_and.reduceat(inside, np.flatnonzero(tables.member[chan] == 0)).any():
+            raise DecodeError("escaped symbol lies inside its table")
+        sym[escaped] = raw
     return sym
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shtc import bitstream, codec
+from shtc import bitstream, codec, entropy
 from shtc.base_layer import KltModel
 from shtc.codec import StreamConfig, default_configs
 from shtc.entropy import GaussianEntropyModel
@@ -131,6 +131,13 @@ V5_FILE = bytes.fromhex(
 )
 
 
+# A version-6 file of ``minimal_bundle`` and a 4-row payload of its training
+# table, as the last v6 writer wrote it.
+V6_FILE = bytes.fromhex(
+    "534854430600010004000000666561740000000003020001000f0002000600000000009a99d93e6666e63ef19226bfeb"
+    "64423f6dc51b3e000000000000000030cf013fceefdd007413d7003758da33"
+)
+
 class TestCorruption:
     def test_payload_byte_flip_detected(self):
         bundle, x = fitted_bundle(4)
@@ -150,18 +157,24 @@ class TestCorruption:
         # v1 files carry range-coded payloads, v2 files eigenvalues, a full
         # basis and per-latent symbol counts, v3 files 64-bit lane states, v4
         # files a payload block per stream and a word area per latent, v5
-        # files stream column ranges, lengths and a CRC per block; this reader
-        # reads v6. The version is read before the CRC, which covers other
-        # bytes in other versions
+        # files stream column ranges, lengths and a CRC per block, v6 files
+        # one symbol per channel; this reader reads v7. The version is read
+        # before the CRC, which covers other bytes in other versions
         data, _ = bitstream.serialize(minimal_bundle())
-        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (6,)
-        for version in (1, 2, 3, 4, 5, 7):
+        assert struct.unpack("<H", data[4:6]) == (bitstream.VERSION,) == (7,)
+        for version in (1, 2, 3, 4, 5, 6, 8):
             with pytest.raises(VersionUnsupported):
                 bitstream.deserialize(data[:4] + struct.pack("<H", version) + data[6:])
 
     def test_v5_file_rejected(self):
         with pytest.raises(VersionUnsupported, match="version 5"):
             bitstream.deserialize(V5_FILE)
+
+    def test_v6_file_rejected(self):
+        # a v6 payload codes every channel alone; its CRC is valid
+        with pytest.raises(VersionUnsupported, match="version 6"):
+            bitstream.deserialize(V6_FILE)
+        assert zlib.crc32(V6_FILE[:-4]) == struct.unpack("<I", V6_FILE[-4:])[0]
 
     def test_forged_rows_rejected_before_allocation(self):
         data = bytearray(fuzz_file(1))
@@ -591,6 +604,32 @@ class TestMdlReport:
                 assert report["bits_per_row"] == pytest.approx(report["file_bytes"] * 8 / x.shape[0])
             else:
                 assert report["bits_per_row"] is None
+
+    @pytest.mark.parametrize("coarse", [1.0, 8.0])
+    @pytest.mark.parametrize("streams", [1, 2, 3])
+    def test_lane_layout(self, streams, coarse):
+        # coded_channels counts the pairs and the channels coded alone; steps
+        # 8 times as wide make tables small enough to pair. The payload opens
+        # with one u32 state per lane, so a payload cut inside the states
+        # does not decode, and the decoder names as many lanes
+        bundle, x = layout_bundle(streams)
+        for sm in bundle.streams:
+            for role in ("base_sched", "refine_sched"):
+                if (sched := getattr(sm, role)) is not None:
+                    setattr(sm, role, channel_schedule(sched.q_s * coarse, sched.alpha, sched.n))
+        bundle = bitstream.finalize_bundle(bundle)
+        model, steps, _ = codec._file_model(bundle)
+        coded = entropy.build_tables(model, steps).start.size
+        assert (coded < model.n) == (coarse > 1)
+        for rows in (0, 1, 80, 4096, 8192):
+            payload = codec.encode_table(bundle, np.resize(x, (rows, x.shape[1])))[0]
+            report = bitstream.mdl_report(bundle, payload)
+            lanes = coded * (4 if coded < model.n else 2) * max(1, rows // 4096) if rows else 0
+            assert (report["coded_channels"], report["lanes"]) == (coded, lanes)
+            assert report == bitstream.mdl_report(*bitstream.deserialize(bitstream.serialize(bundle, payload)[0]))
+            if rows:
+                with pytest.raises(DecodeError, match=f"does not fit {lanes} lane states"):
+                    entropy.decode(rows, payload.data[: 4 * lanes - 2], model, steps)
 
     def test_base_only_bundle_has_no_refinement_bytes(self, tmp_path):
         bundle, x = fitted_bundle(6, transform="klt-trunc")

@@ -219,6 +219,20 @@ class TestConfigParsing:
         assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert seen == [bench.SyntheticSpec(n_rows=300, noise=0.5), {"seed": 0, "iters": 40}]
 
+    def test_quoted_bench_list_items_accepted(self, tmp_path, capsys, monkeypatch):
+        # each item of a list key may be quoted, as a single value may
+        from shtc import bench
+
+        seen = []
+        monkeypatch.setattr(bench, "synth_source", lambda spec: seen.append(spec) or np.zeros((2, 2)))
+        monkeypatch.setattr(bench, "baseline_rd", lambda x, method, lambdas, **kw: seen.append((method, lambdas)))
+        monkeypatch.setattr(bench, "write_rd_csv", lambda curves, path: None)
+        monkeypatch.setattr(bench, "write_bd_csv", lambda curves, path: [])
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text('basis = "smooth"\nmethods = ["dct", \'none\']\nlambdas = ["0.002", 0.004]\n')
+        assert cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert seen == [bench.SyntheticSpec(basis="smooth"), ("dct", [0.002, 0.004]), ("none", [0.002, 0.004])]
+
     @pytest.mark.parametrize("line", ["basis = foo", "sparsity = 51", "rank = 51"])
     def test_bad_bench_source_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "bench.cfg"
@@ -454,11 +468,12 @@ class TestBench:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("n_rows = 150\ndim = 6\nrank = 3\nsparsity = 1\niters = 20\nbatch = 32\n")
         out = str(tmp_path / "bench_out")
-        # 20 iterations on 150 rows leave four curves with non-monotone rates
+        # 20 iterations on 150 rows leave the none curve with non-monotone
+        # rates: two of its points code in the same bits
         with pytest.warns(UserWarning, match="rates not strictly increasing") as caught:
             code, info = run(capsys, "bench", "--config", str(cfg), "--seed", "1", "--out", out)
         assert sorted(str(w.message) for w in caught) == [
-            f"{m}: rates not strictly increasing after sort" for m in ("haar", "klt-trunc", "none", "shtc-full")
+            f"{m}: rates not strictly increasing after sort" for m in ("none",)
         ]
         assert code == 0
         rows = open(info["rd_curve"]).read().strip().splitlines()
@@ -512,6 +527,21 @@ class TestReport:
         code, info = run(capsys, "report", "--bitstream", enc_info["encoded"], "--out", out)
         assert code == 0
         assert info["mdl"]["file_bytes"] > 0
+
+    def test_commands_print_the_lane_layout(self, tmp_path, capsys, table_csv, fit_config):
+        # encode, eval and report print the pairing of the one record
+        from shtc import bitstream
+
+        table_path, _ = table_csv
+        out = str(tmp_path / "rep3")
+        _, fit_info = run(capsys, "fit", table_path, "--config", fit_config, "--out", out)
+        _, enc_info = run(capsys, "encode", table_path, fit_info["bundle"], "--out", out)
+        _, ev = run(capsys, "eval", table_path, enc_info["encoded"], "--out", out)
+        _, info = run(capsys, "report", "--bitstream", enc_info["encoded"], "--out", out)
+        mdl = bitstream.mdl_report(*bitstream.read(enc_info["encoded"]))
+        assert mdl["coded_channels"] > 0 and mdl["lanes"] > 0
+        for printed in (enc_info, ev["mdl"], info["mdl"]):
+            assert (printed["coded_channels"], printed["lanes"]) == (mdl["coded_channels"], mdl["lanes"])
 
     def test_all_zero_table_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "zero.csv"

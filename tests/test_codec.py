@@ -169,11 +169,11 @@ class TestEncodeDecode:
         assert np.array_equal(decoded, recon)
 
     ANALYSIS_PINNED = {
-        80: "30142f7cd6cc305f54ff6441774b745b8d5c478fee9418facc1677de1cb89cdf",
-        81: "735b0d09a533072ecb2c5505d250863466b8dc145ffd33a1081c6dbb242243f5",
-        1025: "28104d6fbf24dbef312664e99863e32ebb6333b93b083f511414097975b9fccf",
-        1104: "82920bd1a45d9c384e0b27450758ac0bb3f874b6d8782b3c401dd99354110239",
-        2049: "8de0d7e86093d1ed61f8b02edf2d3abd57a935276e86119e6558ffc19c1f4856",
+        80: "8805548c7e6b38b1515ff3b9cfd111e6211d4ccc3c988898e36a27b6eb75703e",
+        81: "4da5725879f52a8a77bdf3857f43018cc1f70cd5a12ef60f3e3bf3eddc23af1f",
+        1025: "e4264a5e8f6506d5a161f7512be29fb537e78b1fec617ade5888195999fb089d",
+        1104: "b8d118370ada218e2d001e27106d620e8872144f855fc72d0dde7d5c04905fbd",
+        2049: "67c830a70e1582916ff40bb142f6ec33bed3ff93a449c0eadbd754bddfd455fe",
     }
 
     @pytest.mark.parametrize("rows", [80, 81, 1025, 1104, 2049])
@@ -344,35 +344,37 @@ def lane_edge_table(rows, scaling_cols):
     configs = default_configs(10, rank=3, n_meas=3, n_layers=2, scaling_cols=scaling_cols)
     bundle = bitstream.finalize_bundle(codec.fit_bundle(source(11, d=10), configs, np.random.default_rng(11)))
     x = source(12, n=rows, d=10)
-    x[[0, last_lane_row(rows), rows - 1][: 3 if rows else 0]] *= 1e4
+    x[[0, last_lane_row(bundle, rows), rows - 1][: 3 if rows else 0]] *= 1e4
     return bundle, x
 
 
-def last_lane_row(rows):
-    """The row whose last channel the first step's last lane codes (or the
-    last row, when the lanes outnumber the rows)."""
-    return min(entropy.lane_grid(rows)[0], rows) - 1
+def last_lane_row(bundle, rows):
+    """The row whose last coded channel the first step's last lane codes (or
+    the last row, when the lanes outnumber the rows)."""
+    model, steps, _ = codec._file_model(bundle)
+    paired = entropy.pairing(model, steps).size < model.n
+    return min(entropy.lane_grid(rows, paired)[0], rows) - 1
 
 
 class TestOneLoopPerFile:
     """A file's latents are coded as one latent in one lane loop: sha256 of
-    files at the lane edges (re-pinned at bitstream v6, whose files hold the
-    v5 files' payload bytes and model floats, 8 + 18 bytes per stream
-    shorter, and decode to the same tables)."""
+    files at the lane edges (re-pinned at bitstream v7, whose payloads code
+    channel pairs and decode to the v6 files' symbols and tables; the
+    outlier row moves with the lane grid)."""
 
     PINNED = {
-        (0, 0): "ff78ab20031288075669b563ba8b6cc3c48156de5faebdb136d9b079db6d85af",
-        (1, 0): "df8e2dbc400f4f468dc72bb508f05e544d9db0036c8d46cdf406303291d761cf",
-        (4095, 0): "f3b0c81f1fc29d619860a82525e9155503d301f3b484efb009beda83c2786d45",
-        (4096, 0): "77fa404aff783db33873de72a2c46daee2b01b351519e79dab48d3c2233bfbe6",
-        (8193, 0): "e7c0158b0508684c66e3cf36d9b6662af1bbe3ba946cd8e16f204b8687b92e8f",
-        (12289, 0): "86c4a957c575e93d7c7d94ab7f52d0eaf84af74452ce2b3a9db71f8f7b26464a",
-        (0, 4): "2a5466610b5c5a5c0edfff681d29d513b8abb05ed894f83dcaa958c34de8c0e4",
-        (1, 4): "7b9f02c14e54e92a74e6a0346820091cab4058e2e40b23e614a544dd3d13b210",
-        (4095, 4): "57e43cfc33aa99bc0c3dc9ff6b01fc1997df767ff734727ba83b60406fec93d8",
-        (4096, 4): "974691968905aed80624ef3a13a7d8005910be2ed69516c805d3583f78728c8c",
-        (8193, 4): "96a5a7f8a69b42dd053744ece05f195a5237ef04797c5cb5ee95bc1eb536d58b",
-        (12289, 4): "37a78a773d4c195a77305b5c3cd20004205d15e9b2b3e1f9659ea6ac4f5b9825",
+        (0, 0): "88c7e2fcc605786b5510b65bad759bc7c5fb5f564aa0ca660bf080a4bc7b99a0",
+        (1, 0): "d12e9fef1bd1c0ffdae89e2a89884f20f9dde6ff434122ce69bd8c0a5467e68b",
+        (4095, 0): "45dc0ed7d8859159505be32ef0f1c0939547d1b4bc50deb573f3147510eba4a6",
+        (4096, 0): "06e4e9f55486704a74c101b0f12b77c613f3a383395a06080dc794d7adda518b",
+        (8193, 0): "d965ca3e8e5740939e47e9d9d74cf25b2e969bbb6350f9795446ebd5b1e30ddb",
+        (12289, 0): "a6e54fa10c6f7864ba612df01a346a3d9d005f2efc4b6d72c4a232a51b4001f2",
+        (0, 4): "099ed877b26638ad00a4928d3485617d6c27dd6c5486c383d58f7e08e06f412c",
+        (1, 4): "41a14e34009183d917c9430243b3b615e05d8719327b52ab83cac458754a50af",
+        (4095, 4): "7bd55d0cfdc67ade3ddacdac4f4d0186e486e1f09211d14c1e9278747e4851d2",
+        (4096, 4): "6590af2c5ed5aef662ae60f197fe49c88edc21d995c6e9965c21125be10ec42b",
+        (8193, 4): "f96c47d9248236bac84d38465cae8eca9fe6e537868514f80ccca8da8280b593",
+        (12289, 4): "ea13e0e9755ea4136f5731fe70ba78c3296286ee0eb5d7ae160be0a5e8783453",
     }
 
     @pytest.mark.parametrize("scaling_cols", [0, 4])
@@ -391,7 +393,7 @@ class TestOneLoopPerFile:
             scheds = [sched for sm in bundle.streams for sched in (sm.base_sched, sm.refine_sched) if sched is not None]
             ends = np.cumsum([sched.n for sched in scheds])
             for a, b in zip([0, *ends[:-1]], ends):  # each latent's columns
-                assert escaped[0, a] and escaped[last_lane_row(rows), b - 1] and escaped[-1, b - 1]
+                assert escaped[0, a] and escaped[last_lane_row(bundle, rows), b - 1] and escaped[-1, b - 1]
 
 
 class TestOneRowCount:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shtc import entropy, quantizer
+from shtc import bench, codec, entropy, quantizer, trainer
 from shtc.errors import DecodeError, DimMismatch
 
 
@@ -86,11 +86,62 @@ def channel_table_reference(mu, sigma, step):
     return lo, freqs + [esc]
 
 
+def normal_cdf(z: float) -> float:
+    """Phi(z) from math.erf and math.erfc, in the form Cephes' ndtr takes:
+    erf near 0 and erfc in the tails."""
+    x = z * math.sqrt(0.5)
+    if abs(x) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+def coded_tables_reference(mu, sigma, steps):
+    """Every coded channel's (member channels, freqs with the escape last),
+    from the "Support", "Pairing" and "Tables" paragraphs of
+    ``docs/format.md`` alone, one entry at a time: each channel's support and
+    bin masses, the pairing rule, a pair's masses as products (first member
+    major), then the 16-bit quantization."""
+    sizes, masses = [], []
+    for m, s, q in zip(map(float, mu), map(float, sigma), map(float, steps)):
+        lo = min(max(min(math.floor((m - 8.0 * s) / q), -1), -4096), 4096)
+        hi = min(max(max(math.ceil((m + 8.0 * s) / q), 1), lo), 4096)
+        sizes.append(hi - lo + 1)
+        masses.append([
+            max(normal_cdf((k * q + 0.5 * q - m) / s) - normal_cdf((k * q - 0.5 * q - m) / s), 0.0)
+            for k in range(lo, hi + 1)
+        ])
+    out, j = [], 0
+    while j < len(sizes):
+        if j + 1 < len(sizes) and sizes[j] * sizes[j + 1] <= 1024:
+            members, p = (j, j + 1), [a * b for a in masses[j] for b in masses[j + 1]]
+        else:
+            members, p = (j,), masses[j]
+        budget = 65536 - (len(p) + 1)
+        freqs = [math.floor(v * budget) + 1 for v in p]
+        esc = math.floor(max(0.0, 1.0 - math.fsum(p)) * budget) + 1
+        freqs[p.index(max(p))] += 65536 - sum(freqs) - esc
+        out.append((members, freqs + [esc]))
+        j += len(members)
+    return out
+
+
+def coded_tables(tables):
+    """``build_tables``' coded channels in the form of ``coded_tables_reference``."""
+    return [
+        (tuple(np.flatnonzero(tables.coded == c).tolist()),
+         tables.freq[tables.start[c] : tables.start[c] + tables.entries[c] + 1].astype(np.int64).tolist())
+        for c in range(tables.start.size)
+    ]
+
+
 class TestTables:
     def test_matches_per_channel_reference(self):
         # erf and ndtr may differ in the last ulp, which can move one floor
-        # by 1: allow at most 1 count per entry and the same support
+        # by 1: allow at most 1 count per entry and the same support; each
+        # channel coded alone has its own table
         rng = np.random.default_rng(9)
+        alone = 0
         for _ in range(40):
             n = int(rng.integers(1, 6))
             model = entropy.GaussianEntropyModel(
@@ -100,35 +151,142 @@ class TestTables:
             tables = entropy.build_tables(model, sched.steps)
             for j in range(n):
                 lo, freqs = channel_table_reference(model.mu[j], model.sigma[j], sched.steps[j])
-                a, b = tables.start[j], tables.start[j] + tables.size[j] + 1
+                assert tables.lo[j] == lo and tables.size[j] == len(freqs) - 1
+                c = tables.coded[j]
+                if tables.entries[c] != tables.size[j]:
+                    continue  # a member of a pair
+                alone += 1
+                a, b = tables.start[c], tables.start[c] + tables.entries[c] + 1
                 ours = tables.freq[a:b].astype(np.int64)
-                assert tables.lo[j] == lo and ours.size == len(freqs)
+                assert ours.size == len(freqs)
                 assert ours.sum() == 65536 and ours.min() >= 1
                 assert np.abs(ours - freqs).max() <= 1
                 assert np.array_equal(tables.cum[a:b], np.cumsum(ours) - ours)
+        assert alone >= 40
 
     def test_pad_entry_search_key_and_values(self):
-        # after the last channel, a pad entry (freq 2^16, cum 0) that the
-        # search of key[-1] + slot yields; each channel's search key runs to
-        # (channel + 1) << 16 at its escape entry
-        model = entropy.GaussianEntropyModel(mu=np.array([0.0, 3.0, -1.0]), sigma=np.array([1.0, 0.5, 4.0]))
-        tables = entropy.build_tables(model, np.array([0.5, 0.25, 1.0]))
+        # after the last coded channel, a pad entry (freq 2^16, cum 0) that
+        # the search of key[-1] + slot yields; each coded channel's search key
+        # runs to (c + 1) << 16 at its escape entry. Channels 0 and 1 (33
+        # symbols each) are coded alone, 2 and 3 (65 and 12) as a pair.
+        model = entropy.GaussianEntropyModel(mu=np.array([0.0, 3.0, -1.0, 0.2]), sigma=np.array([1.0, 0.5, 4.0, 0.3]))
+        tables = entropy.build_tables(model, np.array([0.5, 0.25, 1.0, 0.5]))
         assert all(not a.flags.writeable for a in vars(tables).values())
-        assert (tables.freq[-1], tables.cum[-1], tables.value[-1]) == (65536, 0, entropy._ESCAPED)
+        assert tables.size.tolist() == [33, 33, 65, 12]
+        assert tables.coded.tolist() == [0, 1, 2, 2] and tables.member.tolist() == [0, 0, 0, 1]
+        assert tables.entries.tolist() == [33, 33, 65 * 12]
+        assert tables.weight.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 12], [0, 0, 1]]
+        assert (tables.freq[-1], tables.cum[-1]) == (65536, 0)
+        assert np.all(tables.value[-1] == entropy._ESCAPED)
         assert np.array_equal(tables.key, np.cumsum(tables.freq[:-1]))
-        escape = tables.start + tables.size
+        escape = tables.start + tables.entries
         assert np.array_equal(tables.key[escape], (np.arange(3) + 1) << 16)
         assert np.all(tables.value[escape] == entropy._ESCAPED)
         slots = np.arange(0, 1 << 16, 97, dtype=np.uint64)
-        for j in range(3):
-            assert np.array_equal(tables.value[tables.start[j] : escape[j]], tables.lo[j] + np.arange(tables.size[j]))
-            e = tables.key.searchsorted((np.uint64(j) << np.uint64(16)) | slots, side="right")
+        for c in range(3):
+            own = slice(tables.start[c], escape[c] + 1)
+            assert np.array_equal(tables.cum[own] + tables.freq[own], np.cumsum(tables.freq[own]))
+            e = tables.key.searchsorted((np.uint64(c) << np.uint64(16)) | slots, side="right")
             assert np.all((tables.cum[e] <= slots) & (slots < tables.cum[e] + tables.freq[e]))
+        for j in (0, 1):  # alone: the channel's symbols in order
+            values = tables.value[tables.start[j] : escape[j]]
+            assert np.array_equal(values[:, 0], tables.lo[j] + np.arange(tables.size[j]))
+            assert np.all(values[:, 1] == entropy._ESCAPED)
+        # the pair: first member major
+        i, k = np.divmod(np.arange(65 * 12), 12)
+        pair = tables.value[tables.start[2] : escape[2]]
+        assert np.array_equal(pair, np.stack((tables.lo[2] + i, tables.lo[3] + k), 1))
         assert np.all(tables.key.searchsorted(tables.key[-1] + slots, side="right") == tables.freq.size - 1)
 
     def test_steps_must_match_model(self):
         with pytest.raises(DimMismatch):
             entropy.build_tables(make_model(3), np.ones(2))
+
+
+def sized_channel(size, q=0.5):
+    """``(mu, sigma, step)`` of a channel whose table holds exactly ``size``
+    (at least 3) symbols: its support runs from ``lo + 0.45`` to ``hi - 0.25``
+    steps, and ``mu`` lies 0.1 steps off a bin centre or edge."""
+    lo = -(size // 2)
+    hi = lo + size - 1
+    return ((lo + hi) / 2 + 0.1) * q, ((hi - lo) / 2 - 0.35) * q / 8.0, q
+
+
+@st.composite
+def channel_params(draw):
+    """One channel's ``(mu, sigma, step)``: a plain table, a tiny or a huge
+    sigma, a mean far enough out to clip the support at +/-4096, or a table
+    of a size whose products with its neighbours' land at 1023, 1024 or 1025
+    entries. The mean stays at least 0.05 steps off a bin edge, so no two
+    bins tie for the most probable."""
+    kind = draw(st.sampled_from(("plain", "tiny", "huge", "far", "sized")))
+    q = draw(st.floats(0.05, 2.0))
+    mu = q * (draw(st.integers(-10, 10)) + draw(st.floats(-0.45, 0.45)))
+    if kind == "plain":
+        return mu, q * math.exp(draw(st.floats(-2.0, 4.0))), q
+    if kind == "tiny":
+        return mu, q * 10.0 ** draw(st.floats(-9.0, -3.0)), q
+    if kind == "huge":  # 8 sigma of at least 5048 steps: clipped to +/-4096
+        return mu, q * 10.0 ** draw(st.floats(2.8, 3.2)), q
+    if kind == "far":
+        far = q * (draw(st.sampled_from((-1, 1))) * draw(st.integers(4000, 6000)) + draw(st.floats(-0.45, 0.45)))
+        return far, q * math.exp(draw(st.floats(-2.0, 2.0))), q
+    return sized_channel(draw(st.sampled_from((3, 25, 31, 32, 33, 41))), q)
+
+
+class TestPairTables:
+    """``build_tables`` equals, entry for entry, the tables that
+    ``coded_tables_reference`` builds from ``docs/format.md`` alone."""
+
+    def test_trained_model_matches_reference(self):
+        # the 30 channels of the seed-1 fit-std bundle code as 17 symbols a row
+        x = bench.synth_source(bench.SyntheticSpec(seed=1))
+        config = trainer.TrainConfig(lam=0.004, iters=300, seed=0)
+        bundle = trainer.train(x, codec.default_configs(x.shape[1]), config)[0]
+        model, steps, _ = codec._file_model(bundle)
+        reference = coded_tables_reference(model.mu, model.sigma, steps)
+        assert (model.n, len(reference)) == (30, 17)
+        assert coded_tables(entropy.build_tables(model, steps)) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.lists(channel_params(), min_size=1, max_size=6))
+    def test_models_match_reference(self, channels):
+        mu, sigma, steps = (np.array(v) for v in zip(*channels))
+        model = entropy.GaussianEntropyModel(mu=mu, sigma=sigma)
+        assert coded_tables(entropy.build_tables(model, steps)) == coded_tables_reference(mu, sigma, steps)
+
+    @pytest.mark.parametrize(
+        "sizes, members",
+        [
+            ((31, 33), [(0, 1)]),  # 1023 entries
+            ((32, 32), [(0, 1)]),  # 1024
+            ((25, 41), [(0,), (1,)]),  # 1025: each alone
+            ((41, 25, 33), [(0,), (1, 2)]),  # greedy, in channel order
+            ((3, 3, 3, 3, 3), [(0, 1), (2, 3), (4,)]),
+            ((33, 31, 33), [(0, 1), (2,)]),
+        ],
+    )
+    def test_pair_cap(self, sizes, members):
+        mu, sigma, steps = (np.array(v) for v in zip(*map(sized_channel, sizes)))
+        model = entropy.GaussianEntropyModel(mu=mu, sigma=sigma)
+        tables = entropy.build_tables(model, steps)
+        assert tables.size.tolist() == list(sizes)
+        assert [m for m, _ in coded_tables(tables)] == members
+        assert entropy.pairing(model, steps).tolist() == [m[0] for m in members]
+        assert tables.entries.tolist() == [math.prod(sizes[j] for j in m) for m in members]
+
+    def test_pair_escapes(self):
+        # a pair escapes when either member is outside its table, and sends
+        # both raw values, in symbol order; its in-table member's raw value is
+        # just what it is
+        q = 1.0
+        model = entropy.GaussianEntropyModel(mu=np.zeros(2), sigma=np.full(2, 0.5))  # 9 symbols each
+        sym = np.array([[0, 0], [5000, 1], [-1, -6000], [7000, 8000], [2, -3]], dtype=np.int64)
+        coded = entropy.encode(sym, model, np.full(2, q))
+        assert entropy.pairing(model, np.full(2, q)).tolist() == [0]
+        raw = np.frombuffer(coded[-24:], dtype="<u4").astype(np.int64) - 2**31
+        assert raw.tolist() == [5000, 1, -1, -6000, 7000, 8000]
+        assert np.array_equal(entropy.decode(5, coded, model, np.full(2, q)), sym)
 
 
 class TestRoundTrip:
@@ -182,6 +340,20 @@ class TestRoundTrip:
         assert blob.hex() == "6e8450007b7c71006c230800ffff0100000088130080"
         assert np.array_equal(entropy.decode_symbols(blob, 6, model, sched), sym)
 
+    def test_golden_pair_bytes(self):
+        # two channels of 9 symbols code as one pair of 81 entries on 4 lanes,
+        # one step. Lane 0 codes (0, 0), entry 40 (freq 30519, cum 17508),
+        # from L to 2 * 2^16 + 2^16 % 30519 + 17508; lane 1 codes (1, -1),
+        # entry 48; lane 2 codes the escape entry (freq 1), emitting one word
+        # from L; lane 3 idles at L. The escaped pair sends both raw values,
+        # 5000 and 0, each + 2^31
+        model = entropy.GaussianEntropyModel(mu=np.zeros(2), sigma=np.full(2, 0.5))
+        sched = quantizer.channel_schedule(1.0, 0.0, 2)
+        sym = np.array([[0, 0], [1, -1], [5000, 0]], dtype=np.int64)
+        blob = entropy.encode_symbols(sym, model, sched)
+        assert blob.hex() == "f655020040da2800ffff01000000010000008813008000000080"
+        assert np.array_equal(entropy.decode_symbols(blob, 6, model, sched), sym)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         model = entropy.GaussianEntropyModel(mu=rng.normal(size=3), sigma=np.exp(rng.normal(size=3)))
@@ -196,27 +368,39 @@ class TestRoundTrip:
         [(1, 1), (2, 1), (4095, 1), (4096, 1), (8191, 1), (8192, 2), (8193, 2), (12289, 3)],
     )
     def test_lane_rule_edges(self, rows, blocks):
-        # lanes = 2 * channels * blocks, blocks = max(1, rows div 4096)
+        # lanes = 2 * coded channels * blocks, blocks = max(1, rows div 4096),
+        # twice that in a latent with a pair. Three channels of 49 symbols
+        # are coded alone; of 17 symbols, channels 0 and 1 pair and 2 is alone
         n = 3
-        width, steps = entropy.lane_grid(rows)
-        assert width == 2 * blocks
-        assert width * (steps - 1) < rows <= width * steps  # the least steps that take every row
-        assert steps <= 4096  # reached at 8191 rows
-        lanes = n * width
-        rng = np.random.default_rng(rows)
-        model = make_model(n, sigma=1.5)
-        sched = quantizer.channel_schedule(0.5, 0.0, n)
-        sym = quantizer.quantize(rng.normal(0.0, 1.5, size=(rows, n)), sched)
-        flat = sym.reshape(-1)
-        # escapes on the first and last lane of a step, and on the last symbol;
-        # at 1, 8193 and 12289 rows that symbol is in a partial last step, and
-        # at 1 and 2 rows there are no more symbols than lanes
-        escapes = {k for k in (0, lanes - 1, lanes, 2 * lanes - 1, flat.size - 1) if k < flat.size}
-        for k in escapes:
-            flat[k] = 100_000 + k
-        blob = entropy.encode_symbols(sym, model, sched)
-        assert len(blob) >= 4 * lanes + 4 * len(escapes)
-        assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
+        for paired in (False, True):
+            coded = 2 if paired else 3
+            width, steps = entropy.lane_grid(rows, paired)
+            assert width == (4 if paired else 2) * blocks
+            assert width * (steps - 1) < rows <= width * steps  # the least steps that take every row
+            assert steps <= (2048 if paired else 4096)  # reached at 8191 rows
+            lanes = coded * width
+            rng = np.random.default_rng(rows)
+            sigma = 0.5 if paired else 1.5
+            model = make_model(n, sigma=sigma)
+            sched = quantizer.channel_schedule(0.5, 0.0, n)
+            assert entropy.pairing(model, sched.steps).size == coded
+            sym = quantizer.quantize(rng.normal(0.0, sigma, size=(rows, n)), sched)
+            flat = sym.reshape(-1)
+            # escapes on the first and last lane of a step, and on the last
+            # symbol; coded symbol k is in row k div coded, and its last
+            # channel is the last of its row or, in a pair, the first's
+            # neighbour. At 1, 8193 and 12289 rows the last symbol is in a
+            # partial last step, and at 1 and 2 rows there are no more
+            # symbols than lanes
+            last = [1, 2] if paired else [0, 1, 2]
+            escapes = {
+                n * (k // coded) + last[k % coded] for k in (0, lanes - 1, lanes, 2 * lanes - 1) if k < rows * coded
+            } | {flat.size - 1}
+            for k in escapes:
+                flat[k] = 100_000 + k
+            blob = entropy.encode_symbols(sym, model, sched)
+            assert len(blob) >= 4 * lanes + 4 * len(escapes)
+            assert np.array_equal(entropy.decode_symbols(blob, sym.size, model, sched), sym)
 
     def test_corrupt_byte_detected_or_wrong(self):
         # decoder never reads past the payload; a truncated stream errors
@@ -232,24 +416,27 @@ class TestRoundTrip:
 class TestStepChunks:
     """The encoder gathers its tables one chunk of ``_CHUNK`` steps at a time,
     last chunk first. Payloads whose step counts straddle a chunk edge keep
-    the bytes (sha256) that the whole-table gather gave, and decode back."""
+    the bytes (sha256) that a whole-table gather gives, and decode back
+    (re-pinned at bitstream v7, whose payloads decode to the same symbols)."""
 
     PINNED = {
-        255: "86d16141876d8cbd6b12fee9eab9cd9e72225fe193be5ac7aa81f07f9566d0f0",
-        256: "580be1fc8df6cc162e977cb44b746a8740cf8700635af9cd826ae234e844acee",
-        257: "51fc6cb7896450ff3a1fcb007f9a2644323bc335d6960796bad9c9d2287f9c74",
-        513: "a26663cba5838851f7e7b057bfcaa1a6687fafd56b97fa037c20309bb695cb7f",
+        255: "efcd609caff55c20d13b12cab0f51a694e03c991394f33f0bc25f86c2c08b117",
+        256: "30a3a693e4c12579a154261aef759b852c06bd8c264ecdb1f06d458c82f231c8",
+        257: "6d8833337cf529ee134e6ffc718d7762cb779e5bba22e848238fa4035c9a232e",
+        513: "754fe6fc4d1ce6782cc0c54f5cc230b6a48ca5c73fd9653d91da8f2d4f691fee",
     }
 
     @pytest.mark.parametrize("n_steps", [255, 256, 257, 513])
     def test_bytes_pinned_across_chunk_edges(self, n_steps):
         assert entropy._CHUNK == 256
         n = 3
-        rows = 2 * n_steps - 1  # 2 lanes per channel below 4096 rows: a partial last step
-        assert entropy.lane_grid(rows) == (2, n_steps)
+        # 4 lanes per coded channel below 4096 rows: a partial last step
+        rows = 4 * n_steps - 1
+        assert entropy.lane_grid(rows, True) == (4, n_steps)
         rng = np.random.default_rng(n_steps)
         model = entropy.GaussianEntropyModel(mu=0.3 * rng.normal(size=n), sigma=np.exp(0.5 * rng.normal(size=n)))
         steps = np.array([0.5, 0.75, 1.0])
+        assert entropy.pairing(model, steps).size == 2  # a pair and a channel alone
         sym = np.floor(rng.normal(0.0, 2.0, size=(rows, n)) / steps + 0.5).astype(np.int64)
         sym[0, 0], sym[rows // 2, 1], sym[-1, -1] = 5000, -7000, 6000  # escapes
         blob = entropy.encode(sym, model, steps)
@@ -274,40 +461,59 @@ class TestLatentsLoop:
     escape area."""
 
     @staticmethod
-    def latents(rows):
+    def latents(rows, shapes=((4, 0.5), (2, 0.4), (5, 0.6))):
+        """Latents of ``(channels, sigma)`` at step 0.5. The default ones have
+        tables of 17, 15 and 21 symbols, so each pairs its channels among
+        its own, in twos, and the last keeps its fifth alone."""
         rng = np.random.default_rng(rows)
         out = []
-        for n, sigma in ((3, 1.5), (1, 0.4), (5, 3.0)):
+        for n, sigma in shapes:
             model = make_model(n, sigma=sigma)
             sched = quantizer.channel_schedule(0.5, 0.0, n)
             sym = quantizer.quantize(rng.normal(0.0, sigma, size=(rows, n)), sched)
             flat = sym.reshape(-1)
-            lanes = n * entropy.lane_grid(rows)[0]
-            # escapes on the first and last lane, and on the last symbol; a
-            # 1-row latent has fewer symbols than lanes
-            for k in (0, min(lanes, flat.size) - 1, flat.size - 1):
+            width = entropy.lane_grid(rows, True)[0]
+            # escapes in the first coded symbol, in the last one of the first
+            # step (the last channel of row width - 1), and on the last
+            # symbol; a 1-row latent has fewer symbols than lanes
+            for k in (0, (min(width, rows) - 1) * n + n - 1, flat.size - 1):
                 flat[k] = 100_000 + k
             out.append((sym, model, sched))
         return out
 
     @pytest.mark.parametrize("rows", [1, 4095, 4096, 8193, 12289])
     def test_round_trip_with_the_bytes_of_each_latent_alone(self, rows):
-        # the lane of channel j and row residue r codes the symbols of the
-        # lane of the same channel and residue in j's latent coded alone: the
-        # payload is as long as the latents alone together, and its lane
-        # states are theirs
+        # where no pair spans two latents and each latent has a pair, the
+        # lane of coded channel c and row residue r codes the symbols of the
+        # lane of the same coded channel and residue in c's latent coded
+        # alone: the payload is as long as the latents alone together, and its
+        # lane states are theirs
         latents = self.latents(rows)
         sym, model, steps = joined(latents)
         coded = entropy.encode(sym, model, steps)
         alone = [entropy.encode_symbols(*latent) for latent in latents]
+        own_coded = [entropy.pairing(m, sc.steps).size for _, m, sc in latents]
+        assert own_coded == [2, 1, 3] and entropy.pairing(model, steps).size == sum(own_coded)
         assert len(coded) == sum(map(len, alone))
-        width = entropy.lane_grid(rows)[0]
-        states = np.frombuffer(coded, dtype="<u4", count=width * model.n).reshape(width, model.n)
+        width = entropy.lane_grid(rows, True)[0]
+        states = np.frombuffer(coded, dtype="<u4", count=width * 6).reshape(width, 6)
         c = 0
-        for data, (_, own_model, _) in zip(alone, latents):
-            own = np.frombuffer(data, dtype="<u4", count=width * own_model.n).reshape(width, own_model.n)
-            assert np.array_equal(states[:, c : c + own_model.n], own)
-            c += own_model.n
+        for data, n in zip(alone, own_coded):
+            own = np.frombuffer(data, dtype="<u4", count=width * n).reshape(width, n)
+            assert np.array_equal(states[:, c : c + n], own)
+            c += n
+        assert np.array_equal(entropy.decode(rows, coded, model, steps), sym)
+
+    @pytest.mark.parametrize("rows", [1, 4095, 8193])
+    def test_pairs_span_latents(self, rows):
+        # tables of 49, 15 and 97 symbols: no latent pairs its own channels,
+        # but the last of the first (49) pairs with the second (15) in the
+        # joined latent, which so codes 8 symbols a row for 9 channels
+        latents = self.latents(rows, ((3, 1.5), (1, 0.4), (5, 3.0)))
+        sym, model, steps = joined(latents)
+        assert entropy.pairing(model, steps).tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
+        assert all(entropy.pairing(m, sc.steps).size == m.n for _, m, sc in latents)
+        coded = entropy.encode(sym, model, steps)
         assert np.array_equal(entropy.decode(rows, coded, model, steps), sym)
 
     @settings(max_examples=60, deadline=None)
@@ -438,9 +644,9 @@ class TestHostilePayload:
     """Each forgery reaches the one decoder check it names (``match``)."""
 
     @staticmethod
-    def coded(rows=300, n=3, seed=12):
+    def coded(rows=300, n=3, seed=12, sigma=1.0):
         rng = np.random.default_rng(seed)
-        model = make_model(n, sigma=1.0)
+        model = make_model(n, sigma=sigma)
         sched = quantizer.channel_schedule(0.5, 0.0, n)
         sym = quantizer.quantize(rng.normal(size=(rows, n)), sched)
         sym[3, 1] = 77_777  # one escape
@@ -508,6 +714,24 @@ class TestHostilePayload:
         with pytest.raises(DecodeError, match="inside its table"):
             entropy.decode_symbols(forged, sym.size, model, sched)
 
+    def test_escaped_pair_inside_tables_rejected(self):
+        # a pair escapes when either member is outside its table, so an
+        # escaped pair whose raw values both lie inside their tables is forged;
+        # one member inside is what the encoder writes
+        model, sched = make_model(2, sigma=0.25), quantizer.channel_schedule(0.5, 0.0, 2)
+        assert entropy.pairing(model, sched.steps).tolist() == [0]  # 9 symbols each
+        sym = np.zeros((40, 2), dtype=np.int64)
+        sym[3] = 2, 77_777
+        blob = entropy.encode_symbols(sym, model, sched)
+        assert np.frombuffer(blob[-8:], dtype="<u4").tolist() == [2 + 2**31, 77_777 + 2**31]
+        forged = blob[:-4] + np.array([2**31], dtype="<u4").tobytes()  # 77777 -> 0
+        with pytest.raises(DecodeError, match="inside its table"):
+            entropy.decode_symbols(forged, sym.size, model, sched)
+        sym[3] = 77_777, 0
+        forged = entropy.encode_symbols(sym, model, sched)[:-8] + np.array([2**31, 2**31], dtype="<u4").tobytes()
+        with pytest.raises(DecodeError, match="inside its table"):
+            entropy.decode_symbols(forged, sym.size, model, sched)
+
     @settings(max_examples=200, deadline=None)
     @given(
         cut=st.integers(0, 4000),
@@ -516,6 +740,27 @@ class TestHostilePayload:
     )
     def test_fuzz_only_decode_errors(self, cut, flips, count):
         blob, sym, model, sched = self.coded()
+        data = bytearray(blob[: len(blob) - cut % (len(blob) + 1)])
+        for pos, mask in flips:
+            if data:
+                data[pos % len(data)] ^= mask
+        count = sym.size if count is None else count
+        try:
+            out = entropy.decode_symbols(bytes(data), count, model, sched)
+        except DecodeError:
+            return
+        assert out.shape == (count // 3, 3)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cut=st.integers(0, 4000),
+        flips=st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 255)), max_size=4),
+        count=st.one_of(st.just(None), st.integers(0, 2**32 - 1), st.integers(0, 4000)),
+    )
+    def test_fuzz_pairs_only_decode_errors(self, cut, flips, count):
+        # channels 0 and 1 coded as a pair, 2 alone
+        blob, sym, model, sched = self.coded(sigma=0.25)
         data = bytearray(blob[: len(blob) - cut % (len(blob) + 1)])
         for pos, mask in flips:
             if data:

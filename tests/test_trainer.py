@@ -395,7 +395,9 @@ class TestTrainedBytes:
     the training path that moves any trained float shows here. Re-pinned
     when training moved to float32 batches: every log moved, and so did the
     files of the two refinement cases; the klt-trunc and dct files kept
-    their bytes, since their learned schedules round to the same binary32."""
+    their bytes, since their learned schedules round to the same binary32.
+    Re-pinned at bitstream v7: each file differs from v6 only in its
+    version and CRC."""
 
     # default_configs keywords -> (bundle file, log)
     CASES = {
@@ -406,19 +408,19 @@ class TestTrainedBytes:
     }
     PINNED = {
         "shtc-full": (
-            "af2b52df14590a790d334a92d3348c6d8902c65e356603282d08936d84052047",
+            "7775a628b221258574ad67c098b6d58433ba25dea541f93c2162b76a067813c2",
             "dc5e2aac7a2d76a4457e6e713c65c847b098ff8daf1ccfa069ff7e463e033617",
         ),
         "scaling_cols=2": (
-            "239c36ad91d38e1c59f0ab2abdfb7df521b3cb3d7b96b41efbf6520ff3db9b78",
+            "47ae595ecb6b4ac3f45e94121d94411c30370abe36d5920704afaa70faaf4da2",
             "bd85dbee71f090e4dc726f0b381f2e9afff92cd3e465ba74056beac6b828b8aa",
         ),
         "klt-trunc": (
-            "a98c88f77ea2a27ff844dfa6546501ce0ad4a5144ff26fa938004100caa5dc35",
+            "ff74c62e057353755b7c396ae142c13a254f722c32947c5c209fa2c9b0eba172",
             "47c164534e50eaba44d23fa19e4dd23d66f3d2c5537e05ff3e07613a607e41d1",
         ),
         "dct": (
-            "b786101b55822a9ae49bf987a3f68a3d101725a20a4af6ce592be54fe1404345",
+            "82cd4010823ec49b5d40834a4831228907cdd5369663efe5bd4bbc731411a163",
             "de2a92e94f249835a1bc929a380b0bd9940f91bd265023d1fb4d0f92c7c68279",
         ),
     }
@@ -443,7 +445,7 @@ class TestTrainedBytes:
         tc = TrainConfig(lam=0.004, iters=20, batch=256, seed=6, log_every=5)
         bundle, log = trainer.train(x, configs, tc)
         assert hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest() == (
-            "23a9a694fec415961673cc857a7efdb502946cc2ec842d0cc41b9a1a46e06d58"
+            "628aeac6eede911eb9bbcaa7dbc41a6bf644f6dd078020c5308b9d6d24c2ac64"
         )
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
             "27e9e4c35ce38a9d8f697f223803972427f72998dc3b583f0231e4ad9e6fead0"
