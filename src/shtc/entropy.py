@@ -27,9 +27,10 @@ latent of all its channels (``codec`` joins its streams' latents), and a
 pair halves the steps of its two channels without adding lanes: ``encode``
 and ``decode`` run one lane loop over a (rows, channels) symbol table under
 one entropy model, with one lane set, one word area and one escape area.
-One frequency table spans the coded channels, so one sorted search serves
-the whole file. ``encode_symbols`` and ``decode_symbols`` take a quantizer
-schedule in place of its steps.
+The decoder finds each lane's entry from its slot with one lookup in a
+per-coded-channel slot table (the rANS decoding table of Duda and Giesen), so a
+step's lanes of all coded channels cost one gather. ``encode_symbols`` and
+``decode_symbols`` take a quantizer schedule in place of its steps.
 
 Tables are built in one place: ``build_tables`` returns every array both
 loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
@@ -139,10 +140,18 @@ def _pair_leads(size) -> np.ndarray:
     return np.array(leads, dtype=np.int64)
 
 
+def _model_steps(model: GaussianEntropyModel, steps) -> np.ndarray:
+    """``steps`` as float64, one per channel of ``model``."""
+    step = np.asarray(steps, dtype=np.float64)
+    if step.shape != model.mu.shape:
+        raise DimMismatch("model/schedule channel counts disagree")
+    return step
+
+
 def pairing(model: GaussianEntropyModel, steps) -> np.ndarray:
     """The first channel of each coded channel of ``model`` and ``steps``:
     one per symbol a row codes, for its pairs and its channels coded alone."""
-    return _pair_leads(_support(model.mu, model.sigma, np.asarray(steps, dtype=np.float64))[1])
+    return _pair_leads(_support(model.mu, model.sigma, _model_steps(model, steps))[1])
 
 
 @dataclass(frozen=True)
@@ -160,13 +169,14 @@ class FreqTables:
     their coded symbols' offsets.
 
     One pad entry of freq 2^16, cum 0 (an identity on the state) follows the
-    last coded channel; idle lanes of a partial last step code it. ``key[e]``
-    is the running total of all frequencies through entry ``e``. Each coded
-    channel sums to exactly 2^16, so a sorted search of ``(c << 16) + slot``
-    yields coded channel c's entry for that slot, and one of
-    ``key[-1] + slot`` the pad. ``value[e, m]`` is the symbol of member m at
-    entry ``e``, with ``_ESCAPED`` at escape entries, the pad, and the
-    missing second member of a channel coded alone.
+    last coded channel; idle lanes of a partial last step code it. Each coded
+    channel's frequencies sum to exactly 2^16, so ``slot_entry`` holds one
+    block of 2^16 uint16 per coded channel: ``slot_entry[(c << 16) + slot]``
+    is the local index ``i`` of coded channel c's entry ``start[c] + i`` with
+    ``cum <= slot < cum + freq``. A last, all-zero block stands for the pad.
+    ``value[e, m]`` is the symbol of member m at entry ``e``, with
+    ``_ESCAPED`` at escape entries, the pad, and the missing second member of
+    a channel coded alone.
     """
 
     lo: np.ndarray
@@ -178,7 +188,7 @@ class FreqTables:
     entries: np.ndarray
     freq: np.ndarray
     cum: np.ndarray
-    key: np.ndarray
+    slot_entry: np.ndarray
     value: np.ndarray
 
 
@@ -187,11 +197,16 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     escape, for ``model`` quantized with ``steps``. A pure function of the
     (serialized) model parameters, so encoder and decoder rebuild them
     identically.
+
+    Memory: the tables keep 2^17 bytes of ``slot_entry`` per coded channel
+    and as many for the pad; 32 bytes per entry (the pad's too) in ``freq``,
+    ``cum`` and ``value``; 16 per coded channel in ``start`` and ``entries``;
+    and 32 + 4 * coded channels per channel in ``lo``, ``size``, ``coded``,
+    ``member`` and ``weight``. Building them peaks at most 160 bytes per
+    entry and 16 KiB above that, for the bin masses.
     """
     mu, sigma = model.mu, model.sigma
-    step = np.asarray(steps, dtype=np.float64)
-    if step.shape != mu.shape:
-        raise DimMismatch("model/schedule channel counts disagree")
+    step = _model_steps(model, steps)
     n = mu.size
     lo, size = _support(mu, sigma, step)
     lead = _pair_leads(size)
@@ -228,8 +243,13 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     freq = np.concatenate(freqs + [[_TOTAL]])  # and the pad
     entries = np.array([f.size for f in freqs[::2]], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(entries + 1)[:-1]))
-    key = np.cumsum(freq[:-1])
-    cum = np.append(key - freq[:-1] - (np.repeat(np.arange(lead.size), entries + 1) << _FREQ_BITS), 0)
+    owner = np.repeat(np.arange(lead.size), entries + 1)
+    cum = np.append(np.cumsum(freq[:-1]) - freq[:-1] - (owner << _FREQ_BITS), 0)
+    # each entry's index within its coded channel, the pad's 0, repeated once
+    # per slot: coded channel c's 2^16 slots, then the pad's
+    local = np.append(np.arange(owner.size) - start[owner], 0).astype(np.uint16)
+    slot_entry = np.repeat(local, freq)
+    del owner, local  # before the values are joined
     coded = np.repeat(np.arange(lead.size), members)
     weight = np.zeros((n, lead.size), dtype=np.float32)
     weight[np.arange(n), coded] = 1
@@ -245,7 +265,7 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
         entries=entries,
         freq=freq.astype(np.uint64),
         cum=cum.astype(np.uint64),
-        key=key.astype(np.uint64),
+        slot_entry=slot_entry,
         value=np.concatenate(values + [[[_ESCAPED, _ESCAPED]]]).astype(np.int64),
     )
     for a in vars(tables).values():
@@ -267,6 +287,10 @@ def _coder_state(model: GaussianEntropyModel, steps) -> FreqTables:
     cached_key, tables = _coder_cache  # one read: a key never pairs with another key's tables
     if cached_key == key:
         return tables
+    # free the old tables before the new ones are built, so the two are
+    # never held at once
+    del tables
+    _coder_cache = (None, None)
     tables = build_tables(model, steps)  # the module global, so a rebinding of it sees the call
     _coder_cache = (key, tables)
     return tables
@@ -364,8 +388,8 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
         if data:
             raise DecodeError("nonempty payload for zero rows")
         return np.zeros((0, channels), dtype=np.int64)
-    tables = _coder_state(model, steps)
-    coded = tables.start.size
+    # the payload must hold every lane state before a table is built
+    coded = pairing(model, steps).size
     width, n_steps = lane_grid(rows, coded < channels)
     lanes = width * coded
     head = 4 * lanes
@@ -375,21 +399,29 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
     area = np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64)
-    # Lane l codes coded channel l % coded. The lanes idle in a partial last
-    # step decode the pad entry, so every step runs on every lane.
-    key, freq, cum = tables.key, tables.freq, tables.cum
-    chan_key = (np.arange(lanes, dtype=np.uint64) % np.uint64(coded)) << np.uint64(_FREQ_BITS)
-    last_key = np.where(np.arange(lanes) < rows * coded - (n_steps - 1) * lanes, chan_key, key[-1])
-    step_keys = [chan_key] * (n_steps - 1) + [last_key]
+    tables = _coder_state(model, steps)
+    slot_entry, freq, cum = tables.slot_entry, tables.freq, tables.cum
     # numpy scalars: a Python int operand costs a conversion on every step
     mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
     freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
+    # Lane l codes coded channel l % coded. The lanes idle in a partial last
+    # step code the pad, as block ``coded`` of slot_entry, so every step runs
+    # on every lane. A lane's key selects its block, and its base is the
+    # block's first entry.
+    lane = np.arange(lanes)
+    chan = lane % coded
+    idle = lane >= rows * coded - (n_steps - 1) * lanes
+    first = np.append(tables.start, freq.size - 1)
+    full, last = ((c.astype(np.uint64) << freq_bits, first[c]) for c in (chan, np.where(idle, coded, chan)))
+    step_keys = [full] * (n_steps - 1) + [last]
     entries = np.empty((n_steps, lanes), dtype=np.intp)
     need = np.empty(lanes, dtype=bool)
     pos = 0  # words read, in lane order within a step
-    for t, ck in enumerate(step_keys):
+    for t, (ck, b) in enumerate(step_keys):
         slot = x & mask
-        e = entries[t] = key.searchsorted(ck | slot, side="right")
+        # every index is below 2^63, so its int64 view, which indexes without
+        # a cast, has its value
+        e = np.add(slot_entry[(ck | slot).view(np.int64)], b, out=entries[t])
         x >>= freq_bits
         x *= freq[e]
         x += slot

@@ -7,6 +7,7 @@ grid {0.002, 0.004, 0.008, 0.015}.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestCriterion9Determinism:
             fit_info = json.loads(capsys.readouterr().out)
             assert cli.main(["encode", str(table), fit_info["bundle"], "--out", str(out)]) == 0
             enc_info = json.loads(capsys.readouterr().out)
-            blobs.append(open(enc_info["encoded"], "rb").read())
+            blobs.append(Path(enc_info["encoded"]).read_bytes())
         assert blobs[0] == blobs[1]
         report("9 determinism", f"two fit+encode runs byte-identical ({len(blobs[0])} bytes)")
 

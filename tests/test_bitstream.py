@@ -20,6 +20,8 @@ from shtc.entropy import GaussianEntropyModel
 from shtc.errors import BadMagic, ChecksumError, DecodeError, VersionUnsupported
 from shtc.quantizer import channel_schedule
 
+from .test_entropy import decoded_alike
+
 
 def minimal_bundle():
     """D=2, rank 1, no refinement: the golden-size fixture."""
@@ -457,12 +459,7 @@ def forge_u32(data: bytearray, at: int, value):
 
 
 def decode_or_decode_error(data: bytes):
-    start = time.perf_counter()
-    try:
-        codec.decode_table(*bitstream.deserialize(data))
-    except DecodeError:
-        pass
-    assert time.perf_counter() - start < 2.0
+    decoded_alike(lambda: codec.decode_table(*bitstream.deserialize(data)))
 
 
 class TestHostileBlockShapes:
@@ -516,7 +513,8 @@ DIMS_VALUES = {
 class TestFileFuzz:
     """Forged files, CRCs resealed so each forgery reaches the parser: only
     ``DecodeError``-family exceptions come out of ``deserialize`` +
-    ``decode_table``, each within a time bound."""
+    ``decode_table``, each within a time bound, and alike under
+    ``entropy.decode`` and under ``reference_decode``."""
 
     @settings(max_examples=120, deadline=None)
     @given(
