@@ -65,6 +65,6 @@ def synthesize_base(theta_p: np.ndarray, model: KltModel) -> np.ndarray:
     dt = theta_p.dtype
     if theta_p.shape[-1] != model.rank:
         raise DimMismatch(f"expected last dim {model.rank}, got {theta_p.shape[-1]}")
-    # contiguous for speed, as refinement.unfold_code's g_t
+    # contiguous for speed, as refinement.prepare's g_t
     return theta_p @ np.ascontiguousarray(model.basis.T, dtype=dt) + model.mean.astype(dt, copy=False)
 

@@ -436,11 +436,9 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
     # each channel reads its coded channel's entry; member m of entry e is
-    # value[e, m], at 2e + m of the flat values
-    at = entries.reshape(-1)[: rows * coded].reshape(rows, coded).repeat(np.bincount(tables.coded), axis=1)
-    at *= 2
-    at += tables.member
-    sym = tables.value.reshape(-1)[at]
+    # value[e, m], at column 2c + m of the (rows, 2 * coded) member values
+    pairs = np.take(tables.value, entries.reshape(-1)[: rows * coded], axis=0).reshape(rows, 2 * coded)
+    sym = np.take(pairs, 2 * tables.coded + tables.member, axis=1)
     escaped = sym == _ESCAPED  # every member of an escaped coded symbol
     n_escaped = np.count_nonzero(escaped)
     # the words read leave exactly one u32, two u16, per escaped member

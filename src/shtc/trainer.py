@@ -166,10 +166,12 @@ def _rate_grad(g, p, z_lo, z_hi, sigma):
     return dx, -dx.sum(axis=0), d_sigma, d_steps
 
 
-def _unfold_grad(g, y, model: RefinementModel, beta, layers):
+def _unfold_grad(g, y, model: RefinementModel, prepared: refinement.Prepared, beta, layers):
     """Gradient of ``sum(g * (beta @ D.T))``, beta = ``refinement.unfold_code``
-    of ``y`` with ``record=layers``, with respect to y, the measurement, the
-    dictionary, step_raw and thresh_raw.
+    of ``y`` through ``prepared`` (``model`` prepared in the precision of
+    ``y``, untiled) with ``record=layers``, with respect to y, the
+    measurement, the dictionary, step_raw and thresh_raw. G, G^T and the
+    steps are read from ``prepared``: the forward's, not derived again.
 
     Walks the recorded layers in reverse. Subgradient: zero inside each
     soft-threshold dead zone (|pre| <= tau), for the pre-activation and the
@@ -179,9 +181,7 @@ def _unfold_grad(g, y, model: RefinementModel, beta, layers):
     the mask and the sign at once.
     """
     a, d = model.measure, model.dictionary
-    gmat = a @ d
-    gmat_t = np.ascontiguousarray(gmat.T)  # see refinement.unfold_code's g_t
-    etas = model.steps()
+    gmat, gmat_t, etas = prepared.g, prepared.g_t, prepared.etas
     d_g = np.zeros_like(gmat)
     d_y = np.zeros_like(y)
     d_step = np.zeros_like(model.step_raw)
@@ -272,7 +272,7 @@ class _StreamPass:
     refine: _Latent | None = None
     r: np.ndarray | None = None  # truncation residual
     resid_err: np.ndarray | None = None  # r - r_hat
-    unfold: tuple | None = None  # (model, beta, recorded layers)
+    unfold: tuple | None = None  # (model, its prepared layers, beta, recorded layers)
 
 
 @dataclass
@@ -318,9 +318,10 @@ def loss(
             s.r = r
             s.refine = _latent(refinement.analyze_refine(r, model), weights, f"{p}.ref", rng)
             bits_refine += s.refine.bits
+            prepared = refinement.prepare(model, s.refine.x_hat.dtype)
             layers: list = []
-            beta = refinement.unfold_code(s.refine.x_hat, model, record=layers)
-            s.unfold = (model, beta, layers)
+            beta = refinement.unfold_code(s.refine.x_hat, prepared, record=layers)
+            s.unfold = (model, prepared, beta, layers)
             r_hat = beta @ model.dictionary.T
             f_hat = f_hat + r_hat
             s.resid_err = s.r - r_hat
@@ -366,10 +367,10 @@ def backward(fwd: Forward, params: Params) -> np.ndarray:
         g_f_hat = -w_l1 * np.sign(s.err)
         _latent_grad(s.base, g_f_hat @ s.sm.klt.basis.astype(g_f_hat.dtype, copy=False), w_base, grads)
         if s.refine is not None:
-            model, beta, layers = s.unfold
+            model, prepared, beta, layers = s.unfold
             g_r_hat = g_f_hat - w_resid * np.sign(s.resid_err)
             d_y, d_measure, d_dict, d_step, d_thresh = _unfold_grad(
-                g_r_hat, s.refine.x_hat, model, beta, layers
+                g_r_hat, s.refine.x_hat, model, prepared, beta, layers
             )
             g_y = _latent_grad(s.refine, d_y, w_refine, grads)
             g_model = _refine_model(grads, f"{s.sm.config.name}.ref")

@@ -203,12 +203,42 @@ class TestEncodeDecode:
             out = np.empty((rows, 50))
             tracemalloc.start()
             try:
-                codec._reconstruct_stream(sm, out, sym)
+                codec._reconstruct_stream(sm, codec._synthesis(sm, rows), out, sym)
                 peaks[rows] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         # less than one 1024-row block of float64 at dim 50 between them
         assert abs(peaks[16384] - peaks[2048]) < 8 * 1024 * 50, peaks
+
+    def test_prepared_layers_add_at_most_their_stated_bytes(self, monkeypatch):
+        """A many-layer, many-atom stream: the tiles ``decode_table``
+        prepares for a table with a full block raise its tracemalloc peak by
+        at most what ``refinement.prepare`` states, 1.5 * tile times the
+        stream's step and threshold floats and at most 3 * 2^17 floats.
+        Tiling each of its 40 layers of 600 atoms 256 times would keep
+        74 MB."""
+        x = source(5, n=2048)
+        configs = default_configs(8, rank=2, n_meas=4, n_atoms=600, n_layers=40)
+        fitted = codec.fit_bundle(x, configs, np.random.default_rng(5))
+        fitted.streams[0].refine.step_raw[:] = np.log(1e-3)  # a synthesis that stays finite
+        bundle = bitstream.finalize_bundle(fitted)
+        payload, recon = codec.encode_table(bundle, x)
+        refine = bundle.streams[0].refine
+        tile = codec._synthesis(bundle.streams[0], x.shape[0]).tile
+        stated = 1.5 * tile * (refine.step_raw.size + refine.thresh_raw.size) * 4
+        assert tile == 4 and stated <= 3 * (1 << 17) * 4
+        peaks = {}
+        for tile_rows in (1, codec._TILE_ROWS):
+            monkeypatch.setattr(codec, "_TILE_ROWS", tile_rows)
+            codec.decode_table(bundle, payload)  # the coder's tables are cached before tracing
+            tracemalloc.start()
+            try:
+                out = codec.decode_table(bundle, payload)
+                peaks[tile_rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(out, recon)
+        assert peaks[codec._TILE_ROWS] <= peaks[1] + stated, peaks
 
     def test_encoder_memory_grows_only_with_its_outputs(self):
         """Between 2048 and 16384 rows at dim 50, the tracemalloc peak of
@@ -535,15 +565,24 @@ class TestFloat32Synthesis:
         seen = []
         real_synthesize = refinement.unfold_synthesize
 
-        def spy(y, model):
-            out = real_synthesize(y, model)
-            seen.append((y.dtype, out.dtype))
+        def spy(y, layers):
+            out = real_synthesize(y, layers)
+            seen.append((y.dtype, layers.dtype, out.dtype))
             return out
 
         monkeypatch.setattr(refinement, "unfold_synthesize", spy)
         payload, recon = codec.encode_table(bundle, x)
         assert recon.dtype == codec.decode_table(bundle, payload).dtype == np.float64
-        assert seen == [(np.float32, np.float32)] * (2 * len(codec._row_blocks(x.shape[0])))
+        assert seen == [(np.float32, np.float32, np.float32)] * (2 * len(codec._row_blocks(x.shape[0])))
+
+    def test_reconstruction_bits_pinned(self, trained):
+        # sha256 of the seed-1 fit-std reconstruction, taken before the
+        # refinement's per-channel terms were tiled
+        bundle, x = trained
+        payload, recon = codec.encode_table(bundle, x)
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == (
+            "717a8a6b801081b8ff779f61c559aa9c29e3152838452610c2efed965cd1dd9f")
+        assert np.array_equal(codec.decode_table(bundle, payload), recon)
 
     def test_close_to_float64_synthesis(self, trained):
         bundle, x = trained

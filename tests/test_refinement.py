@@ -11,6 +11,8 @@ from shtc import codec, refinement
 from shtc.errors import BadThreshold, DimMismatch, StepTooLarge
 from shtc.refinement import RefinementModel
 
+from .test_entropy import fit_std_bundle
+
 
 def tied_model(a, dictionary, eta, gamma, n_layers):
     """Unfolded model with every layer tied to scalar (eta, tau=eta*gamma)."""
@@ -184,13 +186,15 @@ def reference_unfold(y, model):
     """The unfolded layers from their definition, one whole-input layer at a
     time, in the precision of ``y``: beta_0 = 0, pre_k = beta_k - eta_k G^T
     (G beta_k - y), beta_k+1 = soft(pre_k, tau_k). Returns the code and each
-    layer's (beta, resid, pre)."""
+    layer's (beta, resid, pre). G^T is a contiguous copy, as in the layers:
+    BLAS can round the transposed view differently at a few rows."""
     g = (model.measure @ model.dictionary).astype(y.dtype)
+    g_t = np.ascontiguousarray(g.T)
     etas, taus = model.steps().astype(y.dtype), model.thresholds().astype(y.dtype)
     beta = np.zeros(y.shape[:-1] + (model.n_atoms,), y.dtype)
     layers = []
     for k in range(model.n_layers):
-        resid = beta @ g.T - y
+        resid = beta @ g_t - y
         pre = beta - etas[k] * (resid @ g)
         layers.append((beta, resid, pre))
         beta = np.sign(pre) * np.maximum(np.abs(pre) - taus[k], 0.0)
@@ -284,7 +288,7 @@ class TestWorkingPrecision:
         assert [a.dtype for layer in layers for a in layer] == [np.float32] * (3 * model.n_layers)
         # bit for bit the definition with float32 operands: a step or
         # threshold left in float64 rounds a layer through float64 and shows
-        # here (at these shapes OpenBLAS multiplies G^T's view and copy alike)
+        # here
         assert np.array_equal(beta, reference_unfold(y, model)[0])
         want = refinement.unfold_synthesize(y.astype(np.float64), model)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5 * np.abs(want).max())
@@ -296,6 +300,78 @@ class TestWorkingPrecision:
         got = refinement.unfold_synthesize(y, model)
         assert got.dtype == np.float64
         assert np.array_equal(got, refinement.unfold_synthesize(y.astype(np.float64), model))
+
+
+# row counts on both sides of every tile and block edge of the codec's
+# synthesis; 544 is the last block of a 20000-row table
+_T = codec._TILE_ROWS
+TILE_CASES = [1, 2, _T - 1, _T, _T + 1, 544, _B - 1, _B, _B + 1, 2 * _B + 1]
+
+
+@pytest.fixture(scope="module")
+def fit_std_refine():
+    """The seed-1 ``fit-std`` refinement model and measurements of its
+    table's truncation residual."""
+    bundle, x = fit_std_bundle()
+    sm = bundle.streams[0]
+    return sm.refine, refinement.analyze_refine(codec.split_base(x, sm.klt)[1], sm.refine)
+
+
+class TestPreparedLoop:
+    """``prepare`` casts and tiles the layers once; the tiled loop gives the
+    reference loop's bits at every row count, tiled or not."""
+
+    def measurements(self, name, rows, fit_std_refine):
+        if name == "blocked":
+            return blocked_model(), block_measurements(rows)
+        model, y = fit_std_refine
+        return model, y[:rows]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", TILE_CASES)
+    @pytest.mark.parametrize("name", ["blocked", "fit-std"])
+    def test_bits_equal_reference_loop(self, name, rows, dtype, fit_std_refine):
+        model, y = self.measurements(name, rows, fit_std_refine)
+        y = y.astype(dtype)
+        want = reference_unfold(y, model)[0]
+        for tile in (1, _T):
+            prepared = refinement.prepare(model, dtype, tile)
+            assert prepared.tile == tile and prepared.dtype == dtype
+            beta = refinement.unfold_code(y, prepared)
+            assert beta.dtype == dtype and np.array_equal(beta, want)
+            got = refinement.unfold_synthesize(y, prepared)
+            assert np.array_equal(got, refinement.unfold_synthesize(y, model))
+
+    def test_tiles_hold_each_layers_parameters(self):
+        model = blocked_model()
+        prepared = refinement.prepare(model, np.float32, 4)
+        n = model.n_atoms
+        assert prepared.etas.shape == (model.n_layers, 4 * n)
+        for tiled, want in ((prepared.etas, model.steps()), (prepared.taus, model.thresholds()),
+                            (prepared.neg_taus, -model.thresholds())):
+            assert tiled.dtype == np.float32 and tiled.flags.c_contiguous
+            assert np.array_equal(tiled, np.tile(want.astype(np.float32), (1, 4)))
+        assert prepared.g_t.flags.c_contiguous and np.array_equal(prepared.g_t, prepared.g.T)
+
+    @pytest.mark.parametrize("n_atoms, n_layers, tile", [
+        (50, 6, 256),  # the default stream: 3 * 6 * 12800 floats of tiles
+        (64, 8, 256),  # 2^14 floats in a row, 2^17 in a kind
+        (65, 6, 128),  # a row of 256 tiles would exceed 2^14
+        (50, 11, 128),  # 11 layers of 256 tiles would exceed 2^17
+        (600, 40, 4),
+        (1 << 14, 1, 1),
+        ((1 << 14) + 1, 1, 1),
+        (1, 1 << 17, 1),
+    ])
+    def test_tile_rule_bounds_the_tiles(self, n_atoms, n_layers, tile):
+        model = RefinementModel(np.zeros((1, 1)), np.zeros((1, n_atoms)),
+                                np.zeros((n_layers, n_atoms)), np.zeros((n_layers, n_atoms)))
+        prepared = refinement.prepare(model, np.float32, 256)
+        assert prepared.tile == tile
+        kept = sum(a.nbytes for a in (prepared.etas, prepared.taus, prepared.neg_taus))
+        # 1.5 * tile times the step_raw and thresh_raw floats, at most 3 * 2^17 floats
+        assert kept == 1.5 * tile * (model.step_raw.size + model.thresh_raw.size) * 4
+        assert kept <= 3 * (1 << 17) * 4
 
 
 class TestInitialThreshold:
@@ -367,10 +443,11 @@ class TestSparsityPriorPaysOff:
         def unfold_grads(batch, p, grads):
             model = refinement.RefinementModel(p["A"], p["D"], p["a"], p["b"])
             y = batch @ p["A"].T
+            prepared = refinement.prepare(model, y.dtype)
             layers = []
-            beta = refinement.unfold_code(y, model, record=layers)
+            beta = refinement.unfold_code(y, prepared, record=layers)
             g = l1_grad(batch, beta @ p["D"].T)
-            d_y, d_a, d_d, d_step, d_thresh = _unfold_grad(g, y, model, beta, layers)
+            d_y, d_a, d_d, d_step, d_thresh = _unfold_grad(g, y, model, prepared, beta, layers)
             grads["A"] += d_a + d_y.T @ batch
             grads["D"] += d_d
             grads["a"] += d_step

@@ -111,10 +111,10 @@ def _kink_margins(x, bundle, params, tc, rng_seed):
     orig_unfold = refinement.unfold_code
     orig_bits = entropy.bin_bits
 
-    def unfold_spy(y, model, record=None):
+    def unfold_spy(y, prepared, record=None):
         layers = [] if record is None else record
-        beta = orig_unfold(y, model, record=layers)
-        taus = model.thresholds()
+        beta = orig_unfold(y, prepared, record=layers)
+        taus = prepared.taus[:, : prepared.n_atoms]  # each layer's untiled thresholds
         for k, (_, _, pre) in enumerate(layers):
             margins.append(np.abs(np.abs(pre) - taus[k]).min())
         return beta

@@ -88,9 +88,10 @@ def unfold_value(weight):
 
 
 def unfold_grads(weight, y, model):
+    prepared = refinement.prepare(model, y.dtype)
     layers = []
-    beta = refinement.unfold_code(y, model, record=layers)
-    return trainer._unfold_grad(weight, y, model, beta, layers)
+    beta = refinement.unfold_code(y, prepared, record=layers)
+    return trainer._unfold_grad(weight, y, model, prepared, beta, layers)
 
 
 class TestUnfoldNode:
