@@ -38,7 +38,6 @@ class SyntheticSpec:
     spectrum_scale: float = 3.0
     sparsity: int = 5
     spike_scale: float = 0.6
-    spike_mix: float = 0.0  # rotates the spike frame away from the channel axes
     noise: float = 0.01
     seed: int = 0
     basis: str = "random"  # random | smooth (low-frequency, DCT-like)
@@ -65,11 +64,7 @@ def _mixing_basis(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 def synth_source(spec: SyntheticSpec) -> np.ndarray:
     """Seeded table: U diag(sqrt(lam)) z + sparse spikes + white noise.
-
-    Spikes are sparse in a frame ``spike_mix`` away from the channel axes
-    (0 keeps them channel-aligned; larger values spread each spike over a
-    few channels, which only a learned dictionary can undo).
-    """
+    Each row's ``sparsity`` spikes sit on channel axes."""
     rng = np.random.default_rng(spec.seed)
     u = _mixing_basis(spec, rng)
     lam = spec.spectrum_scale * (np.arange(spec.rank) + 1.0) ** (-spec.spectrum_exp)
@@ -79,9 +74,6 @@ def synth_source(spec: SyntheticSpec) -> np.ndarray:
         spikes = np.zeros_like(x)
         cols = np.argsort(rng.random((spec.n_rows, spec.dim)), axis=1)[:, : spec.sparsity]
         np.put_along_axis(spikes, cols, rng.normal(0.0, spec.spike_scale, size=cols.shape), axis=1)
-        if spec.spike_mix > 0:
-            q, r = np.linalg.qr(np.eye(spec.dim) + spec.spike_mix * rng.normal(size=(spec.dim, spec.dim)))
-            spikes = spikes @ (q * np.sign(np.diag(r))).T
         x += spikes
     if spec.noise > 0:
         x += spec.noise * rng.normal(size=x.shape)
@@ -234,13 +226,6 @@ def analysis_report(x: np.ndarray, klt: base_layer.KltModel, out_dir) -> dict:
             writer.writerow([name] + [f"{v:.10g}" for v in energy])
     paths["energy"] = epath
     return paths
-
-
-def top_m_energy_fraction(coeffs: np.ndarray, m: int) -> float:
-    """Energy captured by the best m coefficients (with centered input this is
-    the quantity the KLT maximizes over orthonormal transforms)."""
-    energy = linalg.energy_per_channel(coeffs)
-    return float(np.sort(energy)[::-1][:m].sum())
 
 
 def write_rd_csv(curves: list[RdCurve], path):

@@ -235,10 +235,12 @@ def fit_bundle(x: np.ndarray, configs: list[StreamConfig], rng: np.random.Genera
         raise DataError("table has non-finite entries")
     if np.abs(x).max(initial=0.0) > _F32_MAX:
         raise DataError(f"table has entries beyond binary32's range (magnitude above {_F32_MAX:.7g})")
+    if not configs:
+        raise ConfigError("need at least one stream config")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"stream names must differ, got {names}")
-    if configs and sum(c.dim for c in configs) != x.shape[1]:
+    if sum(c.dim for c in configs) != x.shape[1]:
         raise DimMismatch("stream widths do not sum to the table's columns")
     cols = side_by_side(c.dim for c in configs)
     return CodecBundle(streams=[fit_stream(x[:, col], c, rng) for c, col in zip(configs, cols)])
@@ -334,6 +336,8 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarra
     reconstruction (computed from the coded symbols). Each block of rows of
     a stream is analysed and then synthesized from its symbols while they are
     in cache; the coder codes the whole symbol table in one loop."""
+    if not bundle.streams:
+        raise ConfigError("no streams to encode")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != bundle.dim:
         raise DimMismatch(f"table of shape {x.shape} is not one of {bundle.dim} columns")

@@ -202,8 +202,10 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     and as many for the pad; 32 bytes per entry (the pad's too) in ``freq``,
     ``cum`` and ``value``; 16 per coded channel in ``start`` and ``entries``;
     and 32 + 4 * coded channels per channel in ``lo``, ``size``, ``coded``,
-    ``member`` and ``weight``. Building them peaks at most 160 bytes per
-    entry and 16 KiB above that, for the bin masses.
+    ``member`` and ``weight``. Building them peaks at most 48 bytes per
+    entry, 768 per coded channel and 16 KiB above that: each coded channel's
+    masses are computed in its own pass, so the peak is set by joining the
+    per-coded-channel frequencies and values into the tables.
     """
     mu, sigma = model.mu, model.sigma
     step = _model_steps(model, steps)
@@ -211,26 +213,20 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     lo, size = _support(mu, sigma, step)
     lead = _pair_leads(size)
     members = np.diff(lead, append=n)  # per coded channel
-    # every channel's symbol masses, concatenated
-    chan = np.repeat(np.arange(n), size)
-    first = np.concatenate(([0], np.cumsum(size)[:-1]))
-    s = (np.arange(chan.size) - first[chan] + lo[chan]).astype(np.float64)
-    m_c, sig_c, step_c = mu[chan], sigma[chan], step[chan]
-    m = chan.size
-    cdf = ndtr(np.concatenate((
-        (s * step_c + 0.5 * step_c - m_c) / sig_c,
-        (s * step_c - 0.5 * step_c - m_c) / sig_c,
-    )))
-    mass = np.split(np.maximum(cdf[:m] - cdf[m:], 0.0), first[1:])
+
+    def mass(j):  # channel j's Gaussian mass in each of its symbols' bins
+        centre, half = (lo[j] + np.arange(size[j])) * step[j], 0.5 * step[j]
+        return np.maximum(ndtr((centre + half - mu[j]) / sigma[j]) - ndtr((centre - half - mu[j]) / sigma[j]), 0.0)
+
     freqs, values = [], []
     for a, w in zip(lead, members):
         symbols = lo[a] + np.arange(size[a])
         if w == 2:  # first member major
-            p = np.multiply.outer(mass[a], mass[a + 1]).reshape(-1)
+            p = np.multiply.outer(mass(a), mass(a + 1)).reshape(-1)
             second = lo[a + 1] + np.arange(size[a + 1])
             value = np.stack((np.repeat(symbols, second.size), np.tile(second, symbols.size)), 1)
         else:
-            p = mass[a]
+            p = mass(a)
             value = np.stack((symbols, np.full(symbols.size, _ESCAPED)), 1)
         budget = _TOTAL - (p.size + 1)
         freq = np.floor(p * budget).astype(np.int64) + 1
@@ -266,7 +262,7 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
         freq=freq.astype(np.uint64),
         cum=cum.astype(np.uint64),
         slot_entry=slot_entry,
-        value=np.concatenate(values + [[[_ESCAPED, _ESCAPED]]]).astype(np.int64),
+        value=np.concatenate(values + [[[_ESCAPED, _ESCAPED]]]),
     )
     for a in vars(tables).values():
         a.flags.writeable = False

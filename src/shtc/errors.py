@@ -21,14 +21,6 @@ class DimMismatch(CodecError):
     """Operands have incompatible dimensions."""
 
 
-class BadThreshold(CodecError):
-    """Negative soft-threshold value."""
-
-
-class StepTooLarge(CodecError):
-    """ISTA step size violates the convergence bound."""
-
-
 class Overflow(CodecError):
     """A quantized symbol exceeds the 32-bit signed range, or a table's
     reconstruction is not finite."""

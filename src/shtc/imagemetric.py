@@ -70,8 +70,9 @@ def _l1(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).mean())
 
 
-def ycbcr_components(img: np.ndarray, recon: np.ndarray, weights: YcbcrWeights = DEFAULT_WEIGHTS) -> dict:
-    """All metric terms (unweighted values and the weighted total)."""
+def ycbcr_components(img: np.ndarray, recon: np.ndarray) -> dict:
+    """All metric terms: unweighted values, and ``total`` weighted by
+    ``DEFAULT_WEIGHTS``."""
     img = as_image(img)
     recon = as_image(recon)
     if img.shape != recon.shape:
@@ -86,6 +87,7 @@ def ycbcr_components(img: np.ndarray, recon: np.ndarray, weights: YcbcrWeights =
         "tv_cb": tv(b[..., 1]),
         "tv_cr": tv(b[..., 2]),
     }
+    weights = DEFAULT_WEIGHTS
     comps["total"] = (
         weights.y * comps["l1_y"]
         + weights.cb * comps["l1_cb"]
@@ -95,10 +97,6 @@ def ycbcr_components(img: np.ndarray, recon: np.ndarray, weights: YcbcrWeights =
         + weights.tv_cr * comps["tv_cr"]
     )
     return comps
-
-
-def ycbcr_loss(img: np.ndarray, recon: np.ndarray, weights: YcbcrWeights = DEFAULT_WEIGHTS) -> float:
-    return ycbcr_components(img, recon, weights)["total"]
 
 
 def read_ppm(path) -> np.ndarray:
@@ -138,11 +136,3 @@ def read_ppm(path) -> np.ndarray:
         raise DataError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     return pixels.reshape(height, width, 3).astype(np.float64) / 255.0
-
-
-def write_ppm(path, img: np.ndarray):
-    img = as_image(img)
-    h, w, _ = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.round(img * 255.0).astype(np.uint8).tobytes())

@@ -4,14 +4,13 @@ decoded by a small stack of unfolded ISTA iterations.
 The unfolded decoder keeps ISTA's structure but learns a separate step size
 and threshold per channel per layer (stored in raw form: step = exp(a),
 threshold = softplus(b), which keeps both in range without projections).
-``ista_solve`` is the plain fixed-parameter solver kept as an oracle.
 
 ``unfold_code`` runs all layers on the rows it is given, in three work
 buffers reused across layers. It has no row loop of its own: the codec
 synthesizes a table one block of ``codec._BLOCK_ROWS`` rows at a time, and a
 training batch is one block, so its buffers stay in cache. Layer 0 starts
 from beta = 0 (one matmul), and the soft threshold is computed as
-``pre - clip(pre, -tau, tau)``: ``soft_threshold``'s values in fewer passes.
+``pre - clip(pre, -tau, tau)``: the soft threshold's values in fewer passes.
 That difference is nonzero exactly outside the dead zone |pre| <= tau, with
 the sign of pre, so a layer's output code is also its dead-zone mask and
 sign: the trainer's backward reads them there, not from ``pre``.
@@ -35,14 +34,13 @@ and its backward reads G, G^T and the steps from the forward's object.
 ``prepare`` caps a tiled row at 2^14 floats and all tiles of one kind at
 2^17, so no model makes the tiles large.
 
-The analysis and the layers compute in the precision of their input
-(``linalg.working``): the analysis casts its weights to it on each call, and
-``prepare`` casts the layers' weights once. The
-codec analyses in float64 and passes the layers float32 measurements, so a
-table's refinement is synthesized in float32, at about half the cost of
-float64. The trainer passes float32 residuals and float32 copies of its
-float64 master weights, so training runs these same layers in float32 (see
-``trainer``).
+The analysis computes in the precision of its input (``linalg.working``)
+and casts its weights to it on each call; the layers compute in the
+precision ``prepare`` cast their weights to, once. The codec analyses in
+float64 and prepares the layers in float32, so a table's refinement is
+synthesized in float32, at about half the cost of float64. The trainer
+passes float32 residuals and prepares float32 copies of its float64 master
+weights, so training runs these same layers in float32 (see ``trainer``).
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadThreshold, DimMismatch, StepTooLarge
+from .errors import DimMismatch
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -98,13 +96,15 @@ class RefinementModel:
         return _softplus(self.thresh_raw)
 
 
+_STEP_INIT = 0.8  # every layer's initial step, exp(step_raw)
+
+
 def init_refinement(
     dim: int,
     n_meas: int,
     n_atoms: int,
     n_layers: int,
     rng: np.random.Generator,
-    step_init: float = 0.8,
     thresh_init: float = 0.05,
 ) -> RefinementModel:
     """Measurement rows: unit-normalized Gaussian. Square dictionaries start
@@ -126,7 +126,7 @@ def init_refinement(
     return RefinementModel(
         measure=a,
         dictionary=d,
-        step_raw=np.full((n_layers, n_atoms), np.log(step_init)),
+        step_raw=np.full((n_layers, n_atoms), np.log(_STEP_INIT)),
         thresh_raw=np.full((n_layers, n_atoms), b0),
     )
 
@@ -138,46 +138,6 @@ def analyze_refine(r: np.ndarray, model: RefinementModel) -> np.ndarray:
     if r.shape[-1] != model.dim:
         raise DimMismatch(f"expected last dim {model.dim}, got {r.shape[-1]}")
     return r @ np.ascontiguousarray(model.measure.T, dtype=r.dtype)  # see prepare's g_t
-
-
-def soft_threshold(z: np.ndarray, tau) -> np.ndarray:
-    """sign(z) * max(|z| - tau, 0), elementwise."""
-    z = np.asarray(z, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(tau < 0):
-        raise BadThreshold("soft threshold must be nonnegative")
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
-def operator_sq_norm(a: np.ndarray, dictionary: np.ndarray) -> float:
-    """Largest eigenvalue of (AD)^T (AD): the squared spectral norm of AD."""
-    return float(np.linalg.norm(a @ dictionary, 2) ** 2)
-
-
-def ista_solve(
-    y: np.ndarray,
-    a: np.ndarray,
-    dictionary: np.ndarray,
-    gamma: float,
-    eta: float,
-    iters: int,
-) -> np.ndarray:
-    """Plain ISTA for  min_b  0.5 ||y - A D b||^2 + gamma ||b||_1.
-
-    Fixed scalar step ``eta`` (must satisfy eta < 2/L with L the squared
-    operator norm of AD) and threshold eta*gamma; starts from b = 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    lip = operator_sq_norm(a, dictionary)
-    if lip > 0 and eta >= 2.0 / lip:
-        raise StepTooLarge(f"eta={eta} >= 2/L={2.0 / lip}")
-    g = a @ dictionary
-    beta = np.zeros(g.shape[1])
-    tau = eta * gamma
-    for _ in range(iters):
-        grad = g.T @ (g @ beta - y)
-        beta = soft_threshold(beta - eta * grad, tau)
-    return beta
 
 
 # The tile rule of ``prepare``: at most _TILE_ROW floats in one tiled row of
@@ -252,32 +212,25 @@ def prepare(model: RefinementModel, dtype=np.float64, tile: int = 1) -> Prepared
     )
 
 
-def _prepared(model: RefinementModel | Prepared, dtype) -> Prepared:
-    return model if isinstance(model, Prepared) else prepare(model, dtype)
-
-
-def unfold_synthesize(y: np.ndarray, model: RefinementModel | Prepared) -> np.ndarray:
+def unfold_synthesize(y: np.ndarray, layers: Prepared) -> np.ndarray:
     """Decode measurements through the unfolded layers; returns D beta.
 
-    Accepts (n_meas,) vectors or (N, n_meas) tables. A model computes in the
-    precision of ``y`` (``linalg.working``) and is prepared for it with no
-    tile; a ``Prepared`` form computes in its own precision. beta starts at
-    zero, so zero measurements decode to an exactly zero residual.
+    Accepts (n_meas,) vectors or (N, n_meas) tables, and computes in the
+    precision ``layers`` were prepared in. beta starts at zero, so zero
+    measurements decode to an exactly zero residual.
     """
     y = linalg.working(y)
-    layers = _prepared(model, y.dtype)
     if y.shape[-1] != layers.n_meas:
         raise DimMismatch(f"expected last dim {layers.n_meas}, got {y.shape[-1]}")
     return unfold_code(y, layers) @ layers.d_t
 
 
-def unfold_code(y: np.ndarray, model: RefinementModel | Prepared, record: list | None = None) -> np.ndarray:
+def unfold_code(y: np.ndarray, layers: Prepared, record: list | None = None) -> np.ndarray:
     """The unfolded layers without checks; returns the final code beta.
 
-    Runs in the precision of ``y`` (``linalg.working``), or in that of a
-    ``Prepared`` form, whose G, G^T, steps and thresholds were cast once:
-    no float64 operand promotes a float32 layer. A model is prepared on each
-    call, with no tile.
+    Runs in the precision ``layers`` were prepared in, whose G, G^T, steps
+    and thresholds were cast once: no float64 operand promotes a float32
+    layer.
 
     Every layer runs on all rows of ``y`` at once: callers that want bounded
     working memory pass a block of rows (the codec's ``_reconstruct_stream``
@@ -296,7 +249,6 @@ def unfold_code(y: np.ndarray, model: RefinementModel | Prepared, record: list |
     this same loop, so training and decoding share one forward definition.
     """
     y = linalg.working(y)
-    layers = _prepared(model, y.dtype)
     g, g_t = layers.g, layers.g_t
     dt, (n_meas, n_atoms), n_layers = g.dtype, g.shape, layers.etas.shape[0]
     y2 = y.astype(dt, copy=False).reshape(-1, n_meas)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from shtc import cli
-from shtc.imagemetric import write_ppm
+
+from .oracles import write_ppm
 
 
 @pytest.fixture()

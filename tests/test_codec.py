@@ -12,6 +12,8 @@ from shtc import base_layer, bench, bitstream, codec, entropy, quantizer, refine
 from shtc.codec import StreamConfig, default_configs
 from shtc.errors import CodecError, ConfigError, DataError, DecodeError, DimMismatch
 
+from .oracles import untiled
+
 
 def source(seed=0, n=300, d=8):
     rng = np.random.default_rng(seed)
@@ -86,6 +88,11 @@ class TestConfigs:
             codec.fit_bundle(source(1, d=12), configs, np.random.default_rng(1))
         with pytest.raises(ConfigError, match="names must differ"):
             trainer.train(source(1, d=12), configs, trainer.TrainConfig(iters=2, batch=16))
+
+    def test_no_stream_configs_rejected(self):
+        # a codec of no streams codes nothing: a config error, before any fit
+        with pytest.raises(ConfigError, match="at least one stream"):
+            trainer.train(source(1), [], trainer.TrainConfig(iters=2, batch=16))
 
     @pytest.mark.parametrize("big", [1e39, -1e39, 1e300])
     def test_table_beyond_binary32_rejected(self, big):
@@ -446,6 +453,10 @@ class TestOneRowCount:
         with pytest.raises(DecodeError):
             codec.decode_table(*bitstream.deserialize(data))
 
+    def test_encode_no_streams_rejected(self):
+        with pytest.raises(ConfigError, match="no streams"):
+            codec.encode_table(codec.CodecBundle([]), source(1)[:, :0])
+
 
 class TestCoderCache:
     """The coder keeps the tables of the last models coded, keyed by their
@@ -594,6 +605,6 @@ class TestFloat32Synthesis:
         f_base = base_layer.synthesize_base(quantizer.dequantize(sym[:, :k], sm.base_sched), sm.klt)
         y_hat = quantizer.dequantize(sym[:, k:], sm.refine_sched)
         assert y_hat.dtype == np.float64 and np.any(y_hat)
-        want = f_base + refinement.unfold_synthesize(y_hat, sm.refine)
+        want = f_base + untiled(refinement.unfold_synthesize, y_hat, sm.refine)
         assert np.abs(recon - want).max() <= 1e-5 * (x.max() - x.min())
         assert abs(bench.distortion_db(x, recon) - bench.distortion_db(x, want)) <= 1e-6

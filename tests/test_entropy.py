@@ -262,14 +262,15 @@ class TestTables:
 
     @pytest.mark.parametrize(
         "n, sigma, coded, entries",
-        [(5, 1e-6, 3, 2 * 10 + 4 + 1), (2, 1e4, 2, 2 * 8194 + 1)],
-        ids=["minimal", "clipped"],
+        [(5, 1e-6, 3, 2 * 10 + 4 + 1), (2, 1e4, 2, 2 * 8194 + 1), (200, 1e-6, 100, 100 * 10 + 1)],
+        ids=["minimal", "clipped", "many"],
     )
     def test_memory_bound(self, n, sigma, coded, entries):
         # the bytes the docstring of build_tables states: kept, exactly, and
         # the tracemalloc peak of a build. Five channels of 3 symbols (the
         # least support) code as two pairs and one alone; two channels clipped
-        # at +/-4096 hold 8193 symbols and the escape each; the pad is one more
+        # at +/-4096 hold 8193 symbols and the escape each; 200 channels of 3
+        # symbols code as 100 pairs; the pad is one more
         model = make_model(n, sigma=sigma)
         tables = entropy.build_tables(model, np.ones(n))
         assert (tables.start.size, tables.freq.size) == (coded, entries)
@@ -282,7 +283,7 @@ class TestTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kept < peak <= kept + 160 * entries + (16 << 10)
+        assert kept < peak <= kept + 48 * entries + 768 * coded + (16 << 10)
 
     def test_steps_must_match_model(self):
         with pytest.raises(DimMismatch):

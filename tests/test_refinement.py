@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shtc import codec, refinement
-from shtc.errors import BadThreshold, DimMismatch, StepTooLarge
+from shtc.errors import DimMismatch
 from shtc.refinement import RefinementModel
 
+from .oracles import BadThreshold, StepTooLarge, ista_solve, operator_sq_norm, soft_threshold, untiled
 from .test_entropy import fit_std_bundle
 
 
@@ -30,20 +31,20 @@ def tied_model(a, dictionary, eta, gamma, n_layers):
 
 class TestSoftThreshold:
     def test_formula(self):
-        assert refinement.soft_threshold(np.array([1.2]), np.array([0.5]))[0] == pytest.approx(0.7)
+        assert soft_threshold(np.array([1.2]), np.array([0.5]))[0] == pytest.approx(0.7)
 
     def test_dead_zone(self):
-        assert refinement.soft_threshold(np.array([-0.3]), np.array([0.5]))[0] == 0.0
+        assert soft_threshold(np.array([-0.3]), np.array([0.5]))[0] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
     def test_zero_threshold_identity(self, values):
         z = np.array(values)
-        assert np.array_equal(refinement.soft_threshold(z, np.zeros_like(z)), z)
+        assert np.array_equal(soft_threshold(z, np.zeros_like(z)), z)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(BadThreshold):
-            refinement.soft_threshold(np.ones(2), np.array([0.1, -0.1]))
+            soft_threshold(np.ones(2), np.array([0.1, -0.1]))
 
 
 class TestAnalyze:
@@ -78,7 +79,7 @@ class TestIstaSolve:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(3, 6))
         d = rng.normal(size=(6, 6))
-        beta = refinement.ista_solve(np.zeros(3), a, d, gamma=0.1, eta=0.05, iters=50)
+        beta = ista_solve(np.zeros(3), a, d, gamma=0.1, eta=0.05, iters=50)
         assert np.array_equal(beta, np.zeros(6))
 
     def test_gamma_zero_converges_to_solve(self):
@@ -86,8 +87,8 @@ class TestIstaSolve:
         a = np.eye(4)
         d = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
         y = rng.normal(size=4)
-        lip = refinement.operator_sq_norm(a, d)
-        beta = refinement.ista_solve(y, a, d, gamma=0.0, eta=1.0 / lip, iters=10000)
+        lip = operator_sq_norm(a, d)
+        beta = ista_solve(y, a, d, gamma=0.0, eta=1.0 / lip, iters=10000)
         assert np.linalg.norm(a @ d @ beta - y) < 1e-6
         assert np.allclose(beta, np.linalg.solve(a @ d, y), atol=1e-5)
 
@@ -101,8 +102,8 @@ class TestIstaSolve:
         truth[5] = 1.3
         y = a @ truth
         gamma = 1e-3
-        lip = refinement.operator_sq_norm(a, d)
-        beta = refinement.ista_solve(y, a, d, gamma=gamma, eta=1.0 / lip, iters=5000)
+        lip = operator_sq_norm(a, d)
+        beta = ista_solve(y, a, d, gamma=gamma, eta=1.0 / lip, iters=5000)
         # oracle: best single-column least-squares fit over all 16 supports
         errs = [np.linalg.norm(y - a[:, j] * (a[:, j] @ y)) for j in range(dim)]
         assert int(np.argmin(errs)) == 5
@@ -117,7 +118,7 @@ class TestIstaSolve:
         a = rng.normal(size=(4, 10))
         d = rng.normal(size=(10, 10))
         y = rng.normal(size=4)
-        gamma, lip = 0.05, refinement.operator_sq_norm(a, d)
+        gamma, lip = 0.05, operator_sq_norm(a, d)
         eta = 1.0 / lip
         g = a @ d
 
@@ -126,7 +127,7 @@ class TestIstaSolve:
 
         prev = objective(np.zeros(10))
         for iters in range(1, 30):
-            beta = refinement.ista_solve(y, a, d, gamma=gamma, eta=eta, iters=iters)
+            beta = ista_solve(y, a, d, gamma=gamma, eta=eta, iters=iters)
             cur = objective(beta)
             assert cur <= prev + 1e-12
             prev = cur
@@ -135,15 +136,15 @@ class TestIstaSolve:
         rng = np.random.default_rng(6)
         a = rng.normal(size=(3, 6))
         d = rng.normal(size=(6, 6))
-        lip = refinement.operator_sq_norm(a, d)
+        lip = operator_sq_norm(a, d)
         with pytest.raises(StepTooLarge):
-            refinement.ista_solve(np.ones(3), a, d, gamma=0.0, eta=2.1 / lip, iters=5)
+            ista_solve(np.ones(3), a, d, gamma=0.0, eta=2.1 / lip, iters=5)
 
 
 class TestUnfold:
     def test_zero_in_zero_out(self):
         model = refinement.init_refinement(10, 4, 10, 3, np.random.default_rng(7))
-        assert np.array_equal(refinement.unfold_synthesize(np.zeros(4), model), np.zeros(10))
+        assert np.array_equal(untiled(refinement.unfold_synthesize, np.zeros(4), model), np.zeros(10))
 
     @pytest.mark.parametrize("n_layers", [1, 3, 6])
     def test_tied_parameters_reproduce_ista(self, n_layers):
@@ -151,21 +152,21 @@ class TestUnfold:
         for _ in range(20):
             a = rng.normal(size=(4, 9))
             d = rng.normal(size=(9, 9))
-            lip = refinement.operator_sq_norm(a, d)
+            lip = operator_sq_norm(a, d)
             eta, gamma = 0.9 / lip, 0.05
             y = rng.normal(size=4)
             model = tied_model(a, d, eta, gamma, n_layers)
-            ours = refinement.unfold_synthesize(y, model)
-            oracle = d @ refinement.ista_solve(y, a, d, gamma=gamma, eta=eta, iters=n_layers)
+            ours = untiled(refinement.unfold_synthesize, y, model)
+            oracle = d @ ista_solve(y, a, d, gamma=gamma, eta=eta, iters=n_layers)
             assert np.abs(ours - oracle).max() <= 1e-12
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
         model = refinement.init_refinement(12, 5, 12, 4, rng)
         ys = rng.normal(size=(7, 5))
-        batch = refinement.unfold_synthesize(ys, model)
+        batch = untiled(refinement.unfold_synthesize, ys, model)
         for i in range(7):
-            assert np.allclose(batch[i], refinement.unfold_synthesize(ys[i], model))
+            assert np.allclose(batch[i], untiled(refinement.unfold_synthesize, ys[i], model))
 
     def test_lipschitz_continuity(self):
         rng = np.random.default_rng(10)
@@ -178,7 +179,8 @@ class TestUnfold:
         for _ in range(30):
             y = rng.normal(size=4)
             delta = 1e-4 * rng.normal(size=4)
-            d_out = refinement.unfold_synthesize(y + delta, model) - refinement.unfold_synthesize(y, model)
+            d_out = (untiled(refinement.unfold_synthesize, y + delta, model)
+                     - untiled(refinement.unfold_synthesize, y, model))
             assert np.linalg.norm(d_out) <= bound * np.linalg.norm(delta) + 1e-12
 
 
@@ -210,7 +212,8 @@ def blocked_model():
     """A 12-dim, 5-measurement, 4-layer model with per-channel steps and
     thresholds, whose layers have live and dead-zone entries."""
     rng = np.random.default_rng(11)
-    model = refinement.init_refinement(12, 5, 12, 4, rng, step_init=0.6, thresh_init=0.3)
+    model = refinement.init_refinement(12, 5, 12, 4, rng, thresh_init=0.3)
+    model.step_raw[:] = np.log(0.6)
     model.step_raw += 0.1 * rng.normal(size=model.step_raw.shape)
     model.thresh_raw += 0.1 * rng.normal(size=model.thresh_raw.shape)
     return model
@@ -232,7 +235,7 @@ class TestBlockedLoop:
     def test_synthesis_matches_reference_loop(self, rows):
         y = self.measurements(rows)
         beta, layers = reference_unfold(y, self.model)
-        got = refinement.unfold_synthesize(y, self.model)
+        got = untiled(refinement.unfold_synthesize, y, self.model)
         assert got.shape == y.shape[:-1] + (12,)
         np.testing.assert_allclose(got, beta @ self.model.dictionary.T, rtol=1e-12, atol=0.0)
         if rows and rows > 1:  # every layer has live and dead-zone entries
@@ -244,8 +247,8 @@ class TestBlockedLoop:
     def test_record_covers_every_row(self, rows):
         y = self.measurements(rows)
         layers = []
-        beta = refinement.unfold_code(y, self.model, record=layers)
-        assert np.array_equal(beta, refinement.unfold_code(y, self.model))
+        beta = untiled(refinement.unfold_code, y, self.model, record=layers)
+        assert np.array_equal(beta, untiled(refinement.unfold_code, y, self.model))
         _, ref_layers = reference_unfold(y.reshape(-1, 5), self.model)
         assert len(layers) == self.model.n_layers
         for got, want in zip(layers, ref_layers):
@@ -255,9 +258,10 @@ class TestBlockedLoop:
 
 
 class TestWorkingPrecision:
-    """The unfolded layers compute in the precision of their input: float32
-    measurements (the codec's synthesis) stay float32 through every layer,
-    and any other input runs in float64."""
+    """Prepared in the working precision of their input (``untiled``), the
+    unfolded layers compute in it: float32 measurements (the codec's
+    synthesis) stay float32 through every layer, and any other input runs
+    in float64."""
 
     # sha256 of the float64 output on blocked_model(), taken when the layers
     # ran in float64 only
@@ -272,7 +276,7 @@ class TestWorkingPrecision:
 
     @pytest.mark.parametrize("rows", BLOCK_CASES)
     def test_float64_values_unchanged(self, rows):
-        got = refinement.unfold_synthesize(block_measurements(rows), blocked_model())
+        got = untiled(refinement.unfold_synthesize, block_measurements(rows), blocked_model())
         assert got.dtype == np.float64
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_F64[rows]
 
@@ -281,25 +285,25 @@ class TestWorkingPrecision:
         # no float64 parameter or scalar promotes a layer's arrays (NEP 50)
         model = blocked_model()
         y = block_measurements(rows).astype(np.float32)
-        got = refinement.unfold_synthesize(y, model)
+        got = untiled(refinement.unfold_synthesize, y, model)
         assert got.dtype == np.float32 and got.shape == y.shape[:-1] + (12,)
         layers = []
-        beta = refinement.unfold_code(y, model, record=layers)
+        beta = untiled(refinement.unfold_code, y, model, record=layers)
         assert [a.dtype for layer in layers for a in layer] == [np.float32] * (3 * model.n_layers)
         # bit for bit the definition with float32 operands: a step or
         # threshold left in float64 rounds a layer through float64 and shows
         # here
         assert np.array_equal(beta, reference_unfold(y, model)[0])
-        want = refinement.unfold_synthesize(y.astype(np.float64), model)
+        want = untiled(refinement.unfold_synthesize, y.astype(np.float64), model)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5 * np.abs(want).max())
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float16])
     def test_other_input_runs_in_float64(self, dtype):
         model = blocked_model()
         y = (4 * block_measurements(9)).astype(dtype)
-        got = refinement.unfold_synthesize(y, model)
+        got = untiled(refinement.unfold_synthesize, y, model)
         assert got.dtype == np.float64
-        assert np.array_equal(got, refinement.unfold_synthesize(y.astype(np.float64), model))
+        assert np.array_equal(got, untiled(refinement.unfold_synthesize, y.astype(np.float64), model))
 
 
 # row counts on both sides of every tile and block edge of the codec's
@@ -340,7 +344,7 @@ class TestPreparedLoop:
             beta = refinement.unfold_code(y, prepared)
             assert beta.dtype == dtype and np.array_equal(beta, want)
             got = refinement.unfold_synthesize(y, prepared)
-            assert np.array_equal(got, refinement.unfold_synthesize(y, model))
+            assert np.array_equal(got, untiled(refinement.unfold_synthesize, y, model))
 
     def test_tiles_hold_each_layers_parameters(self):
         model = blocked_model()
@@ -406,7 +410,7 @@ class TestParamCount:
         y = np.random.default_rng(1).normal(size=(4, 3))
         for decode in (refinement.unfold_code, refinement.unfold_synthesize):
             np.full((4, 6), 7.0)  # a freed buffer that an unwritten output of this size would reuse
-            assert np.array_equal(decode(y, model), np.zeros((4, 6)))
+            assert np.array_equal(untiled(decode, y, model), np.zeros((4, 6)))
 
 
 class TestSparsityPriorPaysOff:
@@ -463,7 +467,8 @@ class TestSparsityPriorPaysOff:
         model = refinement.RefinementModel(
             unfold_params["A"], unfold_params["D"], unfold_params["a"], unfold_params["b"]
         )
-        unfold_err = np.abs(r - refinement.unfold_synthesize(refinement.analyze_refine(r, model), model)).mean()
+        decoded = untiled(refinement.unfold_synthesize, refinement.analyze_refine(r, model), model)
+        unfold_err = np.abs(r - decoded).mean()
 
         # two-matrix linear decoder with a matching parameter budget:
         # decoder params D*N_d + 2*N_u*N_d = 3100 -> hidden 47 (3055 params)

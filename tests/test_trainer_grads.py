@@ -8,6 +8,8 @@ from shtc import entropy, refinement, trainer
 from shtc.entropy import GaussianEntropyModel
 from shtc.quantizer import channel_schedule
 
+from .oracles import untiled
+
 
 def finite_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
     grad = np.zeros_like(x0)
@@ -82,7 +84,7 @@ class TestRateNode:
 def unfold_value(weight):
     def value(y, measure, dictionary, step_raw, thresh_raw):
         model = refinement.RefinementModel(measure, dictionary, step_raw, thresh_raw)
-        return float((weight * refinement.unfold_synthesize(y, model)).sum())
+        return float((weight * untiled(refinement.unfold_synthesize, y, model)).sum())
 
     return value
 
@@ -99,7 +101,8 @@ class TestUnfoldNode:
 
     def setup_method(self):
         rng = np.random.default_rng(3)
-        self.model = refinement.init_refinement(5, 3, 5, 3, rng, step_init=0.6, thresh_init=0.1)
+        self.model = refinement.init_refinement(5, 3, 5, 3, rng, thresh_init=0.1)
+        self.model.step_raw[:] = np.log(0.6)
         self.model.step_raw += 0.1 * rng.normal(size=self.model.step_raw.shape)
         self.model.thresh_raw += 0.1 * rng.normal(size=self.model.thresh_raw.shape)
         self.y = rng.normal(0.0, 1.0, (4, 3))
@@ -110,14 +113,14 @@ class TestUnfoldNode:
         return [self.y, m.measure, m.dictionary, m.step_raw, m.thresh_raw]
 
     def test_forward_equals_unfold_synthesize(self):
-        beta = refinement.unfold_code(self.y, self.model, record=[])
-        assert np.array_equal(beta @ self.model.dictionary.T, refinement.unfold_synthesize(self.y, self.model))
+        beta = untiled(refinement.unfold_code, self.y, self.model, record=[])
+        assert np.array_equal(beta @ self.model.dictionary.T, untiled(refinement.unfold_synthesize, self.y, self.model))
 
     def test_gradient_every_input(self):
         # differences are only valid away from the soft-threshold kinks; the
         # draw has live and dead-zone entries in every layer
         layers = []
-        refinement.unfold_code(self.y, self.model, record=layers)
+        untiled(refinement.unfold_code, self.y, self.model, record=layers)
         taus = self.model.thresholds()
         for k, (_, _, pre) in enumerate(layers):
             live = np.abs(pre) > taus[k]
@@ -140,7 +143,7 @@ class TestUnfoldNode:
         y = np.stack([edge, -edge, above, -above, 0.5 * edge, np.zeros(n), -np.zeros(n)])
         y = np.concatenate([y, np.full((1, n), 5e-324), np.random.default_rng(4).normal(size=(4, n))])
         layers = []
-        beta = refinement.unfold_code(y, model, record=layers)
+        beta = untiled(refinement.unfold_code, y, model, record=layers)
         ((_, _, pre),) = layers
         assert np.array_equal(pre, y)
         live = np.abs(pre) > taus
@@ -160,6 +163,6 @@ class TestUnfoldNode:
         # one layer whose every pre-activation sits inside the dead zone
         self.model.step_raw = self.model.step_raw[:1]
         self.model.thresh_raw = np.full_like(self.model.thresh_raw[:1], 50.0)
-        assert np.all(refinement.unfold_synthesize(self.y, self.model) == 0.0)
+        assert np.all(untiled(refinement.unfold_synthesize, self.y, self.model) == 0.0)
         for grad in unfold_grads(self.weight, self.y, self.model):
             assert np.all(grad == 0.0)
