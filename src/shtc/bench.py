@@ -17,12 +17,11 @@ import numpy as np
 
 from . import base_layer, linalg
 from .bitstream import serialize
-from .codec import TRANSFORMS, default_configs, encode_table
+from .codec import default_configs, encode_table
 from .errors import ConfigError, Diverged, NoOverlap, Overflow
 from .trainer import TrainConfig, train
 
 DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)
-METHODS = TRANSFORMS
 
 # rd_point settings: those of the training run, then those of the streams
 _TRAIN_SETTINGS = ("iters", "batch")

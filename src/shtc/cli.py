@@ -9,6 +9,7 @@ process that has already loaded numpy leaves them alone. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -168,7 +169,7 @@ def _train_config(cfg: dict, args):
 
 def cmd_fit(args) -> int:
     from . import bitstream
-    from .trainer import train
+    from .trainer import LOG_COLUMNS, train
 
     cfg = load_config(args.config, _FIT_KEYS) if args.config else {}
     x = load_table(args.input)
@@ -177,12 +178,11 @@ def cmd_fit(args) -> int:
     bundle_path = _out_path(args, "bundle.shtc")
     counts = bitstream.write(bundle, None, bundle_path)
     log_path = _out_path(args, "train_log.csv")
-    rows = [{"iter": row["iter"], **row} for row in log]  # iter first, the rest in log order
-    with open(log_path, "w", encoding="utf-8") as fh:
-        if rows:
-            fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n")
+    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(LOG_COLUMNS)  # a header even when no iteration ran
+        for row in log:
+            out.writerow(f"{row[k]:.10g}" if isinstance(row[k], float) else row[k] for k in LOG_COLUMNS)
     print(json.dumps({"bundle": bundle_path, "train_log": log_path, **counts}))
     return 0
 
@@ -249,14 +249,15 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import bench
+    from .codec import TRANSFORMS
     from .errors import ConfigError
 
     cfg = load_config(args.config, _BENCH_KEYS) if args.config else {}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    methods = cfg.get("methods") or ([args.method] if args.method else list(bench.METHODS))
-    unknown = [m for m in methods if m not in bench.METHODS]
+    methods = cfg.get("methods") or ([args.method] if args.method else list(TRANSFORMS))
+    unknown = [m for m in methods if m not in TRANSFORMS]
     if unknown:
-        raise ConfigError(f"unknown bench method(s) {unknown}; choose from {list(bench.METHODS)}")
+        raise ConfigError(f"unknown bench method(s) {unknown}; choose from {list(TRANSFORMS)}")
     lambdas = cfg.get("lambdas") or ([args.lam] if args.lam is not None else list(bench.DEFAULT_LAMBDAS))
     if args.input:
         x = load_table(args.input)

@@ -13,27 +13,28 @@ A file's payload is one latent of every stream's channels, coded under one
 entropy model (``_file_model``): the streams in order, each with its base
 channels before its refinement channels. Both directions walk each stream
 one block of ``_BLOCK_ROWS`` rows at a time (``_row_blocks``), so their
-working memory does not grow with the row count. The encoder analyses a
-block (``_stream_symbols``) into that block's rows of the stream's columns
-of one symbol table, which the coder codes in one loop, then synthesizes the
-block from those symbols (``_reconstruct_stream``) into its slice of the
-reconstruction. The decoder synthesizes the same blocks from the decoded
-symbols, so the encoder's reconstruction and the decoder's agree bit for bit.
-Each direction prepares a stream's refinement layers once per table
-(``_synthesis``, ``refinement.prepare``), tiled ``_TILE_ROWS`` = 256 times
-when the table has at least one full block. With the tiles, a block's
-per-channel terms (a layer's step and its clip to the threshold) run as a
-few long numpy loops, not one loop of n_atoms per row, and give the same
-bits. A smaller table runs untiled, since tiles built for few rows cost more
-than they save; a short last block runs untiled when its rows are not a
-multiple of the tile.
+working memory does not grow with the row count. The encoder analyses each
+stream (``_stream_symbols``) into its columns of one symbol table, which the
+coder codes in one loop.
+
+There is one synthesis loop (``_reconstruct``, stream by stream in
+``_reconstruct_stream``). The decoder runs it on the decoded symbols, and
+the encoder runs it on its own symbols before the coder, so the encoder's
+reconstruction and the decoder's agree bit for bit. It prepares a stream's
+refinement layers once per table (``refinement.prepare``), tiled
+``_TILE_ROWS`` = 256 times when the table has at least one full block. With
+the tiles, a block's per-channel terms (a layer's step and its clip to the
+threshold) run as a few long numpy loops, not one loop of n_atoms per row,
+and give the same bits. A smaller table runs untiled, since tiles built for
+few rows cost more than they save; a short last block runs untiled when its
+rows are not a multiple of the tile.
 
 Reconstruction is not part of the bytes. The base layer is synthesized in
 float64 and the refinement in float32, whose rounding is orders of magnitude
 below the coding error, and the float32 residual is added into the float64
-table. A block that is not finite is refused in that shared loop: the
-encoder raises ``Overflow`` before it codes a payload, and the decoder
-raises ``DecodeError``.
+table. A block that is not finite is refused in that one loop: the encoder
+raises ``Overflow`` before it codes a payload, and the decoder raises
+``DecodeError``.
 """
 
 from __future__ import annotations
@@ -272,13 +273,15 @@ def _file_model(bundle: CodecBundle) -> tuple[GaussianEntropyModel, np.ndarray, 
 
 
 def _stream_symbols(sm: StreamModel, xs: np.ndarray, out: np.ndarray) -> None:
-    """Quantize the stream's latents into ``out``, its columns of the file's
-    symbol table: the base channels, then the refinement channels."""
-    theta, r = split_base(xs, sm.klt)
+    """Quantize the stream's latents of its columns ``xs`` into ``out``, its
+    columns of the file's symbol table, one block of ``_BLOCK_ROWS`` rows at
+    a time: the base channels, then the refinement channels."""
     k = sm.base_sched.n
-    out[:, :k] = quantizer.quantize(theta, sm.base_sched)
-    if sm.refine is not None:
-        out[:, k:] = quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched)
+    for rows in _row_blocks(xs.shape[0]):
+        theta, r = split_base(xs[rows], sm.klt)
+        out[rows, :k] = quantizer.quantize(theta, sm.base_sched)
+        if sm.refine is not None:
+            out[rows, k:] = quantizer.quantize(refinement.analyze_refine(r, sm.refine), sm.refine_sched)
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -286,33 +289,24 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS)]
 
 
-def _synthesis(sm: StreamModel, rows: int) -> refinement.Prepared | None:
-    """The stream's refinement layers prepared for a table of ``rows`` rows,
-    once per table: float32, tiled ``_TILE_ROWS`` times when the table has a
-    full block, untiled otherwise. None without a refinement layer."""
-    if sm.refine is None:
-        return None
-    with np.errstate(all="ignore"):  # a step that overflows is refused by the block loop
-        return refinement.prepare(sm.refine, np.float32, _TILE_ROWS if rows >= _BLOCK_ROWS else 1)
-
-
-def _reconstruct_stream(sm: StreamModel, layers: refinement.Prepared | None, out: np.ndarray, sym: np.ndarray,
-                        refuse=DecodeError) -> None:
+def _reconstruct_stream(sm: StreamModel, out: np.ndarray, sym: np.ndarray, refuse) -> None:
     """Write the stream's reconstruction from ``sym``, its columns of the
     file's symbol table, into ``out``, one block of ``_BLOCK_ROWS`` rows at a
-    time: dequantize, base synthesis, the unfolded refinement through
-    ``layers`` (``_synthesis``), and their sum straight into the block's rows.
-    The base layer runs in float64 and the refinement in float32, from
-    symbols dequantized straight to float32. A block that is not finite
-    raises ``refuse``, the caller's error; numpy warns of nothing on the way,
-    since the block is refused."""
+    time: dequantize, base synthesis, the unfolded refinement, and their sum
+    straight into the block's rows. The refinement layers are prepared once
+    for the table: float32, tiled ``_TILE_ROWS`` times when the table has a
+    full block, untiled otherwise. The base layer runs in float64 and the
+    refinement in float32, from symbols dequantized straight to float32. A
+    block that is not finite raises ``refuse``, the caller's error; numpy
+    warns of nothing on the way, since the block is refused."""
     k = sm.base_sched.n
-    if layers is not None:
-        refine_steps = sm.refine_sched.steps.astype(np.float32)
     with np.errstate(all="ignore"):
+        if sm.refine is not None:
+            layers = refinement.prepare(sm.refine, np.float32, _TILE_ROWS if out.shape[0] >= _BLOCK_ROWS else 1)
+            refine_steps = sm.refine_sched.steps.astype(np.float32)
         for rows in _row_blocks(out.shape[0]):
             f_base = base_layer.synthesize_base(quantizer.dequantize(sym[rows, :k], sm.base_sched), sm.klt)
-            if layers is None:
+            if sm.refine is None:
                 out[rows] = f_base
             else:
                 y_hat = np.multiply(sym[rows, k:], refine_steps, dtype=np.float32)
@@ -321,21 +315,22 @@ def _reconstruct_stream(sm: StreamModel, layers: refinement.Prepared | None, out
                 raise refuse(f"stream {sm.config.name!r} decodes to non-finite values")
 
 
-def _encode_stream(sm: StreamModel, xs: np.ndarray, sym: np.ndarray, recon: np.ndarray) -> None:
-    """The stream's symbols of its columns ``xs`` and their reconstruction,
-    one block of rows at a time; its prepared layers are freed on return,
-    before the coder builds its tables."""
-    layers = _synthesis(sm, xs.shape[0])
-    for rows in _row_blocks(xs.shape[0]):
-        _stream_symbols(sm, xs[rows], sym[rows])
-        _reconstruct_stream(sm, layers, recon[rows], sym[rows], refuse=Overflow)
+def _reconstruct(bundle: CodecBundle, sym: np.ndarray, spans: list[slice], refuse) -> np.ndarray:
+    """The table the file's symbol table ``sym`` decodes to, stream by
+    stream, each from its ``spans`` columns of ``sym``; a stream that is not
+    finite raises ``refuse``. The decoder's one synthesis, which the encoder
+    runs on its own symbols."""
+    out = np.empty((sym.shape[0], bundle.dim))
+    for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
+        _reconstruct_stream(sm, out[:, cols], sym[:, span], refuse)
+    return out
 
 
 def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarray]:
     """Quantize and entropy-code every stream; also return the decoder-side
-    reconstruction (computed from the coded symbols). Each block of rows of
-    a stream is analysed and then synthesized from its symbols while they are
-    in cache; the coder codes the whole symbol table in one loop."""
+    reconstruction, synthesized from the symbols by the decoder's loop before
+    the coder runs, so a model that does not decode to finite values codes no
+    payload."""
     if not bundle.streams:
         raise ConfigError("no streams to encode")
     x = np.asarray(x, dtype=np.float64)
@@ -343,9 +338,9 @@ def encode_table(bundle: CodecBundle, x: np.ndarray) -> tuple[Payload, np.ndarra
         raise DimMismatch(f"table of shape {x.shape} is not one of {bundle.dim} columns")
     model, steps, spans = _file_model(bundle)
     sym = np.empty((x.shape[0], steps.size), dtype=np.int64)
-    recon = np.empty_like(x)
     for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
-        _encode_stream(sm, x[:, cols], sym[:, span], recon[:, cols])
+        _stream_symbols(sm, x[:, cols], sym[:, span])
+    recon = _reconstruct(bundle, sym, spans, Overflow)
     return Payload(entropy.encode(sym, model, steps), x.shape[0]), recon
 
 
@@ -355,8 +350,4 @@ def decode_table(bundle: CodecBundle, payload: Payload) -> np.ndarray:
     if not bundle.streams:
         raise DecodeError("no streams to decode")
     model, steps, spans = _file_model(bundle)
-    sym = entropy.decode(payload.rows, payload.data, model, steps)
-    out = np.empty((payload.rows, bundle.dim))
-    for sm, cols, span in zip(bundle.streams, bundle.columns, spans):
-        _reconstruct_stream(sm, _synthesis(sm, payload.rows), out[:, cols], sym[:, span])
-    return out
+    return _reconstruct(bundle, entropy.decode(payload.rows, payload.data, model, steps), spans, DecodeError)

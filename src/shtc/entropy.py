@@ -32,10 +32,13 @@ per-coded-channel slot table (the rANS decoding table of Duda and Giesen), so a
 step's lanes of all coded channels cost one gather. ``encode_symbols`` and
 ``decode_symbols`` take a quantizer schedule in place of its steps.
 
-Tables are built in one place: ``build_tables`` returns every array both
-loops read. ``_coder_state`` keeps the tables of the last model coded, keyed
-by the exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of
-one bundle build their tables once and a changed model never reuses them.
+Tables are built in one place: ``build_tables`` returns every array the
+decoder reads. The encoder adds one of its own on each call, a (channels,
+coded channels) map of table indices to coded symbols' offsets, so a decoder
+holds nothing that grows with the square of the channel count.
+``_coder_state`` keeps the tables of the last model coded, keyed by the
+exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of one
+bundle build their tables once and a changed model never reuses them.
 
 The encoder holds each coded symbol's int32 table entry, word slot and emit
 flag (7 bytes), but gathers the lanes' frequencies and cumulative counts for
@@ -164,9 +167,7 @@ class FreqTables:
     c owns the entries ``start[c] .. start[c] + entries[c]``: its symbols,
     then its escape entry. A pair's symbols are the pairs of its members'
     symbols, first member major: in-table symbols with table indices ``i``
-    and ``k`` are entry ``start + i * size[second] + k``: the (channels,
-    coded channels) matrix ``weight`` maps each row of members' indices to
-    their coded symbols' offsets.
+    and ``k`` are entry ``start + i * size[second] + k``.
 
     One pad entry of freq 2^16, cum 0 (an identity on the state) follows the
     last coded channel; idle lanes of a partial last step code it. Each coded
@@ -183,7 +184,6 @@ class FreqTables:
     size: np.ndarray
     coded: np.ndarray
     member: np.ndarray
-    weight: np.ndarray
     start: np.ndarray
     entries: np.ndarray
     freq: np.ndarray
@@ -201,11 +201,11 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     Memory: the tables keep 2^17 bytes of ``slot_entry`` per coded channel
     and as many for the pad; 32 bytes per entry (the pad's too) in ``freq``,
     ``cum`` and ``value``; 16 per coded channel in ``start`` and ``entries``;
-    and 32 + 4 * coded channels per channel in ``lo``, ``size``, ``coded``,
-    ``member`` and ``weight``. Building them peaks at most 48 bytes per
-    entry, 768 per coded channel and 16 KiB above that: each coded channel's
-    masses are computed in its own pass, so the peak is set by joining the
-    per-coded-channel frequencies and values into the tables.
+    and 32 per channel in ``lo``, ``size``, ``coded`` and ``member``.
+    Building them peaks at most 48 bytes per entry, 768 per coded channel
+    and 16 KiB above that: each coded channel's masses are computed in its
+    own pass, so the peak is set by joining the per-coded-channel
+    frequencies and values into the tables.
     """
     mu, sigma = model.mu, model.sigma
     step = _model_steps(model, steps)
@@ -247,16 +247,11 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     slot_entry = np.repeat(local, freq)
     del owner, local  # before the values are joined
     coded = np.repeat(np.arange(lead.size), members)
-    weight = np.zeros((n, lead.size), dtype=np.float32)
-    weight[np.arange(n), coded] = 1
-    pair = np.flatnonzero(members == 2)
-    weight[lead[pair], pair] = size[lead[pair] + 1]
     tables = FreqTables(
         lo=lo,
         size=size,
         coded=coded,
         member=np.arange(n) - lead[coded],
-        weight=weight,
         start=start,
         entries=entries,
         freq=freq.astype(np.uint64),
@@ -321,14 +316,19 @@ def encode(symbols: np.ndarray, model: GaussianEntropyModel, steps) -> bytes:
     # A symbol's index in its channel's table, in float32: negative below the
     # table, at least its size above it (rounding keeps the order). An
     # out-of-table index becomes _OUTSIDE, so the offset of its coded symbol
-    # (``tables.weight``: a pair's first index times the second's size, plus
-    # the second index) passes the table's end and clips to the escape entry.
-    # Every term and partial sum is an integer below 2^24, exact in float32.
+    # (a pair's first index times the second's size, plus the second index;
+    # ``weight`` maps each row of indices to its offsets) passes the table's
+    # end and clips to the escape entry. Every term and partial sum is an
+    # integer below 2^24, exact in float32.
     index = np.empty(sym.shape, dtype=np.float32)
     np.subtract(sym, tables.lo, out=index, casting="unsafe")
     np.copyto(index, _OUTSIDE, where=(index < 0) | (index >= tables.size))
-    offset = index @ tables.weight
-    del index
+    weight = np.zeros((model.n, coded), dtype=np.float32)
+    weight[np.arange(model.n), tables.coded] = 1
+    second = np.flatnonzero(tables.member)  # each pair's second member
+    weight[second - 1, tables.coded[second]] = tables.size[second]
+    offset = index @ weight
+    del index, weight
     np.minimum(offset, tables.entries, out=offset)
     escaped = offset == tables.entries
     raw = sym[escaped[:, tables.coded]]  # every member of an escaped coded symbol, in symbol order

@@ -175,7 +175,7 @@ class Prepared:
         return self.g.shape[1]
 
 
-def prepare(model: RefinementModel, dtype=np.float64, tile: int = 1) -> Prepared:
+def prepare(model: RefinementModel, dtype, tile: int = 1) -> Prepared:
     """``model``'s layers cast to ``dtype`` once, each layer's eta, tau and
     -tau tiled at most ``tile`` times (a power of two).
 

@@ -62,6 +62,9 @@ _LN2 = float(np.log(2.0))
 _LR_DECAY = 0.05  # final lr fraction, exponential over the run
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
+# a training log row's keys, in the order ``shtc fit`` writes them: the
+# iteration, ``loss``'s components, then the step's gradient norm and rate
+LOG_COLUMNS = ("iter", "loss", "bits_base", "bits_refine", "l1_total", "l1_residual", "grad_norm", "lr")
 
 
 @dataclass

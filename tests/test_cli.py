@@ -325,6 +325,21 @@ class TestFitEncodeDecodeEval:
         assert ev["l1"] == pytest.approx(np.abs(x - decoded).mean(), rel=1e-6)
         assert "mdl" in ev and ev["bits_per_row"] > 0
 
+    @pytest.mark.parametrize("iters, rows", [(0, 0), (3, 2)])
+    def test_train_log_has_its_header(self, tmp_path, capsys, table_csv, iters, rows):
+        # a header, iter first, even when no iteration ran; a row is logged
+        # at iteration 1 and every log_every
+        header = ["iter", "loss", "bits_base", "bits_refine", "l1_total", "l1_residual", "grad_norm", "lr"]
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"iters = {iters}\nbatch = 16\nlog_every = 2\nrank = 3\nn_meas = 3\nn_layers = 2\n")
+        code, fit_info = run(capsys, "fit", table_csv[0], "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        with open(fit_info["train_log"], newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == header
+        assert [int(line[0]) for line in lines[1:]] == [1, 2][:rows]
+        assert all(len(line) == len(header) for line in lines)
+
     def test_eval_parses_a_bitstream_once(self, tmp_path, capsys, monkeypatch):
         from shtc import bitstream, codec
 

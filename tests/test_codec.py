@@ -210,7 +210,7 @@ class TestEncodeDecode:
             out = np.empty((rows, 50))
             tracemalloc.start()
             try:
-                codec._reconstruct_stream(sm, codec._synthesis(sm, rows), out, sym)
+                codec._reconstruct_stream(sm, out, sym, DecodeError)
                 peaks[rows] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -231,7 +231,7 @@ class TestEncodeDecode:
         bundle = bitstream.finalize_bundle(fitted)
         payload, recon = codec.encode_table(bundle, x)
         refine = bundle.streams[0].refine
-        tile = codec._synthesis(bundle.streams[0], x.shape[0]).tile
+        tile = refinement.prepare(refine, np.float32, codec._TILE_ROWS).tile
         stated = 1.5 * tile * (refine.step_raw.size + refine.thresh_raw.size) * 4
         assert tile == 4 and stated <= 3 * (1 << 17) * 4
         peaks = {}
