@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .codec import default_configs, encode_table
 from .errors import ConfigError, Diverged, NoOverlap, Overflow
 from .trainer import TrainConfig, train
 
-DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)
+DEFAULT_LAMBDAS = (0.002, 0.004, 0.008, 0.015)  # `shtc bench` sweeps these when given none
 
 # rd_point settings: those of the training run, then those of the streams
 _TRAIN_SETTINGS = ("iters", "batch")
@@ -92,7 +92,7 @@ class RdPoint:
 @dataclass
 class RdCurve:
     method: str
-    points: list[RdPoint] = field(default_factory=list)
+    points: list[RdPoint]
 
     def __post_init__(self):
         self.points.sort(key=lambda p: p.bits)
@@ -128,7 +128,7 @@ def distortion_db(x: np.ndarray, recon: np.ndarray) -> float:
     return distortion(x, recon)["distortion_db"]
 
 
-def rd_point(x: np.ndarray, transform: str, lam: float, seed: int = 0, **settings) -> RdPoint:
+def rd_point(x: np.ndarray, transform: str, lam: float, seed: int, **settings) -> RdPoint:
     """Train one operating point and measure it from the actual bitstream.
 
     ``settings`` may set ``iters`` and ``batch`` of the ``TrainConfig`` and
@@ -148,7 +148,7 @@ def rd_point(x: np.ndarray, transform: str, lam: float, seed: int = 0, **setting
     return RdPoint(lam=lam, bits=len(data) * 8.0, distortion_db=d["distortion_db"], l1=d["l1"], **counts)
 
 
-def baseline_rd(x: np.ndarray, transform: str, lambdas=DEFAULT_LAMBDAS, seed: int = 0, **settings) -> RdCurve:
+def baseline_rd(x: np.ndarray, transform: str, lambdas, seed: int, **settings) -> RdCurve:
     """One trained-and-encoded run per lambda, each with ``rd_point``'s
     ``settings``. A point whose training diverges or whose symbols overflow
     skips with a warning; any other error, a bad setting among them, raises."""

@@ -39,7 +39,7 @@ raises ``Overflow`` before it codes a payload, and the decoder raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def side_by_side(widths) -> list[slice]:
 
 @dataclass
 class CodecBundle:
-    streams: list[StreamModel] = field(default_factory=list)
+    streams: list[StreamModel]
 
     @property
     def dim(self) -> int:

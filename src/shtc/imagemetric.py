@@ -1,31 +1,28 @@
 """Luma-weighted image distortion in YCbCr space.
 
-Pixel-wise l1 on Y/Cb/Cr (luminance weighted highest), a high-frequency
-fidelity term on Laplacian responses of Y, and a total-variation penalty on
-the reconstructed chroma planes. Color matrix is BT.601 full-range; all l1
-terms are per-pixel means so the metric is resolution-independent.
+Pixel-wise l1 on Y/Cb/Cr, a high-frequency fidelity term on Laplacian
+responses of Y, and a total-variation penalty on the reconstructed chroma
+planes. ``DEFAULT_WEIGHTS`` weights them in ``total``: 1.0 for Y, 0.6 each
+for Cb and Cr, 0.15 for the Laplacian term and 0.1 for each chroma plane's
+TV. Color matrix is BT.601 full-range; all l1 terms are per-pixel means so
+the metric is resolution-independent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimMismatch
 
-
-@dataclass(frozen=True)
-class YcbcrWeights:
-    y: float = 1.0
-    cb: float = 0.6
-    cr: float = 0.6
-    laplacian: float = 0.15
-    tv_cb: float = 0.1
-    tv_cr: float = 0.1
-
-
-DEFAULT_WEIGHTS = YcbcrWeights()
+# each term's weight in ``total``, keyed by its name in ``ycbcr_components``
+DEFAULT_WEIGHTS = {
+    "l1_y": 1.0,
+    "l1_cb": 0.6,
+    "l1_cr": 0.6,
+    "l1_laplacian_y": 0.15,
+    "tv_cb": 0.1,
+    "tv_cr": 0.1,
+}
 
 
 def as_image(arr: np.ndarray) -> np.ndarray:
@@ -87,15 +84,7 @@ def ycbcr_components(img: np.ndarray, recon: np.ndarray) -> dict:
         "tv_cb": tv(b[..., 1]),
         "tv_cr": tv(b[..., 2]),
     }
-    weights = DEFAULT_WEIGHTS
-    comps["total"] = (
-        weights.y * comps["l1_y"]
-        + weights.cb * comps["l1_cb"]
-        + weights.cr * comps["l1_cr"]
-        + weights.laplacian * comps["l1_laplacian_y"]
-        + weights.tv_cb * comps["tv_cb"]
-        + weights.tv_cr * comps["tv_cr"]
-    )
+    comps["total"] = sum(w * comps[k] for k, w in DEFAULT_WEIGHTS.items())
     return comps
 
 
@@ -128,6 +117,8 @@ def read_ppm(path) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise DataError(f"{path}: bad PPM header") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: PPM size {width} x {height}; both must be positive")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PPM supported (maxval 255)")
     pos += 1  # single whitespace after maxval

@@ -79,12 +79,10 @@ def pearson_abs(x: np.ndarray) -> np.ndarray:
 
 
 def energy_per_channel(x: np.ndarray) -> np.ndarray:
-    """Per-channel mean-square energy, normalized to sum to 1."""
+    """Per-channel mean-square energy of an (N, D) table, normalized to sum to 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InsufficientData("energy_per_channel needs a nonempty table")
-    if x.ndim == 1:
-        x = x[None, :]
     e = np.mean(x * x, axis=0)
     total = e.sum()
     if total == 0.0:

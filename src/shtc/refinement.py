@@ -13,7 +13,9 @@ from beta = 0 (one matmul), and the soft threshold is computed as
 ``pre - clip(pre, -tau, tau)``: the soft threshold's values in fewer passes.
 That difference is nonzero exactly outside the dead zone |pre| <= tau, with
 the sign of pre, so a layer's output code is also its dead-zone mask and
-sign: the trainer's backward reads them there, not from ``pre``.
+sign: the trainer's backward reads them there, so a recorded layer keeps
+only its input code and its measurement residual, and ``pre`` is one work
+buffer on every path.
 
 ``prepare`` casts a model's layers to one precision once: G, a contiguous
 G^T, D^T, and each layer's eta, tau and -tau, stored tiled t times. numpy
@@ -105,7 +107,7 @@ def init_refinement(
     n_atoms: int,
     n_layers: int,
     rng: np.random.Generator,
-    thresh_init: float = 0.05,
+    thresh_init: float,
 ) -> RefinementModel:
     """Measurement rows: unit-normalized Gaussian. Square dictionaries start
     at (jittered) identity: the residual is modeled as sparse in its own
@@ -241,12 +243,13 @@ def unfold_code(y: np.ndarray, layers: Prepared, record: list | None = None) -> 
     row. The matmuls keep their shapes, and an elementwise op gives the same
     value in any order, so the tile changes no bit of the result.
 
-    If ``record`` is a list, each layer appends its input beta, its
-    measurement residual and its pre-activation (the soft threshold's
-    argument). The trainer's backward reads the betas and residuals, and
-    takes layer k's dead zone and sign from beta k+1 (the returned code for
-    the last layer); ``pre`` is kept for inspection. The trainer's loss runs
-    this same loop, so training and decoding share one forward definition.
+    If ``record`` is a list, each layer appends the pair (beta, resid): its
+    input code and its measurement residual ``beta @ G^T - y`` (zeros and
+    ``-y`` for layer 0). That is all the trainer's backward reads: it takes
+    layer k's dead zone and sign from beta k+1 (the returned code for the
+    last layer), and its pre-activation is ``beta - eta * (resid @ G)``. The
+    trainer's loss runs this same loop, so training and decoding share one
+    forward definition.
     """
     y = linalg.working(y)
     g, g_t = layers.g, layers.g_t
@@ -274,10 +277,9 @@ def unfold_code(y: np.ndarray, layers: Prepared, record: list | None = None) -> 
         nxt = beta if record is None else np.empty(shape, dt)
         np.minimum(np.maximum(pre_w, neg_taus[k], out=clip_w), taus[k], out=clip_w)
         np.subtract(pre, clip, out=nxt)
-        if record is not None:  # a recorded layer keeps its arrays; the next gets new ones
-            record.append((beta, resid, pre) if k else (np.zeros(shape, dt), -y2, pre))
-            resid, pre = np.empty_like(y2), np.empty(shape, dt)
-            pre_w = pre.reshape(wide)
+        if record is not None:  # a recorded layer keeps its beta and resid; the next gets new ones
+            record.append((beta, resid) if k else (np.zeros(shape, dt), -y2))
+            resid = np.empty_like(y2)
         beta = nxt
     return beta.reshape(y.shape[:-1] + (n_atoms,))
 

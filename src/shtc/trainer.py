@@ -176,12 +176,13 @@ def _unfold_grad(g, y, model: RefinementModel, prepared: refinement.Prepared, be
     measurement, the dictionary, step_raw and thresh_raw. G, G^T and the
     steps are read from ``prepared``: the forward's, not derived again.
 
-    Walks the recorded layers in reverse. Subgradient: zero inside each
-    soft-threshold dead zone (|pre| <= tau), for the pre-activation and the
-    threshold alike. Layer k's dead zone and sign are read from the next
-    layer's code: ``beta_k+1 = pre - clip(pre, -tau, tau)`` is nonzero exactly
-    where |pre| > tau, with the sign of pre there, so s = sign(beta_k+1) is
-    the mask and the sign at once.
+    Walks the recorded layers, each the pair (beta_k, resid_k), in reverse.
+    Subgradient: zero inside each soft-threshold dead zone (|pre| <= tau),
+    for the pre-activation and the threshold alike. Layer k's dead zone and
+    sign are read from the next layer's code: ``beta_k+1 = pre - clip(pre,
+    -tau, tau)`` is nonzero exactly where |pre| > tau, with the sign of pre
+    there, so s = sign(beta_k+1) is the mask and the sign at once, and the
+    pre-activation itself is never needed.
     """
     a, d = model.measure, model.dictionary
     gmat, gmat_t, etas = prepared.g, prepared.g_t, prepared.etas
@@ -198,7 +199,7 @@ def _unfold_grad(g, y, model: RefinementModel, prepared: refinement.Prepared, be
         softplus_den = 1.0 + np.exp(-model.thresh_raw)
     for k in range(len(layers) - 1, -1, -1):
         # pre = beta_k - eta_k * (resid @ G),  resid = beta_k @ G.T - y
-        beta_k, resid, _ = layers[k]
+        beta_k, resid = layers[k]
         s = np.sign(codes[k])
         g_sign = g_beta * s
         g_pre = g_sign * s

@@ -186,7 +186,7 @@ def rd_sweeps():
             ("klt-trunc", 50, "allcoeff"),
         ):
             curves[name] = bench.baseline_rd(
-                x, method, seed=seed, iters=SWEEP_ITERS, batch=SWEEP_BATCH, rank=rank
+                x, method, bench.DEFAULT_LAMBDAS, seed=seed, iters=SWEEP_ITERS, batch=SWEEP_BATCH, rank=rank
             )
         results[seed] = curves
     return results, time.time() - start
@@ -248,7 +248,7 @@ class TestCriterion8YcbcrMetric:
         from shtc import imagemetric as im
 
         w = im.DEFAULT_WEIGHTS
-        assert (w.y, w.cb, w.cr, w.laplacian, w.tv_cb, w.tv_cr) == (1.0, 0.6, 0.6, 0.15, 0.1, 0.1)
+        assert (w["l1_y"], w["l1_cb"], w["l1_cr"], w["l1_laplacian_y"], w["tv_cb"], w["tv_cr"]) == (1.0, 0.6, 0.6, 0.15, 0.1, 0.1)
         rng = np.random.default_rng(1)
         ramp = np.zeros((8, 10, 3))
         ramp[..., 0] = np.linspace(0, 1, 10)

@@ -201,7 +201,7 @@ class TestRdPlumbing:
             bench.rd_point(np.zeros((4, 6)), "dct", 0.01, seed=3, iters=40, n_layers=2)
         assert seen == [{"transform": "dct", "n_layers": 2}, TrainConfig(lam=0.01, seed=3, iters=40)]
         with pytest.raises(TypeError, match="n_atoms"):
-            bench.rd_point(np.zeros((4, 6)), "dct", 0.01, n_atoms=4)
+            bench.rd_point(np.zeros((4, 6)), "dct", 0.01, seed=3, n_atoms=4)
 
     @pytest.mark.parametrize("method, lambdas", [("foo", (0.004,)), ("dct", (0.004, -0.01))], ids=["method", "lambda"])
     def test_a_bad_setting_fails_the_sweep(self, method, lambdas):

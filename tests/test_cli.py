@@ -533,6 +533,14 @@ class TestImageMetric:
             assert key in comps
         assert comps["total"] > 0
 
+    @pytest.mark.parametrize("size", [b"-1 5", b"0 5", b"-1 -5"])
+    def test_non_positive_size_is_data_error(self, tmp_path, capsys, size):
+        # 30 pixel bytes: -1 x 5 once made numpy infer a 5 x 2 image
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6 " + size + b" 255\n" + bytes(30))
+        assert cli.main(["image-metric", str(path), str(path), "--out", str(tmp_path)]) == 3
+        assert "both must be positive" in capsys.readouterr().err
+
 
 class TestReport:
     def test_table_report(self, tmp_path, capsys, table_csv):

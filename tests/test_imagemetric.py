@@ -124,7 +124,7 @@ class TestLoss:
 
     def test_weights_read_back(self):
         w = im.DEFAULT_WEIGHTS
-        assert (w.y, w.cb, w.cr, w.laplacian, w.tv_cb, w.tv_cr) == (1.0, 0.6, 0.6, 0.15, 0.1, 0.1)
+        assert (w["l1_y"], w["l1_cb"], w["l1_cr"], w["l1_laplacian_y"], w["tv_cb"], w["tv_cr"]) == (1.0, 0.6, 0.6, 0.15, 0.1, 0.1)
 
     def test_chroma_swap_invariance(self, fixture_images):
         def from_ycbcr(y, cb, cr):

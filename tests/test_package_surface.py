@@ -8,6 +8,15 @@ script of ``pyproject.toml``. A definition is live once something live names
 it, so a name used only by unused names is unused too. An import alone does
 not use a name, and the tests do not count: a helper only they call belongs
 in ``tests/``.
+
+A private top-level function, class or assignment must be named by some
+other statement of the package or by ``perfbench/``, so no constant or helper
+outlives its last use.
+
+The package's settable values are counted and pinned: the defaulted
+parameters of public functions and of public methods of public classes, and
+the class-level annotated fields with a value of public classes. A change
+that adds or removes an option moves ``SETTABLE_VALUES`` and says why.
 """
 
 import ast
@@ -17,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shtc"
 PERFBENCH = ROOT / "perfbench"
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(nodes) -> set[str]:
@@ -41,7 +51,7 @@ def _definitions():
     defs, rest = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
                 defs[(path.stem, node.name)] = node
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 rest.append(node)
@@ -76,3 +86,59 @@ def unused_public_names() -> list[str]:
 def test_every_public_name_is_used():
     unused = unused_public_names()
     assert not unused, f"public names that no command, codec path or benchmark uses: {unused}"
+
+
+def unnamed_private_names() -> list[str]:
+    """Private top-level definitions and assignments that no other statement
+    of the package and nothing under ``perfbench/`` names."""
+    statements = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    named = [_names([node]) for _, node in statements]
+    outside = _roots()
+    unnamed = []
+    for i, (mod, node) in enumerate(statements):
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("_") and not name.startswith("__") and name not in outside:
+                if not any(name in other for j, other in enumerate(named) if j != i):
+                    unnamed.append(f"{mod}.{name}")
+    return sorted(unnamed)
+
+
+def test_every_private_name_is_named():
+    unnamed = unnamed_private_names()
+    assert not unnamed, f"private names that nothing names: {unnamed}"
+
+
+SETTABLE_VALUES = 42
+
+
+def _defaults(fn) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def settable_values() -> int:
+    """Defaulted parameters of public functions and of public methods of
+    public classes, plus the annotated class-level fields with a value of
+    public classes."""
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+                count += _defaults(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and item.value is not None:
+                        count += 1
+                    elif isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                        count += _defaults(item)
+    return count
+
+
+def test_settable_values_pinned():
+    assert settable_values() == SETTABLE_VALUES

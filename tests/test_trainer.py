@@ -114,8 +114,10 @@ def _kink_margins(x, bundle, params, tc, rng_seed):
     def unfold_spy(y, prepared, record=None):
         layers = [] if record is None else record
         beta = orig_unfold(y, prepared, record=layers)
-        taus = prepared.taus[:, : prepared.n_atoms]  # each layer's untiled thresholds
-        for k, (_, _, pre) in enumerate(layers):
+        etas = prepared.etas[:, : prepared.n_atoms]  # each layer's untiled steps and thresholds
+        taus = prepared.taus[:, : prepared.n_atoms]
+        for k, (beta_k, resid) in enumerate(layers):
+            pre = beta_k - etas[k] * (resid @ prepared.g)  # the layer's pre-activation
             margins.append(np.abs(np.abs(pre) - taus[k]).min())
         return beta
 

@@ -121,8 +121,9 @@ class TestUnfoldNode:
         # draw has live and dead-zone entries in every layer
         layers = []
         untiled(refinement.unfold_code, self.y, self.model, record=layers)
-        taus = self.model.thresholds()
-        for k, (_, _, pre) in enumerate(layers):
+        g, etas, taus = self.model.measure @ self.model.dictionary, self.model.steps(), self.model.thresholds()
+        for k, (beta_k, resid) in enumerate(layers):
+            pre = beta_k - etas[k] * (resid @ g)  # the layer's pre-activation
             live = np.abs(pre) > taus[k]
             assert live.any() and not live.all()
             assert np.abs(np.abs(pre) - taus[k]).min() > 1e-3
@@ -144,7 +145,8 @@ class TestUnfoldNode:
         y = np.concatenate([y, np.full((1, n), 5e-324), np.random.default_rng(4).normal(size=(4, n))])
         layers = []
         beta = untiled(refinement.unfold_code, y, model, record=layers)
-        ((_, _, pre),) = layers
+        ((beta_0, resid),) = layers
+        pre = beta_0 - model.steps()[0] * (resid @ (model.measure @ model.dictionary))
         assert np.array_equal(pre, y)
         live = np.abs(pre) > taus
         assert live.any() and not live.all()
