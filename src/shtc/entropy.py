@@ -4,7 +4,10 @@ The rate estimate integrates a per-channel Gaussian over each quantization
 bin. The coder consumes the same Gaussian bin probabilities, quantized to
 16-bit frequencies (every interval >= 1), so measured payloads track the
 estimate closely. Symbols outside a +/-4096 alphabet are coded as an escape
-entry and sent raw as 4-byte values after the coded words.
+entry and sent raw as 4-byte values after the coded words. The Gaussian CDF
+is computed with numpy alone, in its input's precision: Cephes' ``ndtr`` in
+binary64 for the tables and the float64 rate, and Numerical Recipes'
+``erfcc`` in binary32 for the rate of float32 training.
 
 Adjacent channels with small tables are coded as one symbol (alphabet
 extension; Cover & Thomas, *Elements of Information Theory*, 5.4): in
@@ -52,9 +55,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DecodeError, DimMismatch, Overflow
+from .linalg import working
 from .quantizer import QuantSchedule
 
 _HAVE_NUMBA = False  # read by the benchmark's environment record; no numba path exists
@@ -76,6 +79,114 @@ _SUPPORT_Z = 8.0
 _PROB_FLOOR = 2.0**-40
 _ESCAPED = -(1 << 62)  # a decoded escape entry's value, outside every table and escape range
 _CHUNK = 256  # encoder steps whose tables are gathered at once; not part of the format
+_CDF_CHUNK = 2048  # symbols whose bin edges build_tables evaluates at once; not part of the format
+
+# Phi in binary64 is Cephes' ndtr (Moshier, *Methods and Programs for
+# Mathematical Functions*, 1989). Each table lists its coefficients from the
+# highest power down; the denominators Q, S and U omit their leading 1.
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2  # erfc(z) is 0 once z * z exceeds it
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+# Phi in binary32: the exponent of Numerical Recipes' erfcc (Press et al.,
+# 2nd ed., 6.2), a polynomial in t = 1 / (1 + z / 2), highest power first
+_ERFCC = (0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
+          -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223)
+
+
+def _polevl(x, coef):
+    """Cephes' polevl: the polynomial of ``coef`` at ``x`` by Horner's rule."""
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes' p1evl: as :func:`_polevl` with a leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _half_erfc(z, num, den):
+    """erfc(z) / 2 for z >= 1 by Cephes' rational form ``num / den``:
+    ``(exp(-z * z) * num(z)) / den(z)``, and 0 past ``_MAXLOG``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # at a huge or infinite z; set to 0 below
+        v = -z * z
+        y = 0.5 * ((np.exp(v) * _polevl(z, num)) / _p1evl(z, den))
+    y[v < -_MAXLOG] = 0.0
+    return y
+
+
+def _ndtr64(a: np.ndarray) -> np.ndarray:
+    """Phi of float64 ``a`` by Cephes' ndtr, evaluated in its order.
+
+    With x = a / sqrt(2) and z = |x|: ``0.5 + 0.5 * erf(x)`` below
+    z = 1/sqrt(2), otherwise ``erfc(z) / 2``, reflected to ``1 - erfc(z) / 2``
+    for x > 0. erf(z) = ``z * T(z^2) / U(z^2)``; erfc is ``1 - erf`` below
+    z = 1, then the P/Q form below 8 and the R/S form beyond."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(z)
+    near = z < 1.0
+    zn = z[near]
+    w = zn * zn
+    erf = zn * _polevl(w, _T) / _p1evl(w, _U)
+    y[near] = np.where(zn < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf, x[near]), 0.5 * (1.0 - erf))
+    mid = (z >= 1.0) & (z < 8.0)
+    y[mid] = _half_erfc(z[mid], _P, _Q)
+    tail = ~(near | mid)  # z >= 8, and NaN
+    if tail.any():
+        y[tail] = _half_erfc(z[tail], _R, _S)
+    np.subtract(1.0, y, out=y, where=(x > 0) & (z >= _SQRT1_2))
+    return y
+
+
+def _ndtr32(a: np.ndarray) -> np.ndarray:
+    """Phi of float32 ``a`` in float32: erfcc, whose erfc has fractional
+    error below 1.2e-7, at z = |a| / sqrt(2), reflected for a >= 0. One
+    branch and one ``exp``: under a quarter of :func:`_ndtr64`'s time. In
+    float32 its relative error is within 5e-7 + 1.5e-7 a^2 of the binary64
+    form, set in the tails by the rounding of z * z."""
+    z = np.abs(a)
+    z *= _SQRT1_2
+    t = 0.5 * z
+    t += 1.0
+    np.reciprocal(t, out=t)
+    tail = _polevl(t, _ERFCC)
+    with np.errstate(over="ignore"):  # z * z = inf gives the exact limit
+        z *= z
+    tail -= z
+    np.exp(tail, out=tail)
+    tail *= t
+    tail *= 0.5
+    np.subtract(1.0, tail, out=tail, where=a >= 0)
+    return tail
+
+
+def _phi(a) -> np.ndarray:
+    """Phi, the standard normal CDF, of ``a`` in its working precision
+    (``linalg.working``): :func:`_ndtr32` of float32, :func:`_ndtr64` of
+    anything else. Only the binary64 form builds tables (``docs/format.md``);
+    the rate estimate of float32 training takes the binary32 one."""
+    a = working(a)
+    return _ndtr32(a) if a.dtype == np.float32 else _ndtr64(a)
 
 
 @dataclass
@@ -102,14 +213,20 @@ def bin_bits(x: np.ndarray, mu, sigma, steps):
 
     Also returns what a gradient needs: the unfloored mass and the bin's
     standardized lower and upper edges. Shared by :func:`rate_bits` and the
-    trainer's rate term, so both price a latent identically.
+    trainer's rate term. Both edges go through one :func:`_phi` call in the
+    inputs' precision. Float64 prices a latent with the tables' Phi. Float32
+    training takes the binary32 Phi: the rate estimate is not part of the
+    format, and the binary64 form would cost over four times as much per
+    element. In float32 a mass carries an absolute error of a few 2^-24 (as
+    a float32 Phi near 1 always has), so the bits of masses below about 1e-4
+    are coarse there.
     """
     half = 0.5 * steps
     dev = x - mu
-    z_hi = (dev + half) / sigma
-    z_lo = (dev - half) / sigma
-    p = ndtr(z_hi) - ndtr(z_lo)
-    return -np.log2(np.maximum(p, _PROB_FLOOR)), p, z_lo, z_hi
+    edges = np.stack(((dev - half) / sigma, (dev + half) / sigma))
+    cdf = _phi(edges)
+    p = cdf[1] - cdf[0]
+    return -np.log2(np.maximum(p, _PROB_FLOOR)), p, edges[0], edges[1]
 
 
 def rate_bits(x_hat: np.ndarray, model: GaussianEntropyModel, sched: QuantSchedule) -> float:
@@ -155,6 +272,20 @@ def pairing(model: GaussianEntropyModel, steps) -> np.ndarray:
     """The first channel of each coded channel of ``model`` and ``steps``:
     one per symbol a row codes, for its pairs and its channels coded alone."""
     return _pair_leads(_support(model.mu, model.sigma, _model_steps(model, steps))[1])
+
+
+def _bin_masses(mu, sigma, step, lo, first) -> np.ndarray:
+    """Every channel's Gaussian mass in each of its symbols' bins, channel
+    after channel (channel j's from ``first[j]``). Phi runs over both edges
+    of ``_CDF_CHUNK`` symbols at a time, so its temporaries stay bounded."""
+    mass = np.empty(first[-1])
+    for c in range(0, mass.size, _CDF_CHUNK):
+        at = np.arange(c, min(c + _CDF_CHUNK, mass.size))
+        j = np.searchsorted(first, at, side="right") - 1
+        centre, half = (lo[j] + (at - first[j])) * step[j], 0.5 * step[j]
+        cdf = _ndtr64(np.stack(((centre + half - mu[j]) / sigma[j], (centre - half - mu[j]) / sigma[j])))
+        np.maximum(cdf[0] - cdf[1], 0.0, out=mass[c : c + at.size])
+    return mass
 
 
 @dataclass(frozen=True)
@@ -203,9 +334,10 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     ``cum`` and ``value``; 16 per coded channel in ``start`` and ``entries``;
     and 32 per channel in ``lo``, ``size``, ``coded`` and ``member``.
     Building them peaks at most 48 bytes per entry, 768 per coded channel
-    and 16 KiB above that: each coded channel's masses are computed in its
-    own pass, so the peak is set by joining the per-coded-channel
-    frequencies and values into the tables.
+    and 16 KiB above that: every channel's masses (8 bytes per symbol) are
+    computed first, ``_CDF_CHUNK`` symbols at a time, and freed before the
+    per-coded-channel frequencies and values are joined into the tables,
+    which sets the peak.
     """
     mu, sigma = model.mu, model.sigma
     step = _model_steps(model, steps)
@@ -213,20 +345,17 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
     lo, size = _support(mu, sigma, step)
     lead = _pair_leads(size)
     members = np.diff(lead, append=n)  # per coded channel
-
-    def mass(j):  # channel j's Gaussian mass in each of its symbols' bins
-        centre, half = (lo[j] + np.arange(size[j])) * step[j], 0.5 * step[j]
-        return np.maximum(ndtr((centre + half - mu[j]) / sigma[j]) - ndtr((centre - half - mu[j]) / sigma[j]), 0.0)
-
+    first = np.concatenate(([0], np.cumsum(size)))  # channel j's masses are mass[first[j] : first[j + 1]]
+    mass = _bin_masses(mu, sigma, step, lo, first)
     freqs, values = [], []
     for a, w in zip(lead, members):
         symbols = lo[a] + np.arange(size[a])
+        p = mass[first[a] : first[a + 1]]
         if w == 2:  # first member major
-            p = np.multiply.outer(mass(a), mass(a + 1)).reshape(-1)
+            p = np.multiply.outer(p, mass[first[a + 1] : first[a + 2]]).reshape(-1)
             second = lo[a + 1] + np.arange(size[a + 1])
             value = np.stack((np.repeat(symbols, second.size), np.tile(second, symbols.size)), 1)
         else:
-            p = mass(a)
             value = np.stack((symbols, np.full(symbols.size, _ESCAPED)), 1)
         budget = _TOTAL - (p.size + 1)
         freq = np.floor(p * budget).astype(np.int64) + 1
@@ -236,6 +365,7 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
         freq[np.argmax(p)] += _TOTAL - int(freq.sum()) - esc
         freqs += [freq, [esc]]
         values += [value, [[_ESCAPED, _ESCAPED]]]
+    mass = p = None  # freed before the frequencies and values are joined
     freq = np.concatenate(freqs + [[_TOTAL]])  # and the pad
     entries = np.array([f.size for f in freqs[::2]], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(entries + 1)[:-1]))

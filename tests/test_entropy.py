@@ -19,7 +19,7 @@ from shtc.errors import DecodeError, DimMismatch
 
 
 def normal_cdf_oracle(z: float) -> float:
-    # independent of scipy's ndtr used by the implementation
+    # from math.erf alone, independent of the implementation's Phi
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
@@ -97,6 +97,84 @@ def normal_cdf(z: float) -> float:
         return 0.5 + 0.5 * math.erf(x)
     y = 0.5 * math.erfc(abs(x))
     return 1.0 - y if x > 0 else y
+
+
+class TestPhi:
+    """``entropy._phi``, the standard normal CDF, in each precision."""
+
+    def test_float64_against_oracle(self):
+        # Cephes' ndtr against the math.erf / math.erfc oracle, on grids
+        # across its region edges |a| / sqrt(2) = 1/sqrt(2), 1 and 8 and the
+        # underflow edge a * a / 2 = MAXLOG, with the 20 floats either side
+        # of each. Cephes' rational forms are good to about 6e-14 relative
+        # (measured) against an erfc within an ulp, so the bound is relative;
+        # past the underflow edge Cephes' erfc is 0 while the oracle's is
+        # subnormal.
+        grids = [np.linspace(-40.0, 10.0, 50001)]
+        for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * entropy._MAXLOG)):
+            for a in (edge, -edge):
+                grids.append(np.linspace(0.95 * a, 1.05 * a, 2001))
+                ulps = np.arange(1, 21)
+                grids.append(np.concatenate(([a], a + ulps * np.spacing(a), a - ulps * np.spacing(a))))
+        a = np.concatenate(grids)
+        ours = entropy._phi(a)
+        want = np.array([normal_cdf(v) for v in a.tolist()])
+        assert ours.dtype == np.float64
+        normal = want >= np.finfo(np.float64).tiny
+        assert np.all(np.abs(ours - want)[normal] <= 1e-13 * want[normal])
+        assert np.all(np.abs(ours - want)[~normal] <= np.finfo(np.float64).tiny)
+        assert (~normal).sum() > 1000  # the grid reaches past the underflow edge
+
+    def test_float64_special_values(self):
+        a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        out = entropy._phi(a)
+        assert out[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and np.isnan(out[4])
+        assert out[5:].tolist() == [1.0, 0.0]
+        assert entropy._phi(np.arange(-3, 4)).dtype == np.float64  # integers take the binary64 form
+
+    def test_float32_against_float64(self):
+        # erfcc in float32: relative error within 5e-7 + 1.5e-7 a^2 of the
+        # binary64 form on [-12, 12], where rounding z * z to float32 sets
+        # the tail's error (1.7e-5 at |a| = 12); measured at most 0.84 of
+        # the bound
+        a = np.concatenate((np.linspace(-12.0, 12.0, 240001, dtype=np.float32), np.float32([-1, 1, 0])))
+        ours = entropy._phi(a)
+        want = entropy._phi(a.astype(np.float64))
+        assert ours.dtype == np.float32
+        wide = a.astype(np.float64)
+        assert np.all(np.abs(ours - want) <= (5e-7 + 1.5e-7 * wide * wide) * want)
+        assert entropy._phi(np.float32([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+
+    def test_float32_bin_bits_against_float64(self):
+        # the float32 rate of float32 inputs, element for element, against
+        # the float64 rate of the same values: the floored masses 2^-bits
+        # agree within 6 * 2^-24 (measured 4.5; the float32 edges and a
+        # float32 Phi near 1 each cost a few 2^-24), so masses of at least
+        # 2^-4 differ by at most 1e-5 bits. Masses below the floor read
+        # exactly 40 bits in both on the side below the mean, where Phi is
+        # small and relatively exact. Above the mean a float32 mass is the
+        # difference of two Phi near 1, a multiple of 2^-24: 3.8% of these
+        # elements (masses 2e-12 to 6e-8) read over a bit off, as with a
+        # correctly rounded float32 Phi, and the mass bound keeps them at
+        # 21.4 bits or more.
+        rng = np.random.default_rng(3)
+        n = 40
+        mu = (0.3 * rng.normal(size=n)).astype(np.float32)
+        sigma = np.exp(rng.normal(size=n)).astype(np.float32)
+        steps = np.exp(rng.normal(size=n) - 0.5).astype(np.float32)
+        x = (mu + rng.normal(size=(5000, n)) * sigma * rng.uniform(0.5, 12.0, size=(5000, 1))).astype(np.float32)
+        bits32, p32, _, _ = entropy.bin_bits(x, mu, sigma, steps)
+        bits64, p64, _, _ = entropy.bin_bits(*(v.astype(np.float64) for v in (x, mu, sigma, steps)))
+        assert bits32.dtype == p32.dtype == np.float32
+        floored = np.exp2(-bits32.astype(np.float64)), np.exp2(-bits64)
+        assert np.all(np.abs(floored[0] - floored[1]) <= 6 * 2.0**-24)
+        large = p64 >= 2.0**-4
+        assert np.all(np.abs(bits32 - bits64)[large] <= 1e-5)
+        below = (p64 < entropy._PROB_FLOOR) & (x < mu)
+        above = (p64 < entropy._PROB_FLOOR) & (x > mu)
+        assert below.sum() > 10000 and above.sum() > 10000
+        assert np.all(bits32[below] == 40.0) and np.all(bits64[below] == 40.0)
+        assert np.all(bits32[above] >= -math.log2(6 * 2.0**-24 + entropy._PROB_FLOOR))
 
 
 def coded_tables_reference(mu, sigma, steps):
@@ -264,16 +342,19 @@ class TestTables:
         [
             (5, 1e-6, 3, 2 * 10 + 4 + 1),
             (2, 1e4, 2, 2 * 8194 + 1),
+            (1, 1e4, 1, 8194 + 1),
             (200, 1e-6, 100, 100 * 10 + 1),
             (500, 1e-6, 250, 250 * 10 + 1),
         ],
-        ids=["minimal", "clipped", "many", "more"],
+        ids=["minimal", "clipped", "one-clipped", "many", "more"],
     )
     def test_memory_bound(self, n, sigma, coded, entries):
         # the bytes the docstring of build_tables states: kept, exactly, and
         # the tracemalloc peak of a build. Five channels of 3 symbols (the
         # least support) code as two pairs and one alone; two channels clipped
-        # at +/-4096 hold 8193 symbols and the escape each; 200 and 500
+        # at +/-4096 hold 8193 symbols and the escape each, and one such
+        # channel alone has the most Phi work for what it keeps, so its
+        # chunked masses, not the join, could set the peak; 200 and 500
         # channels of 3 symbols code as 100 and 250 pairs; the pad is one
         # more. Nothing kept grows with channels times coded channels: at 500
         # channels a float32 (channels, coded channels) array would be

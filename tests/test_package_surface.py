@@ -20,7 +20,10 @@ that adds or removes an option moves ``SETTABLE_VALUES`` and says why.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,3 +145,15 @@ def settable_values() -> int:
 
 def test_settable_values_pinned():
     assert settable_values() == SETTABLE_VALUES
+
+
+def test_runs_on_numpy_alone():
+    # a fresh process that imports every module a command, a fit or the
+    # benchmark loads holds no scipy module, and the project depends on none
+    script = ("import sys, shtc, shtc.cli, shtc.trainer, shtc.codec, shtc.bench; "
+              "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
+    assert "scipy" not in (ROOT / "pyproject.toml").read_text()

@@ -213,10 +213,13 @@ class TestPrecision:
     the gradient they return is float64 either way."""
 
     # (loss value, sha256 of the gradient) of a float64 batch, taken when
-    # the trainer ran in float64 only
+    # the trainer ran in float64 only. The default case's gradient was
+    # re-pinned when Phi became a numpy port of Cephes' ndtr: numpy's exp
+    # differs from libm's in the last bit, and 48 of its 3914 entries moved
+    # by at most 2.2e-19
     PINNED_F64 = {
         "toy": (0.31728050913375244, "d578f7583946089a4a060a2effe129235b8a54b00f297ccc8136af8efe041143"),
-        "default": (0.3871564123032754, "d065299b2089984c91f312c91927a6e63849db4c6489fa9db296ec8f6b92970a"),
+        "default": (0.3871564123032754, "74f1f677a2b8545542c434912d7ca1aa16e93feebf196dd45b728f0fe4ccd3a0"),
     }
 
     @pytest.mark.parametrize("case", list(PINNED_F64))
@@ -399,7 +402,9 @@ class TestTrainedBytes:
     files of the two refinement cases; the klt-trunc and dct files kept
     their bytes, since their learned schedules round to the same binary32.
     Re-pinned at bitstream v7: each file differs from v6 only in its
-    version and CRC."""
+    version and CRC. Re-pinned when float32 training took its own binary32
+    Phi (``entropy._ndtr32``): every log moved, and so did every file but
+    dct's."""
 
     # default_configs keywords -> (bundle file, log)
     CASES = {
@@ -410,20 +415,20 @@ class TestTrainedBytes:
     }
     PINNED = {
         "shtc-full": (
-            "7775a628b221258574ad67c098b6d58433ba25dea541f93c2162b76a067813c2",
-            "dc5e2aac7a2d76a4457e6e713c65c847b098ff8daf1ccfa069ff7e463e033617",
+            "fb66104499e44f41742279d735b0bbad01fca1aa349ce30f7c2757393b6b3204",
+            "0529c86decf93734dc11b8fd1933be16b4cf3d546c7a372924311a3fee91d5c1",
         ),
         "scaling_cols=2": (
-            "47ae595ecb6b4ac3f45e94121d94411c30370abe36d5920704afaa70faaf4da2",
-            "bd85dbee71f090e4dc726f0b381f2e9afff92cd3e465ba74056beac6b828b8aa",
+            "facc9033e4656e86d05cfb393e3b59115399e785ebf0e599909f0e21b07747b3",
+            "fc462ed69f0c8b46d0ece153713de4669d9a54d83860becbb7146f94312119c9",
         ),
         "klt-trunc": (
-            "ff74c62e057353755b7c396ae142c13a254f722c32947c5c209fa2c9b0eba172",
-            "47c164534e50eaba44d23fa19e4dd23d66f3d2c5537e05ff3e07613a607e41d1",
+            "80060f4567d7846791f782094e2bec18cbb53f00122b3e0f8be92a486a6ba33b",
+            "745f7816e0dc73559c38160f3dabe0ec6621be8636de42e577998a11f92f477f",
         ),
         "dct": (
             "82cd4010823ec49b5d40834a4831228907cdd5369663efe5bd4bbc731411a163",
-            "de2a92e94f249835a1bc929a380b0bd9940f91bd265023d1fb4d0f92c7c68279",
+            "51d2facd51a9411323c8e31d11453f214bafd7b7486097a1b43e6993a7ac462b",
         ),
     }
 
@@ -447,8 +452,8 @@ class TestTrainedBytes:
         tc = TrainConfig(lam=0.004, iters=20, batch=256, seed=6, log_every=5)
         bundle, log = trainer.train(x, configs, tc)
         assert hashlib.sha256(bitstream.serialize(bundle)[0]).hexdigest() == (
-            "628aeac6eede911eb9bbcaa7dbc41a6bf644f6dd078020c5308b9d6d24c2ac64"
+            "6790a82d4da478ff9de2b3fb7111858681929b9dd18af2cb2d30dbcad171d95a"
         )
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
-            "27e9e4c35ce38a9d8f697f223803972427f72998dc3b583f0231e4ad9e6fead0"
+            "1ff2e10b42d432ed2b47ea9f98ea8a2c051bc560ce12dd71c0487a754d10223a"
         )
