@@ -32,7 +32,12 @@ and ``decode`` run one lane loop over a (rows, channels) symbol table under
 one entropy model, with one lane set, one word area and one escape area.
 The decoder finds each lane's entry from its slot with one lookup in a
 per-coded-channel slot table (the rANS decoding table of Duda and Giesen), so a
-step's lanes of all coded channels cost one gather. ``encode_symbols`` and
+step's lanes of all coded channels cost one gather. A 128-row file's decode
+is 32 steps of a dozen numpy calls on a few dozen lanes, so the time is in
+the calls: every operand of the step loop is an array of the lanes' length
+(a numpy scalar costs a conversion on each call), its results go to buffers
+made once per call, and the lanes that renormalize read their words through
+one boolean gather and one scatter. ``encode_symbols`` and
 ``decode_symbols`` take a quantizer schedule in place of its steps.
 
 Tables are built in one place: ``build_tables`` returns every array the
@@ -40,8 +45,11 @@ decoder reads. The encoder adds one of its own on each call, a (channels,
 coded channels) map of table indices to coded symbols' offsets, so a decoder
 holds nothing that grows with the square of the channel count.
 ``_coder_state`` keeps the tables of the last model coded, keyed by the
-exact float64 ``mu``, ``sigma`` and ``steps`` bytes, so the files of one
-bundle build their tables once and a changed model never reuses them.
+exact float64 ``mu``, ``sigma`` and ``steps`` bytes (``_coder_key``), so the
+files of one bundle build their tables once and a changed model never reuses
+them. ``decode`` looks the key up first: a cached model's coded-channel count
+is its tables', and an uncached model's pairing is checked against the
+payload before any table is built.
 
 The encoder holds each coded symbol's int32 table entry, word slot and emit
 flag (7 bytes), but gathers the lanes' frequencies and cumulative counts for
@@ -397,24 +405,34 @@ def build_tables(model: GaussianEntropyModel, steps) -> FreqTables:
 _coder_cache: tuple = (None, None)  # (content key, FreqTables) of the last model coded
 
 
-def _coder_state(model: GaussianEntropyModel, steps) -> FreqTables:
-    """The tables of ``model`` and ``steps``, built on a miss of the one-entry
-    cache. The key is every byte ``build_tables`` reads, with the length of
-    each array, so equal keys mean equal tables. Threads that miss together
-    each build; the cache keeps whichever tables were written last."""
-    global _coder_cache
+def _coder_key(model: GaussianEntropyModel, steps) -> tuple:
+    """The cache key of ``model`` and ``steps``: every byte ``build_tables``
+    reads, with the length of each array, so equal keys mean equal tables."""
     params = [np.asarray(a, dtype=np.float64) for a in (model.mu, model.sigma, steps)]
-    key = (tuple(a.size for a in params), np.concatenate(params).tobytes())
-    cached_key, tables = _coder_cache  # one read: a key never pairs with another key's tables
-    if cached_key == key:
-        return tables
-    # free the old tables before the new ones are built, so the two are
-    # never held at once
-    del tables
+    return tuple(a.size for a in params), np.concatenate(params).tobytes()
+
+
+def _cache_tables(model: GaussianEntropyModel, steps, key: tuple) -> FreqTables:
+    """Build the tables of ``model`` and ``steps`` and keep them as the
+    cache's one entry, under ``key``. The old tables are freed first, so the
+    two are never held at once; a caller drops its own reference before."""
+    global _coder_cache
     _coder_cache = (None, None)
     tables = build_tables(model, steps)  # the module global, so a rebinding of it sees the call
     _coder_cache = (key, tables)
     return tables
+
+
+def _coder_state(model: GaussianEntropyModel, steps) -> FreqTables:
+    """The tables of ``model`` and ``steps``, built on a miss of the one-entry
+    cache. Threads that miss together each build; the cache keeps whichever
+    tables were written last."""
+    key = _coder_key(model, steps)
+    cached_key, tables = _coder_cache  # one read: a key never pairs with another key's tables
+    if cached_key == key:
+        return tables
+    del tables
+    return _cache_tables(model, steps, key)
 
 
 def lane_grid(rows: int, paired: bool) -> tuple[int, int]:
@@ -514,8 +532,14 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
         if data:
             raise DecodeError("nonempty payload for zero rows")
         return np.zeros((0, channels), dtype=np.int64)
-    # the payload must hold every lane state before a table is built
-    coded = pairing(model, steps).size
+    # A cached model's coded channels are its tables'; an uncached model's
+    # pairing is checked against the payload, which must hold every lane
+    # state, before a table is built
+    model_key = _coder_key(model, steps)
+    cached_key, tables = _coder_cache  # one read: a key never pairs with another key's tables
+    if cached_key != model_key:
+        tables = None  # the old tables are freed before new ones are built
+    coded = pairing(model, steps).size if tables is None else tables.start.size
     width, n_steps = lane_grid(rows, coded < channels)
     lanes = width * coded
     head = 4 * lanes
@@ -525,11 +549,16 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
     if np.any(x < _STATE_LOW):  # a u32 is below _STATE_LOW << _WORD_BITS
         raise DecodeError("lane state out of range")
     area = np.frombuffer(data, dtype="<u2", offset=head).astype(np.uint64)
-    tables = _coder_state(model, steps)
+    if tables is None:
+        tables = _cache_tables(model, steps, model_key)
     slot_entry, freq, cum = tables.slot_entry, tables.freq, tables.cum
-    # numpy scalars: a Python int operand costs a conversion on every step
-    mask, low = np.uint64(_TOTAL - 1), np.uint64(_STATE_LOW)
-    freq_bits, word_bits = np.uint64(_FREQ_BITS), np.uint64(_WORD_BITS)
+    # Operands are arrays of the lanes' length: a numpy scalar operand costs
+    # a conversion on every call. At 272 lanes (2-vCPU Xeon, numpy 2.4) an
+    # array in its place took `&` 1.35 -> 0.98 us, `>>` 1.37 -> 0.99 us and
+    # `<` 1.49 -> 1.06 us
+    mask, low, freq_bits, word_bits = (
+        np.full(lanes, v, dtype=np.uint64) for v in (_TOTAL - 1, _STATE_LOW, _FREQ_BITS, _WORD_BITS)
+    )
     # Lane l codes coded channel l % coded. The lanes idle in a partial last
     # step code the pad, as block ``coded`` of slot_entry, so every step runs
     # on every lane. A lane's key selects its block, and its base is the
@@ -538,27 +567,33 @@ def decode(rows: int, data: bytes, model: GaussianEntropyModel, steps) -> np.nda
     chan = lane % coded
     idle = lane >= rows * coded - (n_steps - 1) * lanes
     first = np.append(tables.start, freq.size - 1)
-    full, last = ((c.astype(np.uint64) << freq_bits, first[c]) for c in (chan, np.where(idle, coded, chan)))
+    full, last = ((c.astype(np.uint64) << _FREQ_BITS, first[c]) for c in (chan, np.where(idle, coded, chan)))
     step_keys = [full] * (n_steps - 1) + [last]
     entries = np.empty((n_steps, lanes), dtype=np.intp)
     need = np.empty(lanes, dtype=bool)
+    slot, key = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
+    # every key is below 2^63, so its int64 view, which indexes without a
+    # cast, has its value
+    at = key.view(np.int64)
     pos = 0  # words read, in lane order within a step
     for t, (ck, b) in enumerate(step_keys):
-        slot = x & mask
-        # every index is below 2^63, so its int64 view, which indexes without
-        # a cast, has its value
-        e = np.add(slot_entry[(ck | slot).view(np.int64)], b, out=entries[t])
+        np.bitwise_and(x, mask, out=slot)
+        np.bitwise_or(ck, slot, out=key)
+        e = np.add(slot_entry[at], b, out=entries[t])
         x >>= freq_bits
         x *= freq[e]
         x += slot
         x -= cum[e]
         np.less(x, low, out=need)
-        k = np.count_nonzero(need)
-        if k:
-            if pos + k > area.size:
+        w = x[need]  # the lanes that read a word, at most one each
+        if w.size:
+            end = pos + w.size
+            if end > area.size:
                 raise DecodeError("entropy payload truncated")
-            x[need] = (x[need] << word_bits) | area[pos : pos + k]
-            pos += k
+            w <<= word_bits[: w.size]
+            w |= area[pos:end]
+            x[need] = w
+            pos = end
     if np.any(x != _STATE_LOW):
         raise DecodeError("lane does not end at its initial state")
     # each channel reads its coded channel's entry; member m of entry e is

@@ -693,6 +693,108 @@ class TestReferenceDecode:
             entropy.decode_symbols(b"\x00" * 4 + blob[4:], sym.size, model, sched)
 
 
+class TestWarmCache:
+    """A decode whose model's tables are cached takes its coded-channel count
+    from them and never runs ``pairing``; it still refuses a payload without
+    every lane state, or with a state below 2^16."""
+
+    @pytest.fixture
+    def warm(self, monkeypatch):
+        blob, sym, model, sched = TestHostilePayload.coded()
+        monkeypatch.setattr(entropy, "_coder_cache", (None, None))
+        entropy.encode_symbols(sym, model, sched)  # warms the cache
+
+        def pairing(*args):
+            raise AssertionError("pairing run for a cached model")
+
+        monkeypatch.setattr(entropy, "pairing", pairing)
+        return blob, sym, model, sched
+
+    def test_decodes_as_reference(self, warm):
+        blob, sym, model, sched = warm
+        out = entropy.decode_symbols(blob, sym.size, model, sched)
+        assert np.array_equal(out, sym)
+        assert np.array_equal(out, reference_decode(sym.shape[0], blob, model, sched.steps))
+
+    def test_short_payload_refused(self, warm):
+        blob, sym, model, sched = warm
+        with pytest.raises(DecodeError, match="does not fit"):
+            entropy.decode_symbols(blob[: 4 * 6 - 4], sym.size, model, sched)
+
+    def test_state_below_range_refused(self, warm):
+        blob, sym, model, sched = warm
+        with pytest.raises(DecodeError, match="out of range"):
+            entropy.decode_symbols(b"\x00" * 4 + blob[4:], sym.size, model, sched)
+
+
+class TestRenormalization:
+    """The decoder's word reads at their edges: steps where no lane reads a
+    word, steps where nearly every lane does, and a partial last step with
+    idle lanes. Each payload is pinned (sha256) and decodes as
+    ``reference_decode`` does."""
+
+    PINNED = {
+        "mode": "f093bcf4b91f02bb06c5268a6d5dfb3b65a8f27b94efb6462d567ce808716669",
+        "wide": "a62d78975666b73aec1644b24abaf51796687ff112651c377452d67b6b26deb5",
+        1: "45ffaab01ec24c3aa29e1c77f6ffdbc28bda93a800c658469583fd4a1c0255eb",
+        4097: "cf754f6aa9b105758536eab308bc2a12e6ed3b398b5d61158aac0451537fc5a1",
+        8193: "2cf7cf23f9696a3499c6c538219b19f47a610d30af430bd9dfeac7bc7825a56f",
+    }
+
+    @staticmethod
+    def words(blob, sym, model, steps, escapes=0):
+        """Check that ``blob`` decodes to ``sym`` under ``entropy.decode`` and
+        ``reference_decode``; return its words (the u16 between its lane
+        states and its ``escapes`` raw values) and its lane steps."""
+        rows = sym.shape[0]
+        out = entropy.decode(rows, blob, model, steps)
+        assert np.array_equal(out, sym)
+        assert np.array_equal(out, reference_decode(rows, blob, model, steps))
+        coded = entropy.pairing(model, steps).size
+        width, n_steps = entropy.lane_grid(rows, coded < model.n)
+        return (len(blob) - 4 * width * coded - 4 * escapes) // 2, width * coded * n_steps
+
+    def test_most_probable_symbol_only(self):
+        # one channel whose every symbol is its most probable (freq near
+        # 2^16): a state shrinks by a fraction of a bit per step, so most
+        # steps read no word
+        model = entropy.GaussianEntropyModel(mu=np.array([0.1]), sigma=np.array([0.3]))
+        steps = np.array([1.0])
+        sym = np.zeros((2000, 1), dtype=np.int64)
+        blob = entropy.encode(sym, model, steps)
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED["mode"]
+        words, lane_steps = self.words(blob, sym, model, steps)
+        assert lane_steps == 2000 and 0 < words < lane_steps // 50
+
+    def test_wide_tables_with_escapes(self):
+        # two channels clipped to 8193 symbols of freq about 8, about 13 bits
+        # a symbol, and escapes of 16: more than 4 lane steps in 5 read a word
+        rng = np.random.default_rng(5)
+        model = entropy.GaussianEntropyModel(mu=np.zeros(2), sigma=np.full(2, 2000.0))
+        steps = np.array([0.5, 0.75])
+        sym = rng.integers(-4096, 4097, size=(3000, 2))
+        sym[::97, 0], sym[5::211, 1] = 9000, -7777
+        blob = entropy.encode(sym, model, steps)
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED["wide"]
+        words, lane_steps = self.words(blob, sym, model, steps, escapes=31 + 15)
+        assert words > 0.8 * lane_steps
+
+    @pytest.mark.parametrize("rows", [1, 4097, 8193])
+    def test_partial_last_step(self, rows):
+        # a pair and a channel alone on 4 (8 at 8193 rows) lanes each; the
+        # last step codes one row, so all but 2 of its lanes idle on the pad
+        rng = np.random.default_rng(rows)
+        model = entropy.GaussianEntropyModel(mu=np.array([0.1, -0.2, 0.3]), sigma=np.array([0.3, 0.4, 2.0]))
+        steps = np.array([0.5, 0.75, 1.0])
+        width, n_steps = entropy.lane_grid(rows, True)
+        assert entropy.pairing(model, steps).size == 2 and rows == width * (n_steps - 1) + 1
+        sym = np.floor(rng.normal(0.0, 1.0, size=(rows, 3)) / steps + 0.5).astype(np.int64)
+        sym[-1, -1] = 6000  # an escape in the last step
+        blob = entropy.encode(sym, model, steps)
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED[rows]
+        self.words(blob, sym, model, steps, escapes=1)
+
+
 def joined(latents):
     """The one latent of ``(symbols, model, sched)`` latents of one row count:
     their symbols side by side, one model and one steps array of all their
